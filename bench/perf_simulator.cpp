@@ -713,6 +713,12 @@ bool run_mega(std::FILE* out, bool smoke) {
   std::printf("sub-fleet identity (stream vs pair-mask): %s\n",
               identical ? "bit-identical" : "MISMATCH");
 
+  // The slot count the run actually used (the preset leaves it on auto).
+  std::size_t stream_slots = 0;
+  for (const auto& [name, value] : context.metrics().snapshot().gauges) {
+    if (name == "sched.stream_slots") stream_slots = static_cast<std::size_t>(value);
+  }
+
   std::fprintf(out,
                "  \"mega_scale\": {\n"
                "    \"workload\": {\"satellites\": %zu, \"terminals\": %zu,"
@@ -731,7 +737,7 @@ bool run_mega(std::FILE* out, bool smoke) {
                workload.satellites.size(), workload.terminals.size(),
                workload.stations.size(), kParties, grid.count,
                smoke ? "mega-smoke" : "mega", context.thread_count(),
-               config.stream_chunk_steps, config.stream_slots,
+               config.stream_chunk_steps, stream_slots,
                config.max_candidates_per_terminal, seconds, tps, links_granted, rss,
                identical ? "true" : "false", context.metrics().to_json(4).c_str());
   return ok;

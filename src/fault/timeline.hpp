@@ -184,6 +184,10 @@ class FaultTimeline {
   std::vector<cov::StepMask> satellite_out_;
   std::vector<cov::StepMask> station_out_;
   std::vector<Degradation> degradations_;
+  // Per satellite, the indices of its degradations in registration order
+  // (the product order), so a per-step capacity query scans only its own.
+  // Empty until the first degradation is added.
+  std::vector<std::vector<std::size_t>> degradations_by_satellite_;
   std::vector<OutageRecord> records_;
 };
 

@@ -75,10 +75,12 @@ std::uint64_t chunk_word(std::span<const std::uint64_t> words,
 
 // A downlink leg toward one station, cached per (satellite, step) so the
 // satellite->station leg is computed once instead of once per terminal. Only
-// the values relay_capacity_bps reads are kept; shannon_bps stays zero in
-// transparent mode, where the combine never looks at it.
+// the values relay_capacity_bps reads are kept, plus the station's owner for
+// the same-party match; shannon_bps stays zero in transparent mode, where
+// the combine never looks at it.
 struct StationBudget {
   std::uint32_t station = 0;
+  std::uint32_t party = 0;
   double snr_linear = 0.0;
   double shannon_bps = 0.0;
 };
@@ -112,52 +114,65 @@ struct PipelineContext {
   std::atomic<std::size_t>* step_high_water = nullptr;
 };
 
-// Per-slot scratch for fill_chunk, reused across the chunks a stream slot
-// processes so the (step, satellite) downlink lists keep their capacity
-// instead of reallocating tens of thousands of small vectors per chunk.
-struct FillScratch {
-  std::vector<std::vector<StationBudget>> downlinks;
+// Per-(step, satellite) downlink legs of one chunk: list b * satellites + si
+// holds satellite si's healthy visible stations at step chunk_begin + b.
+// Kept per stream slot and reused across the chunks it processes, so the
+// lists keep their capacity instead of reallocating tens of thousands of
+// small vectors per chunk.
+using DownlinkLists = std::vector<std::vector<StationBudget>>;
 
-  void reset(std::size_t slots) {
-    if (downlinks.size() < slots) downlinks.resize(slots);
-    for (std::size_t i = 0; i < slots; ++i) downlinks[i].clear();
-  }
+// The station-side inputs both chunk fills share.
+struct DownlinkInputs {
+  const orbit::EphemerisSet& ephemerides;
+  const cov::PackedMasks& station_vis;
+  std::span<const GroundStation> stations;
+  std::span<const orbit::TopocentricFrame> station_frames;
+  std::span<const HopEvaluator> downlink_hops;
+  bool regenerative = false;
 };
 
-// Builds the candidate lists of steps [chunk_begin, chunk_begin + count) into
-// out[0..count). Pure function of the context — no scheduling state.
-void fill_chunk(const PipelineContext& ctx, std::size_t chunk_begin, std::size_t count,
-                std::span<StepCandidates> out, FillScratch& scratch) {
-  const std::size_t sat_count = ctx.satellites.size();
-  const std::size_t term_count = ctx.terminals.size();
-  const std::size_t station_count = ctx.stations.size();
-
-  const std::size_t hint = ctx.step_high_water->load(std::memory_order_relaxed);
-  for (std::size_t b = 0; b < count; ++b) out[b].reset(term_count, hint);
-
-  // Downlink legs first: one budget per (satellite, station, step) with both
-  // the pair visible and the station healthy. Station order inside each
-  // (step, satellite) list stays ascending — the reference tie-break order.
-  scratch.reset(count * sat_count);
-  std::vector<std::vector<StationBudget>>& downlinks = scratch.downlinks;
+// Downlink legs of steps [chunk_begin, chunk_begin + count): one budget per
+// (satellite, station, step) with both the pair visible and the station
+// healthy, word-iterated satellite-major. Station order inside each list
+// stays ascending — the reference tie-break order.
+void fill_downlinks(const DownlinkInputs& in, std::size_t sat_count,
+                    std::size_t chunk_begin, std::size_t count, DownlinkLists& downlinks) {
+  const std::size_t station_count = in.stations.size();
+  if (downlinks.size() < count * sat_count) downlinks.resize(count * sat_count);
+  for (std::size_t i = 0; i < count * sat_count; ++i) downlinks[i].clear();
   for (std::size_t si = 0; si < sat_count; ++si) {
-    const orbit::EphemerisTable& table = ctx.ephemerides.table(si);
+    const orbit::EphemerisTable& table = in.ephemerides.table(si);
     for (std::size_t gi = 0; gi < station_count; ++gi) {
-      std::uint64_t bits = chunk_word(ctx.station_vis->words(si * station_count + gi),
-                                      chunk_begin, count);
+      std::uint64_t bits =
+          chunk_word(in.station_vis.words(si * station_count + gi), chunk_begin, count);
       while (bits != 0) {
         const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
         const std::size_t step = chunk_begin + b;
         const util::Vec3 pos = table.position_ecef(step);
         const double snr =
-            ctx.downlink_hops[gi].snr_linear(ctx.station_frames[gi].range_m(pos));
+            in.downlink_hops[gi].snr_linear(in.station_frames[gi].range_m(pos));
         downlinks[b * sat_count + si].push_back(
-            {static_cast<std::uint32_t>(gi), snr,
-             ctx.regenerative ? ctx.downlink_hops[gi].shannon_bps(snr) : 0.0});
+            {static_cast<std::uint32_t>(gi), in.stations[gi].owner_party, snr,
+             in.regenerative ? in.downlink_hops[gi].shannon_bps(snr) : 0.0});
       }
     }
   }
+}
+
+// Builds the candidate lists of steps [chunk_begin, chunk_begin + count) into
+// out[0..count). Pure function of the context — no scheduling state.
+void fill_chunk(const PipelineContext& ctx, std::size_t chunk_begin, std::size_t count,
+                std::span<StepCandidates> out, DownlinkLists& downlinks) {
+  const std::size_t sat_count = ctx.satellites.size();
+  const std::size_t term_count = ctx.terminals.size();
+
+  const std::size_t hint = ctx.step_high_water->load(std::memory_order_relaxed);
+  for (std::size_t b = 0; b < count; ++b) out[b].reset(term_count, hint);
+
+  fill_downlinks({ctx.ephemerides, *ctx.station_vis, ctx.stations, ctx.station_frames,
+                  ctx.downlink_hops, ctx.regenerative},
+                 sat_count, chunk_begin, count, downlinks);
 
   // Uplink legs + combine, gated so a terminal-satellite budget is computed
   // only at steps where the pair is visible AND the terminal's party has a
@@ -184,7 +199,7 @@ void fill_chunk(const PipelineContext& ctx, std::size_t chunk_begin, std::size_t
         std::uint32_t best_gs = 0;
         bool found = false;
         for (const StationBudget& sb : downlinks[b * sat_count + si]) {
-          if (ctx.stations[sb.station].owner_party != party) continue;
+          if (sb.party != party) continue;
           const double capacity =
               relay_capacity_bps(up_snr, up_shannon, sb.snr_linear, sb.shannon_bps,
                                  ctx.config.transponder,
@@ -211,25 +226,34 @@ void fill_chunk(const PipelineContext& ctx, std::size_t chunk_begin, std::size_t
   }
 }
 
+// What the direct fill reads of one terminal, stored in footprint-index
+// slot order so a cap query's ranges stream through it sequentially instead
+// of hopping across terminal-indexed arrays.
+struct IndexedSite {
+  orbit::TopocentricFrame frame;
+  HopEvaluator uplink;
+  std::uint32_t terminal = 0;
+  std::uint32_t party = 0;
+};
+
 // Read-only inputs of the footprint-stream (direct) fill: no terminal pair
 // masks exist; visibility is discovered per (satellite, step) through the
 // spatial index and re-tested exactly.
 struct DirectContext {
   const SchedulerConfig& config;
   std::span<const constellation::Satellite> satellites;
-  std::span<const Terminal> terminals;
+  std::size_t terminal_count = 0;
   std::span<const GroundStation> stations;
-  std::span<const orbit::TopocentricFrame> terminal_frames;
   std::span<const orbit::TopocentricFrame> station_frames;
   const orbit::EphemerisSet& ephemerides;
   const cov::FootprintIndex* index = nullptr;
+  // sites[j] is the terminal behind index slot j.
+  std::span<const IndexedSite> sites;
   // Orbital-shell shards (contiguous, ascending) and one conservative
   // footprint cone per shard from the shard's radius extremes.
   std::span<const constellation::ShellShard> shards;
   std::span<const cov::FootprintCone> shard_cones;
   const cov::PackedMasks* station_vis = nullptr;
-  const cov::PackedMasks* party_avail = nullptr;
-  std::span<const HopEvaluator> uplink_hops;
   std::span<const HopEvaluator> downlink_hops;
   bool regenerative = false;
   double sin_mask = 0.0;
@@ -241,17 +265,18 @@ struct DirectContext {
   std::atomic<std::uint64_t>* pruned_pairs = nullptr;
 };
 
+// Per-slot scratch of the direct fill. Apart from the chunk's downlink
+// lists, everything here holds one step and is reused step after step.
 struct DirectScratch {
-  std::vector<std::vector<StationBudget>> downlinks;   // per step-in-chunk
-  std::vector<util::Vec3> positions;                   // per step-in-chunk
+  DownlinkLists downlinks;
   std::vector<cov::FootprintIndex::Range> ranges;
-  // Exact mode: per-step emission in (satellite-ascending, site-bucket)
+  // Exact mode: the step's emission in (satellite-ascending, site-bucket)
   // order, counting-sorted into terminal-major afterwards.
-  std::vector<std::vector<Candidate>> emitted;
+  std::vector<Candidate> emitted;
   std::vector<std::uint32_t> cursors;
-  // Capped mode: per-(step, terminal) blocks of 2*cap slots — own-satellite
-  // top-K in the front half, spare top-K in the back half, each kept sorted
-  // by capacity descending (stable: earlier = lower satellite index).
+  // Capped mode: per-terminal blocks of 2*cap slots — own-satellite top-K in
+  // the front half, spare top-K in the back half, each kept sorted by
+  // capacity descending (stable: earlier = lower satellite index).
   std::vector<Candidate> blocks;
   std::vector<std::uint8_t> own_count;
   std::vector<std::uint8_t> spare_count;
@@ -271,75 +296,59 @@ void top_k_insert(Candidate* region, std::uint8_t& n, std::size_t cap,
   if (n < cap) ++n;
 }
 
-// The footprint-stream chunk fill. Emission is satellite-major (shards
-// ascending, satellites ascending inside each shard); the per-step counting
-// sort at the end restores the exact terminal-major / satellite-ascending
-// candidate order of fill_chunk, so with cap == 0 the output is bit-identical
-// to the pair-mask path: the index + cone only prune (conservative superset
-// of exact visibility), survivors run the same visible_above and the same
-// hop arithmetic on the same table positions.
+// The footprint-stream chunk fill. One satellite-major pass builds the
+// chunk's downlink legs; then, step by step, every satellite's footprint is
+// streamed (shards ascending, satellites ascending inside each shard) into
+// one step of scratch, which is sorted into out[b] before the next step
+// starts — so a slot's scratch is one step's, not the chunk's. The sort
+// restores the exact terminal-major / satellite-ascending candidate order of
+// fill_chunk, so with cap == 0 the output is bit-identical to the pair-mask
+// path: the index + cone only prune (conservative superset of exact
+// visibility), survivors run the same visible_above and the same hop
+// arithmetic on the same table positions.
 void fill_chunk_direct(const DirectContext& ctx, std::size_t chunk_begin,
                        std::size_t count, std::span<StepCandidates> out,
                        DirectScratch& scratch) {
   const std::size_t sat_count = ctx.satellites.size();
-  const std::size_t term_count = ctx.terminals.size();
-  const std::size_t station_count = ctx.stations.size();
+  const std::size_t term_count = ctx.terminal_count;
   const std::size_t cap = ctx.cap;
 
-  const std::size_t hint = ctx.step_high_water->load(std::memory_order_relaxed);
-  for (std::size_t b = 0; b < count; ++b) out[b].reset(term_count, hint);
-
-  if (scratch.downlinks.size() < count) scratch.downlinks.resize(count);
-  scratch.positions.resize(count);
+  fill_downlinks({ctx.ephemerides, *ctx.station_vis, ctx.stations, ctx.station_frames,
+                  ctx.downlink_hops, ctx.regenerative},
+                 sat_count, chunk_begin, count, scratch.downlinks);
   if (cap == 0) {
-    if (scratch.emitted.size() < count) scratch.emitted.resize(count);
-    for (std::size_t b = 0; b < count; ++b) scratch.emitted[b].clear();
+    scratch.cursors.resize(term_count);
   } else {
-    scratch.blocks.resize(count * term_count * 2 * cap);
-    scratch.own_count.assign(count * term_count, 0);
-    scratch.spare_count.assign(count * term_count, 0);
+    scratch.blocks.resize(term_count * 2 * cap);
   }
 
   const std::span<const double> ux = ctx.index->unit_x();
   const std::span<const double> uy = ctx.index->unit_y();
   const std::span<const double> uz = ctx.index->unit_z();
-  const std::span<const std::uint32_t> ids = ctx.index->site_ids();
 
+  const std::size_t hint = ctx.step_high_water->load(std::memory_order_relaxed);
   std::uint64_t pruned = 0;
-  for (std::size_t shard_i = 0; shard_i < ctx.shards.size(); ++shard_i) {
-    const constellation::ShellShard& shard = ctx.shards[shard_i];
-    const cov::FootprintCone& cone = ctx.shard_cones[shard_i];
-    for (std::size_t si = shard.begin; si < shard.end; ++si) {
-      const orbit::EphemerisTable& table = ctx.ephemerides.table(si);
+  for (std::size_t b = 0; b < count; ++b) {
+    const std::size_t step = chunk_begin + b;
+    StepCandidates& sc = out[b];
+    sc.reset(term_count, hint);
+    if (cap == 0) {
+      scratch.emitted.clear();
+    } else {
+      scratch.own_count.assign(term_count, 0);
+      scratch.spare_count.assign(term_count, 0);
+    }
 
-      // Downlink budgets for this satellite over the chunk, station order
-      // ascending (the reference tie-break order).
-      for (std::size_t b = 0; b < count; ++b) scratch.downlinks[b].clear();
-      std::uint64_t any_station = 0;
-      for (std::size_t gi = 0; gi < station_count; ++gi) {
-        std::uint64_t bits = chunk_word(
-            ctx.station_vis->words(si * station_count + gi), chunk_begin, count);
-        any_station |= bits;
-        while (bits != 0) {
-          const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-          bits &= bits - 1;
-          const std::size_t step = chunk_begin + b;
-          const util::Vec3 pos = table.position_ecef(step);
-          const double snr =
-              ctx.downlink_hops[gi].snr_linear(ctx.station_frames[gi].range_m(pos));
-          scratch.downlinks[b].push_back(
-              {static_cast<std::uint32_t>(gi), snr,
-               ctx.regenerative ? ctx.downlink_hops[gi].shannon_bps(snr) : 0.0});
-        }
-      }
-      // No reachable station anywhere in the chunk: no candidate can form
-      // (party_avail is the union of these legs), skip the terminal scan.
-      if (any_station == 0) continue;
-
-      for (std::size_t b = 0; b < count; ++b) {
-        if (scratch.downlinks[b].empty()) continue;
-        const std::size_t step = chunk_begin + b;
-        const util::Vec3 pos = table.position_ecef(step);
+    for (std::size_t shard_i = 0; shard_i < ctx.shards.size(); ++shard_i) {
+      const constellation::ShellShard& shard = ctx.shards[shard_i];
+      const cov::FootprintCone& cone = ctx.shard_cones[shard_i];
+      for (std::size_t si = shard.begin; si < shard.end; ++si) {
+        // No reachable station at this step: no candidate can form, skip the
+        // terminal scan.
+        const std::vector<StationBudget>& downlinks =
+            scratch.downlinks[b * sat_count + si];
+        if (downlinks.empty()) continue;
+        const util::Vec3 pos = ctx.ephemerides.table(si).position_ecef(step);
         scratch.ranges.clear();
         ctx.index->query_cap(pos, cone.psi_rad, scratch.ranges);
 
@@ -352,20 +361,23 @@ void fill_chunk_direct(const DirectContext& ctx, std::size_t chunk_begin,
             if (ux[j] * pos.x + uy[j] * pos.y + uz[j] * pos.z < cone.dot_threshold) {
               continue;
             }
-            const std::uint32_t ti = ids[j];
-            const std::uint32_t party = ctx.terminals[ti].owner_party;
-            if (!ctx.party_avail->test(party * sat_count + si, step)) continue;
-            if (!ctx.terminal_frames[ti].visible_above(pos, ctx.sin_mask)) continue;
+            const IndexedSite& site = ctx.sites[j];
+            const std::uint32_t party = site.party;
+            // A healthy station of the terminal's party in view — exactly the
+            // party_avail bit the pair-mask fill gates on.
+            if (std::none_of(downlinks.begin(), downlinks.end(),
+                             [party](const StationBudget& sb) { return sb.party == party; })) {
+              continue;
+            }
+            if (!site.frame.visible_above(pos, ctx.sin_mask)) continue;
 
-            const double up_snr =
-                ctx.uplink_hops[ti].snr_linear(ctx.terminal_frames[ti].range_m(pos));
-            const double up_shannon =
-                ctx.regenerative ? ctx.uplink_hops[ti].shannon_bps(up_snr) : 0.0;
+            const double up_snr = site.uplink.snr_linear(site.frame.range_m(pos));
+            const double up_shannon = ctx.regenerative ? site.uplink.shannon_bps(up_snr) : 0.0;
             double best_capacity = 0.0;
             std::uint32_t best_gs = 0;
             bool found = false;
-            for (const StationBudget& sb : scratch.downlinks[b]) {
-              if (ctx.stations[sb.station].owner_party != party) continue;
+            for (const StationBudget& sb : downlinks) {
+              if (sb.party != party) continue;
               const double capacity = relay_capacity_bps(
                   up_snr, up_shannon, sb.snr_linear, sb.shannon_bps,
                   ctx.config.transponder, ctx.stations[sb.station].radio,
@@ -377,17 +389,17 @@ void fill_chunk_direct(const DirectContext& ctx, std::size_t chunk_begin,
               }
             }
             if (!found) continue;
+            const std::uint32_t ti = site.terminal;
             const Candidate cand{ti, static_cast<std::uint32_t>(si), best_gs,
                                  best_capacity};
             if (cap == 0) {
-              scratch.emitted[b].push_back(cand);
+              scratch.emitted.push_back(cand);
             } else {
-              const std::size_t idx = b * term_count + ti;
               const bool spare = ctx.satellites[si].owner_party != party;
               Candidate* region =
-                  scratch.blocks.data() + idx * 2 * cap + (spare ? cap : 0);
+                  scratch.blocks.data() + std::size_t{ti} * 2 * cap + (spare ? cap : 0);
               top_k_insert(region,
-                           spare ? scratch.spare_count[idx] : scratch.own_count[idx],
+                           spare ? scratch.spare_count[ti] : scratch.own_count[ti],
                            cap, cand);
             }
           }
@@ -395,16 +407,12 @@ void fill_chunk_direct(const DirectContext& ctx, std::size_t chunk_begin,
         pruned += term_count - visited;
       }
     }
-  }
 
-  if (cap == 0) {
-    // Counting sort per step: stable by terminal, so within a terminal the
-    // satellite-ascending emission order is preserved — exactly the
-    // pair-mask path's CSR.
-    scratch.cursors.resize(term_count);
-    for (std::size_t b = 0; b < count; ++b) {
-      StepCandidates& sc = out[b];
-      const std::vector<Candidate>& em = scratch.emitted[b];
+    if (cap == 0) {
+      // Counting sort: stable by terminal, so within a terminal the
+      // satellite-ascending emission order is preserved — exactly the
+      // pair-mask path's CSR.
+      const std::vector<Candidate>& em = scratch.emitted;
       for (const Candidate& cand : em) ++sc.offsets[cand.terminal + 1];
       for (std::size_t ti = 0; ti < term_count; ++ti) {
         sc.offsets[ti + 1] += sc.offsets[ti];
@@ -414,37 +422,28 @@ void fill_chunk_direct(const DirectContext& ctx, std::size_t chunk_begin,
       for (const Candidate& cand : em) {
         sc.cands[scratch.cursors[cand.terminal]++] = cand;
       }
-    }
-  } else {
-    // Merge each terminal's own/spare top-K blocks back into satellite-
-    // ascending order (the canonical candidate order phase 2's strict-max
-    // tie-break expects).
-    Candidate merged[128];  // cap <= 64 validated => 2 * cap <= 128
-    for (std::size_t b = 0; b < count; ++b) {
-      StepCandidates& sc = out[b];
-      const std::size_t row = b * term_count;
+    } else {
+      // Merge each terminal's own/spare top-K blocks back into satellite-
+      // ascending order (the canonical candidate order phase 2's strict-max
+      // tie-break expects).
+      Candidate merged[128];  // cap <= 64 validated => 2 * cap <= 128
       for (std::size_t ti = 0; ti < term_count; ++ti) {
-        const std::size_t idx = row + ti;
-        const std::size_t n_own = scratch.own_count[idx];
-        const std::size_t n_spare = scratch.spare_count[idx];
+        const std::size_t n_own = scratch.own_count[ti];
+        const std::size_t n_spare = scratch.spare_count[ti];
         const std::size_t n = n_own + n_spare;
         if (n != 0) {
-          const Candidate* block = scratch.blocks.data() + idx * 2 * cap;
+          const Candidate* block = scratch.blocks.data() + ti * 2 * cap;
           std::copy_n(block, n_own, merged);
           std::copy_n(block + cap, n_spare, merged + n_own);
-          std::sort(merged, merged + n,
-                    [](const Candidate& a, const Candidate& b_) {
-                      return a.satellite < b_.satellite;
-                    });
+          std::sort(merged, merged + n, [](const Candidate& a, const Candidate& c) {
+            return a.satellite < c.satellite;
+          });
           sc.cands.insert(sc.cands.end(), merged, merged + n);
         }
         sc.offsets[ti + 1] = static_cast<std::uint32_t>(sc.cands.size());
       }
     }
-  }
-
-  for (std::size_t b = 0; b < count; ++b) {
-    atomic_max(*ctx.step_high_water, out[b].cands.size());
+    atomic_max(*ctx.step_high_water, sc.cands.size());
   }
   ctx.pruned_pairs->fetch_add(pruned, std::memory_order_relaxed);
 }
@@ -1278,19 +1277,24 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     }
   }
 
-  // Per-(party, satellite) availability: the union of the party's healthy
-  // station legs through that satellite. Stations owned by parties outside
-  // [0, party_count) can never match a (validated) terminal owner, so they
-  // contribute to no mask — exactly the reference's owner filter.
-  cov::PackedMasks party_avail(party_count * sat_count, step_total);
-  for (std::size_t gi = 0; gi < station_count; ++gi) {
-    const std::uint32_t party = stations_[gi].owner_party;
-    if (party >= party_count) continue;
-    for (std::size_t si = 0; si < sat_count; ++si) {
-      const std::span<std::uint64_t> dst = party_avail.words(party * sat_count + si);
-      const std::span<const std::uint64_t> src =
-          station_vis.words(si * station_count + gi);
-      for (std::size_t w = 0; w < dst.size(); ++w) dst[w] |= src[w];
+  // Per-(party, satellite) availability for the pair-mask fill: the union of
+  // the party's healthy station legs through that satellite. Stations owned
+  // by parties outside [0, party_count) can never match a (validated)
+  // terminal owner, so they contribute to no mask — exactly the reference's
+  // owner filter. The direct fill reads the same answer off its per-step
+  // downlink lists.
+  cov::PackedMasks party_avail;
+  if (!direct) {
+    party_avail = cov::PackedMasks(party_count * sat_count, step_total);
+    for (std::size_t gi = 0; gi < station_count; ++gi) {
+      const std::uint32_t party = stations_[gi].owner_party;
+      if (party >= party_count) continue;
+      for (std::size_t si = 0; si < sat_count; ++si) {
+        const std::span<std::uint64_t> dst = party_avail.words(party * sat_count + si);
+        const std::span<const std::uint64_t> src =
+            station_vis.words(si * station_count + gi);
+        for (std::size_t w = 0; w < dst.size(); ++w) dst[w] |= src[w];
+      }
     }
   }
 
@@ -1332,6 +1336,14 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
   for (const GroundStation& station : stations_) {
     downlink_hops.push_back(HopEvaluator::make(config_.transponder.transmit, station.radio));
   }
+  std::vector<IndexedSite> indexed_sites;
+  if (direct) {
+    indexed_sites.reserve(term_count);
+    for (const std::uint32_t ti : footprint_index.site_ids()) {
+      indexed_sites.push_back(
+          {terminal_frames_[ti], uplink_hops[ti], ti, terminals_[ti].owner_party});
+    }
+  }
 
   std::atomic<std::size_t> step_high_water{0};
   const bool regenerative = config_.relay_mode == RelayMode::kRegenerative;
@@ -1342,17 +1354,15 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
                             regenerative,   &step_high_water};
   const DirectContext dctx{config_,
                            satellites_,
-                           terminals_,
+                           term_count,
                            stations_,
-                           terminal_frames_,
                            station_frames_,
                            eph,
                            &footprint_index,
+                           indexed_sites,
                            shards,
                            shard_cones,
                            &station_vis,
-                           &party_avail,
-                           uplink_hops,
                            downlink_hops,
                            regenerative,
                            sin_mask_,
@@ -1374,7 +1384,8 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
   if (config_.stream_slots > 0) {
     slots = config_.stream_slots;
   } else if (direct) {
-    // A slot's staging buffers scale with terminals; keep few in flight.
+    // A slot holds its chunk's candidates plus one step of scratch, both
+    // scaling with terminals: one slot per producer lane, at most four.
     slots = pool != nullptr
                 ? std::max<std::size_t>(2, std::min<std::size_t>(pool->thread_count(), 4))
                 : 2;
@@ -1384,7 +1395,7 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
   }
   slots = std::max<std::size_t>(1, std::min(slots, chunk_total));
   std::vector<std::vector<StepCandidates>> buffers(slots);
-  std::vector<FillScratch> fill_scratch(direct ? 0 : slots);
+  std::vector<DownlinkLists> fill_scratch(direct ? 0 : slots);
   std::vector<DirectScratch> direct_scratch(direct ? slots : 0);
 
   // RF interference is applied post-grant, symmetrically with run_reference.

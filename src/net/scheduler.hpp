@@ -128,10 +128,12 @@ struct SchedulerConfig {
   // historical one-word-per-chunk behaviour. Chunk size never changes the
   // result — candidates are a per-step pure function of geometry.
   std::size_t stream_chunk_steps = 64;
-  // In-flight chunk slots for the phase-1 -> phase-2 streaming pipeline.
-  // 0 = auto (scaled to the pool, smaller under kFootprintStream where a
-  // slot's candidate buffers are the dominant allocation). The slot count
-  // never changes the result — phase 2 consumes chunks strictly in order.
+  // In-flight chunk slots for the phase-1 -> phase-2 streaming pipeline;
+  // at most this many chunks are produced at once. 0 = auto: one slot per
+  // pool lane under kFootprintStream (2 to 4), where a slot holds its
+  // chunk's candidate output plus one step of fill scratch, both scaling
+  // with terminals; more under kPairMasks. The slot count never changes the
+  // result — phase 2 consumes chunks strictly in order.
   std::size_t stream_slots = 0;
   // Per-terminal candidate cap, applied per step at phase-1 emission: keep
   // the top-K own-satellite and top-K spare candidates by capacity (ties to

@@ -1,6 +1,7 @@
 #include "util/stream_queue.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <thread>
 
@@ -113,8 +114,18 @@ void stream_chunks(ThreadPool* pool, std::size_t chunk_count,
 
   // Producers run on the pool from a helper thread so this thread is free to
   // consume; the helper participates in the parallel_for as one more
-  // producer lane.
-  std::thread driver([&] { pool->parallel_for(chunk_count, run_chunk); });
+  // producer lane. Each lane claims the next chunk one at a time, so the
+  // lanes always hold the lowest unproduced chunks. (Handing lanes ranges
+  // of consecutive chunks would park a lane on a slot that only another
+  // lane's earlier chunks can free, serialising production.)
+  std::atomic<std::size_t> next_chunk{0};
+  const auto run_lane = [&](std::size_t) {
+    for (std::size_t c = next_chunk.fetch_add(1); c < chunk_count;
+         c = next_chunk.fetch_add(1)) {
+      run_chunk(c);
+    }
+  };
+  std::thread driver([&] { pool->parallel_for(pool->thread_count(), run_lane); });
 
   try {
     for (std::size_t c = 0; c < chunk_count; ++c) {

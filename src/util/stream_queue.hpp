@@ -72,9 +72,11 @@ class ChunkStream {
 // Runs `produce(chunk, slot)` for every chunk in [0, chunk_count) across the
 // pool (inline when `pool` is null) while this thread consumes
 // `consume(chunk, slot)` strictly in chunk order, with at most `slot_count`
-// chunks in flight. Exceptions from either side abort the stream and the
-// first producer error (or the consumer's) is rethrown here after all
-// workers drain. Returns once every chunk is consumed.
+// chunks in flight. Pool lanes claim chunks one at a time in ascending
+// order, so min(slot_count, pool lanes) producers can run at once.
+// Exceptions from either side abort the stream and the first producer error
+// (or the consumer's) is rethrown here after all workers drain. Returns
+// once every chunk is consumed.
 void stream_chunks(ThreadPool* pool, std::size_t chunk_count,
                    std::size_t slot_count,
                    const std::function<void(std::size_t, std::size_t)>& produce,

@@ -112,6 +112,25 @@ TEST(FaultTimeline, OverlappingDegradationsMultiplyAndOutageWinsOutright) {
   EXPECT_EQ(timeline.degraded_beam_count(0, 1, 8), 0);
 }
 
+TEST(FaultTimeline, InterleavedDegradationsOnlyScaleTheirOwnSatellite) {
+  FaultTimeline timeline(make_grid(), 3, 0);
+  timeline.add_transponder_degradation(1, 0.0, 600.0, 0.7);
+  timeline.add_transponder_degradation(0, 0.0, 300.0, 0.9);
+  timeline.add_transponder_degradation(1, 120.0, 600.0, 0.3);
+  timeline.add_transponder_degradation(0, 0.0, 600.0, 0.6);
+  // Each factor is the product of the satellite's own active windows in
+  // registration order; satellite 2 has none. A copy answers the same.
+  const FaultTimeline copy = timeline;
+  for (const FaultTimeline* t : {static_cast<const FaultTimeline*>(&timeline), &copy}) {
+    EXPECT_EQ(t->satellite_capacity_factor(0, 1), 1.0 * 0.9 * 0.6);
+    EXPECT_EQ(t->satellite_capacity_factor(0, 6), 1.0 * 0.6);
+    EXPECT_EQ(t->satellite_capacity_factor(1, 1), 1.0 * 0.7);
+    EXPECT_EQ(t->satellite_capacity_factor(1, 3), 1.0 * 0.7 * 0.3);
+    EXPECT_EQ(t->satellite_capacity_factor(2, 3), 1.0);
+    EXPECT_EQ(t->degraded_beam_count(1, 3, 8), 1);
+  }
+}
+
 TEST(FaultTimeline, AvailabilityMaskIsComplementOfOutageMask) {
   FaultTimeline timeline(make_grid(), 2, 0);
   timeline.add_satellite_outage(0, 120.0, 300.0);

@@ -5,8 +5,12 @@
 // ordering, faulted and unfaulted, for every thread-pool size.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <stdexcept>
+#include <utility>
 
+#include "constellation/shell.hpp"
 #include "fault/timeline.hpp"
 #include "net/scheduler.hpp"
 #include "orbit/geodesy.hpp"
@@ -281,6 +285,118 @@ TEST_P(SchedulerFootprintStream, CandidateCapIsDeterministicAcrossShapes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFootprintStream,
                          ::testing::Range<std::uint64_t>(0, 8));
+
+// A fixed two-shell fleet dense enough that a terminal routinely sees more
+// than K own and K spare candidates, with one beam per satellite so the cap
+// changes who gets served. The capped footprint stream is approximate by
+// design, so run_reference cannot be its oracle; the totals below were
+// recorded from an independent (chunk-wide, satellite-major) implementation
+// of the capped fill and pin the top-K selection against restructuring.
+RandomFleet make_golden_fleet() {
+  RandomFleet f;
+  f.party_count = 3;
+  f.config.visibility_mode = VisibilityMode::kFootprintStream;
+  f.config.beams_per_satellite = 1;
+  f.config.elevation_mask_deg = 10.0;
+  constellation::WalkerShell low;
+  low.plane_count = 22;
+  low.sats_per_plane = 22;
+  constellation::WalkerShell high;
+  high.altitude_m = 1100e3;
+  high.inclination_deg = 70.0;
+  high.plane_count = 10;
+  high.sats_per_plane = 10;
+  f.satellites = low.build(kEpoch);
+  for (Satellite& sat : high.build(kEpoch, 484)) f.satellites.push_back(sat);
+  for (std::size_t i = 0; i < f.satellites.size(); ++i) {
+    f.satellites[i].owner_party = static_cast<std::uint32_t>(i % f.party_count);
+  }
+
+  util::Xoshiro256PlusPlus rng(20241118);
+  for (std::uint32_t i = 0; i < 80; ++i) {
+    Terminal t;
+    t.id = i;
+    t.owner_party = i % 3;
+    t.location = orbit::Geodetic::from_degrees(rng.uniform(20.0, 50.0),
+                                               rng.uniform(0.0, 20.0));
+    t.radio = default_user_terminal();
+    t.demand_bps = 50e6;
+    f.terminals.push_back(t);
+  }
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    GroundStation gs;
+    gs.id = i;
+    gs.owner_party = i % 3;
+    gs.location = orbit::Geodetic::from_degrees(rng.uniform(20.0, 50.0),
+                                                rng.uniform(0.0, 20.0));
+    gs.radio = default_ground_station();
+    f.stations.push_back(gs);
+  }
+  return f;
+}
+
+struct GoldenTotals {
+  std::uint64_t links = 0;
+  std::uint64_t spare_links = 0;
+  std::uint64_t unserved = 0;
+  // FNV-1a over (step, terminal, satellite, station) of every grant in order.
+  std::uint64_t link_hash = 0;
+
+  friend bool operator==(const GoldenTotals&, const GoldenTotals&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const GoldenTotals& g) {
+    return os << "{" << g.links << ", " << g.spare_links << ", " << g.unserved << ", 0x"
+              << std::hex << g.link_hash << std::dec << "}";
+  }
+};
+
+GoldenTotals golden_totals(const ScheduleResult& result) {
+  GoldenTotals g;
+  g.link_hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&g](std::uint64_t value) {
+    g.link_hash = (g.link_hash ^ value) * 0x100000001b3ULL;
+  };
+  for (const StepSchedule& step : result.steps) {
+    for (const LinkAssignment& link : step.links) {
+      mix(step.step);
+      mix(link.terminal_index);
+      mix(link.satellite_index);
+      mix(link.station_index);
+      ++g.links;
+      if (link.spare) ++g.spare_links;
+    }
+    g.unserved += step.unserved_terminals.size();
+  }
+  return g;
+}
+
+TEST(SchedulerFootprintStreamGolden, CappedTotalsMatchRecordedValues) {
+  const RandomFleet f = make_golden_fleet();
+  // Three hours: chunks cross mask-word boundaries.
+  const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, 3 * 3600.0, 60.0);
+
+  SchedulerConfig exact_config = f.config;
+  const BentPipeScheduler exact(exact_config, f.satellites, f.terminals, f.stations);
+  const ScheduleResult uncapped = exact.run(grid, f.party_count, /*keep_steps=*/true);
+
+  const std::pair<std::size_t, GoldenTotals> recorded[] = {
+      {2, {3922, 444, 10558, 0x063852fdbaf5d902ULL}},
+      {4, {5012, 528, 9468, 0x1ce8ccb70bbc05ddULL}},
+  };
+  for (const auto& [cap, expected] : recorded) {
+    SchedulerConfig config = f.config;
+    config.max_candidates_per_terminal = cap;
+    config.stream_chunk_steps = 8;
+    const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
+    const ScheduleResult serial = scheduler.run(grid, f.party_count, /*keep_steps=*/true);
+    EXPECT_EQ(golden_totals(serial), expected) << "cap=" << cap;
+    // The cap must bind on this fleet, or the totals would pin nothing.
+    EXPECT_FALSE(golden_totals(serial) == golden_totals(uncapped)) << "cap=" << cap;
+    util::ThreadPool pool(3);
+    const ScheduleResult pooled =
+        scheduler.run(grid, f.party_count, /*keep_steps=*/true, &pool);
+    EXPECT_TRUE(pooled == serial) << "cap=" << cap;
+  }
+}
 
 TEST(SchedulerFootprintStreamConfig, RejectsBadStreamShapes) {
   const RandomFleet f = make_fleet(3);

@@ -34,7 +34,7 @@ TEST(Workload, MegaSmokeSizesAndOwners) {
   // The mega streaming preset rides in the workload's scheduler config.
   EXPECT_EQ(w.scheduler.visibility_mode, net::VisibilityMode::kFootprintStream);
   EXPECT_EQ(w.scheduler.stream_chunk_steps, 8u);
-  EXPECT_EQ(w.scheduler.stream_slots, 2u);
+  EXPECT_EQ(w.scheduler.stream_slots, 0u);  // auto: sized to the pool
   EXPECT_EQ(w.scheduler.max_candidates_per_terminal, 4u);
 }
 

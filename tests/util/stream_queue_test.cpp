@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -70,6 +73,44 @@ TEST(StreamChunks, NeverExceedsSlotCountInFlight) {
   EXPECT_EQ(in_flight.load(), 0);
   EXPECT_LE(peak.load(), static_cast<long>(kSlots));
   EXPECT_GE(peak.load(), 1);
+}
+
+TEST(StreamChunks, RunsMinOfSlotsAndLanesProducersAtOnce) {
+  // With S slots and a P-lane pool, min(S, P) producers must be able to run
+  // at once, and never more than S. A latch with a timeout holds the first
+  // producers until min(S, P) of them are inside produce() together; a
+  // stream that cannot get there times out instead of hanging, and the peak
+  // shows how far short it fell. Many chunks per lane, so a lane handed a run
+  // of consecutive chunks would park on a slot that only its own earlier
+  // chunks can free.
+  struct Shape {
+    std::size_t slots;
+    std::size_t lanes;
+  };
+  for (const Shape shape : {Shape{2, 4}, Shape{3, 3}, Shape{4, 2}, Shape{3, 4}}) {
+    ThreadPool pool(shape.lanes);
+    const std::size_t target = std::min(shape.slots, shape.lanes);
+    std::mutex mutex;
+    std::condition_variable arrived;
+    std::size_t in_flight = 0;
+    std::size_t peak = 0;
+    bool open = false;  // the latch: target reached, or timed out
+    stream_chunks(
+        &pool, 256, shape.slots,
+        [&](std::size_t, std::size_t) {
+          std::unique_lock lock(mutex);
+          peak = std::max(peak, ++in_flight);
+          if (in_flight >= target) open = true;
+          arrived.notify_all();
+          if (!arrived.wait_for(lock, std::chrono::seconds(10), [&] { return open; })) {
+            open = true;
+          }
+          --in_flight;
+        },
+        [](std::size_t, std::size_t) {});
+    EXPECT_GE(peak, target) << "slots=" << shape.slots << " lanes=" << shape.lanes;
+    EXPECT_LE(peak, shape.slots) << "slots=" << shape.slots << " lanes=" << shape.lanes;
+  }
 }
 
 TEST(StreamChunks, SerialAndPooledRunsProduceIdenticalResults) {
