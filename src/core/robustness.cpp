@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "fault/timeline.hpp"
 #include "obs/metrics.hpp"
@@ -30,19 +29,32 @@ void prepare_cache(cov::VisibilityCache& cache, sim::RunContext& context) {
 WithdrawalImpact withdrawal_impact(cov::VisibilityCache& cache,
                                    std::span<const std::size_t> base,
                                    std::span<const std::size_t> withdrawn) {
-  const std::unordered_set<std::size_t> gone(withdrawn.begin(), withdrawn.end());
-  std::vector<std::size_t> remaining;
-  remaining.reserve(base.size());
-  for (std::size_t idx : base) {
-    if (!gone.contains(idx)) remaining.push_back(idx);
+  std::vector<std::uint8_t> gone(cache.satellite_count(), 0);
+  for (const std::size_t idx : withdrawn) {
+    if (idx < gone.size()) gone[idx] = 1;
   }
-  if (base.size() - remaining.size() != withdrawn.size()) {
+  // Split base into survivors and the withdrawn satellites it holds.
+  std::vector<std::size_t> survivors;
+  std::vector<std::size_t> removed;
+  survivors.reserve(base.size());
+  removed.reserve(withdrawn.size());
+  for (const std::size_t idx : base) {
+    (idx < gone.size() && gone[idx] != 0 ? removed : survivors).push_back(idx);
+  }
+  if (removed.size() != withdrawn.size()) {
     throw std::invalid_argument("withdrawal_impact: withdrawn is not a subset of base");
   }
 
+  // base = survivors + removed, so OR-ing the removed satellites' union into
+  // the survivors' gives base's union bit for bit: each site unions every
+  // base satellite once instead of the base and then the survivors again.
+  const std::vector<cov::StepMask> after = cache.union_masks(survivors);
+  std::vector<cov::StepMask> before = cache.union_masks(removed);
+  for (std::size_t j = 0; j < before.size(); ++j) before[j] |= after[j];
+
   WithdrawalImpact impact;
-  impact.before_fraction = cache.weighted_coverage_fraction(base);
-  impact.after_fraction = cache.weighted_coverage_fraction(remaining);
+  impact.before_fraction = cache.weighted_fraction(before);
+  impact.after_fraction = cache.weighted_fraction(after);
   return impact;
 }
 
@@ -150,10 +162,10 @@ std::vector<ResiliencePoint> resilience_sweep(cov::VisibilityCache& cache,
       }
       double covered = 0.0;
       double gap = 0.0;
-      for (std::size_t j = 0; j < cache.site_count(); ++j) {
-        const cov::StepMask mask = cache.union_mask(satellite_indices, j, &timeline);
-        covered += cache.site_weight(j) * mask.fraction();
-        gap = std::max(gap, static_cast<double>(mask.longest_zero_run()) *
+      const std::vector<cov::StepMask> masks = cache.union_masks(satellite_indices, &timeline);
+      for (std::size_t j = 0; j < masks.size(); ++j) {
+        covered += cache.site_weight(j) * masks[j].fraction();
+        gap = std::max(gap, static_cast<double>(masks[j].longest_zero_run()) *
                                 grid.step_seconds);
       }
       coverage[run * n_rates + ri] = covered;

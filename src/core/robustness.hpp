@@ -47,7 +47,11 @@ void prepare_cache(cov::VisibilityCache& cache, util::ThreadPool* pool = nullptr
 void prepare_cache(cov::VisibilityCache& cache, sim::RunContext& context);
 
 // Coverage impact of removing `withdrawn` (indices into the cache's catalog)
-// from `base` (ditto). `withdrawn` must be a subset of `base`.
+// from `base` (ditto). `withdrawn` must be a subset of `base`. The fractions
+// are bit-identical to cache.weighted_coverage_fraction of `base` and of the
+// survivors: since base = survivors + withdrawn, the base union is the
+// survivors' union OR the withdrawn satellites' union, so each site unions
+// every base satellite once.
 [[nodiscard]] WithdrawalImpact withdrawal_impact(cov::VisibilityCache& cache,
                                                  std::span<const std::size_t> base,
                                                  std::span<const std::size_t> withdrawn);

@@ -1,8 +1,10 @@
 #include "coverage/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "coverage/footprint_index.hpp"
@@ -234,8 +236,13 @@ VisibilityCache::VisibilityCache(const CoverageEngine& engine,
     : engine_(&engine),
       catalog_(catalog),
       sites_(sites.begin(), sites.end()),
-      masks_(catalog.size() * sites.size()),
-      computed_(catalog.size(), 0) {
+      blocks_(catalog.size()) {
+  // A block's offsets and word indices are uint32: a satellite holds at most
+  // one stored word per (site, grid word).
+  const std::size_t words_per_mask = (engine.grid().count + 63) / 64;
+  if (words_per_mask * sites_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("VisibilityCache: sites x grid words exceed uint32 offsets");
+  }
   double total = 0.0;
   for (const GroundSite& site : sites_) total += site.weight;
   normalised_weights_.reserve(sites_.size());
@@ -244,15 +251,54 @@ VisibilityCache::VisibilityCache(const CoverageEngine& engine,
   }
 }
 
-void VisibilityCache::ensure_computed(std::size_t satellite_index) {
-  assert(satellite_index < catalog_.size());
-  if (computed_[satellite_index]) return;
-  std::vector<StepMask> per_site =
-      engine_->visibility_masks(catalog_[satellite_index], sites_);
-  for (std::size_t j = 0; j < sites_.size(); ++j) {
-    masks_[satellite_index * sites_.size() + j] = std::move(per_site[j]);
+const VisibilityCache::Block& VisibilityCache::block(std::size_t satellite_index) {
+  if (satellite_index >= catalog_.size()) {
+    throw std::out_of_range("VisibilityCache: satellite index out of range");
   }
-  computed_[satellite_index] = 1;
+  Block& out = blocks_[satellite_index];
+  if (!out.site_begin.empty()) return out;
+
+  const std::vector<StepMask> per_site =
+      engine_->visibility_masks(catalog_[satellite_index], sites_);
+  std::size_t nonzero = 0;
+  for (const StepMask& mask : per_site) {
+    for (const std::uint64_t word : mask.words()) nonzero += word != 0 ? 1 : 0;
+  }
+  out.index.reserve(nonzero);
+  out.bits.reserve(nonzero);
+  out.site_begin.reserve(sites_.size() + 1);
+  out.site_begin.push_back(0);
+  for (const StepMask& mask : per_site) {
+    const std::span<const std::uint64_t> words = mask.words();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      if (words[w] == 0) continue;
+      out.index.push_back(static_cast<std::uint32_t>(w));
+      out.bits.push_back(words[w]);
+    }
+    out.site_begin.push_back(static_cast<std::uint32_t>(out.index.size()));
+  }
+  return out;
+}
+
+void VisibilityCache::check_site(std::size_t site_index) const {
+  if (site_index >= sites_.size()) {
+    throw std::out_of_range("VisibilityCache: site index out of range");
+  }
+}
+
+void VisibilityCache::or_site(StepMask& out, const Block& block, std::size_t site,
+                              const StepMask* outage) {
+  const std::size_t begin = block.site_begin[site];
+  const std::size_t count = block.site_begin[site + 1] - begin;
+  const std::span<const std::uint32_t> index =
+      std::span<const std::uint32_t>(block.index).subspan(begin, count);
+  const std::span<const std::uint64_t> bits =
+      std::span<const std::uint64_t>(block.bits).subspan(begin, count);
+  if (outage != nullptr) {
+    out.or_words_and_not(index, bits, *outage);
+  } else {
+    out.or_words(index, bits);
+  }
 }
 
 void VisibilityCache::precompute_all(sim::RunContext& context) {
@@ -261,13 +307,13 @@ void VisibilityCache::precompute_all(sim::RunContext& context) {
   std::vector<std::size_t> fresh;
   fresh.reserve(catalog_.size());
   for (std::size_t sat = 0; sat < catalog_.size(); ++sat) {
-    if (computed_[sat] == 0) fresh.push_back(sat);
+    if (blocks_[sat].site_begin.empty()) fresh.push_back(sat);
   }
   precompute_all(context.pool());
   std::size_t visible = 0;
   for (const std::size_t sat : fresh) {
-    for (std::size_t j = 0; j < sites_.size(); ++j) {
-      visible += masks_[sat * sites_.size() + j].count();
+    for (const std::uint64_t word : blocks_[sat].bits) {
+      visible += static_cast<std::size_t>(std::popcount(word));
     }
   }
   context.metrics().counter("cov.masks_filled").add(fresh.size() * sites_.size());
@@ -276,68 +322,57 @@ void VisibilityCache::precompute_all(sim::RunContext& context) {
 
 void VisibilityCache::precompute_all(util::ThreadPool* pool) {
   if (pool != nullptr) {
-    // Each index touches only its own mask slots and computed_ byte, so the
-    // parallel fill is race-free and bit-identical to the serial one.
-    pool->parallel_for(catalog_.size(),
-                       [this](std::size_t sat) { ensure_computed(sat); });
+    // Each index touches only its own block, so the parallel fill is
+    // race-free and bit-identical to the serial one.
+    pool->parallel_for(catalog_.size(), [this](std::size_t sat) { (void)block(sat); });
   } else {
-    for (std::size_t sat = 0; sat < catalog_.size(); ++sat) ensure_computed(sat);
+    for (std::size_t sat = 0; sat < catalog_.size(); ++sat) (void)block(sat);
   }
 }
 
-const StepMask& VisibilityCache::mask(std::size_t satellite_index, std::size_t site_index) {
-  ensure_computed(satellite_index);
-  return masks_[satellite_index * sites_.size() + site_index];
-}
-
-StepMask VisibilityCache::union_mask(std::span<const std::size_t> satellite_indices,
-                                     std::size_t site_index) {
-  StepMask out(engine_->grid().count);
-  for (std::size_t sat : satellite_indices) out |= mask(sat, site_index);
-  return out;
+StepMask VisibilityCache::mask(std::size_t satellite_index, std::size_t site_index) {
+  return union_mask(std::span<const std::size_t>(&satellite_index, 1), site_index);
 }
 
 StepMask VisibilityCache::union_mask(std::span<const std::size_t> satellite_indices,
                                      std::size_t site_index,
                                      const fault::FaultTimeline* faults) {
-  if (faults == nullptr || faults->empty()) {
-    return union_mask(satellite_indices, site_index);
-  }
+  check_site(site_index);
+  if (faults != nullptr && faults->empty()) faults = nullptr;
   StepMask out(engine_->grid().count);
-  StepMask scratch;
-  for (std::size_t sat : satellite_indices) {
-    const StepMask& visible = mask(sat, site_index);
-    if (const StepMask* outage = faults->satellite_outage_steps(sat)) {
-      scratch = visible;
-      scratch.subtract(*outage);
-      out |= scratch;
-    } else {
-      out |= visible;
-    }
+  for (const std::size_t sat : satellite_indices) {
+    or_site(out, block(sat), site_index,
+            faults != nullptr ? faults->satellite_outage_steps(sat) : nullptr);
+  }
+  return out;
+}
+
+std::vector<StepMask> VisibilityCache::union_masks(
+    std::span<const std::size_t> satellite_indices, const fault::FaultTimeline* faults) {
+  if (faults != nullptr && faults->empty()) faults = nullptr;
+  std::vector<StepMask> out(sites_.size(), StepMask(engine_->grid().count));
+  for (const std::size_t sat : satellite_indices) {
+    const Block& stored = block(sat);
+    const StepMask* outage =
+        faults != nullptr ? faults->satellite_outage_steps(sat) : nullptr;
+    for (std::size_t j = 0; j < sites_.size(); ++j) or_site(out[j], stored, j, outage);
   }
   return out;
 }
 
 double VisibilityCache::weighted_coverage_fraction(
-    std::span<const std::size_t> satellite_indices) {
-  double weighted = 0.0;
-  for (std::size_t j = 0; j < sites_.size(); ++j) {
-    if (normalised_weights_[j] <= 0.0) continue;
-    weighted += normalised_weights_[j] * union_mask(satellite_indices, j).fraction();
-  }
-  return weighted;
+    std::span<const std::size_t> satellite_indices, const fault::FaultTimeline* faults) {
+  return weighted_fraction(union_masks(satellite_indices, faults));
 }
 
-double VisibilityCache::weighted_coverage_fraction(
-    std::span<const std::size_t> satellite_indices, const fault::FaultTimeline* faults) {
-  if (faults == nullptr || faults->empty()) {
-    return weighted_coverage_fraction(satellite_indices);
+double VisibilityCache::weighted_fraction(std::span<const StepMask> site_masks) const {
+  if (site_masks.size() != sites_.size()) {
+    throw std::invalid_argument("VisibilityCache: weighted_fraction needs one mask per site");
   }
   double weighted = 0.0;
   for (std::size_t j = 0; j < sites_.size(); ++j) {
     if (normalised_weights_[j] <= 0.0) continue;
-    weighted +=
-        normalised_weights_[j] * union_mask(satellite_indices, j, faults).fraction();
+    weighted += normalised_weights_[j] * site_masks[j].fraction();
   }
   return weighted;
 }

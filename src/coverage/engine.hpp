@@ -179,6 +179,26 @@ class CoverageEngine {
 // parallel across satellites; the parallel fill is bit-identical to the
 // serial one). The lazy accessors are not thread-safe; precompute first when
 // sharing a cache across threads.
+//
+// Storage: a LEO satellite clears a site's elevation mask for well under 1%
+// of a grid, so the cache keeps only each mask's nonzero 64-step words. One
+// block per satellite holds all of its sites: `site_begin` (site count + 1
+// offsets), then a uint32 word index and a uint64 word per nonzero word,
+// site after site. A mask costs about 12 B per nonzero word instead of 8 B
+// per word of the grid; the worst case, a mask visible in every word, is
+// 1.5x dense. Unions OR the stored words into a dense StepMask
+// (StepMask::or_words), so every mask, union and fraction is bit-identical
+// to OR-ing dense masks.
+//
+// Union order: union_masks reads each satellite's block once and ORs it into
+// one mask per site (satellite-major), for multi-site sums such as
+// weighted_coverage_fraction; union_mask serves single-site callers.
+// core::withdrawal_impact uses base = survivors + withdrawn: the base union
+// is union_masks(withdrawn) OR union_masks(survivors), so each site unions
+// every base satellite once.
+//
+// Indices: an out-of-range satellite or site index throws std::out_of_range
+// in every build.
 class VisibilityCache {
  public:
   VisibilityCache(const CoverageEngine& engine,
@@ -186,7 +206,7 @@ class VisibilityCache {
                   std::span<const GroundSite> sites);
 
   // Computes every satellite's masks up front. With a pool, satellites are
-  // filled concurrently (each writes only its own mask slots).
+  // filled concurrently (each writes only its own block).
   void precompute_all(util::ThreadPool* pool = nullptr);
 
   // RunContext entry point: pool from the context, fill time and mask/step
@@ -194,29 +214,34 @@ class VisibilityCache {
   // the pool overload for any context.
   void precompute_all(sim::RunContext& context);
 
-  [[nodiscard]] const StepMask& mask(std::size_t satellite_index, std::size_t site_index);
+  // One satellite's mask at one site, expanded from the stored words.
+  [[nodiscard]] StepMask mask(std::size_t satellite_index, std::size_t site_index);
 
-  // Union over the given satellites at one site.
-  [[nodiscard]] StepMask union_mask(std::span<const std::size_t> satellite_indices,
-                                    std::size_t site_index);
-
-  // Fault-aware union: each satellite's mask is intersected with its
-  // availability (fault asset index == catalog index) before the union.
-  // nullptr or an empty timeline is bit-identical to the overload above;
-  // satellites the timeline never faults skip the mask arithmetic entirely.
+  // Union over the given satellites at one site. With a non-empty `faults`,
+  // each satellite's mask is first intersected with its availability (fault
+  // asset index == catalog index); nullptr or an empty timeline gives the
+  // plain union, and satellites the timeline never faults skip the and-not.
   [[nodiscard]] StepMask union_mask(std::span<const std::size_t> satellite_indices,
                                     std::size_t site_index,
-                                    const fault::FaultTimeline* faults);
+                                    const fault::FaultTimeline* faults = nullptr);
 
-  // Weighted coverage fraction over all sites for the given satellite set.
-  [[nodiscard]] double weighted_coverage_fraction(
-      std::span<const std::size_t> satellite_indices);
+  // union_mask at every site in one pass over the satellites: element j is
+  // union_mask(satellite_indices, j, faults).
+  [[nodiscard]] std::vector<StepMask> union_masks(
+      std::span<const std::size_t> satellite_indices,
+      const fault::FaultTimeline* faults = nullptr);
 
-  // Fault-degraded weighted coverage; same bit-identity contract as the
-  // fault-aware union_mask.
+  // Weighted coverage fraction over all sites for the given satellite set,
+  // fault-degraded under the same contract as union_mask.
   [[nodiscard]] double weighted_coverage_fraction(
       std::span<const std::size_t> satellite_indices,
-      const fault::FaultTimeline* faults);
+      const fault::FaultTimeline* faults = nullptr);
+
+  // sum_j site_weight(j) * site_masks[j].fraction() over the sites with
+  // positive weight, in site order — the sum weighted_coverage_fraction
+  // takes over union_masks. Throws std::invalid_argument unless there is one
+  // mask per site.
+  [[nodiscard]] double weighted_fraction(std::span<const StepMask> site_masks) const;
 
   // Normalised site weight (sums to 1 over all sites with positive weight).
   [[nodiscard]] double site_weight(std::size_t site_index) const {
@@ -228,17 +253,30 @@ class VisibilityCache {
   [[nodiscard]] const CoverageEngine& engine() const noexcept { return *engine_; }
 
  private:
-  void ensure_computed(std::size_t satellite_index);
+  // One satellite's masks, nonzero words only: site j owns entries
+  // [site_begin[j], site_begin[j + 1]) of `index` and `bits`. An empty
+  // site_begin marks a satellite not yet computed.
+  struct Block {
+    std::vector<std::uint32_t> site_begin;
+    std::vector<std::uint32_t> index;
+    std::vector<std::uint64_t> bits;
+  };
+
+  // The satellite's block, computed on first use; throws std::out_of_range
+  // for an index outside the catalog.
+  const Block& block(std::size_t satellite_index);
+  void check_site(std::size_t site_index) const;
+  // out |= the block's mask at `site`, minus `outage` when non-null.
+  static void or_site(StepMask& out, const Block& block, std::size_t site,
+                      const StepMask* outage);
 
   const CoverageEngine* engine_;
   std::span<const constellation::Satellite> catalog_;
   std::vector<GroundSite> sites_;
   std::vector<double> normalised_weights_;
-  // masks_[sat * site_count + site]; empty() until computed.
-  std::vector<StepMask> masks_;
-  // Byte flags (not vector<bool>): distinct satellites touch distinct bytes,
-  // so the parallel precompute writes race-free.
-  std::vector<std::uint8_t> computed_;
+  // blocks_[sat]; distinct satellites touch distinct blocks, so the parallel
+  // precompute writes race-free.
+  std::vector<Block> blocks_;
 };
 
 }  // namespace mpleo::cov

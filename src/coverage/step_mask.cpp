@@ -53,6 +53,29 @@ StepMask& StepMask::subtract(const StepMask& other) noexcept {
   return *this;
 }
 
+StepMask& StepMask::or_words(std::span<const std::uint32_t> word_index,
+                             std::span<const std::uint64_t> word_bits) noexcept {
+  assert(word_index.size() == word_bits.size());
+  for (std::size_t k = 0; k < word_index.size(); ++k) {
+    assert(word_index[k] < words_.size());
+    words_[word_index[k]] |= word_bits[k];
+  }
+  return *this;
+}
+
+StepMask& StepMask::or_words_and_not(std::span<const std::uint32_t> word_index,
+                                     std::span<const std::uint64_t> word_bits,
+                                     const StepMask& clear) noexcept {
+  assert(word_index.size() == word_bits.size());
+  assert(steps_ == clear.steps_);
+  for (std::size_t k = 0; k < word_index.size(); ++k) {
+    const std::uint32_t w = word_index[k];
+    assert(w < words_.size());
+    words_[w] |= word_bits[k] & ~clear.words_[w];
+  }
+  return *this;
+}
+
 StepMask StepMask::operator|(const StepMask& other) const {
   StepMask out = *this;
   out |= other;

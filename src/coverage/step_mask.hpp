@@ -36,6 +36,19 @@ class StepMask {
   // Clears in *this every step set in `other` (and-not).
   StepMask& subtract(const StepMask& other) noexcept;
 
+  // Sparse OR: words()[word_index[k]] |= word_bits[k] for every k.
+  // Preconditions: equal lengths, every index < words().size(), and no bit
+  // at or beyond step_count() set — a mask's own nonzero words (as
+  // VisibilityCache stores them) satisfy all three.
+  StepMask& or_words(std::span<const std::uint32_t> word_index,
+                     std::span<const std::uint64_t> word_bits) noexcept;
+  // Sparse OR of the sparse mask minus `clear`: word |= bits & ~clear.word,
+  // the same bits as copying the sparse mask, subtracting `clear` and OR-ing
+  // the result. Same preconditions, plus `clear` has this step_count.
+  StepMask& or_words_and_not(std::span<const std::uint32_t> word_index,
+                             std::span<const std::uint64_t> word_bits,
+                             const StepMask& clear) noexcept;
+
   [[nodiscard]] StepMask operator|(const StepMask& other) const;
   [[nodiscard]] StepMask operator&(const StepMask& other) const;
 

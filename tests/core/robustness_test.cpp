@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -118,6 +119,60 @@ TEST_F(WithdrawalFixture, CoverageNeverIncreasesOnWithdrawal) {
     auto shuffled = rng.sample_without_replacement(base_.size(), count);
     const WithdrawalImpact impact = withdrawal_impact(*cache_, base_, shuffled);
     EXPECT_LE(impact.after_fraction, impact.before_fraction + 1e-12);
+  }
+}
+
+TEST_F(WithdrawalFixture, FractionsAreBitIdenticalToWeightedCoverage) {
+  // The fixture's cities plus a zero-weight site, which every weighted sum
+  // must skip.
+  std::vector<cov::GroundSite> sites = sites_;
+  const orbit::TopocentricFrame frame(orbit::Geodetic::from_degrees(10.0, 20.0));
+  sites.insert(sites.begin() + 1, {"unweighted", frame, 0.0});
+  cov::VisibilityCache cache(engine_, catalog_, sites);
+  ASSERT_EQ(cache.site_weight(1), 0.0);
+  ASSERT_GT(cache.union_mask(base_, 1).count(), 0u);
+
+  // The per-site sum withdrawal_impact computed before the one-pass union.
+  const auto per_site_sum = [&](std::span<const std::size_t> indices) {
+    double weighted = 0.0;
+    for (std::size_t j = 0; j < cache.site_count(); ++j) {
+      if (cache.site_weight(j) <= 0.0) continue;
+      weighted += cache.site_weight(j) * cache.union_mask(indices, j).fraction();
+    }
+    return weighted;
+  };
+  const auto expect_identity = [&](const std::vector<std::size_t>& base,
+                                   const std::vector<std::size_t>& withdrawn) {
+    std::vector<std::size_t> survivors;
+    for (const std::size_t idx : base) {
+      if (std::find(withdrawn.begin(), withdrawn.end(), idx) == withdrawn.end()) {
+        survivors.push_back(idx);
+      }
+    }
+    const WithdrawalImpact impact = withdrawal_impact(cache, base, withdrawn);
+    // EXPECT_EQ, not EXPECT_DOUBLE_EQ: the same doubles, bit for bit.
+    EXPECT_EQ(impact.before_fraction, cache.weighted_coverage_fraction(base));
+    EXPECT_EQ(impact.after_fraction, cache.weighted_coverage_fraction(survivors));
+    EXPECT_EQ(impact.before_fraction, per_site_sum(base));
+    EXPECT_EQ(impact.after_fraction, per_site_sum(survivors));
+  };
+
+  expect_identity(base_, {});
+  expect_identity(base_, base_);
+  util::Xoshiro256PlusPlus rng(13);
+  for (int trial = 0; trial < 8; ++trial) {
+    // A random base in random order, and a random part of it withdrawn.
+    std::vector<std::size_t> base;
+    for (const std::size_t p : rng.sample_without_replacement(
+             base_.size(), 8 + rng.uniform_index(base_.size() - 7))) {
+      base.push_back(base_[p]);
+    }
+    std::vector<std::size_t> withdrawn;
+    for (const std::size_t p :
+         rng.sample_without_replacement(base.size(), 1 + rng.uniform_index(base.size()))) {
+      withdrawn.push_back(base[p]);
+    }
+    expect_identity(base, withdrawn);
   }
 }
 

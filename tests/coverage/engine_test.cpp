@@ -242,6 +242,57 @@ TEST(VisibilityCache, PrecomputeMatchesLazyFill) {
   }
 }
 
+TEST(VisibilityCache, UnionMasksMatchesPerSiteUnion) {
+  const orbit::TimeGrid grid = day_grid();
+  const CoverageEngine engine(grid, 25.0);
+  const std::vector<GroundSite> sites = sites_from_cities(paper_cities());
+
+  std::vector<constellation::Satellite> catalog;
+  for (double raan : {0.0, 45.0, 90.0, 135.0, 180.0}) {
+    catalog.push_back(make_sat(550e3, 53.0, raan, raan * 2.0, grid.start));
+  }
+  VisibilityCache cache(engine, catalog, sites);
+  const std::vector<std::size_t> subset{4, 1, 3};
+  const std::vector<StepMask> per_site = cache.union_masks(subset);
+  ASSERT_EQ(per_site.size(), sites.size());
+  for (std::size_t j = 0; j < sites.size(); ++j) {
+    EXPECT_EQ(per_site[j], cache.union_mask(subset, j)) << "site " << j;
+  }
+  EXPECT_EQ(cache.weighted_coverage_fraction(subset), cache.weighted_fraction(per_site));
+  EXPECT_EQ(cache.union_masks({}), std::vector<StepMask>(sites.size(), StepMask(grid.count)));
+  EXPECT_THROW((void)cache.weighted_fraction(std::span<const StepMask>(per_site).first(1)),
+               std::invalid_argument);
+}
+
+TEST(VisibilityCache, OutOfRangeIndicesThrow) {
+  const orbit::TimeGrid grid = day_grid();
+  const CoverageEngine engine(grid, 25.0);
+  const std::vector<GroundSite> sites{GroundSite::from_city(taipei()),
+                                      GroundSite::from_city(paper_cities().front())};
+  std::vector<constellation::Satellite> catalog;
+  for (double phase : {0.0, 180.0}) {
+    catalog.push_back(make_sat(550e3, 53.0, 50.0, phase, grid.start));
+  }
+  VisibilityCache cache(engine, catalog, sites);
+  const std::vector<std::size_t> bad_satellite{0, 2};
+  const std::vector<std::size_t> fleet{0, 1};
+
+  const auto expect_out_of_range = [&] {
+    EXPECT_THROW((void)cache.mask(2, 0), std::out_of_range);
+    EXPECT_THROW((void)cache.mask(0, 2), std::out_of_range);
+    EXPECT_THROW((void)cache.union_mask(bad_satellite, 0), std::out_of_range);
+    EXPECT_THROW((void)cache.union_mask(fleet, 2), std::out_of_range);
+    EXPECT_THROW((void)cache.union_masks(bad_satellite), std::out_of_range);
+    EXPECT_THROW((void)cache.weighted_coverage_fraction(bad_satellite), std::out_of_range);
+  };
+  // Before any fill an unchecked index would read past the storage; after
+  // precompute_all, site == site_count() would alias the next satellite.
+  expect_out_of_range();
+  cache.precompute_all();
+  expect_out_of_range();
+  EXPECT_EQ(cache.mask(1, 1), engine.visibility_mask(catalog[1], sites[1].frame));
+}
+
 TEST(CoverageEngine, DefaultBackendFlowsIntoEveryConsumer) {
   const orbit::TimeGrid grid = day_grid(60.0);
   const auto sat = make_sat(550e3, 53.0, 10.0, 20.0, grid.start);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace mpleo::cov {
@@ -108,10 +111,11 @@ TEST(StepMask, EqualityOperator) {
 
 class StepMaskProperty : public ::testing::TestWithParam<std::uint64_t> {
  protected:
-  static StepMask random_mask(util::Xoshiro256PlusPlus& rng, std::size_t steps) {
+  static StepMask random_mask(util::Xoshiro256PlusPlus& rng, std::size_t steps,
+                              double density = 0.3) {
     StepMask m(steps);
     for (std::size_t i = 0; i < steps; ++i) {
-      if (rng.uniform() < 0.3) m.set(i);
+      if (rng.uniform() < density) m.set(i);
     }
     return m;
   }
@@ -145,6 +149,35 @@ TEST_P(StepMaskProperty, OrNeverShrinksCoverage) {
     const double before = acc.fraction();
     acc |= random_mask(rng, 400);
     EXPECT_GE(acc.fraction(), before);
+  }
+}
+
+TEST_P(StepMaskProperty, SparseOrMatchesDenseOr) {
+  util::Xoshiro256PlusPlus rng(GetParam() ^ 0x5A5E);
+  // 300 steps: the last word is partial. Densities from mostly-empty words
+  // to a mask set at every step.
+  for (const double density : {0.002, 0.02, 0.3, 1.0}) {
+    const StepMask acc = random_mask(rng, 300);
+    const StepMask visible = random_mask(rng, 300, density);
+    const StepMask outage = random_mask(rng, 300, 0.5);
+    std::vector<std::uint32_t> index;
+    std::vector<std::uint64_t> bits;
+    for (std::size_t w = 0; w < visible.words().size(); ++w) {
+      if (visible.words()[w] == 0) continue;
+      index.push_back(static_cast<std::uint32_t>(w));
+      bits.push_back(visible.words()[w]);
+    }
+
+    StepMask sparse = acc;
+    sparse.or_words(index, bits);
+    EXPECT_EQ(sparse, acc | visible) << "density " << density;
+
+    StepMask copied = visible;
+    copied.subtract(outage);
+    copied |= acc;
+    StepMask sparse_and_not = acc;
+    sparse_and_not.or_words_and_not(index, bits, outage);
+    EXPECT_EQ(sparse_and_not, copied) << "density " << density;
   }
 }
 

@@ -150,6 +150,53 @@ TEST(FaultProperty, EmptyTimelineLeavesCoverageAndSlaBitIdentical) {
             net::serving_satellite_timeline(engine, sats, sites[0].frame));
 }
 
+TEST(FaultProperty, CachedFaultAwareUnionMatchesEngineOracle) {
+  const std::vector<Satellite> sats = small_shell();
+  // 217 steps: not a multiple of 64, so every mask ends in a partial word.
+  const orbit::TimeGrid grid =
+      orbit::TimeGrid::over_duration(epoch(), 6.0 * 3600.0, 100.0);
+  ASSERT_NE(grid.count % 64, 0u);
+  const cov::CoverageEngine engine(grid, 25.0);
+  std::vector<cov::GroundSite> sites = two_sites();
+  // Far beyond the 53-degree shell's reach: every mask there is empty.
+  sites.push_back(
+      {"South Pole", orbit::TopocentricFrame(orbit::Geodetic::from_degrees(-89.0, 0.0)), 1.0});
+  cov::VisibilityCache cache(engine, sats, sites);
+  // Identity indices: fault asset index == catalog index == span index.
+  std::vector<std::size_t> fleet(sats.size());
+  for (std::size_t i = 0; i < fleet.size(); ++i) fleet[i] = i;
+
+  const fault::FaultTimeline faults = fault::FaultTimeline::stochastic(
+      grid, sats.size(), 0, {.mtbf_seconds = 4.0 * 3600.0, .mttr_seconds = 1800.0}, {}, 11);
+  std::size_t faulted = 0;
+  for (std::size_t s = 0; s < sats.size(); ++s) {
+    if (faults.satellite_outage_steps(s) != nullptr) ++faulted;
+  }
+  // Both branches of the union: satellites with and without outages.
+  ASSERT_GT(faulted, 0u);
+  ASSERT_LT(faulted, sats.size());
+
+  const std::vector<cov::StepMask> all_sites = cache.union_masks(fleet, &faults);
+  ASSERT_EQ(all_sites.size(), sites.size());
+  double weighted = 0.0;
+  bool faults_bite = false;
+  for (std::size_t j = 0; j < sites.size(); ++j) {
+    for (std::size_t s = 0; s < sats.size(); ++s) {
+      EXPECT_EQ(cache.mask(s, j), engine.visibility_mask(sats[s], sites[j].frame))
+          << "sat " << s << " site " << j;
+    }
+    const cov::StepMask oracle = engine.coverage_mask(sats, sites[j].frame, &faults);
+    EXPECT_EQ(cache.union_mask(fleet, j, &faults), oracle) << "site " << j;
+    EXPECT_EQ(all_sites[j], oracle) << "site " << j;
+    weighted += cache.site_weight(j) * oracle.fraction();
+    faults_bite = faults_bite || oracle != cache.union_mask(fleet, j);
+  }
+  EXPECT_EQ(cache.weighted_coverage_fraction(fleet, &faults), weighted);
+  EXPECT_TRUE(faults_bite);
+  EXPECT_EQ(cache.union_mask(fleet, 2).count(), 0u);
+  EXPECT_GT(cache.union_mask(fleet, 0).count(), 0u);
+}
+
 TEST(FaultProperty, ResilienceSweepReproducesAndIsMonotone) {
   const std::vector<Satellite> sats = small_shell();
   const orbit::TimeGrid grid =
