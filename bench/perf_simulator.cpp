@@ -9,7 +9,8 @@
 //                        500-satellite x 100-site x 1-day/60s workload
 //   --compare-scheduler  run_reference vs the two-phase pipelined scheduler
 //                        on 500 satellites x 200 terminals x 20 stations x
-//                        1 day/60s across 4 parties, plus a faulted run
+//                        1 day/60s across 4 parties, plus a faulted run and
+//                        the pair-mask vs footprint-stream mode sweep
 //   --backends           per-backend ephemeris fill throughput (J2 scalar,
 //                        J2 lane-batched SIMD, SGP4) plus the lane-batched
 //                        bit-identity check and the cross-backend
@@ -23,6 +24,8 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #if defined(__unix__)
 #include <sys/resource.h>
@@ -350,13 +353,91 @@ bool run_compare(std::FILE* out) {
   return identical;
 }
 
+// One cell of the phase-1 mode sweep: pair masks vs footprint stream on the
+// same fleet, pooled, best of five each.
+struct ModeSweepCell {
+  std::size_t satellites = 0;
+  std::size_t terminals = 0;
+  double hours = 0.0;
+  double pair_mask_seconds = 0.0;
+  double stream_seconds = 0.0;
+  bool bit_identical = false;
+};
+
+// The sweep behind net::kAutoStreamMinTerminals: 8 parties and 32
+// population-sampled stations, a 53-degree Walker shell of 40 or 800
+// satellites, and 20 to 1,600 population-sampled terminals over 3 h at 60 s.
+// Each cell times BentPipeScheduler::run under kPairMasks and under
+// kFootprintStream on `pool` and checks the two ScheduleResults match bit
+// for bit (uncapped, the stream is exact). Best of five: the 40-satellite
+// cells run in about a millisecond, and the 100-terminal cells sit within
+// 15% of parity.
+std::vector<ModeSweepCell> run_mode_sweep(util::ThreadPool* pool) {
+  constexpr std::size_t kParties = 8;
+  constexpr double kHours = 3.0;
+  const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, kHours * 3600.0, 60.0);
+  const constellation::PopulationSampler sampler;
+  const std::vector<orbit::Geodetic> station_sites = sampler.sample(32, 0x73776570u);
+  std::vector<net::GroundStation> stations(station_sites.size());
+  for (std::uint32_t i = 0; i < stations.size(); ++i) {
+    stations[i].id = i;
+    stations[i].owner_party = i % kParties;
+    stations[i].location = station_sites[i];
+    stations[i].radio = net::default_ground_station();
+  }
+  using clock = std::chrono::steady_clock;
+  std::vector<ModeSweepCell> cells;
+  for (const auto [planes, per_plane] : {std::pair{5, 8}, std::pair{20, 40}}) {
+    constellation::WalkerShell shell;
+    shell.plane_count = planes;
+    shell.sats_per_plane = per_plane;
+    std::vector<constellation::Satellite> sats = shell.build(kEpoch);
+    for (std::size_t i = 0; i < sats.size(); ++i) {
+      sats[i].owner_party = static_cast<std::uint32_t>(i % kParties);
+    }
+    for (const std::size_t terminal_count : {20u, 50u, 100u, 200u, 1600u}) {
+      const std::vector<orbit::Geodetic> sites = sampler.sample(terminal_count, 0x74726d6cu);
+      std::vector<net::Terminal> terminals(terminal_count);
+      for (std::uint32_t i = 0; i < terminal_count; ++i) {
+        terminals[i].id = i;
+        terminals[i].owner_party = i % kParties;
+        terminals[i].location = sites[i];
+        terminals[i].radio = net::default_user_terminal();
+      }
+      const auto best_of_5 = [&](net::VisibilityMode mode) {
+        net::SchedulerConfig config;
+        config.visibility_mode = mode;
+        const net::BentPipeScheduler scheduler(config, sats, terminals, stations);
+        double best = 0.0;
+        net::ScheduleResult result;
+        for (int rep = 0; rep < 5; ++rep) {
+          const auto t0 = clock::now();
+          result = scheduler.run(grid, kParties, /*keep_steps=*/true, pool);
+          const double sec = std::chrono::duration<double>(clock::now() - t0).count();
+          if (rep == 0 || sec < best) best = sec;
+        }
+        return std::pair{std::move(result), best};
+      };
+      const auto [pair_result, pair_seconds] = best_of_5(net::VisibilityMode::kPairMasks);
+      const auto [stream_result, stream_seconds] =
+          best_of_5(net::VisibilityMode::kFootprintStream);
+      cells.push_back({sats.size(), terminal_count, kHours, pair_seconds, stream_seconds,
+                       pair_result == stream_result});
+    }
+  }
+  return cells;
+}
+
 // --compare-scheduler: the scheduling acceptance workload. 500 satellites
 // (Walker 25x20) split across 4 parties, 200 user terminals, 20 ground
 // stations, one day at 60 s steps. The scalar reference (run_reference, the
 // pre-pipeline per-step joint scan) races the two-phase pipelined run()
 // serially and pooled; every ScheduleResult must match the reference bit for
 // bit, down to link ordering, and a faulted run over a shorter grid pins the
-// degraded-operations contract too. Returns false on any identity mismatch.
+// degraded-operations contract too. The pipelined rows run pair masks and
+// the streamed row the footprint stream, both pinned explicitly; the
+// mode_sweep array then times the two modes against each other across fleet
+// sizes (run_mode_sweep). Returns false on any identity mismatch.
 //
 // The pooled and faulted runs go through `context` (which owns the worker
 // pool), so phase timings, candidate occupancy, beam rejections and
@@ -378,8 +459,9 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
   const std::vector<net::Terminal>& terminals = workload.terminals;
   const std::vector<net::GroundStation>& stations = workload.stations;
 
-  const net::BentPipeScheduler scheduler(workload.scheduler, sats, terminals,
-                                         stations);
+  net::SchedulerConfig pair_config = workload.scheduler;
+  pair_config.visibility_mode = net::VisibilityMode::kPairMasks;
+  const net::BentPipeScheduler scheduler(pair_config, sats, terminals, stations);
   using clock = std::chrono::steady_clock;
 
   // Best of three repetitions per variant: the workload runs in fractions of
@@ -462,6 +544,29 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
               streamed_identical ? "yes" : "NO",
               streamed_faulted_identical ? "yes" : "NO");
 
+  const std::vector<ModeSweepCell> sweep = run_mode_sweep(context.pool());
+  bool sweep_identical = true;
+  std::string sweep_json;
+  std::printf("mode sweep (%zu thr, best of 5, kAuto streams from %zu terminals):\n",
+              context.thread_count(), net::kAutoStreamMinTerminals);
+  std::printf("  satellites terminals  pair masks      stream  stream/pair  identical\n");
+  for (const ModeSweepCell& cell : sweep) {
+    sweep_identical = sweep_identical && cell.bit_identical;
+    std::printf("  %10zu %9zu  %9.4f s  %9.4f s  %11.2f  %s\n", cell.satellites,
+                cell.terminals, cell.pair_mask_seconds, cell.stream_seconds,
+                cell.stream_seconds / cell.pair_mask_seconds,
+                cell.bit_identical ? "yes" : "NO");
+    char row[256];
+    std::snprintf(row, sizeof row,
+                  "%s\n      {\"satellites\": %zu, \"terminals\": %zu, \"hours\": %.1f,"
+                  " \"pair_mask_seconds\": %.6f, \"stream_seconds\": %.6f,"
+                  " \"bit_identical\": %s}",
+                  sweep_json.empty() ? "" : ",", cell.satellites, cell.terminals, cell.hours,
+                  cell.pair_mask_seconds, cell.stream_seconds,
+                  cell.bit_identical ? "true" : "false");
+    sweep_json += row;
+  }
+
   std::fprintf(out,
                "  \"scheduler_compare\": {\n"
                "    \"workload\": {\"satellites\": %zu, \"terminals\": %zu,"
@@ -474,16 +579,18 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
                "    \"pipelined_streamed\": {\"seconds\": %.6f, \"speedup\": %.4f},\n"
                "    \"bit_identical\": %s,\n"
                "    \"faulted_bit_identical\": %s,\n"
-               "    \"streamed_bit_identical\": %s\n"
+               "    \"streamed_bit_identical\": %s,\n"
+               "    \"mode_sweep\": [%s\n    ]\n"
                "  }",
                sats.size(), terminals.size(), stations.size(), kParties, grid.count,
                context.thread_count(), sec_reference, sec_serial,
                sec_reference / sec_serial, sec_pooled, sec_reference / sec_pooled,
                sec_streamed, sec_reference / sec_streamed,
                identical ? "true" : "false", faulted_identical ? "true" : "false",
-               streamed_identical && streamed_faulted_identical ? "true" : "false");
+               streamed_identical && streamed_faulted_identical ? "true" : "false",
+               sweep_json.c_str());
   return identical && faulted_identical && streamed_identical &&
-         streamed_faulted_identical;
+         streamed_faulted_identical && sweep_identical;
 }
 
 // --backends: per-backend ephemeris-fill throughput on the canonical

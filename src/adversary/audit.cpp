@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "core/validation.hpp"
 #include "obs/metrics.hpp"
@@ -16,25 +15,6 @@ ReceiptAuditor::ReceiptAuditor(AuditConfig config, std::size_t party_count,
   rf::throw_if_invalid("adversary::AuditConfig", config_.doppler.validate());
 }
 
-void ReceiptAuditor::set_audit_grid(orbit::TimeGrid grid) {
-  grid_ = grid;
-  mask_cache_.clear();
-}
-
-const cov::StepMask* ReceiptAuditor::prescreen_mask(const core::ProofOfCoverage& poc,
-                                                    const core::CoverageReceipt& receipt) {
-  if (!config_.prescreen_with_masks || !grid_.has_value()) return nullptr;
-  const std::pair<std::uint64_t, std::uint32_t> key{receipt.satellite, receipt.verifier};
-  if (const auto it = mask_cache_.find(key); it != mask_cache_.end()) return &it->second;
-  cov::StepMask mask;
-  try {
-    mask = poc.overhead_steps(receipt.satellite, receipt.verifier, *grid_);
-  } catch (const std::exception&) {
-    return nullptr;  // unknown ids: the authoritative verdict reports them
-  }
-  return &mask_cache_.emplace(key, std::move(mask)).first->second;
-}
-
 core::ReceiptVerdict ReceiptAuditor::audit_and_credit(const core::ProofOfCoverage& poc,
                                                       const core::CoverageReceipt& receipt,
                                                       core::PartyId owner_party,
@@ -45,20 +25,22 @@ core::ReceiptVerdict ReceiptAuditor::audit_and_credit(const core::ProofOfCoverag
   PartyAuditStats& stats = stats_.at(owner_party);
   ++stats.submitted;
 
-  // Prescreen against the ephemeris-kernel visibility mask: does the audit
+  // Prescreen against the ephemeris-kernel visibility bit: does the audit
   // grid place the claimed satellite over the claimed verifier at the
-  // claimed step? Analytics only — masks quantise to grid steps, so the
-  // exact-geometry check below stays authoritative.
+  // claimed step? Analytics only — the bit quantises to grid steps, so the
+  // exact-geometry check below stays authoritative. Unknown ids are not
+  // prescreened; the authoritative verdict reports them.
   bool prescreen_overhead = true;
   bool prescreened = false;
-  if (const cov::StepMask* mask = prescreen_mask(poc, receipt); mask != nullptr) {
+  if (config_.prescreen_with_masks && grid_.has_value()) {
     const double offset_s = receipt.time.seconds_since(grid_->start);
     const auto step = static_cast<std::int64_t>(std::floor(offset_s / grid_->step_seconds));
-    prescreened = true;
-    prescreen_overhead = step >= 0 &&
-                         step < static_cast<std::int64_t>(mask->step_count()) &&
-                         mask->test(static_cast<std::size_t>(step));
-    if (!prescreen_overhead) ++stats.prescreen_flagged;
+    if (const std::optional<bool> overhead =
+            poc.overhead_at_step(receipt.satellite, receipt.verifier, *grid_, step)) {
+      prescreened = true;
+      prescreen_overhead = *overhead;
+      if (!prescreen_overhead) ++stats.prescreen_flagged;
+    }
   }
 
   // RF grounding: a claim that passes digest and exact geometry must also

@@ -6,13 +6,14 @@
 //     keyed digest, exact orbital geometry, and the ledger's content-hash
 //     duplicate guard. The auditor routes every credit through that exact
 //     path, so honest traffic is bit-identical to the unaudited campaign.
-//   * An optional mask prescreen re-derives the claimed contact from the
-//     shared ephemeris kernel (ProofOfCoverage::overhead_steps over the
-//     audit grid) and flags receipts whose step isn't in the visibility
-//     mask. The prescreen is analytics-only — grid-step masks can disagree
-//     with exact geometry right at the mask boundary, so it never overrides
-//     the verdict; it feeds the fraud telemetry and lets operators see
-//     forgery pressure before verdicts accumulate.
+//   * An optional prescreen re-derives the claimed contact from the shared
+//     ephemeris kernel: one visibility bit at the claimed audit-grid step
+//     (ProofOfCoverage::overhead_at_step, read off the epoch tables when
+//     the grid is prepared), and flags receipts whose bit is clear. The
+//     prescreen is analytics-only — a grid step can disagree with exact
+//     geometry right at the mask boundary, so it never overrides the
+//     verdict; it feeds the fraud telemetry and lets operators see forgery
+//     pressure before verdicts accumulate.
 //
 // The auditor also checks settlement-time SLA claims (served seconds a party
 // reports about itself) against the scheduler's ground truth, flagging
@@ -23,15 +24,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "core/ledger.hpp"
 #include "core/party.hpp"
 #include "core/proof_of_coverage.hpp"
-#include "coverage/step_mask.hpp"
 #include "orbit/time.hpp"
 #include "rf/doppler.hpp"
 
@@ -42,8 +40,8 @@ class MetricsRegistry;
 namespace mpleo::adversary {
 
 struct AuditConfig {
-  // Re-derive claimed contacts from ephemeris-kernel visibility masks
-  // (analytics-only; see header comment).
+  // Re-derive claimed contacts from the ephemeris kernel's visibility bit
+  // at the claimed grid step (analytics-only; see header comment).
   bool prescreen_with_masks = true;
   // Fractional SLA overclaim tolerated before a claim counts as a
   // misreport: claimed > measured * (1 + tolerance) flags. Must be a
@@ -109,10 +107,10 @@ class ReceiptAuditor {
   ReceiptAuditor(AuditConfig config, std::size_t party_count,
                  obs::MetricsRegistry* metrics = nullptr);
 
-  // Sets the grid the mask prescreen re-derives contacts on (the current
-  // epoch's scheduling grid). Clears the per-pair mask cache; call once per
-  // epoch. Without a grid the prescreen is skipped.
-  void set_audit_grid(orbit::TimeGrid grid);
+  // Sets the grid the prescreen re-derives contacts on (the current epoch's
+  // scheduling grid; ProofOfCoverage::prepare_grid on the same grid makes
+  // each prescreen one table read). Without a grid the prescreen is skipped.
+  void set_audit_grid(orbit::TimeGrid grid) { grid_ = grid; }
 
   // Re-points instrumentation (e.g. at the RunContext registry of the epoch
   // being run). Null detaches it.
@@ -158,15 +156,9 @@ class ReceiptAuditor {
   [[nodiscard]] const AuditConfig& config() const noexcept { return config_; }
 
  private:
-  [[nodiscard]] const cov::StepMask* prescreen_mask(const core::ProofOfCoverage& poc,
-                                                    const core::CoverageReceipt& receipt);
-
   AuditConfig config_;
   std::vector<PartyAuditStats> stats_;
   std::optional<orbit::TimeGrid> grid_;
-  // Overhead masks per (satellite, verifier) pair, re-derived lazily on the
-  // audit grid and reused across the epoch's receipts.
-  std::map<std::pair<std::uint64_t, std::uint32_t>, cov::StepMask> mask_cache_;
   obs::MetricsRegistry* metrics_ = nullptr;
 };
 

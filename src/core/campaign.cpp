@@ -169,6 +169,13 @@ EpochReport Campaign::run_epoch_impl(util::ThreadPool* pool, sim::RunContext* co
   const std::vector<constellation::Satellite> sats = consortium_.active_satellites();
   report.active_satellites = sats.size();
   const std::size_t party_count = consortium_.parties().size();
+  std::vector<std::size_t> active_of_registration(registered_satellite_ids_.size(),
+                                                  kInactive);
+  for (std::size_t i = 0; i < sats.size(); ++i) {
+    if (const std::optional<std::size_t> ri = poc_.registration_index(sats[i].id)) {
+      active_of_registration[*ri] = i;
+    }
+  }
 
   // 1. Schedule the epoch.
   const orbit::TimeGrid grid =
@@ -177,6 +184,9 @@ EpochReport Campaign::run_epoch_impl(util::ThreadPool* pool, sim::RunContext* co
   if (harness_ != nullptr) {
     harness_->auditor.set_metrics(context != nullptr ? &context->metrics() : nullptr);
     harness_->quarantine.set_metrics(context != nullptr ? &context->metrics() : nullptr);
+    // One batched ephemeris per registered satellite for the epoch: the
+    // audit prescreen and the forgers' overhead masks read these tables.
+    poc_.prepare_grid(grid, pool);
     harness_->auditor.set_audit_grid(grid);
     const adversary::PartyAuditStats audit_totals = harness_->auditor.totals();
     harness_->fraud_at_epoch_start = audit_totals.fraud_total();
@@ -215,8 +225,8 @@ EpochReport Campaign::run_epoch_impl(util::ThreadPool* pool, sim::RunContext* co
   // 2. Settle spare-capacity usage.
   report.settlement = settle(usage, accounts_, config_.settlement, ledger_);
 
-  // 3. Proof-of-coverage spot checks: each party's terminals challenge
-  // random registered satellites at random times in the epoch.
+  // 3. Proof-of-coverage spot checks: every terminal challenges random
+  // registered satellites at random times in the epoch.
   const bool doppler_audit =
       harness_ != nullptr && harness_->auditor.config().doppler.enabled;
   std::vector<double> doppler_offsets;
@@ -231,7 +241,7 @@ EpochReport Campaign::run_epoch_impl(util::ThreadPool* pool, sim::RunContext* co
                             .split(next_epoch_));
   }
   for (std::size_t ti = 0; ti < terminals_.size(); ++ti) {
-    for (std::size_t c = 0; c < config_.poc_challenges_per_party_per_epoch; ++c) {
+    for (std::size_t c = 0; c < config_.poc_challenges_per_terminal_per_epoch; ++c) {
       if (registered_satellite_ids_.empty()) break;
       const std::size_t pick = rng_.uniform_index(registered_satellite_ids_.size());
       const orbit::TimePoint when =
@@ -239,16 +249,8 @@ EpochReport Campaign::run_epoch_impl(util::ThreadPool* pool, sim::RunContext* co
       const CoverageReceipt receipt = ProofOfCoverage::answer_challenge(
           registered_satellite_ids_[pick], satellite_keys_[pick], verifier_ids_[ti],
           when, rng_.next());
-      // Owner lookup: the registration order mirrors active_satellites() at
-      // construction; find the owner by id in the consortium.
-      std::uint32_t owner = constellation::Satellite::kUnowned;
-      for (const constellation::Satellite& sat : sats) {
-        if (sat.id == receipt.satellite) {
-          owner = sat.owner_party;
-          break;
-        }
-      }
-      if (owner == constellation::Satellite::kUnowned) continue;  // withdrawn
+      if (active_of_registration[pick] == kInactive) continue;  // withdrawn
+      const std::uint32_t owner = sats[active_of_registration[pick]].owner_party;
       // With the Doppler stage on, the honest verifier also measures the RF
       // track of its own challenge: the ephemeris prediction plus receiver
       // noise, over whatever part of the sample window the pass covers.
@@ -294,7 +296,7 @@ EpochReport Campaign::run_epoch_impl(util::ThreadPool* pool, sim::RunContext* co
   // ladder converts this epoch's audit evidence into sanctions effective
   // from the next epoch's scheduling pass.
   if (harness_ != nullptr) {
-    inject_adversary_behavior(grid, sats, usage, report);
+    inject_adversary_behavior(grid, sats, active_of_registration, usage, report);
   }
 
   // 4. Epoch emission, distributed by stake. Parties under sanction
@@ -348,10 +350,10 @@ EpochReport Campaign::run_epoch_impl(util::ThreadPool* pool, sim::RunContext* co
   return report;
 }
 
-void Campaign::inject_adversary_behavior(const orbit::TimeGrid& grid,
-                                         const std::vector<constellation::Satellite>& sats,
-                                         const net::ScheduleResult& usage,
-                                         EpochReport& report) {
+void Campaign::inject_adversary_behavior(
+    const orbit::TimeGrid& grid, const std::vector<constellation::Satellite>& sats,
+    const std::vector<std::size_t>& active_of_registration, const net::ScheduleResult& usage,
+    EpochReport& report) {
   AdversaryHarness& h = *harness_;
   AdversaryEpochSummary summary;
   const std::size_t party_count = consortium_.parties().size();
@@ -378,13 +380,10 @@ void Campaign::inject_adversary_behavior(const orbit::TimeGrid& grid,
   // Registration indices (into satellite_keys_) of each party's still-active
   // satellites: the keys an insider forger actually holds.
   std::vector<std::vector<std::size_t>> party_regs(party_count);
-  for (std::size_t ri = 0; ri < registered_satellite_ids_.size(); ++ri) {
-    for (const constellation::Satellite& sat : sats) {
-      if (sat.id == registered_satellite_ids_[ri]) {
-        if (sat.owner_party < party_count) party_regs[sat.owner_party].push_back(ri);
-        break;
-      }
-    }
+  for (std::size_t ri = 0; ri < active_of_registration.size(); ++ri) {
+    if (active_of_registration[ri] == kInactive) continue;
+    const std::uint32_t owner = sats[active_of_registration[ri]].owner_party;
+    if (owner < party_count) party_regs[owner].push_back(ri);
   }
 
   for (PartyId party = 0; party < party_count; ++party) {
@@ -464,13 +463,9 @@ void Campaign::inject_adversary_behavior(const orbit::TimeGrid& grid,
               // Fabricated magnitudes stay inside the physical Doppler
               // envelope at the satellite's altitude — the forger is not
               // naive about scale, only (below kEphemerisExact) about shape.
-              double altitude_m = 550e3;
-              for (const constellation::Satellite& sat : sats) {
-                if (sat.id == sat_id) {
-                  altitude_m = sat.elements.semi_major_axis_m - util::kEarthMeanRadiusM;
-                  break;
-                }
-              }
+              const double altitude_m =
+                  sats[active_of_registration[ri]].elements.semi_major_axis_m -
+                  util::kEarthMeanRadiusM;
               const rf::ForgeryLevel level =
                   h.rf.has_value() ? h.rf->forgery_level : rf::ForgeryLevel::kFlatTone;
               fabricated.doppler_hz = rf::forge_doppler_track(

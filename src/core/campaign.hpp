@@ -51,7 +51,7 @@ struct CampaignConfig {
   EmissionSchedule emission;
   double bootstrap_grant = 200.0;  // tokens granted to each party at start
   ProofOfCoverage::Config poc;
-  std::size_t poc_challenges_per_party_per_epoch = 4;
+  std::size_t poc_challenges_per_terminal_per_epoch = 4;  // spot checks each terminal issues
 };
 
 // Per-epoch Byzantine accounting; present on EpochReport::adversary only for
@@ -166,9 +166,14 @@ class Campaign {
   // resubmit.
   struct AdversaryHarness;
 
+  // Index into the epoch's active satellites of each registration, or
+  // kInactive for a withdrawn one; built once per epoch.
+  static constexpr std::size_t kInactive = static_cast<std::size_t>(-1);
+
   EpochReport run_epoch_impl(util::ThreadPool* pool, sim::RunContext* context);
   void inject_adversary_behavior(const orbit::TimeGrid& grid,
                                  const std::vector<constellation::Satellite>& sats,
+                                 const std::vector<std::size_t>& active_of_registration,
                                  const net::ScheduleResult& usage, EpochReport& report);
 
   Consortium consortium_;
@@ -177,7 +182,7 @@ class Campaign {
   CampaignConfig config_;
   Ledger ledger_;
   std::vector<AccountId> accounts_;
-  ProofOfCoverage poc_;
+  ProofOfCoverage poc_;  // registers every construction-time satellite, in order
   std::vector<std::uint64_t> satellite_keys_;  // parallel to registration order
   std::vector<constellation::SatelliteId> registered_satellite_ids_;
   std::vector<std::uint32_t> verifier_ids_;    // one per terminal

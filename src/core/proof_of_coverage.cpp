@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "coverage/doppler.hpp"
 #include "coverage/visibility_cull.hpp"
@@ -21,6 +22,17 @@ std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) noex
     hash *= 0x100000001b3ULL;
   }
   return hash;
+}
+
+// What a satellite registers with: its elements under the configured
+// backend. The per-receipt propagator and the batched epoch fill both start
+// from it.
+orbit::EphemerisSpec registration_spec(const orbit::ClassicalElements& elements,
+                                       orbit::TimePoint epoch,
+                                       orbit::PropagatorBackend backend) {
+  orbit::EphemerisSpec spec{elements, epoch, orbit::Perturbation::kJ2Secular};
+  spec.backend = backend;
+  return spec;
 }
 
 }  // namespace
@@ -64,15 +76,30 @@ std::uint64_t ProofOfCoverage::digest(std::uint64_t key,
   return fnv1a(&payload, sizeof payload, key);
 }
 
+ProofOfCoverage::ProofOfCoverage(Config config)
+    : config_(config), sin_mask_(std::sin(util::deg_to_rad(config.elevation_mask_deg))) {}
+
 std::uint64_t ProofOfCoverage::register_satellite(const constellation::Satellite& satellite,
                                                   std::uint64_t consortium_seed) {
+  if (!index_of_.emplace(satellite.id, satellites_.size()).second) {
+    throw std::invalid_argument("ProofOfCoverage: satellite " +
+                                std::to_string(satellite.id) + " already registered");
+  }
   const std::uint64_t key =
       fnv1a(&satellite.id, sizeof satellite.id, consortium_seed ^ 0x6d706c656fULL);
-  orbit::EphemerisSpec spec{satellite.elements, satellite.epoch,
-                            orbit::Perturbation::kJ2Secular};
-  spec.backend = config_.propagator_backend;
-  satellites_.push_back({satellite, key, orbit::make_propagator(spec)});
+  satellites_.push_back(
+      {key, satellite.elements, satellite.epoch,
+       orbit::make_propagator(registration_spec(satellite.elements, satellite.epoch,
+                                                config_.propagator_backend))});
+  epoch_tables_.reset();
   return key;
+}
+
+std::optional<std::size_t> ProofOfCoverage::registration_index(
+    constellation::SatelliteId satellite) const {
+  const auto it = index_of_.find(satellite);
+  if (it == index_of_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::uint32_t ProofOfCoverage::register_verifier(const orbit::Geodetic& site) {
@@ -95,10 +122,28 @@ CoverageReceipt ProofOfCoverage::answer_challenge(constellation::SatelliteId sat
 
 const ProofOfCoverage::RegisteredSatellite* ProofOfCoverage::find(
     constellation::SatelliteId id) const {
-  for (const RegisteredSatellite& rs : satellites_) {
-    if (rs.satellite.id == id) return &rs;
+  const std::optional<std::size_t> index = registration_index(id);
+  return index.has_value() ? &satellites_[*index] : nullptr;
+}
+
+void ProofOfCoverage::prepare_grid(const orbit::TimeGrid& grid, util::ThreadPool* pool) {
+  std::vector<orbit::EphemerisSpec> specs;
+  specs.reserve(satellites_.size());
+  for (const RegisteredSatellite& registered : satellites_) {
+    specs.push_back(registration_spec(registered.elements, registered.epoch,
+                                      config_.propagator_backend));
   }
-  return nullptr;
+  epoch_tables_ = orbit::EphemerisSet::compute(specs, grid, pool);
+}
+
+const orbit::EphemerisTable& ProofOfCoverage::table_on(std::size_t index,
+                                                       const orbit::TimeGrid& grid,
+                                                       orbit::EphemerisTable& scratch) const {
+  if (epoch_tables_.has_value() && epoch_tables_->grid() == grid) {
+    return epoch_tables_->table(index);
+  }
+  scratch = orbit::EphemerisTable::compute(satellites_[index].propagator, grid);
+  return scratch;
 }
 
 ReceiptVerdict ProofOfCoverage::verify(const CoverageReceipt& receipt) const {
@@ -114,8 +159,7 @@ ReceiptVerdict ProofOfCoverage::verify(const CoverageReceipt& receipt) const {
   // Geometry check: was the satellite actually above the verifier's horizon?
   const orbit::StateVector state = registered->propagator.state_at(receipt.time);
   const util::Vec3 ecef = orbit::eci_to_ecef(state.position, receipt.time);
-  const double sin_mask = std::sin(util::deg_to_rad(config_.elevation_mask_deg));
-  if (!verifiers_[receipt.verifier].visible_above(ecef, sin_mask)) {
+  if (!verifiers_[receipt.verifier].visible_above(ecef, sin_mask_)) {
     return ReceiptVerdict::kNotOverhead;
   }
   return ReceiptVerdict::kValid;
@@ -124,19 +168,31 @@ ReceiptVerdict ProofOfCoverage::verify(const CoverageReceipt& receipt) const {
 cov::StepMask ProofOfCoverage::overhead_steps(constellation::SatelliteId satellite,
                                               std::uint32_t verifier,
                                               const orbit::TimeGrid& grid) const {
-  const RegisteredSatellite* registered = find(satellite);
-  if (registered == nullptr) {
+  const std::optional<std::size_t> index = registration_index(satellite);
+  if (!index.has_value()) {
     throw std::invalid_argument("ProofOfCoverage: unknown satellite");
   }
   if (verifier >= verifiers_.size()) {
     throw std::invalid_argument("ProofOfCoverage: unknown verifier");
   }
-  const orbit::EphemerisTable table =
-      orbit::EphemerisTable::compute(registered->propagator, grid);
+  orbit::EphemerisTable scratch;
   const cov::VisibilityCuller culler(grid, config_.elevation_mask_deg);
   cov::StepMask mask(grid.count);
-  culler.fill(table, verifiers_[verifier], mask);
+  culler.fill(table_on(*index, grid, scratch), verifiers_[verifier], mask);
   return mask;
+}
+
+std::optional<bool> ProofOfCoverage::overhead_at_step(constellation::SatelliteId satellite,
+                                                      std::uint32_t verifier,
+                                                      const orbit::TimeGrid& grid,
+                                                      std::int64_t step) const {
+  const std::optional<std::size_t> index = registration_index(satellite);
+  if (!index.has_value() || verifier >= verifiers_.size()) return std::nullopt;
+  if (step < 0 || static_cast<std::uint64_t>(step) >= grid.count) return false;
+  orbit::EphemerisTable scratch;
+  const orbit::EphemerisTable& table = table_on(*index, grid, scratch);
+  return verifiers_[verifier].visible_above(
+      table.position_ecef(static_cast<std::size_t>(step)), sin_mask_);
 }
 
 std::vector<ProofOfCoverage::DopplerPoint> ProofOfCoverage::doppler_track(
@@ -150,7 +206,6 @@ std::vector<ProofOfCoverage::DopplerPoint> ProofOfCoverage::doppler_track(
     throw std::invalid_argument("ProofOfCoverage: unknown verifier");
   }
   const orbit::TopocentricFrame& site = verifiers_[verifier];
-  const double sin_mask = std::sin(util::deg_to_rad(config_.elevation_mask_deg));
 
   std::vector<DopplerPoint> track;
   track.reserve(offsets_s.size());
@@ -159,7 +214,7 @@ std::vector<ProofOfCoverage::DopplerPoint> ProofOfCoverage::doppler_track(
     const orbit::StateVector state = registered->propagator.state_at(t);
     const double gmst = orbit::gmst_rad(t);
     const util::Vec3 r_ecef = orbit::eci_to_ecef(state.position, gmst);
-    if (!site.visible_above(r_ecef, sin_mask)) continue;
+    if (!site.visible_above(r_ecef, sin_mask_)) continue;
     const cov::RangeRate rr =
         cov::range_rate_ecef(state.velocity, gmst, r_ecef, site.origin_ecef());
     track.push_back(

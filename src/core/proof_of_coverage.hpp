@@ -13,9 +13,11 @@
 //   4. Valid receipts earn treasury rewards.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "constellation/shell.hpp"
@@ -23,9 +25,14 @@
 #include "coverage/step_mask.hpp"
 #include "orbit/any_propagator.hpp"
 #include "orbit/backend.hpp"
+#include "orbit/ephemeris.hpp"
 #include "orbit/geodesy.hpp"
 #include "orbit/propagator.hpp"
 #include "orbit/time.hpp"
+
+namespace mpleo::util {
+class ThreadPool;
+}
 
 namespace mpleo::core {
 
@@ -66,12 +73,19 @@ class ProofOfCoverage {
     orbit::PropagatorBackend propagator_backend = orbit::PropagatorBackend::kJ2Analytic;
   };
 
-  explicit ProofOfCoverage(Config config) : config_(config) {}
+  explicit ProofOfCoverage(Config config);
 
   // Registers a satellite and derives its secret key from the consortium
   // seed; returns the key so the satellite side can answer challenges.
+  // Throws std::invalid_argument when the id is already registered: receipts
+  // signed with a second key for the same id could never verify.
   std::uint64_t register_satellite(const constellation::Satellite& satellite,
                                    std::uint64_t consortium_seed);
+
+  // Position of `satellite` in registration order (the order
+  // register_satellite was called in), or nullopt when it is not registered.
+  [[nodiscard]] std::optional<std::size_t> registration_index(
+      constellation::SatelliteId satellite) const;
 
   // Registers a verifier site; returns its verifier index.
   std::uint32_t register_verifier(const orbit::Geodetic& site);
@@ -84,6 +98,14 @@ class ProofOfCoverage {
   // Consortium side: full verification (digest + orbital geometry).
   [[nodiscard]] ReceiptVerdict verify(const CoverageReceipt& receipt) const;
 
+  // Builds the epoch ephemeris of every registered satellite over `grid` in
+  // one batched fill (orbit::EphemerisSet, on `pool` when given), each under
+  // the backend it registered with. overhead_steps and overhead_at_step read
+  // these tables on this grid; on any other grid they propagate the one
+  // satellite they need, with bit-identical results. Call once per epoch;
+  // registering another satellite drops the tables.
+  void prepare_grid(const orbit::TimeGrid& grid, util::ThreadPool* pool = nullptr);
+
   // Challenge-window planning: the grid steps at which `satellite` clears the
   // verifier's horizon, computed through the shared ephemeris kernel (one
   // propagation sweep + the coverage cull) instead of a per-instant state
@@ -93,6 +115,15 @@ class ProofOfCoverage {
   [[nodiscard]] cov::StepMask overhead_steps(constellation::SatelliteId satellite,
                                              std::uint32_t verifier,
                                              const orbit::TimeGrid& grid) const;
+
+  // One bit of overhead_steps(satellite, verifier, grid): the exact
+  // visible_above test at the step's table position, the bit the coverage
+  // cull sets. Steps outside [0, grid.count) read false; nullopt when either
+  // id is unknown.
+  [[nodiscard]] std::optional<bool> overhead_at_step(constellation::SatelliteId satellite,
+                                                     std::uint32_t verifier,
+                                                     const orbit::TimeGrid& grid,
+                                                     std::int64_t step) const;
 
   // One point of a predicted Doppler track around a claimed contact.
   struct DopplerPoint {
@@ -129,18 +160,28 @@ class ProofOfCoverage {
 
  private:
   struct RegisteredSatellite {
-    constellation::Satellite satellite;
     std::uint64_t key = 0;
-    // Built once at registration with the configured backend; every geometry
-    // check (per-receipt state query or batched overhead mask) reuses it.
+    // The registered orbit, from which prepare_grid rebuilds the spec.
+    orbit::ClassicalElements elements;
+    orbit::TimePoint epoch;
+    // Built once at registration with the configured backend; per-receipt
+    // state queries and fills on unprepared grids reuse it.
     orbit::AnyPropagator propagator;
   };
 
   [[nodiscard]] const RegisteredSatellite* find(constellation::SatelliteId id) const;
+  // Satellite `index`'s ephemeris on `grid`: the prepared epoch table when
+  // `grid` is the prepared one, else a fresh fill into `scratch`.
+  [[nodiscard]] const orbit::EphemerisTable& table_on(std::size_t index,
+                                                      const orbit::TimeGrid& grid,
+                                                      orbit::EphemerisTable& scratch) const;
 
   Config config_;
+  double sin_mask_ = 0.0;  // sin of config_.elevation_mask_deg
   std::vector<RegisteredSatellite> satellites_;
+  std::unordered_map<constellation::SatelliteId, std::size_t> index_of_;
   std::vector<orbit::TopocentricFrame> verifiers_;
+  std::optional<orbit::EphemerisSet> epoch_tables_;  // set by prepare_grid
 };
 
 }  // namespace mpleo::core

@@ -20,12 +20,6 @@
 namespace mpleo::net {
 namespace {
 
-// Pair-mask storage budget for VisibilityMode::kAuto: below this the classic
-// per-(satellite, terminal) masks are built (fastest while they fit), above
-// it phase 1 switches to the footprint stream, whose memory does not scale
-// with satellites x terminals.
-constexpr std::size_t kPairMaskBudgetBytes = std::size_t{1} << 30;
-
 // One precomputed service option: for a (terminal, satellite) pair visible at
 // a step, the best (highest end-to-end capacity, lowest index on ties) healthy
 // same-party station and the resulting capacity. Beam contention is NOT
@@ -1157,14 +1151,16 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     return ephemerides(grid, pool);
   }();
 
-  // Resolve the visibility mode: pair masks while the (satellite, terminal)
-  // mask array fits the budget, footprint stream beyond it.
+  // Resolve the visibility mode: the footprint stream from
+  // kAutoStreamMinTerminals terminals up, pair masks below it while the
+  // (satellite, terminal) mask array fits the budget.
   const std::size_t mask_words = (step_total + 63) / 64;
   VisibilityMode mode = config_.visibility_mode;
   if (mode == VisibilityMode::kAuto) {
     const std::size_t pair_bytes = sat_count * term_count * mask_words * 8;
-    mode = pair_bytes > kPairMaskBudgetBytes ? VisibilityMode::kFootprintStream
-                                             : VisibilityMode::kPairMasks;
+    mode = term_count >= kAutoStreamMinTerminals || pair_bytes > kPairMaskBudgetBytes
+               ? VisibilityMode::kFootprintStream
+               : VisibilityMode::kPairMasks;
   }
   const bool direct = mode == VisibilityMode::kFootprintStream;
 

@@ -25,6 +25,7 @@
 // per-triple scan — on both the faulted and unfaulted paths.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -57,13 +58,14 @@ namespace mpleo::net {
 
 // How phase 1 discovers (terminal, satellite) visibility.
 enum class VisibilityMode {
-  // Pick per run: pair masks while they fit a memory budget, the footprint
-  // stream beyond it (mega-constellation fleets).
+  // Pick per run by terminal count: the footprint stream from
+  // kAutoStreamMinTerminals terminals up; pair masks below that while the
+  // (satellite, terminal) masks fit kPairMaskBudgetBytes, the stream beyond.
   kAuto,
   // Classic: one packed visibility mask per (satellite, terminal) pair,
   // filled by the conservative zenith-cone cull, pruned pair-by-pair with
-  // the latitude-band reachability test. Exact, and the fastest option while
-  // the masks fit in memory.
+  // the latitude-band reachability test. Exact; faster than the stream only
+  // for small terminal sets (see kAutoStreamMinTerminals).
   kPairMasks,
   // Mega-scale: no terminal pair masks at all. Each chunk streams every
   // satellite's footprint cap through a cov::FootprintIndex over the
@@ -71,6 +73,18 @@ enum class VisibilityMode {
   // O(sites-in-footprint) instead of O(terminals) per satellite-step.
   kFootprintStream,
 };
+
+// kAuto's terminal-count threshold, from the sweep `perf_simulator
+// --compare-scheduler` records (mode_sweep in BENCH_perf_simulator.json: 40
+// and 800 satellites x 20 to 1,600 terminals x 3 h, bit-identical in every
+// cell). Pair masks are faster at 20 and 50 terminals; from 100 up the
+// stream is no slower at either fleet size. Pair masks pay a cull per
+// (satellite, terminal) pair and the stream an index query per
+// satellite-step, so the stream's lead grows with terminals.
+inline constexpr std::size_t kAutoStreamMinTerminals = 100;
+// kAuto's pair-mask storage budget below the threshold: beyond it phase 1
+// streams, whose memory does not scale with satellites x terminals.
+inline constexpr std::size_t kPairMaskBudgetBytes = std::size_t{1} << 30;
 
 struct SchedulerConfig {
   double elevation_mask_deg = 25.0;
@@ -120,7 +134,8 @@ struct SchedulerConfig {
   // (see sim::parse_scenario's --propagator= flag).
   orbit::PropagatorBackend propagator_backend = orbit::PropagatorBackend::kJ2Analytic;
   // Phase-1 visibility discovery (see VisibilityMode). Every mode produces
-  // bit-identical schedules when max_candidates_per_terminal is 0.
+  // bit-identical schedules when max_candidates_per_terminal is 0; a
+  // positive cap binds only on the footprint stream.
   VisibilityMode visibility_mode = VisibilityMode::kAuto;
   // Steps per phase-1 chunk. Must be a power of two in [1, 64] so a chunk
   // never straddles a mask word. Smaller chunks shrink the streaming

@@ -85,6 +85,8 @@ struct TimeGrid {
   [[nodiscard]] double duration_seconds() const noexcept {
     return count == 0 ? 0.0 : step_seconds * static_cast<double>(count);
   }
+
+  friend bool operator==(const TimeGrid&, const TimeGrid&) = default;
 };
 
 }  // namespace mpleo::orbit

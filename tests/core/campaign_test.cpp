@@ -118,7 +118,7 @@ TEST_F(CampaignFixture, PocChallengesRunAndMostlyReject) {
   Campaign campaign(std::move(consortium), terminals, stations, config, 7);
   const EpochReport report = campaign.run_epoch(context);
   EXPECT_EQ(report.poc_valid + report.poc_rejected,
-            terminals.size() * config.poc_challenges_per_party_per_epoch);
+            terminals.size() * config.poc_challenges_per_terminal_per_epoch);
   EXPECT_GE(report.poc_rejected, report.poc_valid);
 }
 

@@ -127,6 +127,17 @@ TEST(ProofOfCoverage, KeysDifferAcrossSatellitesAndSeeds) {
   EXPECT_NE(poc2.register_satellite(a, 8), ka);
 }
 
+TEST(ProofOfCoverage, DuplicateSatelliteRegistrationThrows) {
+  // A second key for an already-registered id could never verify; the
+  // first registration stands and its receipts still do.
+  PocFixture fx;
+  EXPECT_THROW((void)fx.poc.register_satellite(fx.satellite, /*consortium_seed=*/99),
+               std::invalid_argument);
+  const CoverageReceipt receipt = ProofOfCoverage::answer_challenge(
+      fx.satellite.id, fx.key, fx.overhead_verifier, fx.epoch, /*nonce=*/5);
+  EXPECT_EQ(fx.poc.verify(receipt), ReceiptVerdict::kValid);
+}
+
 TEST(ProofOfCoverage, ToStringCoversAllVerdicts) {
   EXPECT_STREQ(to_string(ReceiptVerdict::kValid), "valid");
   EXPECT_STREQ(to_string(ReceiptVerdict::kBadDigest), "bad-digest");

@@ -172,7 +172,7 @@ TEST_F(AdversaryCampaignFixture, QuarantinedPartiesWithheldFromEmission) {
   // No spot checks: the only token flows left for a quarantined party are
   // emission (withheld) and spare settlement (excluded), so its balance
   // cannot rise.
-  config.poc_challenges_per_party_per_epoch = 0;
+  config.poc_challenges_per_terminal_per_epoch = 0;
   Campaign campaign = make_campaign(/*seed=*/1042);
   adversary::QuarantineConfig quarantine;
   quarantine.quarantine_threshold = 1;

@@ -5,6 +5,7 @@
 // ordering, faulted and unfaulted, for every thread-pool size.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include "fault/timeline.hpp"
 #include "net/scheduler.hpp"
 #include "orbit/geodesy.hpp"
+#include "sim/run_context.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -395,6 +397,68 @@ TEST(SchedulerFootprintStreamGolden, CappedTotalsMatchRecordedValues) {
     const ScheduleResult pooled =
         scheduler.run(grid, f.party_count, /*keep_steps=*/true, &pool);
     EXPECT_TRUE(pooled == serial) << "cap=" << cap;
+  }
+}
+
+// kAuto's terminal-count rule at the threshold: one terminal short of
+// kAutoStreamMinTerminals runs pair masks, the threshold itself streams, and
+// both match run_reference. The path shows in sched.cull_masks: the stream
+// fills station masks only, at most satellites x stations.
+TEST(SchedulerAuto, TerminalCountPicksThePath) {
+  util::Xoshiro256PlusPlus rng(17);
+  RandomFleet f;
+  f.party_count = 3;
+  for (std::size_t i = 0; i < 12; ++i) {
+    Satellite sat;
+    sat.id = static_cast<constellation::SatelliteId>(i);
+    sat.owner_party = static_cast<std::uint32_t>(i % f.party_count);
+    sat.elements = orbit::ClassicalElements::circular(
+        rng.uniform(500e3, 700e3), 53.0, 30.0 * static_cast<double>(i),
+        rng.uniform(0.0, 360.0));
+    sat.epoch = kEpoch;
+    f.satellites.push_back(sat);
+  }
+  for (std::size_t i = 0; i < 6; ++i) {
+    GroundStation gs;
+    gs.id = static_cast<GroundStationId>(i);
+    gs.owner_party = static_cast<std::uint32_t>(i % f.party_count);
+    gs.location = orbit::Geodetic::from_degrees(rng.uniform(-35.0, 35.0),
+                                                rng.uniform(0.0, 60.0));
+    gs.radio = default_ground_station();
+    f.stations.push_back(gs);
+  }
+  for (std::size_t i = 0; i < kAutoStreamMinTerminals; ++i) {
+    Terminal t;
+    t.id = static_cast<TerminalId>(i);
+    t.owner_party = static_cast<std::uint32_t>(i % f.party_count);
+    t.location = orbit::Geodetic::from_degrees(rng.uniform(-35.0, 35.0),
+                                               rng.uniform(0.0, 60.0));
+    t.radio = default_user_terminal();
+    f.terminals.push_back(t);
+  }
+  ASSERT_EQ(f.config.visibility_mode, VisibilityMode::kAuto);
+  const orbit::TimeGrid grid = test_grid();
+  const std::uint64_t station_pairs = f.satellites.size() * f.stations.size();
+
+  for (const std::size_t terminal_count :
+       {kAutoStreamMinTerminals - 1, kAutoStreamMinTerminals}) {
+    const std::vector<Terminal> terminals(
+        f.terminals.begin(),
+        f.terminals.begin() + static_cast<std::ptrdiff_t>(terminal_count));
+    const BentPipeScheduler scheduler(f.config, f.satellites, terminals, f.stations);
+    sim::RunContext context;
+    const ScheduleResult result =
+        scheduler.run(grid, f.party_count, context, /*keep_steps=*/true);
+    EXPECT_TRUE(result == scheduler.run_reference(grid, f.party_count, nullptr,
+                                                  /*keep_steps=*/true))
+        << "terminals=" << terminal_count;
+    ASSERT_GT(result.total_served_seconds, 0.0);
+    const std::uint64_t cull_masks = context.metrics().counter_value("sched.cull_masks");
+    if (terminal_count < kAutoStreamMinTerminals) {
+      EXPECT_GT(cull_masks, station_pairs) << "pair masks expected";
+    } else {
+      EXPECT_LE(cull_masks, station_pairs) << "footprint stream expected";
+    }
   }
 }
 
