@@ -9,8 +9,7 @@
 //                        500-satellite x 100-site x 1-day/60s workload
 //   --compare-scheduler  run_reference vs the two-phase pipelined scheduler
 //                        on 500 satellites x 200 terminals x 20 stations x
-//                        1 day/60s across 4 parties, plus a faulted run and
-//                        the pair-mask vs footprint-stream mode sweep
+//                        1 day/60s across 4 parties, plus a faulted run
 //   --backends           per-backend ephemeris fill throughput (J2 scalar,
 //                        J2 lane-batched SIMD, SGP4) plus the lane-batched
 //                        bit-identity check and the cross-backend
@@ -32,7 +31,6 @@
 #endif
 
 #include "bench_common.hpp"
-#include "constellation/population.hpp"
 #include "constellation/starlink.hpp"
 #include "core/mpleo.hpp"
 #include "orbit/simd.hpp"
@@ -353,96 +351,19 @@ bool run_compare(std::FILE* out) {
   return identical;
 }
 
-// One cell of the phase-1 mode sweep: pair masks vs footprint stream on the
-// same fleet, pooled, best of five each.
-struct ModeSweepCell {
-  std::size_t satellites = 0;
-  std::size_t terminals = 0;
-  double hours = 0.0;
-  double pair_mask_seconds = 0.0;
-  double stream_seconds = 0.0;
-  bool bit_identical = false;
-};
-
-// The sweep behind net::kAutoStreamMinTerminals: 8 parties and 32
-// population-sampled stations, a 53-degree Walker shell of 40 or 800
-// satellites, and 20 to 1,600 population-sampled terminals over 3 h at 60 s.
-// Each cell times BentPipeScheduler::run under kPairMasks and under
-// kFootprintStream on `pool` and checks the two ScheduleResults match bit
-// for bit (uncapped, the stream is exact). Best of five: the 40-satellite
-// cells run in about a millisecond, and the 100-terminal cells sit within
-// 15% of parity.
-std::vector<ModeSweepCell> run_mode_sweep(util::ThreadPool* pool) {
-  constexpr std::size_t kParties = 8;
-  constexpr double kHours = 3.0;
-  const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, kHours * 3600.0, 60.0);
-  const constellation::PopulationSampler sampler;
-  const std::vector<orbit::Geodetic> station_sites = sampler.sample(32, 0x73776570u);
-  std::vector<net::GroundStation> stations(station_sites.size());
-  for (std::uint32_t i = 0; i < stations.size(); ++i) {
-    stations[i].id = i;
-    stations[i].owner_party = i % kParties;
-    stations[i].location = station_sites[i];
-    stations[i].radio = net::default_ground_station();
-  }
-  using clock = std::chrono::steady_clock;
-  std::vector<ModeSweepCell> cells;
-  for (const auto [planes, per_plane] : {std::pair{5, 8}, std::pair{20, 40}}) {
-    constellation::WalkerShell shell;
-    shell.plane_count = planes;
-    shell.sats_per_plane = per_plane;
-    std::vector<constellation::Satellite> sats = shell.build(kEpoch);
-    for (std::size_t i = 0; i < sats.size(); ++i) {
-      sats[i].owner_party = static_cast<std::uint32_t>(i % kParties);
-    }
-    for (const std::size_t terminal_count : {20u, 50u, 100u, 200u, 1600u}) {
-      const std::vector<orbit::Geodetic> sites = sampler.sample(terminal_count, 0x74726d6cu);
-      std::vector<net::Terminal> terminals(terminal_count);
-      for (std::uint32_t i = 0; i < terminal_count; ++i) {
-        terminals[i].id = i;
-        terminals[i].owner_party = i % kParties;
-        terminals[i].location = sites[i];
-        terminals[i].radio = net::default_user_terminal();
-      }
-      const auto best_of_5 = [&](net::VisibilityMode mode) {
-        net::SchedulerConfig config;
-        config.visibility_mode = mode;
-        const net::BentPipeScheduler scheduler(config, sats, terminals, stations);
-        double best = 0.0;
-        net::ScheduleResult result;
-        for (int rep = 0; rep < 5; ++rep) {
-          const auto t0 = clock::now();
-          result = scheduler.run(grid, kParties, /*keep_steps=*/true, pool);
-          const double sec = std::chrono::duration<double>(clock::now() - t0).count();
-          if (rep == 0 || sec < best) best = sec;
-        }
-        return std::pair{std::move(result), best};
-      };
-      const auto [pair_result, pair_seconds] = best_of_5(net::VisibilityMode::kPairMasks);
-      const auto [stream_result, stream_seconds] =
-          best_of_5(net::VisibilityMode::kFootprintStream);
-      cells.push_back({sats.size(), terminal_count, kHours, pair_seconds, stream_seconds,
-                       pair_result == stream_result});
-    }
-  }
-  return cells;
-}
-
 // --compare-scheduler: the scheduling acceptance workload. 500 satellites
 // (Walker 25x20) split across 4 parties, 200 user terminals, 20 ground
 // stations, one day at 60 s steps. The scalar reference (run_reference, the
 // pre-pipeline per-step joint scan) races the two-phase pipelined run()
 // serially and pooled; every ScheduleResult must match the reference bit for
 // bit, down to link ordering, and a faulted run over a shorter grid pins the
-// degraded-operations contract too. The pipelined rows run pair masks and
-// the streamed row the footprint stream, both pinned explicitly; the
-// mode_sweep array then times the two modes against each other across fleet
-// sizes (run_mode_sweep). Returns false on any identity mismatch.
+// degraded-operations contract too. Returns false on any identity mismatch.
 //
 // The pooled and faulted runs go through `context` (which owns the worker
 // pool), so phase timings, candidate occupancy, beam rejections and
 // fault-forced detaches accumulate in its metrics registry; main() appends
-// them to the JSON report as the "obs" section.
+// them to the JSON report as the "obs" section. The serial runs go through
+// a context of their own.
 bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
   const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, 86400.0, 60.0);
 
@@ -459,9 +380,7 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
   const std::vector<net::Terminal>& terminals = workload.terminals;
   const std::vector<net::GroundStation>& stations = workload.stations;
 
-  net::SchedulerConfig pair_config = workload.scheduler;
-  pair_config.visibility_mode = net::VisibilityMode::kPairMasks;
-  const net::BentPipeScheduler scheduler(pair_config, sats, terminals, stations);
+  const net::BentPipeScheduler scheduler(workload.scheduler, sats, terminals, stations);
   using clock = std::chrono::steady_clock;
 
   // Best of three repetitions per variant: the workload runs in fractions of
@@ -482,24 +401,13 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
 
   const auto [reference, sec_reference] = timed(
       [&] { return scheduler.run_reference(grid, kParties, nullptr, /*keep_steps=*/true); });
-  const auto [serial, sec_serial] =
-      timed([&] { return scheduler.run(grid, kParties, /*keep_steps=*/true); });
+  sim::RunContext serial_context;
+  const auto [serial, sec_serial] = timed(
+      [&] { return scheduler.run(grid, kParties, serial_context, /*keep_steps=*/true); });
   const auto [pooled, sec_pooled] = timed(
       [&] { return scheduler.run(grid, kParties, context, /*keep_steps=*/true); });
 
   const bool identical = serial == reference && pooled == reference;
-
-  // Footprint-stream phase 1 (no pair masks, spatial-index candidate
-  // discovery, uncapped) against the same reference: with
-  // max_candidates_per_terminal == 0 the streamed path is exact, so the full
-  // ScheduleResult — link ordering included — must match bit for bit.
-  net::SchedulerConfig streamed_config;
-  streamed_config.visibility_mode = net::VisibilityMode::kFootprintStream;
-  const net::BentPipeScheduler streamed_scheduler(streamed_config, sats, terminals,
-                                                  stations);
-  const auto [streamed, sec_streamed] = timed(
-      [&] { return streamed_scheduler.run(grid, kParties, context, /*keep_steps=*/true); });
-  const bool streamed_identical = streamed == reference;
 
   // Faulted identity on a 6 h sub-grid: outages, degradations, and station
   // faults exercise the detach/backoff path through both schedulers.
@@ -523,9 +431,6 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
   const bool faulted_identical =
       scheduler.run(fault_grid, kParties, context, /*keep_steps=*/true) ==
       faulted_reference;
-  const bool streamed_faulted_identical =
-      streamed_scheduler.run(fault_grid, kParties, context, /*keep_steps=*/true) ==
-      faulted_reference;
   context.clear_faults();
 
   std::printf(
@@ -537,35 +442,8 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
               sec_reference / sec_serial);
   std::printf("pipelined (%2zu thr)  : %8.3f s  (%.2fx)\n", context.thread_count(),
               sec_pooled, sec_reference / sec_pooled);
-  std::printf("streamed  (%2zu thr)  : %8.3f s  (%.2fx)\n", context.thread_count(),
-              sec_streamed, sec_reference / sec_streamed);
-  std::printf("schedules bit-identical: %s   faulted: %s   streamed: %s/%s\n",
-              identical ? "yes" : "NO", faulted_identical ? "yes" : "NO",
-              streamed_identical ? "yes" : "NO",
-              streamed_faulted_identical ? "yes" : "NO");
-
-  const std::vector<ModeSweepCell> sweep = run_mode_sweep(context.pool());
-  bool sweep_identical = true;
-  std::string sweep_json;
-  std::printf("mode sweep (%zu thr, best of 5, kAuto streams from %zu terminals):\n",
-              context.thread_count(), net::kAutoStreamMinTerminals);
-  std::printf("  satellites terminals  pair masks      stream  stream/pair  identical\n");
-  for (const ModeSweepCell& cell : sweep) {
-    sweep_identical = sweep_identical && cell.bit_identical;
-    std::printf("  %10zu %9zu  %9.4f s  %9.4f s  %11.2f  %s\n", cell.satellites,
-                cell.terminals, cell.pair_mask_seconds, cell.stream_seconds,
-                cell.stream_seconds / cell.pair_mask_seconds,
-                cell.bit_identical ? "yes" : "NO");
-    char row[256];
-    std::snprintf(row, sizeof row,
-                  "%s\n      {\"satellites\": %zu, \"terminals\": %zu, \"hours\": %.1f,"
-                  " \"pair_mask_seconds\": %.6f, \"stream_seconds\": %.6f,"
-                  " \"bit_identical\": %s}",
-                  sweep_json.empty() ? "" : ",", cell.satellites, cell.terminals, cell.hours,
-                  cell.pair_mask_seconds, cell.stream_seconds,
-                  cell.bit_identical ? "true" : "false");
-    sweep_json += row;
-  }
+  std::printf("schedules bit-identical: %s   faulted: %s\n", identical ? "yes" : "NO",
+              faulted_identical ? "yes" : "NO");
 
   std::fprintf(out,
                "  \"scheduler_compare\": {\n"
@@ -576,21 +454,14 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
                "    \"scalar_reference\": {\"seconds\": %.6f},\n"
                "    \"pipelined_serial\": {\"seconds\": %.6f, \"speedup\": %.4f},\n"
                "    \"pipelined_pooled\": {\"seconds\": %.6f, \"speedup\": %.4f},\n"
-               "    \"pipelined_streamed\": {\"seconds\": %.6f, \"speedup\": %.4f},\n"
                "    \"bit_identical\": %s,\n"
-               "    \"faulted_bit_identical\": %s,\n"
-               "    \"streamed_bit_identical\": %s,\n"
-               "    \"mode_sweep\": [%s\n    ]\n"
+               "    \"faulted_bit_identical\": %s\n"
                "  }",
                sats.size(), terminals.size(), stations.size(), kParties, grid.count,
                context.thread_count(), sec_reference, sec_serial,
                sec_reference / sec_serial, sec_pooled, sec_reference / sec_pooled,
-               sec_streamed, sec_reference / sec_streamed,
-               identical ? "true" : "false", faulted_identical ? "true" : "false",
-               streamed_identical && streamed_faulted_identical ? "true" : "false",
-               sweep_json.c_str());
-  return identical && faulted_identical && streamed_identical &&
-         streamed_faulted_identical && sweep_identical;
+               identical ? "true" : "false", faulted_identical ? "true" : "false");
+  return identical && faulted_identical;
 }
 
 // --backends: per-backend ephemeris-fill throughput on the canonical
@@ -779,14 +650,14 @@ bool run_mega(std::FILE* out, bool smoke) {
   const double links_granted = result.total_served_seconds / grid.step_seconds;
   const std::size_t rss = peak_rss_bytes();
 
-  // Bit-identity spot check at bench time: the footprint-stream pipeline vs
-  // the pair-mask pipeline on a deterministic sub-fleet of this exact
-  // workload (first 200 satellites, first 2,000 terminals, 6 h). Uncapped,
-  // the streamed path is exact, so the two ScheduleResults must match down
-  // to link ordering. Full-scale identity against run_reference is pinned by
-  // --compare-scheduler; this flag proves the mega catalog/site geometry
-  // never flips bits either, and feeds the "bit_identical" gate in
-  // tools/check_perf_regression.py --mega.
+  // Bit-identity spot check at bench time: the pipelined run vs
+  // run_reference on a deterministic sub-fleet of this exact workload (first
+  // 200 satellites, first 2,000 terminals, 6 h). Uncapped, the pipeline is
+  // exact, so the two ScheduleResults must match down to link ordering.
+  // This flag proves the mega catalog/site geometry never flips bits, and
+  // feeds the "bit_identical" gate in tools/check_perf_regression.py --mega.
+  // The sub-fleet run gets its own context so the "obs" section below
+  // describes the main run alone.
   const bool identical = [&] {
     const orbit::TimeGrid sub_grid =
         orbit::TimeGrid::over_duration(kEpoch, 6.0 * 3600.0, 60.0);
@@ -798,16 +669,14 @@ bool run_mega(std::FILE* out, bool smoke) {
         workload.terminals.begin(),
         workload.terminals.begin() +
             std::min<std::size_t>(workload.terminals.size(), 2000));
-    net::SchedulerConfig streamed_config = config;
-    streamed_config.max_candidates_per_terminal = 0;  // uncapped -> exact
-    net::SchedulerConfig pair_config = streamed_config;
-    pair_config.visibility_mode = net::VisibilityMode::kPairMasks;
-    const net::BentPipeScheduler streamed_scheduler(streamed_config, sub_sats,
-                                                    sub_terminals, workload.stations);
-    const net::BentPipeScheduler pair_scheduler(pair_config, sub_sats,
-                                                sub_terminals, workload.stations);
-    return streamed_scheduler.run(sub_grid, kParties, /*keep_steps=*/true) ==
-           pair_scheduler.run(sub_grid, kParties, /*keep_steps=*/true);
+    net::SchedulerConfig exact_config = config;
+    exact_config.max_candidates_per_terminal = 0;  // uncapped -> exact
+    const net::BentPipeScheduler sub_scheduler(exact_config, sub_sats, sub_terminals,
+                                               workload.stations);
+    sim::RunContext sub_context;
+    sub_context.use_pool(context.pool());
+    return sub_scheduler.run(sub_grid, kParties, sub_context, /*keep_steps=*/true) ==
+           sub_scheduler.run_reference(sub_grid, kParties, nullptr, /*keep_steps=*/true);
   }();
 
   const bool ok = result.total_served_seconds > 0.0 && identical;
@@ -817,7 +686,7 @@ bool run_mega(std::FILE* out, bool smoke) {
               links_granted, result.total_served_seconds,
               result.total_unserved_seconds);
   std::printf("peak RSS         : %.2f GB\n", static_cast<double>(rss) / 1e9);
-  std::printf("sub-fleet identity (stream vs pair-mask): %s\n",
+  std::printf("sub-fleet identity (run vs run_reference): %s\n",
               identical ? "bit-identical" : "MISMATCH");
 
   // The slot count the run actually used (the preset leaves it on auto).

@@ -12,7 +12,7 @@ ReceiptAuditor::ReceiptAuditor(AuditConfig config, std::size_t party_count,
                                obs::MetricsRegistry* metrics)
     : config_(config), stats_(party_count), metrics_(metrics) {
   core::require_non_negative(config_.sla_tolerance, "sla_tolerance");
-  rf::throw_if_invalid("adversary::AuditConfig", config_.doppler.validate());
+  core::throw_if_invalid("adversary::AuditConfig", config_.doppler.validate());
 }
 
 core::ReceiptVerdict ReceiptAuditor::audit_and_credit(const core::ProofOfCoverage& poc,

@@ -102,8 +102,7 @@ class ReceiptAuditor {
  public:
   // `metrics` may be null (all instrumentation becomes no-ops). Throws
   // core::ValidationError on a negative or non-finite sla_tolerance, and
-  // std::invalid_argument (every issue joined, TleFieldIssue-style) on an
-  // invalid doppler config.
+  // std::invalid_argument (every issue joined) on an invalid doppler config.
   ReceiptAuditor(AuditConfig config, std::size_t party_count,
                  obs::MetricsRegistry* metrics = nullptr);
 

@@ -241,9 +241,8 @@ RfSweepResult rf_adversary_sweep(const AdversarySweepConfig& config,
   }
   rf::DopplerAuditConfig doppler = rf_config.doppler;
   doppler.enabled = true;
-  rf::throw_if_invalid("rf_adversary_sweep doppler config", doppler.validate());
-  rf::throw_if_invalid("rf_adversary_sweep spectrum config",
-                       rf_config.spectrum.validate());
+  throw_if_invalid("rf_adversary_sweep doppler config", doppler.validate());
+  throw_if_invalid("rf_adversary_sweep spectrum config", rf_config.spectrum.validate());
   double previous = 0.0;
   for (const double fraction : rf_config.jammer_fractions) {
     require_fraction(fraction, "jammer_fraction");

@@ -155,13 +155,7 @@ std::size_t Campaign::withdraw_party(PartyId party) {
 }
 
 EpochReport Campaign::run_epoch(sim::RunContext& context) {
-  return run_epoch_impl(context.pool(), &context);
-}
-
-EpochReport Campaign::run_epoch_impl(util::ThreadPool* pool, sim::RunContext* context) {
-  obs::ScopedTimer epoch_timer(
-      context != nullptr ? context->metrics().histogram("campaign.epoch_seconds")
-                         : obs::Histogram{});
+  obs::ScopedTimer epoch_timer(context.metrics().histogram("campaign.epoch_seconds"));
   EpochReport report;
   report.epoch = next_epoch_;
   report.window_start = clock_;
@@ -182,11 +176,11 @@ EpochReport Campaign::run_epoch_impl(util::ThreadPool* pool, sim::RunContext* co
       orbit::TimeGrid::over_duration(clock_, config_.epoch_duration_s, config_.step_s);
   net::SchedulerConfig scheduler_config = config_.scheduler;
   if (harness_ != nullptr) {
-    harness_->auditor.set_metrics(context != nullptr ? &context->metrics() : nullptr);
-    harness_->quarantine.set_metrics(context != nullptr ? &context->metrics() : nullptr);
+    harness_->auditor.set_metrics(&context.metrics());
+    harness_->quarantine.set_metrics(&context.metrics());
     // One batched ephemeris per registered satellite for the epoch: the
     // audit prescreen and the forgers' overhead masks read these tables.
-    poc_.prepare_grid(grid, pool);
+    poc_.prepare_grid(grid, context.pool());
     harness_->auditor.set_audit_grid(grid);
     const adversary::PartyAuditStats audit_totals = harness_->auditor.totals();
     harness_->fraud_at_epoch_start = audit_totals.fraud_total();
@@ -214,10 +208,7 @@ EpochReport Campaign::run_epoch_impl(util::ThreadPool* pool, sim::RunContext* co
     }
   }
   const net::BentPipeScheduler scheduler(scheduler_config, sats, terminals_, stations_);
-  net::ScheduleResult usage =
-      context != nullptr
-          ? scheduler.run(grid, party_count, *context, /*keep_steps=*/false)
-          : scheduler.run(grid, party_count, /*keep_steps=*/false, pool);
+  net::ScheduleResult usage = scheduler.run(grid, party_count, context);
   report.total_served_seconds = usage.total_served_seconds;
   report.total_unserved_seconds = usage.total_unserved_seconds;
   report.service_fairness = service_fairness(usage);
@@ -321,29 +312,27 @@ EpochReport Campaign::run_epoch_impl(util::ThreadPool* pool, sim::RunContext* co
   report.balances.reserve(party_count);
   for (AccountId account : accounts_) report.balances.push_back(ledger_.balance(account));
 
-  if (context != nullptr) {
-    context->metrics().counter("campaign.epochs").add(1);
-    context->metrics().counter("campaign.poc_valid").add(report.poc_valid);
-    context->metrics().counter("campaign.poc_rejected").add(report.poc_rejected);
-    std::ostringstream line;
-    line << "epoch " << report.epoch << ": satellites=" << report.active_satellites
-         << " served=" << report.total_served_seconds << "s unserved="
-         << report.total_unserved_seconds << "s poc=" << report.poc_valid << "/"
-         << report.poc_valid + report.poc_rejected << " minted=" << report.emission_minted;
-    if (report.adversary.has_value()) {
-      context->metrics()
-          .counter("campaign.adversary_receipts_injected")
-          .add(report.adversary->receipts_injected);
-      context->metrics()
-          .counter("campaign.adversary_fraud_detected")
-          .add(report.adversary->fraud_detected);
-      line << " adversary: injected=" << report.adversary->receipts_injected
-           << " fraud_detected=" << report.adversary->fraud_detected
-           << " quarantined=" << report.adversary->quarantined_parties
-           << " expelled=" << report.adversary->expelled_parties;
-    }
-    context->trace().record(clock_.seconds_since(config_.start), "campaign", line.str());
+  context.metrics().counter("campaign.epochs").add(1);
+  context.metrics().counter("campaign.poc_valid").add(report.poc_valid);
+  context.metrics().counter("campaign.poc_rejected").add(report.poc_rejected);
+  std::ostringstream line;
+  line << "epoch " << report.epoch << ": satellites=" << report.active_satellites
+       << " served=" << report.total_served_seconds << "s unserved="
+       << report.total_unserved_seconds << "s poc=" << report.poc_valid << "/"
+       << report.poc_valid + report.poc_rejected << " minted=" << report.emission_minted;
+  if (report.adversary.has_value()) {
+    context.metrics()
+        .counter("campaign.adversary_receipts_injected")
+        .add(report.adversary->receipts_injected);
+    context.metrics()
+        .counter("campaign.adversary_fraud_detected")
+        .add(report.adversary->fraud_detected);
+    line << " adversary: injected=" << report.adversary->receipts_injected
+         << " fraud_detected=" << report.adversary->fraud_detected
+         << " quarantined=" << report.adversary->quarantined_parties
+         << " expelled=" << report.adversary->expelled_parties;
   }
+  context.trace().record(clock_.seconds_since(config_.start), "campaign", line.str());
 
   clock_ = clock_.plus_seconds(config_.epoch_duration_s);
   ++next_epoch_;

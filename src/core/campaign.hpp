@@ -36,9 +36,6 @@
 namespace mpleo::sim {
 class RunContext;
 }
-namespace mpleo::util {
-class ThreadPool;
-}
 
 namespace mpleo::core {
 
@@ -103,9 +100,9 @@ class Campaign {
            std::uint64_t seed);
 
   // Runs the next epoch and returns its report. The context's pool
-  // parallelises the epoch's scheduling phase 1 (ephemerides, pair masks,
-  // candidate lists); the report is bit-identical for any pool size,
-  // including none. Scheduler metrics land in context.metrics() under
+  // parallelises the epoch's proof-of-coverage ephemeris and its scheduling
+  // phase 1 (ephemerides, station masks, candidate lists); the report is
+  // bit-identical for any pool size, including none. Scheduler metrics land in context.metrics() under
   // "sched." plus campaign aggregates under "campaign.", and an epoch
   // summary line is recorded into context.trace().
   EpochReport run_epoch(sim::RunContext& context);
@@ -170,7 +167,6 @@ class Campaign {
   // kInactive for a withdrawn one; built once per epoch.
   static constexpr std::size_t kInactive = static_cast<std::size_t>(-1);
 
-  EpochReport run_epoch_impl(util::ThreadPool* pool, sim::RunContext* context);
   void inject_adversary_behavior(const orbit::TimeGrid& grid,
                                  const std::vector<constellation::Satellite>& sats,
                                  const std::vector<std::size_t>& active_of_registration,

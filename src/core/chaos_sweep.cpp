@@ -23,17 +23,21 @@ sim::Workload centralize(sim::Workload workload) {
   return workload;
 }
 
+// One scheduler run of `workload` under `faults` on the sweep context's
+// pool. The run gets its own context, so the caller's context keeps its
+// fault timeline and its registry only the sweep's own counters.
 net::ScheduleResult replay(const sim::Workload& workload,
                            const net::DegradationPolicy& policy,
                            const orbit::TimeGrid& grid,
                            const fault::FaultTimeline* faults, bool keep_steps,
-                           sim::RunContext& context) {
+                           const sim::RunContext& context) {
   net::SchedulerConfig config = workload.scheduler;
   config.degradation = policy;
   const net::BentPipeScheduler scheduler(config, workload.satellites,
                                          workload.terminals, workload.stations);
-  return scheduler.run(grid, workload.party_count, faults, keep_steps,
-                       context.pool());
+  sim::RunContext run_context;
+  run_context.use_pool(context.pool()).use_faults(faults);
+  return scheduler.run(grid, workload.party_count, run_context, keep_steps);
 }
 
 ChaosCell make_cell(fault::EventProfile profile, bool decentralized,
@@ -54,46 +58,6 @@ ChaosCell make_cell(fault::EventProfile profile, bool decentralized,
         sum / static_cast<double>(cell.slo.recovery_seconds.size());
   }
   return cell;
-}
-
-// Full structural equality of two kept-steps runs: link-by-link (order
-// included), unserved sets, and the per-party aggregates. This is the
-// empty-book identity the chaos bench gates on.
-bool identical_runs(const net::ScheduleResult& a, const net::ScheduleResult& b) {
-  if (a.steps.size() != b.steps.size()) return false;
-  for (std::size_t s = 0; s < a.steps.size(); ++s) {
-    const net::StepSchedule& sa = a.steps[s];
-    const net::StepSchedule& sb = b.steps[s];
-    if (sa.step != sb.step || sa.links.size() != sb.links.size() ||
-        sa.unserved_terminals != sb.unserved_terminals) {
-      return false;
-    }
-    for (std::size_t k = 0; k < sa.links.size(); ++k) {
-      const net::LinkAssignment& la = sa.links[k];
-      const net::LinkAssignment& lb = sb.links[k];
-      if (la.terminal_index != lb.terminal_index ||
-          la.satellite_index != lb.satellite_index ||
-          la.station_index != lb.station_index ||
-          la.capacity_bps != lb.capacity_bps || la.spare != lb.spare) {
-        return false;
-      }
-    }
-  }
-  if (a.total_served_seconds != b.total_served_seconds ||
-      a.total_unserved_seconds != b.total_unserved_seconds ||
-      a.failure_forced_detaches != b.failure_forced_detaches ||
-      a.per_party.size() != b.per_party.size()) {
-    return false;
-  }
-  for (std::size_t p = 0; p < a.per_party.size(); ++p) {
-    if (a.per_party[p].own_link_seconds != b.per_party[p].own_link_seconds ||
-        a.per_party[p].spare_used_seconds != b.per_party[p].spare_used_seconds ||
-        a.per_party[p].unserved_terminal_seconds !=
-            b.per_party[p].unserved_terminal_seconds) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -173,7 +137,7 @@ ChaosSweepResult chaos_sweep(const ChaosSweepConfig& config,
         replay(decentralized, disabled, grid, &empty_timeline, true, context);
     const net::ScheduleResult baseline =
         replay(decentralized, disabled, grid, nullptr, true, context);
-    result.empty_book_identity = identical_runs(with_book, baseline);
+    result.empty_book_identity = with_book == baseline;
   }
 
   // Hysteresis A/B: the decentralized storm cell with the sweep policy's

@@ -63,8 +63,8 @@ struct ChaosCell {
 struct ChaosSweepResult {
   // Cells in config.profiles order, decentralized before centralized.
   std::vector<ChaosCell> cells;
-  // Empty book + disabled policy replayed bit-identically (links, step
-  // counts, per-party aggregates) to the plain fault-free run.
+  // Empty book + disabled policy replayed bit-identically (the whole
+  // ScheduleResult, kept steps included) to the plain fault-free run.
   bool empty_book_identity = false;
   // Hysteresis A/B on the decentralized storm cell: grant flaps with the
   // sweep policy's spare margin vs the same policy with margin 0.

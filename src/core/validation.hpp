@@ -3,9 +3,7 @@
 // Two complementary tools live here:
 //
 //  * ConfigIssue — the one issue record every config struct's `validate()`
-//    returns. rf::RfConfigIssue, orbit::TleFieldIssue and the scheduler /
-//    scenario validation paths each used to invent their own shape; they are
-//    now thin aliases of this type, so a driver can collect issues from any
+//    and the TLE parser return, so a driver can collect issues from any
 //    layer into one damage report. `validate()` collects every problem found
 //    (not just the first) so an operator fixing a config sees the whole
 //    report in one pass; constructing a component from an invalid config

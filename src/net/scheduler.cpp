@@ -79,35 +79,6 @@ struct StationBudget {
   double shannon_bps = 0.0;
 };
 
-// Read-only phase-1 inputs (all shared across chunk workers).
-struct PipelineContext {
-  const SchedulerConfig& config;
-  std::span<const constellation::Satellite> satellites;
-  std::span<const Terminal> terminals;
-  std::span<const GroundStation> stations;
-  std::span<const orbit::TopocentricFrame> terminal_frames;
-  std::span<const orbit::TopocentricFrame> station_frames;
-  const orbit::EphemerisSet& ephemerides;
-  // Pair visibility in slab-packed word storage, outage-subtracted for
-  // stations: mask si * terminals.size() + ti, mask si * stations.size() + gi.
-  const cov::PackedMasks* terminal_vis = nullptr;
-  const cov::PackedMasks* station_vis = nullptr;
-  // party * satellites.size() + si: steps where satellite si can reach at
-  // least one healthy station of `party` — the word that gates all uplink
-  // work for that party's terminals.
-  const cov::PackedMasks* party_avail = nullptr;
-  // Range-independent hop pieces, hoisted once per run: uplink_hops[ti] is
-  // terminal ti -> transponder receive, downlink_hops[gi] is transponder
-  // transmit -> station gi.
-  std::span<const HopEvaluator> uplink_hops;
-  std::span<const HopEvaluator> downlink_hops;
-  // Per-hop Shannon terms are only consumed by the regenerative combine.
-  bool regenerative = false;
-  // Per-step candidate-count high-water mark, shared across chunk workers
-  // for the reserve hint and reported as a gauge at the end of the run.
-  std::atomic<std::size_t>* step_high_water = nullptr;
-};
-
 // Per-(step, satellite) downlink legs of one chunk: list b * satellites + si
 // holds satellite si's healthy visible stations at step chunk_begin + b.
 // Kept per stream slot and reused across the chunks it processes, so the
@@ -115,112 +86,7 @@ struct PipelineContext {
 // small vectors per chunk.
 using DownlinkLists = std::vector<std::vector<StationBudget>>;
 
-// The station-side inputs both chunk fills share.
-struct DownlinkInputs {
-  const orbit::EphemerisSet& ephemerides;
-  const cov::PackedMasks& station_vis;
-  std::span<const GroundStation> stations;
-  std::span<const orbit::TopocentricFrame> station_frames;
-  std::span<const HopEvaluator> downlink_hops;
-  bool regenerative = false;
-};
-
-// Downlink legs of steps [chunk_begin, chunk_begin + count): one budget per
-// (satellite, station, step) with both the pair visible and the station
-// healthy, word-iterated satellite-major. Station order inside each list
-// stays ascending — the reference tie-break order.
-void fill_downlinks(const DownlinkInputs& in, std::size_t sat_count,
-                    std::size_t chunk_begin, std::size_t count, DownlinkLists& downlinks) {
-  const std::size_t station_count = in.stations.size();
-  if (downlinks.size() < count * sat_count) downlinks.resize(count * sat_count);
-  for (std::size_t i = 0; i < count * sat_count; ++i) downlinks[i].clear();
-  for (std::size_t si = 0; si < sat_count; ++si) {
-    const orbit::EphemerisTable& table = in.ephemerides.table(si);
-    for (std::size_t gi = 0; gi < station_count; ++gi) {
-      std::uint64_t bits =
-          chunk_word(in.station_vis.words(si * station_count + gi), chunk_begin, count);
-      while (bits != 0) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::size_t step = chunk_begin + b;
-        const util::Vec3 pos = table.position_ecef(step);
-        const double snr =
-            in.downlink_hops[gi].snr_linear(in.station_frames[gi].range_m(pos));
-        downlinks[b * sat_count + si].push_back(
-            {static_cast<std::uint32_t>(gi), in.stations[gi].owner_party, snr,
-             in.regenerative ? in.downlink_hops[gi].shannon_bps(snr) : 0.0});
-      }
-    }
-  }
-}
-
-// Builds the candidate lists of steps [chunk_begin, chunk_begin + count) into
-// out[0..count). Pure function of the context — no scheduling state.
-void fill_chunk(const PipelineContext& ctx, std::size_t chunk_begin, std::size_t count,
-                std::span<StepCandidates> out, DownlinkLists& downlinks) {
-  const std::size_t sat_count = ctx.satellites.size();
-  const std::size_t term_count = ctx.terminals.size();
-
-  const std::size_t hint = ctx.step_high_water->load(std::memory_order_relaxed);
-  for (std::size_t b = 0; b < count; ++b) out[b].reset(term_count, hint);
-
-  fill_downlinks({ctx.ephemerides, *ctx.station_vis, ctx.stations, ctx.station_frames,
-                  ctx.downlink_hops, ctx.regenerative},
-                 sat_count, chunk_begin, count, downlinks);
-
-  // Uplink legs + combine, gated so a terminal-satellite budget is computed
-  // only at steps where the pair is visible AND the terminal's party has a
-  // reachable station through that satellite (one word-AND per pair-chunk).
-  for (std::size_t ti = 0; ti < term_count; ++ti) {
-    const Terminal& term = ctx.terminals[ti];
-    const std::uint32_t party = term.owner_party;
-    for (std::size_t si = 0; si < sat_count; ++si) {
-      std::uint64_t bits =
-          chunk_word(ctx.terminal_vis->words(si * term_count + ti), chunk_begin, count) &
-          chunk_word(ctx.party_avail->words(party * sat_count + si), chunk_begin, count);
-      if (bits == 0) continue;
-      const orbit::EphemerisTable& table = ctx.ephemerides.table(si);
-      while (bits != 0) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::size_t step = chunk_begin + b;
-        const util::Vec3 pos = table.position_ecef(step);
-        const double up_snr =
-            ctx.uplink_hops[ti].snr_linear(ctx.terminal_frames[ti].range_m(pos));
-        const double up_shannon =
-            ctx.regenerative ? ctx.uplink_hops[ti].shannon_bps(up_snr) : 0.0;
-        double best_capacity = 0.0;
-        std::uint32_t best_gs = 0;
-        bool found = false;
-        for (const StationBudget& sb : downlinks[b * sat_count + si]) {
-          if (sb.party != party) continue;
-          const double capacity =
-              relay_capacity_bps(up_snr, up_shannon, sb.snr_linear, sb.shannon_bps,
-                                 ctx.config.transponder,
-                                 ctx.stations[sb.station].radio, ctx.config.relay_mode);
-          if (capacity > best_capacity) {
-            best_capacity = capacity;
-            best_gs = sb.station;
-            found = true;
-          }
-        }
-        if (found) {
-          out[b].cands.push_back({static_cast<std::uint32_t>(ti),
-                                  static_cast<std::uint32_t>(si), best_gs,
-                                  best_capacity});
-        }
-      }
-    }
-    for (std::size_t b = 0; b < count; ++b) {
-      out[b].offsets[ti + 1] = static_cast<std::uint32_t>(out[b].cands.size());
-    }
-  }
-  for (std::size_t b = 0; b < count; ++b) {
-    atomic_max(*ctx.step_high_water, out[b].cands.size());
-  }
-}
-
-// What the direct fill reads of one terminal, stored in footprint-index
+// What the chunk fill reads of one terminal, stored in footprint-index
 // slot order so a cap query's ranges stream through it sequentially instead
 // of hopping across terminal-indexed arrays.
 struct IndexedSite {
@@ -230,10 +96,10 @@ struct IndexedSite {
   std::uint32_t party = 0;
 };
 
-// Read-only inputs of the footprint-stream (direct) fill: no terminal pair
-// masks exist; visibility is discovered per (satellite, step) through the
-// spatial index and re-tested exactly.
-struct DirectContext {
+// Read-only phase-1 inputs, shared across chunk workers. No per-(satellite,
+// terminal) state exists: visibility is discovered per (satellite, step)
+// through the spatial index and re-tested exactly.
+struct StreamContext {
   const SchedulerConfig& config;
   std::span<const constellation::Satellite> satellites;
   std::size_t terminal_count = 0;
@@ -247,21 +113,58 @@ struct DirectContext {
   // footprint cone per shard from the shard's radius extremes.
   std::span<const constellation::ShellShard> shards;
   std::span<const cov::FootprintCone> shard_cones;
+  // Station visibility in slab-packed word storage, outage-subtracted:
+  // mask si * stations.size() + gi.
   const cov::PackedMasks* station_vis = nullptr;
+  // Range-independent downlink hop pieces, hoisted once per run:
+  // downlink_hops[gi] is transponder transmit -> station gi.
   std::span<const HopEvaluator> downlink_hops;
+  // Per-hop Shannon terms are only consumed by the regenerative combine.
   bool regenerative = false;
   double sin_mask = 0.0;
   // max_candidates_per_terminal (0 = exact).
   std::size_t cap = 0;
+  // Per-step candidate-count high-water mark, shared across chunk workers
+  // for the reserve hint and reported as a gauge at the end of the run.
   std::atomic<std::size_t>* step_high_water = nullptr;
   // (satellite, terminal, step) visits skipped by the index — the pruning
   // counter surfaced as sched.index_pruned_pairs.
   std::atomic<std::uint64_t>* pruned_pairs = nullptr;
 };
 
-// Per-slot scratch of the direct fill. Apart from the chunk's downlink
+// Downlink legs of steps [chunk_begin, chunk_begin + count): one budget per
+// (satellite, station, step) with both the pair visible and the station
+// healthy, word-iterated satellite-major. Station order inside each list
+// stays ascending — the reference tie-break order.
+void fill_downlinks(const StreamContext& ctx, std::size_t chunk_begin, std::size_t count,
+                    DownlinkLists& downlinks) {
+  const std::size_t sat_count = ctx.satellites.size();
+  const std::size_t station_count = ctx.stations.size();
+  if (downlinks.size() < count * sat_count) downlinks.resize(count * sat_count);
+  for (std::size_t i = 0; i < count * sat_count; ++i) downlinks[i].clear();
+  for (std::size_t si = 0; si < sat_count; ++si) {
+    const orbit::EphemerisTable& table = ctx.ephemerides.table(si);
+    for (std::size_t gi = 0; gi < station_count; ++gi) {
+      std::uint64_t bits =
+          chunk_word(ctx.station_vis->words(si * station_count + gi), chunk_begin, count);
+      while (bits != 0) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+        bits &= bits - 1;
+        const std::size_t step = chunk_begin + b;
+        const util::Vec3 pos = table.position_ecef(step);
+        const double snr =
+            ctx.downlink_hops[gi].snr_linear(ctx.station_frames[gi].range_m(pos));
+        downlinks[b * sat_count + si].push_back(
+            {static_cast<std::uint32_t>(gi), ctx.stations[gi].owner_party, snr,
+             ctx.regenerative ? ctx.downlink_hops[gi].shannon_bps(snr) : 0.0});
+      }
+    }
+  }
+}
+
+// Per-slot scratch of the chunk fill. Apart from the chunk's downlink
 // lists, everything here holds one step and is reused step after step.
-struct DirectScratch {
+struct StreamScratch {
   DownlinkLists downlinks;
   std::vector<cov::FootprintIndex::Range> ranges;
   // Exact mode: the step's emission in (satellite-ascending, site-bucket)
@@ -290,26 +193,25 @@ void top_k_insert(Candidate* region, std::uint8_t& n, std::size_t cap,
   if (n < cap) ++n;
 }
 
-// The footprint-stream chunk fill. One satellite-major pass builds the
-// chunk's downlink legs; then, step by step, every satellite's footprint is
-// streamed (shards ascending, satellites ascending inside each shard) into
-// one step of scratch, which is sorted into out[b] before the next step
-// starts — so a slot's scratch is one step's, not the chunk's. The sort
-// restores the exact terminal-major / satellite-ascending candidate order of
-// fill_chunk, so with cap == 0 the output is bit-identical to the pair-mask
-// path: the index + cone only prune (conservative superset of exact
-// visibility), survivors run the same visible_above and the same hop
-// arithmetic on the same table positions.
-void fill_chunk_direct(const DirectContext& ctx, std::size_t chunk_begin,
-                       std::size_t count, std::span<StepCandidates> out,
-                       DirectScratch& scratch) {
+// Builds the candidate lists of steps [chunk_begin, chunk_begin + count) into
+// out[0..count); a pure function of the context — no scheduling state. One
+// satellite-major pass builds the chunk's downlink legs; then, step by step,
+// every satellite's footprint is streamed (shards ascending, satellites
+// ascending inside each shard) into one step of scratch, which is sorted
+// into out[b] before the next step starts — so a slot's scratch is one
+// step's, not the chunk's. The sort restores the reference scan's
+// terminal-major / satellite-ascending candidate order, so with cap == 0
+// phase 2 sees exactly the (satellite, best station) columns of
+// run_reference's joint scan: the index + cone only prune (a conservative
+// superset of exact visibility), survivors run the same visible_above and
+// the same hop arithmetic on the same table positions.
+void fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin, std::size_t count,
+                       std::span<StepCandidates> out, StreamScratch& scratch) {
   const std::size_t sat_count = ctx.satellites.size();
   const std::size_t term_count = ctx.terminal_count;
   const std::size_t cap = ctx.cap;
 
-  fill_downlinks({ctx.ephemerides, *ctx.station_vis, ctx.stations, ctx.station_frames,
-                  ctx.downlink_hops, ctx.regenerative},
-                 sat_count, chunk_begin, count, scratch.downlinks);
+  fill_downlinks(ctx, chunk_begin, count, scratch.downlinks);
   if (cap == 0) {
     scratch.cursors.resize(term_count);
   } else {
@@ -351,14 +253,14 @@ void fill_chunk_direct(const DirectContext& ctx, std::size_t chunk_begin,
           visited += range.end - range.begin;
           for (std::uint32_t j = range.begin; j < range.end; ++j) {
             // Conservative cone dot test, then the exact elevation test —
-            // identical accept set to the culler-filled pair mask bit.
+            // identical accept set to the reference's visible_above.
             if (ux[j] * pos.x + uy[j] * pos.y + uz[j] * pos.z < cone.dot_threshold) {
               continue;
             }
             const IndexedSite& site = ctx.sites[j];
             const std::uint32_t party = site.party;
-            // A healthy station of the terminal's party in view — exactly the
-            // party_avail bit the pair-mask fill gates on.
+            // No healthy station of the terminal's party in view through
+            // this satellite: no candidate can form.
             if (std::none_of(downlinks.begin(), downlinks.end(),
                              [party](const StationBudget& sb) { return sb.party == party; })) {
               continue;
@@ -404,8 +306,8 @@ void fill_chunk_direct(const DirectContext& ctx, std::size_t chunk_begin,
 
     if (cap == 0) {
       // Counting sort: stable by terminal, so within a terminal the
-      // satellite-ascending emission order is preserved — exactly the
-      // pair-mask path's CSR.
+      // satellite-ascending emission order (the reference scan order) is
+      // preserved.
       const std::vector<Candidate>& em = scratch.emitted;
       for (const Candidate& cand : em) ++sc.offsets[cand.terminal + 1];
       for (std::size_t ti = 0; ti < term_count; ++ti) {
@@ -472,16 +374,17 @@ bool spare_excluded(const SchedulerConfig& config, std::uint32_t party) noexcept
 // schedule_step exactly: same two passes, same strict-> maximisation, same
 // tie-breaks — a candidate list entry stands in for the (si, best-station)
 // column of the reference's joint scan, so the selected links and their
-// order are bit-identical. `beam_rejections` (nullable) counts candidates
-// skipped because their satellite had no beam left — the contention signal
-// the obs layer reports.
+// order are bit-identical. `beam_rejections` counts candidates skipped
+// because their satellite had no beam left — the contention signal the obs
+// layer reports — and `withheld_rejections` spare candidates skipped
+// because the remaining beams are withheld.
 StepSchedule consume_step(const ConsumeContext& ctx, const StepCandidates& sc,
                           std::size_t step, const fault::FaultTimeline* faults,
                           std::span<const std::uint8_t> blocked_terminals,
-                          ConsumeScratch& scratch, std::uint64_t* beam_rejections,
-                          std::uint64_t* withheld_rejections,
-                          std::span<const std::uint32_t> sticky_prev = {},
-                          double sticky_margin = 0.0) {
+                          ConsumeScratch& scratch, std::uint64_t& beam_rejections,
+                          std::uint64_t& withheld_rejections,
+                          std::span<const std::uint32_t> sticky_prev,
+                          double sticky_margin) {
   StepSchedule schedule;
   schedule.step = step;
 
@@ -528,9 +431,9 @@ StepSchedule consume_step(const ConsumeContext& ctx, const StepCandidates& sc,
         const int spare_floor = spare_pass ? ctx.spare_reserved[cand.satellite] : 0;
         if (beams_left[cand.satellite] <= spare_floor) {
           if (beams_left[cand.satellite] <= 0) {
-            if (beam_rejections != nullptr) ++*beam_rejections;
-          } else if (withheld_rejections != nullptr) {
-            ++*withheld_rejections;
+            ++beam_rejections;
+          } else {
+            ++withheld_rejections;
           }
           continue;
         }
@@ -818,20 +721,18 @@ void accumulate_step(const StepSchedule& schedule, std::span<const Terminal> ter
 }
 
 // Metric handles for one run(), registered up front so the hot loops never
-// touch the registry's name tables. All handles are null-safe no-ops when no
-// registry is attached, so the uninstrumented overloads pay only dead
-// branches on null pointers.
+// touch the registry's name tables.
 struct RunMetrics {
   obs::Histogram run_seconds;           // whole pipeline, one observation
   obs::Histogram propagate_seconds;     // shared ephemeris kernel
-  obs::Histogram cull_seconds;          // pair masks + outages + party_avail
+  obs::Histogram cull_seconds;          // station masks + outages + spatial index
   obs::Histogram chunk_seconds;         // per phase-1 chunk (worker threads)
   obs::Histogram drain_seconds;         // per phase-2 chunk drain
   obs::Histogram candidates_per_step;   // candidate-list occupancy
   obs::Counter candidates;              // candidates emitted by phase 1
-  obs::Counter cull_masks;              // pair masks filled by the culler
-  obs::Counter cull_visible_steps;      // set bits across the pair masks
-  obs::Counter index_pruned_pairs;      // pair visits skipped by the spatial index
+  obs::Counter cull_masks;              // station masks filled by the culler
+  obs::Counter cull_visible_steps;      // set bits across the station masks
+  obs::Counter index_pruned_pairs;      // pair visits skipped without a visibility test
   obs::Counter beam_rejections;         // candidates skipped: no beam left
   obs::Counter withheld_rejections;     // spare candidates skipped: beams withheld
   obs::Counter links_granted;
@@ -843,30 +744,29 @@ struct RunMetrics {
   obs::Gauge candidate_high_water;      // max per-step candidate count seen
   obs::Gauge threads;
 
-  static RunMetrics attach(obs::MetricsRegistry* registry) {
+  static RunMetrics attach(obs::MetricsRegistry& registry) {
     RunMetrics m;
-    if (registry == nullptr) return m;
-    m.run_seconds = registry->histogram("sched.run_seconds");
-    m.propagate_seconds = registry->histogram("sched.propagate_seconds");
-    m.cull_seconds = registry->histogram("sched.cull_seconds");
-    m.chunk_seconds = registry->histogram("sched.phase1_chunk_seconds");
-    m.drain_seconds = registry->histogram("sched.phase2_drain_seconds");
-    m.candidates_per_step = registry->histogram(
+    m.run_seconds = registry.histogram("sched.run_seconds");
+    m.propagate_seconds = registry.histogram("sched.propagate_seconds");
+    m.cull_seconds = registry.histogram("sched.cull_seconds");
+    m.chunk_seconds = registry.histogram("sched.phase1_chunk_seconds");
+    m.drain_seconds = registry.histogram("sched.phase2_drain_seconds");
+    m.candidates_per_step = registry.histogram(
         "sched.candidates_per_step", obs::MetricsRegistry::default_count_bounds());
-    m.candidates = registry->counter("sched.candidates");
-    m.cull_masks = registry->counter("sched.cull_masks");
-    m.cull_visible_steps = registry->counter("sched.cull_visible_steps");
-    m.index_pruned_pairs = registry->counter("sched.index_pruned_pairs");
-    m.beam_rejections = registry->counter("sched.beam_rejections");
-    m.withheld_rejections = registry->counter("sched.spare_withheld_rejections");
-    m.links_granted = registry->counter("sched.links_granted");
-    m.steps = registry->counter("sched.steps");
-    m.failure_forced_detaches = registry->counter("sched.failure_forced_detaches");
-    m.shed_terminal_steps = registry->counter("sched.shed_terminal_steps");
-    m.grant_flaps = registry->counter("sched.grant_flaps");
-    m.stream_slots = registry->gauge("sched.stream_slots");
-    m.candidate_high_water = registry->gauge("sched.candidate_high_water");
-    m.threads = registry->gauge("sched.threads");
+    m.candidates = registry.counter("sched.candidates");
+    m.cull_masks = registry.counter("sched.cull_masks");
+    m.cull_visible_steps = registry.counter("sched.cull_visible_steps");
+    m.index_pruned_pairs = registry.counter("sched.index_pruned_pairs");
+    m.beam_rejections = registry.counter("sched.beam_rejections");
+    m.withheld_rejections = registry.counter("sched.spare_withheld_rejections");
+    m.links_granted = registry.counter("sched.links_granted");
+    m.steps = registry.counter("sched.steps");
+    m.failure_forced_detaches = registry.counter("sched.failure_forced_detaches");
+    m.shed_terminal_steps = registry.counter("sched.shed_terminal_steps");
+    m.grant_flaps = registry.counter("sched.grant_flaps");
+    m.stream_slots = registry.gauge("sched.stream_slots");
+    m.candidate_high_water = registry.gauge("sched.candidate_high_water");
+    m.threads = registry.gauge("sched.threads");
     return m;
   }
 };
@@ -975,11 +875,6 @@ BentPipeScheduler::BentPipeScheduler(SchedulerConfig config,
                        return weight_of(terminals_[a]) > weight_of(terminals_[b]);
                      });
   }
-}
-
-StepSchedule BentPipeScheduler::schedule_step(std::span<const util::Vec3> satellite_ecef,
-                                              std::size_t step) const {
-  return schedule_step(satellite_ecef, step, nullptr);
 }
 
 StepSchedule BentPipeScheduler::schedule_step(
@@ -1109,29 +1004,11 @@ orbit::EphemerisSet BentPipeScheduler::ephemerides(const orbit::TimeGrid& grid,
 }
 
 ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t party_count,
-                                      bool keep_steps, util::ThreadPool* pool) const {
-  return run_impl(grid, party_count, nullptr, keep_steps, pool, nullptr);
-}
-
-ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t party_count,
-                                      const fault::FaultTimeline* faults, bool keep_steps,
-                                      util::ThreadPool* pool) const {
-  return run_impl(grid, party_count, faults, keep_steps, pool, nullptr);
-}
-
-ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t party_count,
                                       sim::RunContext& context, bool keep_steps) const {
-  return run_impl(grid, party_count, context.faults(), keep_steps, context.pool(),
-                  &context.metrics());
-}
-
-ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
-                                           std::size_t party_count,
-                                           const fault::FaultTimeline* faults,
-                                           bool keep_steps, util::ThreadPool* pool,
-                                           obs::MetricsRegistry* metrics) const {
   validate_owners(party_count);
-  const RunMetrics rm = RunMetrics::attach(metrics);
+  util::ThreadPool* const pool = context.pool();
+  const fault::FaultTimeline* const faults = context.faults();
+  const RunMetrics rm = RunMetrics::attach(context.metrics());
   obs::ScopedTimer run_timer(rm.run_seconds);
 
   ScheduleResult result;
@@ -1151,111 +1028,52 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     return ephemerides(grid, pool);
   }();
 
-  // Resolve the visibility mode: the footprint stream from
-  // kAutoStreamMinTerminals terminals up, pair masks below it while the
-  // (satellite, terminal) mask array fits the budget.
-  const std::size_t mask_words = (step_total + 63) / 64;
-  VisibilityMode mode = config_.visibility_mode;
-  if (mode == VisibilityMode::kAuto) {
-    const std::size_t pair_bytes = sat_count * term_count * mask_words * 8;
-    mode = term_count >= kAutoStreamMinTerminals || pair_bytes > kPairMaskBudgetBytes
-               ? VisibilityMode::kFootprintStream
-               : VisibilityMode::kPairMasks;
-  }
-  const bool direct = mode == VisibilityMode::kFootprintStream;
-
   obs::ScopedTimer cull_timer(rm.cull_seconds);
 
-  // Latitude-band pruning data: a conservative per-satellite footprint cone
-  // (the culler's own derivation with the fleet-wide minimum site radius
-  // substituted, so it can only be wider than any per-site cone) plus each
-  // table's latitude reach. A (satellite, site) pair whose latitude bands
-  // cannot intersect provably has an all-zero mask, so the cull fill is
-  // skipped outright — same bits, no work.
-  double site_r_min = 0.0;
-  {
-    bool first = true;
-    for (const orbit::TopocentricFrame& f : terminal_frames_) {
-      const double r = f.origin_ecef().norm();
-      site_r_min = first ? r : std::min(site_r_min, r);
-      first = false;
-    }
-    for (const orbit::TopocentricFrame& f : station_frames_) {
-      const double r = f.origin_ecef().norm();
-      site_r_min = first ? r : std::min(site_r_min, r);
-      first = false;
-    }
-  }
-  std::vector<double> sat_psi(sat_count, 0.0);
-  std::vector<double> sat_max_sin_lat(sat_count, 1.0);
-  for (std::size_t si = 0; si < sat_count; ++si) {
-    const orbit::EphemerisTable& table = eph.table(si);
-    sat_psi[si] = cov::FootprintCone::make(table.min_radius_m(), table.max_radius_m(),
-                                           site_r_min, config_.elevation_mask_deg)
-                      .psi_rad;
-    sat_max_sin_lat[si] = cov::max_abs_sin_latitude(table);
-  }
+  // Station visibility masks through the coverage cull, packed into slab
+  // storage. The cull only skips work — each set bit passed the exact
+  // visible_above test the reference runs — so a mask word is precisely 64
+  // reference visibility answers. A (satellite, station) pair whose latitude
+  // bands cannot intersect provably has an all-zero mask, so its fill is
+  // skipped outright: the per-satellite footprint cone is the culler's own
+  // derivation with the minimum station radius substituted, so it can only
+  // be wider than any per-station cone.
+  double station_r_min = 0.0;
   std::vector<double> station_sin_lat(station_count, 0.0);
   for (std::size_t gi = 0; gi < station_count; ++gi) {
     const util::Vec3& o = station_frames_[gi].origin_ecef();
     const double r = o.norm();
+    station_r_min = gi == 0 ? r : std::min(station_r_min, r);
     station_sin_lat[gi] = r > 0.0 ? o.z / r : 0.0;
   }
-
-  // Pair visibility masks through the coverage cull, packed into slab
-  // storage. The cull only skips work — each set bit passed the exact
-  // visible_above test the reference runs — so a mask word is precisely 64
-  // reference visibility answers.
   const cov::VisibilityCuller culler(grid, config_.elevation_mask_deg);
   const cov::CullCounters cull_counters{rm.cull_masks, rm.cull_visible_steps};
   std::atomic<std::uint64_t> pruned_pairs{0};
-
   cov::PackedMasks station_vis(sat_count * station_count, step_total);
-  cov::PackedMasks terminal_vis;
-  if (!direct) {
-    terminal_vis = cov::PackedMasks(sat_count * term_count, step_total);
-  }
-  std::vector<double> terminal_sin_lat;
-  if (!direct) {
-    terminal_sin_lat.resize(term_count);
-    for (std::size_t ti = 0; ti < term_count; ++ti) {
-      const util::Vec3& o = terminal_frames_[ti].origin_ecef();
-      const double r = o.norm();
-      terminal_sin_lat[ti] = r > 0.0 ? o.z / r : 0.0;
-    }
-  }
-  const auto fill_pair_masks = [&](std::size_t si) {
+  const auto fill_station_masks = [&](std::size_t si) {
     const orbit::EphemerisTable& table = eph.table(si);
+    const double psi = cov::FootprintCone::make(table.min_radius_m(), table.max_radius_m(),
+                                                station_r_min, config_.elevation_mask_deg)
+                           .psi_rad;
+    const double max_sin_lat = cov::max_abs_sin_latitude(table);
     std::uint64_t local_pruned = 0;
-    if (!direct) {
-      for (std::size_t ti = 0; ti < term_count; ++ti) {
-        if (!cov::latitude_reachable(sat_max_sin_lat[si], sat_psi[si],
-                                     terminal_sin_lat[ti])) {
-          ++local_pruned;
-          continue;
-        }
-        culler.fill(table, terminal_frames_[ti],
-                    terminal_vis.words(si * term_count + ti), cull_counters);
-      }
-    }
     for (std::size_t gi = 0; gi < station_count; ++gi) {
-      if (!cov::latitude_reachable(sat_max_sin_lat[si], sat_psi[si],
-                                   station_sin_lat[gi])) {
+      if (!cov::latitude_reachable(max_sin_lat, psi, station_sin_lat[gi])) {
         ++local_pruned;
         continue;
       }
-      culler.fill(table, station_frames_[gi],
-                  station_vis.words(si * station_count + gi), cull_counters);
+      culler.fill(table, station_frames_[gi], station_vis.words(si * station_count + gi),
+                  cull_counters);
     }
     pruned_pairs.fetch_add(local_pruned, std::memory_order_relaxed);
   };
   if (pool != nullptr) {
-    pool->parallel_for(sat_count, fill_pair_masks);
+    pool->parallel_for(sat_count, fill_station_masks);
   } else {
-    for (std::size_t si = 0; si < sat_count; ++si) fill_pair_masks(si);
+    for (std::size_t si = 0; si < sat_count; ++si) fill_station_masks(si);
   }
 
-  // Station outages come off the pair masks up front, so phase 1 never
+  // Station outages come off the station masks up front, so phase 1 never
   // offers a downed station. Steps at or beyond the timeline's own grid
   // report healthy (the station_available contract).
   if (faulted) {
@@ -1273,82 +1091,48 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     }
   }
 
-  // Per-(party, satellite) availability for the pair-mask fill: the union of
-  // the party's healthy station legs through that satellite. Stations owned
-  // by parties outside [0, party_count) can never match a (validated)
-  // terminal owner, so they contribute to no mask — exactly the reference's
-  // owner filter. The direct fill reads the same answer off its per-step
-  // downlink lists.
-  cov::PackedMasks party_avail;
-  if (!direct) {
-    party_avail = cov::PackedMasks(party_count * sat_count, step_total);
-    for (std::size_t gi = 0; gi < station_count; ++gi) {
-      const std::uint32_t party = stations_[gi].owner_party;
-      if (party >= party_count) continue;
-      for (std::size_t si = 0; si < sat_count; ++si) {
-        const std::span<std::uint64_t> dst = party_avail.words(party * sat_count + si);
-        const std::span<const std::uint64_t> src =
-            station_vis.words(si * station_count + gi);
-        for (std::size_t w = 0; w < dst.size(); ++w) dst[w] |= src[w];
-      }
-    }
-  }
-
   // Footprint-stream inputs: the terminal spatial index, the shell shards
   // and one conservative cone per shard.
-  cov::FootprintIndex footprint_index;
-  std::vector<constellation::ShellShard> shards;
+  const cov::FootprintIndex footprint_index(terminal_frames_);
+  const std::vector<constellation::ShellShard> shards =
+      constellation::shell_partition(satellites_);
   std::vector<cov::FootprintCone> shard_cones;
-  if (direct) {
-    footprint_index = cov::FootprintIndex(terminal_frames_);
-    shards = constellation::shell_partition(satellites_);
-    shard_cones.reserve(shards.size());
-    for (const constellation::ShellShard& shard : shards) {
-      double r_min = 0.0, r_max = 0.0;
-      for (std::size_t si = shard.begin; si < shard.end; ++si) {
-        const orbit::EphemerisTable& table = eph.table(si);
-        if (si == shard.begin) {
-          r_min = table.min_radius_m();
-          r_max = table.max_radius_m();
-        } else {
-          r_min = std::min(r_min, table.min_radius_m());
-          r_max = std::max(r_max, table.max_radius_m());
-        }
+  shard_cones.reserve(shards.size());
+  for (const constellation::ShellShard& shard : shards) {
+    double r_min = 0.0, r_max = 0.0;
+    for (std::size_t si = shard.begin; si < shard.end; ++si) {
+      const orbit::EphemerisTable& table = eph.table(si);
+      if (si == shard.begin) {
+        r_min = table.min_radius_m();
+        r_max = table.max_radius_m();
+      } else {
+        r_min = std::min(r_min, table.min_radius_m());
+        r_max = std::max(r_max, table.max_radius_m());
       }
-      shard_cones.push_back(cov::FootprintCone::make(
-          r_min, r_max, footprint_index.min_site_radius_m(),
-          config_.elevation_mask_deg));
     }
+    shard_cones.push_back(cov::FootprintCone::make(
+        r_min, r_max, footprint_index.min_site_radius_m(), config_.elevation_mask_deg));
   }
   cull_timer.stop();
 
-  std::vector<HopEvaluator> uplink_hops;
-  uplink_hops.reserve(term_count);
-  for (const Terminal& terminal : terminals_) {
-    uplink_hops.push_back(HopEvaluator::make(terminal.radio, config_.transponder.receive));
+  // Range-independent hop pieces, hoisted once per run: each terminal's
+  // uplink (terminal -> transponder receive) rides in its index slot, and
+  // downlink_hops[gi] is transponder transmit -> station gi.
+  std::vector<IndexedSite> indexed_sites;
+  indexed_sites.reserve(term_count);
+  for (const std::uint32_t ti : footprint_index.site_ids()) {
+    indexed_sites.push_back({terminal_frames_[ti],
+                             HopEvaluator::make(terminals_[ti].radio, config_.transponder.receive),
+                             ti, terminals_[ti].owner_party});
   }
   std::vector<HopEvaluator> downlink_hops;
   downlink_hops.reserve(station_count);
   for (const GroundStation& station : stations_) {
     downlink_hops.push_back(HopEvaluator::make(config_.transponder.transmit, station.radio));
   }
-  std::vector<IndexedSite> indexed_sites;
-  if (direct) {
-    indexed_sites.reserve(term_count);
-    for (const std::uint32_t ti : footprint_index.site_ids()) {
-      indexed_sites.push_back(
-          {terminal_frames_[ti], uplink_hops[ti], ti, terminals_[ti].owner_party});
-    }
-  }
 
   std::atomic<std::size_t> step_high_water{0};
-  const bool regenerative = config_.relay_mode == RelayMode::kRegenerative;
-  const PipelineContext ctx{config_,        satellites_,      terminals_,
-                            stations_,      terminal_frames_, station_frames_,
-                            eph,            &terminal_vis,    &station_vis,
-                            &party_avail,   uplink_hops,      downlink_hops,
-                            regenerative,   &step_high_water};
-  const DirectContext dctx{config_,
+  const StreamContext sctx{config_,
                            satellites_,
                            term_count,
                            stations_,
@@ -1360,7 +1144,7 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
                            shard_cones,
                            &station_vis,
                            downlink_hops,
-                           regenerative,
+                           config_.relay_mode == RelayMode::kRegenerative,
                            sin_mask_,
                            config_.max_candidates_per_terminal,
                            &step_high_water,
@@ -1373,26 +1157,18 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
   // the moment it lands and frees the slot for chunk + slots. Peak candidate
   // memory is `slots` chunks regardless of horizon, and the consumption
   // order (strictly chunk 0, 1, 2, ...) makes the result bit-identical for
-  // any pool size, slot count, or chunk size.
+  // any pool size, slot count, or chunk size. A slot holds its chunk's
+  // candidates plus one step of scratch, both scaling with terminals, so
+  // auto sizing is one slot per producer lane, 2 to 4.
   const std::size_t chunk_steps = config_.stream_chunk_steps;
   const std::size_t chunk_total = (step_total + chunk_steps - 1) / chunk_steps;
-  std::size_t slots;
-  if (config_.stream_slots > 0) {
-    slots = config_.stream_slots;
-  } else if (direct) {
-    // A slot holds its chunk's candidates plus one step of scratch, both
-    // scaling with terminals: one slot per producer lane, at most four.
-    slots = pool != nullptr
-                ? std::max<std::size_t>(2, std::min<std::size_t>(pool->thread_count(), 4))
-                : 2;
-  } else {
-    slots = pool != nullptr ? std::max<std::size_t>(2 * pool->thread_count(), 8)
-                            : std::size_t{4};
+  std::size_t slots = config_.stream_slots;
+  if (slots == 0) {
+    slots = pool != nullptr ? std::clamp<std::size_t>(pool->thread_count(), 2, 4) : 2;
   }
   slots = std::max<std::size_t>(1, std::min(slots, chunk_total));
   std::vector<std::vector<StepCandidates>> buffers(slots);
-  std::vector<DownlinkLists> fill_scratch(direct ? 0 : slots);
-  std::vector<DirectScratch> direct_scratch(direct ? slots : 0);
+  std::vector<StreamScratch> scratch(slots);
 
   // RF interference is applied post-grant, symmetrically with run_reference.
   const bool rf_active = config_.rf != nullptr && config_.rf->any_interferer();
@@ -1415,7 +1191,7 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
                       dt_step);
   ConsumeScratch consume_scratch;
   rm.stream_slots.set(static_cast<double>(slots));
-  rm.threads.set(static_cast<double>(pool != nullptr ? pool->thread_count() : 1));
+  rm.threads.set(static_cast<double>(context.thread_count()));
   std::uint64_t beam_rejections = 0;
   std::uint64_t withheld_rejections = 0;
   std::uint64_t links_granted = 0;
@@ -1425,11 +1201,7 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
     const std::size_t begin = chunk * chunk_steps;
     const std::size_t count = std::min(chunk_steps, step_total - begin);
     buffers[slot].resize(count);
-    if (direct) {
-      fill_chunk_direct(dctx, begin, count, buffers[slot], direct_scratch[slot]);
-    } else {
-      fill_chunk(ctx, begin, count, buffers[slot], fill_scratch[slot]);
-    }
+    fill_stream_chunk(sctx, begin, count, buffers[slot], scratch[slot]);
     std::uint64_t emitted = 0;
     for (const StepCandidates& sc : buffers[slot]) emitted += sc.cands.size();
     rm.candidates.add(emitted);
@@ -1444,10 +1216,8 @@ ScheduleResult BentPipeScheduler::run_impl(const orbit::TimeGrid& grid,
       const std::span<const std::uint8_t> blocked =
           policy.pre_step(step, dt_step, result);
       StepSchedule schedule = consume_step(
-          cctx, buffers[slot][b], step, faults, blocked, consume_scratch,
-          metrics != nullptr ? &beam_rejections : nullptr,
-          metrics != nullptr ? &withheld_rejections : nullptr,
-          policy.sticky_prev(), policy.sticky_margin());
+          cctx, buffers[slot][b], step, faults, blocked, consume_scratch, beam_rejections,
+          withheld_rejections, policy.sticky_prev(), policy.sticky_margin());
       policy.post_step(schedule);
       if (rf_active) {
         for (std::size_t si = 0; si < sat_count; ++si) {

@@ -10,19 +10,22 @@
 //
 // run() executes a two-phase pipeline:
 //   Phase 1 (parallel over step chunks): propagate every satellite once
-//   through the shared ephemeris kernel, cull (satellite, terminal) and
-//   (satellite, station) pairs with the coverage engine's conservative
-//   zenith-cone prefilter into StepMask bitmaps, and precompute per-step
-//   candidate lists — for each visible (terminal, satellite) pair the best
-//   same-party station with its end-to-end relay capacity. Link budgets are
-//   evaluated only for triples whose terminal leg AND some party station leg
-//   are simultaneously up (a word-level AND of pair masks), and each leg is
-//   computed once per pair instead of once per triple.
+//   through the shared ephemeris kernel, cull (satellite, station) pairs
+//   with the coverage engine's conservative zenith-cone prefilter into
+//   StepMask bitmaps, then stream each step's satellite footprints through a
+//   spatial index over the terminals and re-test the survivors exactly.
+//   Every visible (terminal, satellite) pair with a healthy same-party
+//   station in view becomes a candidate carrying that station and the
+//   end-to-end relay capacity. Each downlink leg is computed once per
+//   (satellite, station, step) and each uplink leg once per visible pair,
+//   instead of once per triple, and no per-(satellite, terminal) state is
+//   stored, so phase-1 memory does not grow with satellites x terminals.
 //   Phase 2 (sequential, cheap): sweep steps in order consuming the
 //   candidate lists for beam allocation, spare-priority ordering,
 //   failure-forced detach, and re-acquisition backoff bookkeeping.
-// The result is bit-identical to run_reference — the retained scalar
-// per-triple scan — on both the faulted and unfaulted paths.
+// Uncapped (max_candidates_per_terminal == 0), the result is bit-identical
+// to run_reference — the retained scalar per-triple scan — on both the
+// faulted and unfaulted paths.
 #pragma once
 
 #include <cstddef>
@@ -44,9 +47,6 @@
 namespace mpleo::fault {
 class FaultTimeline;
 }
-namespace mpleo::obs {
-class MetricsRegistry;
-}
 namespace mpleo::sim {
 class RunContext;
 }
@@ -55,36 +55,6 @@ class ThreadPool;
 }
 
 namespace mpleo::net {
-
-// How phase 1 discovers (terminal, satellite) visibility.
-enum class VisibilityMode {
-  // Pick per run by terminal count: the footprint stream from
-  // kAutoStreamMinTerminals terminals up; pair masks below that while the
-  // (satellite, terminal) masks fit kPairMaskBudgetBytes, the stream beyond.
-  kAuto,
-  // Classic: one packed visibility mask per (satellite, terminal) pair,
-  // filled by the conservative zenith-cone cull, pruned pair-by-pair with
-  // the latitude-band reachability test. Exact; faster than the stream only
-  // for small terminal sets (see kAutoStreamMinTerminals).
-  kPairMasks,
-  // Mega-scale: no terminal pair masks at all. Each chunk streams every
-  // satellite's footprint cap through a cov::FootprintIndex over the
-  // terminals, re-testing survivors exactly — same candidates, same order,
-  // O(sites-in-footprint) instead of O(terminals) per satellite-step.
-  kFootprintStream,
-};
-
-// kAuto's terminal-count threshold, from the sweep `perf_simulator
-// --compare-scheduler` records (mode_sweep in BENCH_perf_simulator.json: 40
-// and 800 satellites x 20 to 1,600 terminals x 3 h, bit-identical in every
-// cell). Pair masks are faster at 20 and 50 terminals; from 100 up the
-// stream is no slower at either fleet size. Pair masks pay a cull per
-// (satellite, terminal) pair and the stream an index query per
-// satellite-step, so the stream's lead grows with terminals.
-inline constexpr std::size_t kAutoStreamMinTerminals = 100;
-// kAuto's pair-mask storage budget below the threshold: beyond it phase 1
-// streams, whose memory does not scale with satellites x terminals.
-inline constexpr std::size_t kPairMaskBudgetBytes = std::size_t{1} << 30;
 
 struct SchedulerConfig {
   double elevation_mask_deg = 25.0;
@@ -127,16 +97,12 @@ struct SchedulerConfig {
   // degraded post-grant by the aggregate interference-to-noise at the victim
   // terminal, and the accounting lands in ScheduleResult::rf.
   const rf::InterferenceEnvironment* rf = nullptr;
-  // Orbit propagation backend for the shared ephemeris fill. One knob for
-  // every run path — run(), run(context) and run_reference() all propagate
-  // through it, so the pipeline/reference bit-identity contract holds for
-  // either backend. Scenario-driven callers copy scenario.propagator here
-  // (see sim::parse_scenario's --propagator= flag).
+  // Orbit propagation backend for the shared ephemeris fill. run() and
+  // run_reference() both propagate through it, so the pipeline/reference
+  // bit-identity contract holds for either backend. Scenario-driven callers
+  // copy scenario.propagator here (see sim::parse_scenario's --propagator=
+  // flag).
   orbit::PropagatorBackend propagator_backend = orbit::PropagatorBackend::kJ2Analytic;
-  // Phase-1 visibility discovery (see VisibilityMode). Every mode produces
-  // bit-identical schedules when max_candidates_per_terminal is 0; a
-  // positive cap binds only on the footprint stream.
-  VisibilityMode visibility_mode = VisibilityMode::kAuto;
   // Steps per phase-1 chunk. Must be a power of two in [1, 64] so a chunk
   // never straddles a mask word. Smaller chunks shrink the streaming
   // pipeline's in-flight memory (the mega preset runs 8); 64 keeps the
@@ -145,18 +111,19 @@ struct SchedulerConfig {
   std::size_t stream_chunk_steps = 64;
   // In-flight chunk slots for the phase-1 -> phase-2 streaming pipeline;
   // at most this many chunks are produced at once. 0 = auto: one slot per
-  // pool lane under kFootprintStream (2 to 4), where a slot holds its
-  // chunk's candidate output plus one step of fill scratch, both scaling
-  // with terminals; more under kPairMasks. The slot count never changes the
-  // result — phase 2 consumes chunks strictly in order.
+  // pool lane, 2 to 4 (2 when serial). A slot holds its chunk's candidate
+  // output plus one step of fill scratch, both scaling with terminals. The
+  // slot count never changes the result — phase 2 consumes chunks strictly
+  // in order.
   std::size_t stream_slots = 0;
-  // Per-terminal candidate cap, applied per step at phase-1 emission: keep
-  // the top-K own-satellite and top-K spare candidates by capacity (ties to
-  // the lower satellite index). 0 = unbounded (exact, bit-identical to
-  // run_reference). A positive cap bounds candidate memory at mega scale —
-  // deterministic for any pool/slot/chunk configuration, but approximate
-  // under beam contention (a terminal whose top-K satellites are all beam-
-  // exhausted goes unserved even if satellite K+1 had a beam). Max 64.
+  // Per-terminal candidate cap, applied per step at phase-1 emission on
+  // every run: keep the top-K own-satellite and top-K spare candidates by
+  // capacity (ties to the lower satellite index). 0 = unbounded (exact,
+  // bit-identical to run_reference). A positive cap bounds candidate memory
+  // at mega scale — deterministic for any pool/slot/chunk configuration,
+  // but approximate under beam contention (a terminal whose top-K
+  // satellites are all beam-exhausted goes unserved even if satellite K+1
+  // had a beam). Max 64.
   std::size_t max_candidates_per_terminal = 0;
   // Graceful-degradation policy (net/degradation.hpp): priority-tiered load
   // shedding under capacity collapse, sticky spare grants (hysteresis), and
@@ -235,22 +202,18 @@ class BentPipeScheduler {
                     std::vector<Terminal> terminals, std::vector<GroundStation> stations);
 
   // Schedules one step given precomputed satellite ECEF positions (one entry
-  // per satellite, same order as construction).
-  [[nodiscard]] StepSchedule schedule_step(std::span<const util::Vec3> satellite_ecef,
-                                           std::size_t step) const;
-
-  // Fault- and backoff-aware step: faulted satellites and stations are
-  // skipped, degraded satellites offer fewer beams, and terminals flagged in
-  // `blocked_terminals` (byte per terminal; re-acquisition backoff or policy
-  // shedding) go straight to unserved. `sticky_prev_satellite` (one entry
-  // per terminal, 0xFFFFFFFF = none) with a positive `sticky_margin` makes
-  // the spare pass keep a terminal's previous satellite unless a competitor
-  // beats it by more than the margin (spare-reallocation hysteresis).
-  // nullptr/empty faults, no blocked flags and no sticky state are
-  // bit-identical to the plain overload.
+  // per satellite, same order as construction). Faulted satellites and
+  // stations are skipped, degraded satellites offer fewer beams, and
+  // terminals flagged in `blocked_terminals` (byte per terminal;
+  // re-acquisition backoff or policy shedding) go straight to unserved.
+  // `sticky_prev_satellite` (one entry per terminal, 0xFFFFFFFF = none) with
+  // a positive `sticky_margin` makes the spare pass keep a terminal's
+  // previous satellite unless a competitor beats it by more than the margin
+  // (spare-reallocation hysteresis). Null/empty faults, no blocked flags and
+  // no sticky state schedule the healthy step.
   [[nodiscard]] StepSchedule schedule_step(
       std::span<const util::Vec3> satellite_ecef, std::size_t step,
-      const fault::FaultTimeline* faults,
+      const fault::FaultTimeline* faults = nullptr,
       std::span<const std::uint8_t> blocked_terminals = {},
       std::span<const std::uint32_t> sticky_prev_satellite = {},
       double sticky_margin = 0.0) const;
@@ -258,39 +221,25 @@ class BentPipeScheduler {
   // Runs the whole grid through the two-phase pipeline and aggregates
   // per-party usage. `party_count` sizes the aggregate vector;
   // terminals/satellites with owner >= party_count are rejected. Set
-  // keep_steps to retain the per-step link lists. With a pool, phase 1
-  // (ephemerides, pair masks, candidate lists) runs parallel over step
-  // chunks; the result is bit-identical for any pool size, including none.
-  [[nodiscard]] ScheduleResult run(const orbit::TimeGrid& grid, std::size_t party_count,
-                                   bool keep_steps = false,
-                                   util::ThreadPool* pool = nullptr) const;
-
-  // RunContext entry point — the preferred API. The context supplies the
-  // pool, the (optional) fault timeline and the metrics registry in one
-  // argument; phase timings (propagate / cull / chunk fill / wave drain),
-  // candidate-list occupancy, beam-allocation rejections and fault-forced
-  // detaches land in context.metrics() under the "sched." prefix. The
-  // returned ScheduleResult is bit-identical to
-  //   run(grid, party_count, context.faults(), keep_steps, context.pool())
-  // for any context, and to the old default-argument run() for a
-  // default-constructed context.
+  // keep_steps to retain the per-step link lists. The context supplies:
+  //  * the pool: phase 1 (ephemerides, station masks, candidate lists) runs
+  //    parallel over step chunks on it; the result is bit-identical for any
+  //    pool size, including none;
+  //  * the fault timeline (null or empty = healthy): it gates per-step asset
+  //    health, and a terminal whose serving satellite or station fails
+  //    enters a reacquisition_backoff_steps hold before it may re-attach;
+  //  * the metrics registry: phase timings (propagate / cull / chunk fill /
+  //    chunk drain), candidate-list occupancy, beam-allocation rejections
+  //    and fault-forced detaches land in context.metrics() under "sched.".
   [[nodiscard]] ScheduleResult run(const orbit::TimeGrid& grid, std::size_t party_count,
                                    sim::RunContext& context, bool keep_steps = false) const;
-
-  // Degraded-operations run: `faults` gates per-step asset health, and a
-  // terminal whose serving satellite or station fails enters a
-  // `reacquisition_backoff_steps`-step hold before it may re-attach. With a
-  // nullptr or empty timeline the result is bit-identical to the plain run.
-  [[nodiscard]] ScheduleResult run(const orbit::TimeGrid& grid, std::size_t party_count,
-                                   const fault::FaultTimeline* faults,
-                                   bool keep_steps = false,
-                                   util::ThreadPool* pool = nullptr) const;
 
   // The scalar reference: the original per-step, per-triple scan (via
   // schedule_step), kept as the correctness oracle the pipeline is validated
   // against. Satellite positions come from the same shared ephemeris tables
   // as run(), so the two are bit-identical down to link ordering — faulted
-  // and unfaulted. Serial and slow; prefer run().
+  // and unfaulted — whenever run() is uncapped. Serial and slow; prefer
+  // run().
   [[nodiscard]] ScheduleResult run_reference(const orbit::TimeGrid& grid,
                                              std::size_t party_count,
                                              const fault::FaultTimeline* faults = nullptr,
@@ -308,12 +257,6 @@ class BentPipeScheduler {
   void validate_owners(std::size_t party_count) const;
   [[nodiscard]] orbit::EphemerisSet ephemerides(const orbit::TimeGrid& grid,
                                                 util::ThreadPool* pool) const;
-  // The one pipeline body behind every run() overload; a null registry
-  // disables instrumentation entirely (the metric handles become no-ops).
-  [[nodiscard]] ScheduleResult run_impl(const orbit::TimeGrid& grid, std::size_t party_count,
-                                        const fault::FaultTimeline* faults, bool keep_steps,
-                                        util::ThreadPool* pool,
-                                        obs::MetricsRegistry* metrics) const;
 
   SchedulerConfig config_;
   std::vector<constellation::Satellite> satellites_;

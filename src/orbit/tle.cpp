@@ -142,7 +142,7 @@ TleParseResult parse_tle(const std::string& line0, const std::string& line1,
   // Joins the collected issues into the flat `error` summary and returns.
   auto finish_fail = [&result]() {
     result.ok = false;
-    for (const TleFieldIssue& issue : result.issues) {
+    for (const core::ConfigIssue& issue : result.issues) {
       if (!result.error.empty()) result.error += "; ";
       result.error += issue.field + ": " + issue.message;
     }

@@ -39,13 +39,6 @@ struct Tle {
                                          int catalog_number, std::string name = {});
 };
 
-// One malformed or out-of-range field, named so ingestion pipelines can
-// triage programmatically instead of string-matching a flat message. A thin
-// alias of the unified core::ConfigIssue — `field` is e.g.
-// "inclination_deg" or "line1.checksum", `message` includes the offending
-// text, and parse issues carry component "orbit.tle".
-using TleFieldIssue = core::ConfigIssue;
-
 // Parse results carry error details instead of throwing: TLE ingestion is a
 // data-plane operation that must tolerate malformed catalog lines. All field
 // problems found are collected (not just the first), and every element field
@@ -54,7 +47,11 @@ using TleFieldIssue = core::ConfigIssue;
 struct TleParseResult {
   bool ok = false;
   std::string error;                  // joined summary of `issues`
-  std::vector<TleFieldIssue> issues;  // every problem found, in field order
+  // Every problem found, in field order, each named so ingestion pipelines
+  // can triage programmatically instead of string-matching a flat message:
+  // component "orbit.tle", `field` e.g. "inclination_deg" or
+  // "line1.checksum", and a `message` that includes the offending text.
+  std::vector<core::ConfigIssue> issues;
   Tle tle;
 };
 

@@ -9,7 +9,7 @@ namespace {
 
 bool finite(double v) noexcept { return std::isfinite(v); }
 
-void add_issue(std::vector<RfConfigIssue>& issues, const char* field,
+void add_issue(std::vector<core::ConfigIssue>& issues, const char* field,
                double value, const char* requirement) {
   std::ostringstream os;
   os << "value " << value << " " << requirement;
@@ -18,8 +18,8 @@ void add_issue(std::vector<RfConfigIssue>& issues, const char* field,
 
 }  // namespace
 
-std::vector<RfConfigIssue> DopplerAuditConfig::validate() const {
-  std::vector<RfConfigIssue> issues;
+std::vector<core::ConfigIssue> DopplerAuditConfig::validate() const {
+  std::vector<core::ConfigIssue> issues;
   if (!finite(rms_tolerance_hz) || rms_tolerance_hz <= 0.0) {
     add_issue(issues, "doppler.rms_tolerance_hz", rms_tolerance_hz,
               "must be finite and > 0");

@@ -19,7 +19,7 @@
 #include <span>
 #include <vector>
 
-#include "rf/validation.hpp"
+#include "core/validation.hpp"
 #include "util/rng.hpp"
 
 namespace mpleo::rf {
@@ -50,8 +50,8 @@ struct DopplerAuditConfig {
   // campaign synthesizes honest observations with it.
   double measurement_noise_hz = 25.0;
 
-  // Collects every field problem (TleFieldIssue-style); empty = valid.
-  [[nodiscard]] std::vector<RfConfigIssue> validate() const;
+  // Collects every field problem (core::ConfigIssue, component "rf"); empty = valid.
+  [[nodiscard]] std::vector<core::ConfigIssue> validate() const;
 
   // Symmetric sample offsets around the claimed contact time:
   // (i - (n-1)/2) * sample_spacing_s for i in [0, track_samples).

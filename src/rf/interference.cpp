@@ -16,7 +16,7 @@ InterferenceEnvironment::InterferenceEnvironment(const SpectrumConfig& config,
                                                  const SpectrumPlan& plan,
                                                  const std::vector<bool>& jamming_mask,
                                                  const std::vector<bool>& squatting_mask) {
-  throw_if_invalid("rf::InterferenceEnvironment", config.validate());
+  core::throw_if_invalid("rf::InterferenceEnvironment", config.validate());
   parties_ = plan.party_count();
   reference_bandwidth_hz_ = config.channel_bandwidth_hz;
   jams_.resize(parties_);

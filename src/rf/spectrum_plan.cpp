@@ -12,14 +12,14 @@ namespace {
 
 bool finite(double v) noexcept { return std::isfinite(v); }
 
-void add_issue(std::vector<RfConfigIssue>& issues, const char* field, double value,
+void add_issue(std::vector<core::ConfigIssue>& issues, const char* field, double value,
                const char* requirement) {
   std::ostringstream os;
   os << "value " << value << " " << requirement;
   issues.push_back({"rf", field, os.str()});
 }
 
-void check_segment(std::vector<RfConfigIssue>& issues, const char* lo_field,
+void check_segment(std::vector<core::ConfigIssue>& issues, const char* lo_field,
                    const char* hi_field, double lo, double hi) {
   if (!finite(lo) || lo < kMinCarrierHz || lo > kMaxCarrierHz) {
     add_issue(issues, lo_field, lo, "must be inside the [1, 100] GHz allocations");
@@ -34,8 +34,8 @@ void check_segment(std::vector<RfConfigIssue>& issues, const char* lo_field,
 
 }  // namespace
 
-std::vector<RfConfigIssue> SpectrumConfig::validate() const {
-  std::vector<RfConfigIssue> issues;
+std::vector<core::ConfigIssue> SpectrumConfig::validate() const {
+  std::vector<core::ConfigIssue> issues;
   check_segment(issues, "spectrum.band.uplink_lo_hz", "spectrum.band.uplink_hi_hz",
                 band.uplink_lo_hz, band.uplink_hi_hz);
   check_segment(issues, "spectrum.band.downlink_lo_hz", "spectrum.band.downlink_hi_hz",
@@ -57,7 +57,7 @@ std::vector<RfConfigIssue> SpectrumConfig::validate() const {
 
 SpectrumPlan SpectrumPlan::equal_partition(const SpectrumConfig& config,
                                            std::size_t party_count) {
-  throw_if_invalid("rf::SpectrumPlan", config.validate());
+  core::throw_if_invalid("rf::SpectrumPlan", config.validate());
   if (party_count == 0) {
     throw std::invalid_argument("rf::SpectrumPlan: party_count must be > 0");
   }

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "net/spectrum.hpp"
-#include "rf/validation.hpp"
+#include "core/validation.hpp"
 
 namespace mpleo::rf {
 
@@ -28,10 +28,10 @@ struct SpectrumConfig {
   // EIRP boost a jamming party radiates over the nominal transponder, dB.
   double jammer_power_boost_db = 10.0;
 
-  // Collects every field problem (TleFieldIssue-style); empty = valid.
+  // Collects every field problem (core::ConfigIssue, component "rf"); empty = valid.
   // Rejects an empty band plan (hi <= lo in either direction), carriers
   // outside the [1, 100] GHz allocations, and non-finite/negative knobs.
-  [[nodiscard]] std::vector<RfConfigIssue> validate() const;
+  [[nodiscard]] std::vector<core::ConfigIssue> validate() const;
 };
 
 // One party's downlink channel inside the plan.

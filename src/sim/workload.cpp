@@ -47,11 +47,9 @@ Workload build_mega(const Scenario& scenario) {
     w.stations[i].radio = net::default_ground_station();
   }
 
-  // The mega streaming preset: footprint-stream visibility, small chunks to
-  // bound each slot's candidate output, top-4 candidates per terminal. The
-  // slot count stays auto (one per pool lane): a slot's fill scratch is a
-  // single step's.
-  w.scheduler.visibility_mode = net::VisibilityMode::kFootprintStream;
+  // The mega streaming preset: small chunks to bound each slot's candidate
+  // output, top-4 candidates per terminal. The slot count stays auto (one
+  // per pool lane): a slot's fill scratch is a single step's.
   w.scheduler.stream_chunk_steps = 8;
   w.scheduler.max_candidates_per_terminal = 4;
   return w;

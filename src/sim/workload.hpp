@@ -18,8 +18,8 @@
 namespace mpleo::sim {
 
 // A fully-specified scheduler workload. `scheduler` carries the preset's
-// streaming knobs (footprint-stream mode, chunk/slot sizing, candidate cap
-// for the mega presets; defaults for reference scale).
+// streaming knobs (chunk size and candidate cap for the mega presets;
+// defaults for reference scale).
 struct Workload {
   std::vector<constellation::Satellite> satellites;
   std::vector<net::Terminal> terminals;
@@ -34,9 +34,9 @@ struct Workload {
 //    (29,520 satellites; the smoke preset truncates to 3,000) serving
 //    scenario.terminal_count population-gridded terminals and
 //    scenario.station_count stations (constellation::PopulationSampler,
-//    fixed seeds so every run sees the same sites), with the
-//    footprint-stream scheduler preset (8-step chunks, 2 slots, top-4
-//    candidate cap).
+//    fixed seeds so every run sees the same sites), with the streaming
+//    scheduler preset (8-step chunks, auto slots — one per pool lane, 2 to
+//    4 — and a top-4 candidate cap).
 //  * kReference — the 500-satellite Walker shell x 200 grid-spread
 //    terminals x 20 stations workload the scheduler-compare bench has
 //    always used, with a default scheduler config.

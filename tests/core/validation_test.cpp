@@ -1,7 +1,6 @@
 // The unified structured-validation surface: every config struct's
-// validate() returns std::vector<core::ConfigIssue>, the subsystem issue
-// types are thin aliases of it, and format/throw behave identically for
-// every component.
+// validate() returns std::vector<core::ConfigIssue>, and format/throw behave
+// identically for every component.
 #include "core/validation.hpp"
 
 #include <gtest/gtest.h>
@@ -9,19 +8,13 @@
 #include <stdexcept>
 
 #include "net/scheduler.hpp"
-#include "orbit/tle.hpp"
-#include "rf/validation.hpp"
 #include "sim/scenario.hpp"
 
 namespace mpleo {
 namespace {
 
-TEST(ConfigIssue, AliasesShareOneType) {
-  // The subsystem issue names are aliases, not parallel types: an issue
-  // from any layer can land in one damage report.
-  static_assert(std::is_same_v<rf::RfConfigIssue, core::ConfigIssue>);
-  static_assert(std::is_same_v<orbit::TleFieldIssue, core::ConfigIssue>);
-
+TEST(ConfigIssue, OneReportAcrossComponents) {
+  // Issues from any layer land in one damage report.
   std::vector<core::ConfigIssue> report;
   report.push_back({"rf", "chip_rate_hz", "must be positive"});
   report.push_back({"orbit.tle", "line1", "checksum mismatch"});

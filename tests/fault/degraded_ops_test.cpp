@@ -113,6 +113,26 @@ TEST(DegradedScheduleStep, DegradationReducesOfferedBeams) {
   EXPECT_TRUE(scheduler.schedule_step(positions, 0, &crippled).links.empty());
 }
 
+TEST(DegradedScheduleStep, NullEmptyAndIdleTimelinesScheduleTheHealthyStep) {
+  net::SchedulerConfig cfg;
+  std::vector<net::Terminal> terminals{make_terminal(10.0, 20.0, 0, 0),
+                                       make_terminal(10.3, 20.3, 1, 1)};
+  const net::BentPipeScheduler scheduler(
+      cfg, {owned_satellite(0)}, terminals,
+      {make_station(10.5, 20.5, 0, 0), make_station(10.4, 20.4, 1, 1)});
+  const std::vector<Vec3> positions{overhead_of(10.2, 20.2)};
+
+  const net::StepSchedule healthy = scheduler.schedule_step(positions, 0);
+  ASSERT_EQ(healthy.links.size(), 2u);
+  const fault::FaultTimeline empty;
+  EXPECT_TRUE(scheduler.schedule_step(positions, 0, &empty) == healthy);
+  // A timeline whose only events fall after step 0 leaves step 0 healthy.
+  fault::FaultTimeline later(make_grid(), 1, 2);
+  later.add_satellite_outage(0, 300.0, 600.0);
+  later.add_station_outage(1, 300.0, 600.0);
+  EXPECT_TRUE(scheduler.schedule_step(positions, 0, &later) == healthy);
+}
+
 TEST(DegradedScheduleStep, BlockedTerminalTakesNoService) {
   net::SchedulerConfig cfg;
   std::vector<net::Terminal> terminals{make_terminal(10.0, 20.0, 0, 0),
@@ -152,7 +172,9 @@ TEST(DegradedRun, FullWindowOutageServesNothing) {
   fault::FaultTimeline faults(grid, 8, 0);
   for (std::size_t i = 0; i < 8; ++i) faults.add_satellite_outage(i, 0.0, 86400.0);
 
-  const net::ScheduleResult result = scheduler.run(grid, 1, &faults);
+  sim::RunContext context;
+  context.use_faults(&faults);
+  const net::ScheduleResult result = scheduler.run(grid, 1, context);
   EXPECT_DOUBLE_EQ(result.total_served_seconds, 0.0);
   EXPECT_DOUBLE_EQ(result.total_unserved_seconds, grid.duration_seconds());
   // The terminal never attached, so nothing was ever force-detached.
@@ -175,15 +197,18 @@ TEST(DegradedRun, AlternatingOutageForcesDetachesAndBackoffCostsService) {
     }
   }
 
+  sim::RunContext faulted;
+  faulted.use_faults(&faults);
   net::SchedulerConfig instant;
   instant.reacquisition_backoff_steps = 0;
-  const net::ScheduleResult no_backoff = taipei_scheduler(instant).run(grid, 1, &faults);
+  const net::ScheduleResult no_backoff = taipei_scheduler(instant).run(grid, 1, faulted);
 
   net::SchedulerConfig slow;
   slow.reacquisition_backoff_steps = 4;
-  const net::ScheduleResult with_backoff = taipei_scheduler(slow).run(grid, 1, &faults);
+  const net::ScheduleResult with_backoff = taipei_scheduler(slow).run(grid, 1, faulted);
 
-  const net::ScheduleResult healthy = taipei_scheduler(instant).run(grid, 1);
+  sim::RunContext healthy_context;
+  const net::ScheduleResult healthy = taipei_scheduler(instant).run(grid, 1, healthy_context);
   EXPECT_GT(healthy.total_served_seconds, 0.0);
   EXPECT_GT(no_backoff.failure_forced_detaches, 0u);
   EXPECT_EQ(no_backoff.reacquisition_wait_seconds, 0.0);

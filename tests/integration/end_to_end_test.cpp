@@ -80,7 +80,8 @@ TEST_F(MpLeoStack, ScheduleSettleAndAudit) {
                                          consortium_.active_satellites(), terminals,
                                          stations);
   const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, 86400.0, 120.0);
-  const net::ScheduleResult usage = scheduler.run(grid, consortium_.parties().size());
+  sim::RunContext context;
+  const net::ScheduleResult usage = scheduler.run(grid, consortium_.parties().size(), context);
 
   // Both parties got some service across a day.
   const auto& taiwan_usage = usage.per_party[taiwan_];

@@ -85,7 +85,7 @@ fault::FaultTimeline make_faults(const orbit::TimeGrid& grid, const Fleet& fleet
   return faults;
 }
 
-TEST(RunContextIdentity, SchedulerMatchesLegacyAndReference) {
+TEST(RunContextIdentity, SchedulerMatchesReference) {
   const Fleet f = make_fleet();
   const net::BentPipeScheduler scheduler(f.config, f.satellites, f.terminals,
                                          f.stations);
@@ -93,13 +93,10 @@ TEST(RunContextIdentity, SchedulerMatchesLegacyAndReference) {
 
   const net::ScheduleResult reference =
       scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
-  const net::ScheduleResult legacy =
-      scheduler.run(grid, f.party_count, /*keep_steps=*/true);
 
   sim::RunContext serial_context;
   const net::ScheduleResult via_serial =
       scheduler.run(grid, f.party_count, serial_context, /*keep_steps=*/true);
-  EXPECT_TRUE(via_serial == legacy);
   EXPECT_TRUE(via_serial == reference);
   EXPECT_FALSE(serial_context.metrics().empty());
   EXPECT_EQ(serial_context.metrics().counter_value("sched.steps"), grid.count);
@@ -112,7 +109,7 @@ TEST(RunContextIdentity, SchedulerMatchesLegacyAndReference) {
   EXPECT_TRUE(via_pooled == reference);
 }
 
-TEST(RunContextIdentity, FaultedSchedulerMatchesLegacyAndReference) {
+TEST(RunContextIdentity, FaultedSchedulerMatchesReference) {
   const Fleet f = make_fleet();
   const net::BentPipeScheduler scheduler(f.config, f.satellites, f.terminals,
                                          f.stations);
@@ -121,9 +118,11 @@ TEST(RunContextIdentity, FaultedSchedulerMatchesLegacyAndReference) {
 
   const net::ScheduleResult reference =
       scheduler.run_reference(grid, f.party_count, &faults, /*keep_steps=*/true);
-  const net::ScheduleResult legacy =
-      scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true);
-  EXPECT_TRUE(legacy == reference);
+
+  sim::RunContext serial_context;
+  serial_context.use_faults(&faults);
+  EXPECT_TRUE(scheduler.run(grid, f.party_count, serial_context, /*keep_steps=*/true) ==
+              reference);
 
   sim::Scenario scenario;
   scenario.threads = 2;

@@ -12,6 +12,7 @@
 #include "fault/timeline.hpp"
 #include "net/scheduler.hpp"
 #include "orbit/geodesy.hpp"
+#include "sim/run_context.hpp"
 
 namespace mpleo::net {
 namespace {
@@ -80,6 +81,14 @@ fault::FaultTimeline make_faults(const orbit::TimeGrid& grid, const Fleet& fleet
   faults.add_transponder_degradation(1, 0.1 * span, 0.7 * span, 0.5);
   faults.add_station_outage(1, 0.3 * span, 0.8 * span);
   return faults;
+}
+
+// One kept-steps run() through a serial context carrying `faults`.
+ScheduleResult run_steps(const BentPipeScheduler& scheduler, const orbit::TimeGrid& grid,
+                         std::size_t party_count, const fault::FaultTimeline* faults) {
+  sim::RunContext context;
+  context.use_faults(faults);
+  return scheduler.run(grid, party_count, context, /*keep_steps=*/true);
 }
 
 TEST(DegradationPolicy, ValidateCatchesMalformedFields) {
@@ -174,10 +183,8 @@ TEST(DegradationScheduler, SloObservationNeverChangesLinks) {
   const BentPipeScheduler observed(observed_config, f.satellites, f.terminals,
                                    f.stations);
 
-  const ScheduleResult base =
-      plain.run(grid, f.party_count, &faults, /*keep_steps=*/true);
-  const ScheduleResult with_slo =
-      observed.run(grid, f.party_count, &faults, /*keep_steps=*/true);
+  const ScheduleResult base = run_steps(plain, grid, f.party_count, &faults);
+  const ScheduleResult with_slo = run_steps(observed, grid, f.party_count, &faults);
 
   EXPECT_FALSE(base.slo.has_value());
   ASSERT_TRUE(with_slo.slo.has_value());
@@ -219,16 +226,14 @@ TEST(DegradationScheduler, RunMatchesReferenceWithEveryMitigationArmed) {
   config.degradation.slo_window_steps = 10;
   const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
 
-  const ScheduleResult via_run =
-      scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true);
+  const ScheduleResult via_run = run_steps(scheduler, grid, f.party_count, &faults);
   const ScheduleResult via_reference =
       scheduler.run_reference(grid, f.party_count, &faults, /*keep_steps=*/true);
   EXPECT_TRUE(via_run == via_reference);  // includes the SLO section
 
   // And on the fault-free path an armed policy still changes nothing
   // observable except carrying the SLO section.
-  const ScheduleResult clean =
-      scheduler.run(grid, f.party_count, nullptr, /*keep_steps=*/true);
+  const ScheduleResult clean = run_steps(scheduler, grid, f.party_count, nullptr);
   const ScheduleResult clean_reference =
       scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
   EXPECT_TRUE(clean == clean_reference);
@@ -249,8 +254,8 @@ TEST(DegradationScheduler, DisabledPolicyIsBitIdenticalRegardlessOfKnobs) {
 
   const BentPipeScheduler plain(f.config, f.satellites, f.terminals, f.stations);
   const BentPipeScheduler armed(loaded, f.satellites, f.terminals, f.stations);
-  EXPECT_TRUE(armed.run(grid, f.party_count, &faults, true) ==
-              plain.run(grid, f.party_count, &faults, true));
+  EXPECT_TRUE(run_steps(armed, grid, f.party_count, &faults) ==
+              run_steps(plain, grid, f.party_count, &faults));
 }
 
 TEST(DegradationScheduler, ZeroInitialBackoffKeepsConstantBackoffBehavior) {
@@ -268,8 +273,8 @@ TEST(DegradationScheduler, ZeroInitialBackoffKeepsConstantBackoffBehavior) {
 
   const BentPipeScheduler a(constant, f.satellites, f.terminals, f.stations);
   const BentPipeScheduler b(enabled_zero, f.satellites, f.terminals, f.stations);
-  EXPECT_TRUE(a.run(grid, f.party_count, &faults, true) ==
-              b.run(grid, f.party_count, &faults, true));
+  EXPECT_TRUE(run_steps(a, grid, f.party_count, &faults) ==
+              run_steps(b, grid, f.party_count, &faults));
 }
 
 TEST(DegradationScheduler, SheddingDropsExactlyTheLowTier) {
@@ -290,12 +295,10 @@ TEST(DegradationScheduler, SheddingDropsExactlyTheLowTier) {
   config.degradation.shed_below = {0.0, 0.8};
   config.degradation.slo_window_steps = 10;
   const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
-  const ScheduleResult shed =
-      scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true);
+  const ScheduleResult shed = run_steps(scheduler, grid, f.party_count, &faults);
 
   const BentPipeScheduler baseline(f.config, f.satellites, f.terminals, f.stations);
-  const ScheduleResult base =
-      baseline.run(grid, f.party_count, &faults, /*keep_steps=*/true);
+  const ScheduleResult base = run_steps(baseline, grid, f.party_count, &faults);
 
   const std::size_t shock_steps =
       static_cast<std::size_t>(shock_end / grid.step_seconds);

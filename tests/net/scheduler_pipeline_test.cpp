@@ -1,8 +1,9 @@
 // Equivalence tests for the two-phase pipelined scheduler: on randomized
 // fleets — mixed ownership (including unowned satellites), degraded beams,
-// re-acquisition backoff, spare-priority weights, and parties with no ground
-// stations — run() must reproduce run_reference() bit for bit, down to link
-// ordering, faulted and unfaulted, for every thread-pool size.
+// re-acquisition backoff, spare-priority weights, parties with no ground
+// stations, and fleets with no terminals or no stations at all — run() must
+// reproduce run_reference() bit for bit, down to link ordering, faulted and
+// unfaulted, for every thread-pool size.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -10,6 +11,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "constellation/shell.hpp"
 #include "fault/timeline.hpp"
@@ -121,48 +123,89 @@ orbit::TimeGrid test_grid() {
   return orbit::TimeGrid::over_duration(kEpoch, 5400.0, 60.0);
 }
 
-class SchedulerPipeline : public ::testing::TestWithParam<std::uint64_t> {};
+// One run() with kept steps through a fresh context: serial unless `pool`
+// is given, healthy unless `faults` is.
+ScheduleResult run_steps(const BentPipeScheduler& scheduler, const orbit::TimeGrid& grid,
+                         std::size_t party_count, const fault::FaultTimeline* faults = nullptr,
+                         util::ThreadPool* pool = nullptr) {
+  sim::RunContext context;
+  context.use_pool(pool).use_faults(faults);
+  return scheduler.run(grid, party_count, context, /*keep_steps=*/true);
+}
+
+// One fleet of the identity suite: make_fleet(seed), optionally with a whole
+// side of the ground segment removed — no terminals (an empty spatial index)
+// or no stations (no downlink leg, so nothing is ever servable).
+struct FleetCase {
+  std::uint64_t seed = 0;
+  bool drop_terminals = false;
+  bool drop_stations = false;
+};
+
+// Full fleets print as the bare seed, which names their test cases.
+std::ostream& operator<<(std::ostream& os, const FleetCase& c) {
+  os << c.seed;
+  if (c.drop_terminals) os << "_no_terminals";
+  if (c.drop_stations) os << "_no_stations";
+  return os;
+}
+
+RandomFleet make_case_fleet(const FleetCase& c) {
+  RandomFleet f = make_fleet(c.seed);
+  if (c.drop_terminals) f.terminals.clear();
+  if (c.drop_stations) f.stations.clear();
+  return f;
+}
+
+std::vector<FleetCase> fleet_cases() {
+  std::vector<FleetCase> cases;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) cases.push_back({seed});
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    cases.push_back({seed, /*drop_terminals=*/true, false});
+    cases.push_back({seed, false, /*drop_stations=*/true});
+  }
+  return cases;
+}
+
+class SchedulerPipeline : public ::testing::TestWithParam<FleetCase> {};
 
 TEST_P(SchedulerPipeline, MatchesReferenceBitForBit) {
-  const RandomFleet f = make_fleet(GetParam());
+  const RandomFleet f = make_case_fleet(GetParam());
   const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
   const orbit::TimeGrid grid = test_grid();
 
   const ScheduleResult reference =
       scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
-  const ScheduleResult pipelined = scheduler.run(grid, f.party_count, /*keep_steps=*/true);
+  const ScheduleResult pipelined = run_steps(scheduler, grid, f.party_count);
   EXPECT_TRUE(pipelined == reference);
 }
 
 TEST_P(SchedulerPipeline, FaultedMatchesReferenceBitForBit) {
-  const RandomFleet f = make_fleet(GetParam());
+  const RandomFleet f = make_case_fleet(GetParam());
   const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
   const orbit::TimeGrid grid = test_grid();
-  const fault::FaultTimeline faults = make_faults(grid, f, GetParam());
+  const fault::FaultTimeline faults = make_faults(grid, f, GetParam().seed);
 
   const ScheduleResult reference =
       scheduler.run_reference(grid, f.party_count, &faults, /*keep_steps=*/true);
-  const ScheduleResult pipelined =
-      scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true);
+  const ScheduleResult pipelined = run_steps(scheduler, grid, f.party_count, &faults);
   EXPECT_TRUE(pipelined == reference);
 }
 
 TEST_P(SchedulerPipeline, PoolSizeNeverChangesResult) {
-  const RandomFleet f = make_fleet(GetParam());
+  const RandomFleet f = make_case_fleet(GetParam());
   const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
   const orbit::TimeGrid grid = test_grid();
-  const fault::FaultTimeline faults = make_faults(grid, f, GetParam());
+  const fault::FaultTimeline faults = make_faults(grid, f, GetParam().seed);
 
-  const ScheduleResult serial = scheduler.run(grid, f.party_count, /*keep_steps=*/true);
-  const ScheduleResult serial_faulted =
-      scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true);
+  const ScheduleResult serial = run_steps(scheduler, grid, f.party_count);
+  const ScheduleResult serial_faulted = run_steps(scheduler, grid, f.party_count, &faults);
   for (const std::size_t threads : {1u, 2u, 3u}) {
     util::ThreadPool pool(threads);
-    const ScheduleResult pooled =
-        scheduler.run(grid, f.party_count, /*keep_steps=*/true, &pool);
+    const ScheduleResult pooled = run_steps(scheduler, grid, f.party_count, nullptr, &pool);
     EXPECT_TRUE(pooled == serial) << "pool size " << threads;
     const ScheduleResult pooled_faulted =
-        scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true, &pool);
+        run_steps(scheduler, grid, f.party_count, &faults, &pool);
     EXPECT_TRUE(pooled_faulted == serial_faulted) << "pool size " << threads;
   }
 }
@@ -173,9 +216,8 @@ TEST(SchedulerPipeline, EmptyFaultTimelineMatchesPlainRun) {
   const orbit::TimeGrid grid = test_grid();
   const fault::FaultTimeline empty;
 
-  const ScheduleResult plain = scheduler.run(grid, f.party_count, /*keep_steps=*/true);
-  const ScheduleResult with_empty =
-      scheduler.run(grid, f.party_count, &empty, /*keep_steps=*/true);
+  const ScheduleResult plain = run_steps(scheduler, grid, f.party_count);
+  const ScheduleResult with_empty = run_steps(scheduler, grid, f.party_count, &empty);
   EXPECT_TRUE(with_empty == plain);
 }
 
@@ -187,57 +229,25 @@ TEST(SchedulerPipeline, AggregatesMatchWithoutKeptSteps) {
   const orbit::TimeGrid grid = test_grid();
 
   const ScheduleResult reference = scheduler.run_reference(grid, f.party_count);
-  const ScheduleResult pipelined = scheduler.run(grid, f.party_count);
+  sim::RunContext context;
+  const ScheduleResult pipelined = scheduler.run(grid, f.party_count, context);
   EXPECT_TRUE(pipelined == reference);
   EXPECT_TRUE(pipelined.steps.empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPipeline, ::testing::Range<std::uint64_t>(0, 12));
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPipeline, ::testing::ValuesIn(fleet_cases()));
 
-// The footprint-stream path (spatial index + shell shards + bounded-queue
-// streaming) must be indistinguishable from the classic pair-mask path when
-// the candidate cap is off — same grants, same link ordering, same metrics-
-// bearing aggregates — regardless of chunk shape, slot count, or pool size.
+// The footprint stream's shape knobs — chunk size, slot count, pool size —
+// never change the result, capped or not.
 class SchedulerFootprintStream : public ::testing::TestWithParam<std::uint64_t> {};
 
-RandomFleet make_streamed_fleet(std::uint64_t seed) {
-  RandomFleet f = make_fleet(seed);
-  f.config.visibility_mode = VisibilityMode::kFootprintStream;
-  return f;
-}
-
-TEST_P(SchedulerFootprintStream, MatchesReferenceBitForBit) {
-  const RandomFleet f = make_streamed_fleet(GetParam());
-  const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
-  const orbit::TimeGrid grid = test_grid();
-
-  const ScheduleResult reference =
-      scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
-  const ScheduleResult streamed = scheduler.run(grid, f.party_count, /*keep_steps=*/true);
-  EXPECT_TRUE(streamed == reference);
-}
-
-TEST_P(SchedulerFootprintStream, FaultedMatchesReferenceBitForBit) {
-  const RandomFleet f = make_streamed_fleet(GetParam());
-  const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
-  const orbit::TimeGrid grid = test_grid();
-  const fault::FaultTimeline faults = make_faults(grid, f, GetParam());
-
-  const ScheduleResult reference =
-      scheduler.run_reference(grid, f.party_count, &faults, /*keep_steps=*/true);
-  const ScheduleResult streamed =
-      scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true);
-  EXPECT_TRUE(streamed == reference);
-}
-
 TEST_P(SchedulerFootprintStream, ChunkSlotAndPoolShapeNeverChangeResult) {
-  RandomFleet f = make_streamed_fleet(GetParam());
+  const RandomFleet f = make_fleet(GetParam());
   const orbit::TimeGrid grid = test_grid();
   const fault::FaultTimeline faults = make_faults(grid, f, GetParam());
 
   const BentPipeScheduler baseline(f.config, f.satellites, f.terminals, f.stations);
-  const ScheduleResult expected =
-      baseline.run(grid, f.party_count, &faults, /*keep_steps=*/true);
+  const ScheduleResult expected = run_steps(baseline, grid, f.party_count, &faults);
 
   for (const std::size_t chunk_steps : {std::size_t{8}, std::size_t{16}}) {
     for (const std::size_t slots : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
@@ -245,14 +255,13 @@ TEST_P(SchedulerFootprintStream, ChunkSlotAndPoolShapeNeverChangeResult) {
       config.stream_chunk_steps = chunk_steps;
       config.stream_slots = slots;
       const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
-      const ScheduleResult serial =
-          scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true);
+      const ScheduleResult serial = run_steps(scheduler, grid, f.party_count, &faults);
       EXPECT_TRUE(serial == expected)
           << "chunk_steps=" << chunk_steps << " slots=" << slots;
       for (const std::size_t threads : {2u, 3u}) {
         util::ThreadPool pool(threads);
         const ScheduleResult pooled =
-            scheduler.run(grid, f.party_count, &faults, /*keep_steps=*/true, &pool);
+            run_steps(scheduler, grid, f.party_count, &faults, &pool);
         EXPECT_TRUE(pooled == expected)
             << "chunk_steps=" << chunk_steps << " slots=" << slots
             << " pool=" << threads;
@@ -265,22 +274,21 @@ TEST_P(SchedulerFootprintStream, CandidateCapIsDeterministicAcrossShapes) {
   // A finite cap may legitimately drop low-capacity candidates, so the result
   // is not compared against the exact path — but it must be a pure function
   // of the inputs: pool size, chunk shape, and slot count cannot change it.
-  RandomFleet f = make_streamed_fleet(GetParam());
+  RandomFleet f = make_fleet(GetParam());
   f.config.max_candidates_per_terminal = 2;
   const orbit::TimeGrid grid = test_grid();
 
   const BentPipeScheduler baseline(f.config, f.satellites, f.terminals, f.stations);
-  const ScheduleResult expected = baseline.run(grid, f.party_count, /*keep_steps=*/true);
+  const ScheduleResult expected = run_steps(baseline, grid, f.party_count);
 
   SchedulerConfig reshaped = f.config;
   reshaped.stream_chunk_steps = 8;
   reshaped.stream_slots = 3;
   const BentPipeScheduler scheduler(reshaped, f.satellites, f.terminals, f.stations);
-  EXPECT_TRUE(scheduler.run(grid, f.party_count, /*keep_steps=*/true) == expected);
+  EXPECT_TRUE(run_steps(scheduler, grid, f.party_count) == expected);
   for (const std::size_t threads : {2u, 3u}) {
     util::ThreadPool pool(threads);
-    const ScheduleResult pooled =
-        scheduler.run(grid, f.party_count, /*keep_steps=*/true, &pool);
+    const ScheduleResult pooled = run_steps(scheduler, grid, f.party_count, nullptr, &pool);
     EXPECT_TRUE(pooled == expected) << "pool=" << threads;
   }
 }
@@ -290,14 +298,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFootprintStream,
 
 // A fixed two-shell fleet dense enough that a terminal routinely sees more
 // than K own and K spare candidates, with one beam per satellite so the cap
-// changes who gets served. The capped footprint stream is approximate by
-// design, so run_reference cannot be its oracle; the totals below were
-// recorded from an independent (chunk-wide, satellite-major) implementation
-// of the capped fill and pin the top-K selection against restructuring.
+// changes who gets served. The capped run is approximate by design, so
+// run_reference cannot be its oracle; the totals below were recorded from
+// an independent (chunk-wide, satellite-major) implementation of the capped
+// fill and pin the top-K selection against restructuring. The fleet's 80
+// terminals sit on the default path with no phase-1 option set, so the
+// totals also pin that the cap binds at small terminal counts.
 RandomFleet make_golden_fleet() {
   RandomFleet f;
   f.party_count = 3;
-  f.config.visibility_mode = VisibilityMode::kFootprintStream;
   f.config.beams_per_satellite = 1;
   f.config.elevation_mask_deg = 10.0;
   constellation::WalkerShell low;
@@ -376,9 +385,8 @@ TEST(SchedulerFootprintStreamGolden, CappedTotalsMatchRecordedValues) {
   // Three hours: chunks cross mask-word boundaries.
   const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, 3 * 3600.0, 60.0);
 
-  SchedulerConfig exact_config = f.config;
-  const BentPipeScheduler exact(exact_config, f.satellites, f.terminals, f.stations);
-  const ScheduleResult uncapped = exact.run(grid, f.party_count, /*keep_steps=*/true);
+  const BentPipeScheduler exact(f.config, f.satellites, f.terminals, f.stations);
+  const ScheduleResult uncapped = run_steps(exact, grid, f.party_count);
 
   const std::pair<std::size_t, GoldenTotals> recorded[] = {
       {2, {3922, 444, 10558, 0x063852fdbaf5d902ULL}},
@@ -389,78 +397,45 @@ TEST(SchedulerFootprintStreamGolden, CappedTotalsMatchRecordedValues) {
     config.max_candidates_per_terminal = cap;
     config.stream_chunk_steps = 8;
     const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
-    const ScheduleResult serial = scheduler.run(grid, f.party_count, /*keep_steps=*/true);
+    const ScheduleResult serial = run_steps(scheduler, grid, f.party_count);
     EXPECT_EQ(golden_totals(serial), expected) << "cap=" << cap;
     // The cap must bind on this fleet, or the totals would pin nothing.
     EXPECT_FALSE(golden_totals(serial) == golden_totals(uncapped)) << "cap=" << cap;
     util::ThreadPool pool(3);
-    const ScheduleResult pooled =
-        scheduler.run(grid, f.party_count, /*keep_steps=*/true, &pool);
+    const ScheduleResult pooled = run_steps(scheduler, grid, f.party_count, nullptr, &pool);
     EXPECT_TRUE(pooled == serial) << "cap=" << cap;
   }
 }
 
-// kAuto's terminal-count rule at the threshold: one terminal short of
-// kAutoStreamMinTerminals runs pair masks, the threshold itself streams, and
-// both match run_reference. The path shows in sched.cull_masks: the stream
-// fills station masks only, at most satellites x stations.
-TEST(SchedulerAuto, TerminalCountPicksThePath) {
-  util::Xoshiro256PlusPlus rng(17);
-  RandomFleet f;
-  f.party_count = 3;
-  for (std::size_t i = 0; i < 12; ++i) {
-    Satellite sat;
-    sat.id = static_cast<constellation::SatelliteId>(i);
-    sat.owner_party = static_cast<std::uint32_t>(i % f.party_count);
-    sat.elements = orbit::ClassicalElements::circular(
-        rng.uniform(500e3, 700e3), 53.0, 30.0 * static_cast<double>(i),
-        rng.uniform(0.0, 360.0));
-    sat.epoch = kEpoch;
-    f.satellites.push_back(sat);
-  }
-  for (std::size_t i = 0; i < 6; ++i) {
-    GroundStation gs;
-    gs.id = static_cast<GroundStationId>(i);
-    gs.owner_party = static_cast<std::uint32_t>(i % f.party_count);
-    gs.location = orbit::Geodetic::from_degrees(rng.uniform(-35.0, 35.0),
-                                                rng.uniform(0.0, 60.0));
-    gs.radio = default_ground_station();
-    f.stations.push_back(gs);
-  }
-  for (std::size_t i = 0; i < kAutoStreamMinTerminals; ++i) {
-    Terminal t;
-    t.id = static_cast<TerminalId>(i);
-    t.owner_party = static_cast<std::uint32_t>(i % f.party_count);
-    t.location = orbit::Geodetic::from_degrees(rng.uniform(-35.0, 35.0),
-                                               rng.uniform(0.0, 60.0));
-    t.radio = default_user_terminal();
-    f.terminals.push_back(t);
-  }
-  ASSERT_EQ(f.config.visibility_mode, VisibilityMode::kAuto);
-  const orbit::TimeGrid grid = test_grid();
-  const std::uint64_t station_pairs = f.satellites.size() * f.stations.size();
+// The cap binds whatever the fleet size: the golden fleet's first n
+// terminals, down to a handful, still contend for one-beam satellites, so
+// keeping only each terminal's top candidate changes who is served. The
+// uncapped run stays the exact oracle at every size.
+class SchedulerCandidateCap : public ::testing::TestWithParam<std::size_t> {};
 
-  for (const std::size_t terminal_count :
-       {kAutoStreamMinTerminals - 1, kAutoStreamMinTerminals}) {
-    const std::vector<Terminal> terminals(
-        f.terminals.begin(),
-        f.terminals.begin() + static_cast<std::ptrdiff_t>(terminal_count));
-    const BentPipeScheduler scheduler(f.config, f.satellites, terminals, f.stations);
-    sim::RunContext context;
-    const ScheduleResult result =
-        scheduler.run(grid, f.party_count, context, /*keep_steps=*/true);
-    EXPECT_TRUE(result == scheduler.run_reference(grid, f.party_count, nullptr,
-                                                  /*keep_steps=*/true))
-        << "terminals=" << terminal_count;
-    ASSERT_GT(result.total_served_seconds, 0.0);
-    const std::uint64_t cull_masks = context.metrics().counter_value("sched.cull_masks");
-    if (terminal_count < kAutoStreamMinTerminals) {
-      EXPECT_GT(cull_masks, station_pairs) << "pair masks expected";
-    } else {
-      EXPECT_LE(cull_masks, station_pairs) << "footprint stream expected";
-    }
-  }
+TEST_P(SchedulerCandidateCap, BindsAtEveryFleetSize) {
+  RandomFleet f = make_golden_fleet();
+  f.terminals.resize(GetParam());
+  const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, 3 * 3600.0, 60.0);
+
+  const BentPipeScheduler exact(f.config, f.satellites, f.terminals, f.stations);
+  const ScheduleResult uncapped = run_steps(exact, grid, f.party_count);
+  EXPECT_TRUE(uncapped ==
+              exact.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true));
+
+  SchedulerConfig config = f.config;
+  config.max_candidates_per_terminal = 1;
+  const BentPipeScheduler capped(config, f.satellites, f.terminals, f.stations);
+  const ScheduleResult serial = run_steps(capped, grid, f.party_count);
+  EXPECT_FALSE(golden_totals(serial) == golden_totals(uncapped))
+      << golden_totals(serial) << " vs " << golden_totals(uncapped);
+  util::ThreadPool pool(2);
+  EXPECT_TRUE(run_steps(capped, grid, f.party_count, nullptr, &pool) == serial);
 }
+
+INSTANTIATE_TEST_SUITE_P(TerminalCounts, SchedulerCandidateCap,
+                         ::testing::Values(std::size_t{2}, std::size_t{8}, std::size_t{40}),
+                         ::testing::PrintToStringParamName());
 
 TEST(SchedulerFootprintStreamConfig, RejectsBadStreamShapes) {
   const RandomFleet f = make_fleet(3);

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "orbit/geodesy.hpp"
+#include "sim/run_context.hpp"
 
 namespace mpleo::net {
 namespace {
@@ -254,7 +255,8 @@ TEST(Run, AggregatesOverGrid) {
 
   const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(
       orbit::TimePoint::from_iso8601("2024-11-18T00:00:00Z"), 86400.0, 120.0);
-  const ScheduleResult result = scheduler.run(grid, 2);
+  sim::RunContext context;
+  const ScheduleResult result = scheduler.run(grid, 2, context);
 
   ASSERT_EQ(result.per_party.size(), 2u);
   // Party 0 used its own satellites.
@@ -279,8 +281,40 @@ TEST(Run, KeepStepsRetainsSchedules) {
                                     {make_station(24.9, 121.4, 0)});
   const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(
       orbit::TimePoint::from_iso8601("2024-11-18T00:00:00Z"), 3600.0, 60.0);
-  const ScheduleResult result = scheduler.run(grid, 1, /*keep_steps=*/true);
+  sim::RunContext context;
+  const ScheduleResult result = scheduler.run(grid, 1, context, /*keep_steps=*/true);
   EXPECT_EQ(result.steps.size(), grid.count);
+}
+
+// Identity checks (chaos_sweep's empty-book gate, the pipeline/reference
+// suites) compare whole results, so a difference in any one field — the
+// optional RF and SLO sections included — must make two results unequal.
+TEST(ScheduleResult, EqualityComparesEveryField) {
+  ScheduleResult base;
+  base.steps.push_back({0, {{0, 1, 2, 5e7, true}}, {3}});
+  base.per_party.resize(2);
+  base.per_party[1].spare_used_seconds = 60.0;
+  base.total_served_seconds = 60.0;
+
+  std::vector<void (*)(ScheduleResult&)> edits{
+      [](ScheduleResult& r) { r.steps.front().links.front().capacity_bps = 4e7; },
+      [](ScheduleResult& r) { r.steps.front().links.front().spare = false; },
+      [](ScheduleResult& r) { r.steps.front().unserved_terminals.clear(); },
+      [](ScheduleResult& r) { r.per_party[0].spare_provided_seconds = 60.0; },
+      [](ScheduleResult& r) { r.per_party[0].bytes_carried_for_others = 1.0; },
+      [](ScheduleResult& r) { r.per_party[1].bytes_received_from_others = 1.0; },
+      [](ScheduleResult& r) { r.total_unserved_seconds = 60.0; },
+      [](ScheduleResult& r) { r.failure_forced_detaches = 1; },
+      [](ScheduleResult& r) { r.reacquisition_wait_seconds = 60.0; },
+      [](ScheduleResult& r) { r.rf.emplace(); },
+      [](ScheduleResult& r) { r.slo.emplace(); },
+  };
+  ASSERT_TRUE(base == base);
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    ScheduleResult edited = base;
+    edits[i](edited);
+    EXPECT_FALSE(edited == base) << "edit " << i;
+  }
 }
 
 TEST(Run, RejectsOutOfRangeOwners) {
@@ -290,7 +324,8 @@ TEST(Run, RejectsOutOfRangeOwners) {
                                     {make_station(24.9, 121.4, 0)});
   const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(
       orbit::TimePoint::from_iso8601("2024-11-18T00:00:00Z"), 600.0, 60.0);
-  EXPECT_THROW((void)scheduler.run(grid, 2), std::invalid_argument);
+  sim::RunContext context;
+  EXPECT_THROW((void)scheduler.run(grid, 2, context), std::invalid_argument);
 }
 
 TEST(ScheduleStep, SparePriorityOrdersContention) {

@@ -201,7 +201,7 @@ std::string with_field(const std::string& line, std::size_t start_col,
 }
 
 bool has_issue_for(const TleParseResult& result, const std::string& field) {
-  for (const TleFieldIssue& issue : result.issues) {
+  for (const core::ConfigIssue& issue : result.issues) {
     if (issue.field == field) return true;
   }
   return false;

@@ -74,13 +74,15 @@ TEST(FaultProperty, EmptyTimelineLeavesSchedulerBitIdentical) {
   const orbit::TimeGrid grid =
       orbit::TimeGrid::over_duration(epoch(), 6.0 * 3600.0, 120.0);
 
-  const net::ScheduleResult plain = scheduler.run(grid, 2, /*keep_steps=*/true);
+  sim::RunContext context;
+  const net::ScheduleResult plain = scheduler.run(grid, 2, context, /*keep_steps=*/true);
   const fault::FaultTimeline empty_constructed(grid, 16, 2);
   const fault::FaultTimeline default_constructed;
   for (const fault::FaultTimeline* faults :
        {&empty_constructed, &default_constructed}) {
     ASSERT_TRUE(faults->empty());
-    const net::ScheduleResult gated = scheduler.run(grid, 2, faults, /*keep_steps=*/true);
+    context.use_faults(faults);
+    const net::ScheduleResult gated = scheduler.run(grid, 2, context, /*keep_steps=*/true);
     EXPECT_DOUBLE_EQ(gated.total_served_seconds, plain.total_served_seconds);
     EXPECT_DOUBLE_EQ(gated.total_unserved_seconds, plain.total_unserved_seconds);
     EXPECT_EQ(gated.failure_forced_detaches, 0u);

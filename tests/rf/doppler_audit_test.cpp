@@ -248,7 +248,7 @@ TEST(DopplerAudit, ConstructorRejectsInvalidDopplerConfig) {
     ReceiptAuditor auditor(bad, 2);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    // Every invalid field is named, TleFieldIssue-style.
+    // Every invalid field is named.
     const std::string msg = e.what();
     EXPECT_NE(msg.find("doppler.rms_tolerance_hz"), std::string::npos) << msg;
     EXPECT_NE(msg.find("doppler.carrier_hz"), std::string::npos) << msg;

@@ -13,9 +13,9 @@ namespace {
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-bool has_issue(const std::vector<RfConfigIssue>& issues, const std::string& field) {
+bool has_issue(const std::vector<core::ConfigIssue>& issues, const std::string& field) {
   return std::any_of(issues.begin(), issues.end(),
-                     [&](const RfConfigIssue& i) { return i.field == field; });
+                     [&](const core::ConfigIssue& i) { return i.field == field; });
 }
 
 TEST(DopplerAuditConfig, DefaultsValidate) {
@@ -77,7 +77,7 @@ TEST(DopplerAuditConfig, CollectsEveryIssueNotJustTheFirst) {
   cfg.rms_tolerance_hz = -1.0;
   cfg.carrier_hz = 0.0;
   cfg.sample_spacing_s = -2.0;
-  const std::vector<RfConfigIssue> issues = cfg.validate();
+  const std::vector<core::ConfigIssue> issues = cfg.validate();
   EXPECT_EQ(issues.size(), 3u);
   EXPECT_TRUE(has_issue(issues, "doppler.rms_tolerance_hz"));
   EXPECT_TRUE(has_issue(issues, "doppler.carrier_hz"));
@@ -85,16 +85,16 @@ TEST(DopplerAuditConfig, CollectsEveryIssueNotJustTheFirst) {
 }
 
 TEST(DopplerAuditConfig, FormatAndThrowMirrorTleIssueStyle) {
-  EXPECT_EQ(format_issues("ctx", {}), "");
+  EXPECT_EQ(core::format_issues("ctx", {}), "");
   DopplerAuditConfig cfg;
   cfg.rms_tolerance_hz = kNan;
-  const std::string msg = format_issues("rf::test", cfg.validate());
+  const std::string msg = core::format_issues("rf::test", cfg.validate());
   EXPECT_NE(msg.find("rf::test: 1 invalid field(s)"), std::string::npos) << msg;
   EXPECT_NE(msg.find("doppler.rms_tolerance_hz"), std::string::npos) << msg;
 
-  EXPECT_NO_THROW(throw_if_invalid("rf::test", {}));
+  EXPECT_NO_THROW(core::throw_if_invalid("rf::test", {}));
   try {
-    throw_if_invalid("rf::test", cfg.validate());
+    core::throw_if_invalid("rf::test", cfg.validate());
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("doppler.rms_tolerance_hz"),

@@ -14,9 +14,9 @@ namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
-bool has_issue(const std::vector<RfConfigIssue>& issues, const std::string& field) {
+bool has_issue(const std::vector<core::ConfigIssue>& issues, const std::string& field) {
   return std::any_of(issues.begin(), issues.end(),
-                     [&](const RfConfigIssue& i) { return i.field == field; });
+                     [&](const core::ConfigIssue& i) { return i.field == field; });
 }
 
 TEST(SpectrumConfig, DefaultsValidate) {

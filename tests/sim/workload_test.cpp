@@ -32,7 +32,6 @@ TEST(Workload, MegaSmokeSizesAndOwners) {
   EXPECT_GT(w.terminals.front().demand_bps, 0.0);
 
   // The mega streaming preset rides in the workload's scheduler config.
-  EXPECT_EQ(w.scheduler.visibility_mode, net::VisibilityMode::kFootprintStream);
   EXPECT_EQ(w.scheduler.stream_chunk_steps, 8u);
   EXPECT_EQ(w.scheduler.stream_slots, 0u);  // auto: sized to the pool
   EXPECT_EQ(w.scheduler.max_candidates_per_terminal, 4u);
@@ -68,8 +67,8 @@ TEST(Workload, ReferenceReproducesAcceptanceFleet) {
   EXPECT_EQ(w.satellites.size(), 500u);  // Walker 25 planes x 20 sats
   EXPECT_EQ(w.terminals.size(), 200u);
   EXPECT_EQ(w.stations.size(), 20u);
-  // Reference scale keeps the scheduler on defaults (pair-mask auto mode).
-  EXPECT_EQ(w.scheduler.visibility_mode, net::SchedulerConfig{}.visibility_mode);
+  // Reference scale keeps the scheduler on defaults.
+  EXPECT_EQ(w.scheduler.stream_chunk_steps, net::SchedulerConfig{}.stream_chunk_steps);
   EXPECT_EQ(w.scheduler.max_candidates_per_terminal,
             net::SchedulerConfig{}.max_candidates_per_terminal);
 }

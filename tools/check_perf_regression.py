@@ -79,7 +79,6 @@ IDENTITY_FLAGS = [
     ("ephemeris_compare", "masks_identical"),
     ("scheduler_compare", "bit_identical"),
     ("scheduler_compare", "faulted_bit_identical"),
-    ("scheduler_compare", "streamed_bit_identical"),
     ("backend_compare", "batched_bit_identical"),
 ]
 
@@ -287,7 +286,7 @@ def validate_mega_scale(section) -> list:
         problems.append("mega_scale.stream missing chunk_steps/slots/candidate_cap")
     if section.get("bit_identical") is not True:
         problems.append("mega_scale.bit_identical is not true (the sub-fleet "
-                        "stream-vs-pair-mask identity check failed or is missing)")
+                        "run-vs-run_reference identity check failed or is missing)")
     if problems:
         return problems
 
