@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
       "tropics; mixes interpolate",
       defaults);
 
-  const cov::CoverageEngine engine(scenario.grid(), scenario.elevation_mask_deg);
+  const cov::CoverageEngine engine(scenario.grid(), scenario.elevation_mask_deg,
+                                   scenario.propagator);
 
   struct Probe {
     const char* name;

@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   constellation::Satellite leo;
   leo.elements = orbit::ClassicalElements::circular(550e3, 53.0, 121.0, 25.0);
   leo.epoch = scenario.epoch;
-  const cov::LatencyStats leo_stats =
-      cov::propagation_latency_stats(leo, taipei_frame, grid, scenario.elevation_mask_deg);
+  const cov::LatencyStats leo_stats = cov::propagation_latency_stats(
+      leo, taipei_frame, grid, scenario.elevation_mask_deg, scenario.propagator);
 
   // GEO reference at zenith (best case for GEO).
   const double geo_one_way = cov::geo_zenith_one_way_delay_ms();

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
       "ISLs substitute for ground stations: few gateways + hops ~ many gateways",
       defaults);
 
-  const cov::CoverageEngine engine(scenario.grid(), scenario.elevation_mask_deg);
+  const cov::CoverageEngine engine(scenario.grid(), scenario.elevation_mask_deg,
+                                   scenario.propagator);
   constellation::WalkerShell shell;
   shell.label = "ISL";
   shell.plane_count = 10;

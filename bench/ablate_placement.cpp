@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
       argc, argv, "Ablation: placement strategy for 6 added satellites",
       "greedy gap-filling > random > same-plane clustering", defaults);
 
-  const cov::CoverageEngine engine(scenario.grid(), scenario.elevation_mask_deg);
+  const cov::CoverageEngine engine(scenario.grid(), scenario.elevation_mask_deg,
+                                   scenario.propagator);
   const std::vector<cov::GroundSite> sites =
       cov::sites_from_cities(cov::paper_cities());
   const auto base = constellation::single_plane(550e3, 53.0, 0.0, 6, scenario.epoch);

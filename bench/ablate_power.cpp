@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
       defaults);
 
   const orbit::TimeGrid grid = scenario.grid();
-  const cov::CoverageEngine engine(grid, scenario.elevation_mask_deg);
+  const cov::CoverageEngine engine(grid, scenario.elevation_mask_deg, scenario.propagator);
   const auto sites = cov::sites_from_cities(cov::paper_cities());
 
   // One Starlink-like satellite; transmit whenever any city is in footprint.

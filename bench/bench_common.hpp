@@ -35,7 +35,7 @@ struct Experiment {
 
   explicit Experiment(const sim::Scenario& sc)
       : scenario(sc),
-        engine(sc.grid(), sc.elevation_mask_deg),
+        engine(sc.grid(), sc.elevation_mask_deg, sc.propagator),
         catalog(constellation::build_starlink_catalog(
             sc.epoch, {.include_gen2 = sc.include_gen2_catalog})),
         context(sc) {}

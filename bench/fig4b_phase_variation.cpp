@@ -13,7 +13,8 @@ int main(int argc, char** argv) {
   const sim::Scenario scenario = bench::start(
       argc, argv, "Fig 4b: coverage gain vs in-plane phase offset",
       "gain peaks at the 15-deg midpoint between two existing satellites");
-  const cov::CoverageEngine engine(scenario.grid(), scenario.elevation_mask_deg);
+  const cov::CoverageEngine engine(scenario.grid(), scenario.elevation_mask_deg,
+                                   scenario.propagator);
 
   const auto base =
       constellation::single_plane(546e3, 53.0, 0.0, 12, scenario.epoch);

@@ -14,7 +14,8 @@ int main(int argc, char** argv) {
   const sim::Scenario scenario = bench::start(
       argc, argv, "Fig 4c: inclination vs altitude vs phase",
       "different inclination best (~1h11m); altitude and phase each >30min");
-  const cov::CoverageEngine engine(scenario.grid(), scenario.elevation_mask_deg);
+  const cov::CoverageEngine engine(scenario.grid(), scenario.elevation_mask_deg,
+                                   scenario.propagator);
 
   const auto base =
       constellation::single_plane(546e3, 53.0, 0.0, 4, scenario.epoch);

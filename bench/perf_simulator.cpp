@@ -127,8 +127,8 @@ void BM_EphemerisTableDay(benchmark::State& state) {
 BENCHMARK(BM_EphemerisTableDay);
 
 void BM_EphemerisSetDay(benchmark::State& state) {
-  // A whole catalog of tables; Arg is the satellite count. Thread count 1
-  // (serial) vs hardware (shared pool) via the second Arg.
+  // A whole catalog of 100 tables, serial (Arg 0) or on a hardware-sized
+  // pool (Arg 1).
   const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, 86400.0, 60.0);
   const orbit::GmstTable gmst = orbit::GmstTable::for_grid(grid);
   constellation::WalkerShell shell;
@@ -136,7 +136,8 @@ void BM_EphemerisSetDay(benchmark::State& state) {
   shell.sats_per_plane = 10;
   const auto sats = shell.build(kEpoch);
   const std::vector<orbit::EphemerisSpec> specs = cov::ephemeris_specs(sats);
-  util::ThreadPool* pool = state.range(0) == 0 ? nullptr : &util::ThreadPool::shared();
+  util::ThreadPool hardware_pool;
+  util::ThreadPool* pool = state.range(0) == 0 ? nullptr : &hardware_pool;
   for (auto _ : state) {
     benchmark::DoNotOptimize(orbit::EphemerisSet::compute(specs, grid, gmst, pool));
   }
@@ -251,6 +252,45 @@ void BM_RelayBudget(benchmark::State& state) {
 }
 BENCHMARK(BM_RelayBudget);
 
+// Wall seconds of one call of `fn`.
+template <typename Fn>
+double seconds_of(Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+// Best-of-`repeats` wall seconds of `fn`.
+template <typename Fn>
+double best_of(int repeats, Fn&& fn) {
+  double best = 0.0;
+  for (int rep = 0; rep < repeats; ++rep) {
+    const double sec = seconds_of(fn);
+    if (rep == 0 || sec < best) best = sec;
+  }
+  return best;
+}
+
+// Best-of-`repeats` wall seconds of the serial and the pooled variant of one
+// workload. The pooled variant first runs once untimed, then the two
+// alternate, so no pooled repetition starts on lanes left idle through a
+// long serial stretch: on a shared host an idle vCPU can take longer to
+// come back than the pooled pass runs.
+template <typename Serial, typename Pooled>
+std::pair<double, double> best_serial_and_pooled(int repeats, Serial&& serial,
+                                                 Pooled&& pooled) {
+  pooled();
+  double best_serial = 0.0;
+  double best_pooled = 0.0;
+  for (int rep = 0; rep < repeats; ++rep) {
+    const double sec_serial = seconds_of(serial);
+    const double sec_pooled = seconds_of(pooled);
+    if (rep == 0 || sec_serial < best_serial) best_serial = sec_serial;
+    if (rep == 0 || sec_pooled < best_pooled) best_pooled = sec_pooled;
+  }
+  return {best_serial, best_pooled};
+}
+
 // --compare: the acceptance workload. 500 satellites (Walker 25x20) against
 // 100 ground sites over one day at 60 s steps, scalar reference vs the shared
 // ephemeris kernel (serial and pooled). Masks must match bit-for-bit; the
@@ -277,22 +317,21 @@ bool run_compare(std::FILE* out) {
 
   const double sat_steps =
       static_cast<double>(sats.size()) * static_cast<double>(grid.count);
-  using clock = std::chrono::steady_clock;
 
   // Scalar reference: propagate every (satellite, site, step) independently.
-  auto t0 = clock::now();
   std::vector<std::vector<cov::StepMask>> reference;
   reference.reserve(sats.size());
-  for (const constellation::Satellite& sat : sats) {
-    reference.push_back(engine.visibility_masks_reference(sat, sites));
-  }
-  const double sec_reference = std::chrono::duration<double>(clock::now() - t0).count();
+  const double sec_reference = seconds_of([&] {
+    for (const constellation::Satellite& sat : sats) {
+      reference.push_back(engine.visibility_masks_reference(sat, sites));
+    }
+  });
 
-  // Batched serial: one shared ephemeris table per satellite, then masks.
+  // Batched: one shared ephemeris table per satellite, then masks; serial,
+  // and with the ephemeris fill spread over the pool.
   bool identical = true;
-  t0 = clock::now();
-  {
-    const orbit::EphemerisSet set = engine.ephemerides(sats);
+  const auto batched = [&](util::ThreadPool* fill_pool) {
+    const orbit::EphemerisSet set = engine.ephemerides(sats, fill_pool);
     for (std::size_t i = 0; i < sats.size(); ++i) {
       const std::vector<cov::StepMask> masks =
           engine.visibility_masks(set.table(i), sites);
@@ -300,23 +339,11 @@ bool run_compare(std::FILE* out) {
         if (!(masks[j] == reference[i][j])) identical = false;
       }
     }
-  }
-  const double sec_batched = std::chrono::duration<double>(clock::now() - t0).count();
-
-  // Batched pooled: same pipeline with the ephemeris fill spread over threads.
+  };
+  constexpr int kRepeats = 5;
   util::ThreadPool pool;
-  t0 = clock::now();
-  {
-    const orbit::EphemerisSet set = engine.ephemerides(sats, &pool);
-    for (std::size_t i = 0; i < sats.size(); ++i) {
-      const std::vector<cov::StepMask> masks =
-          engine.visibility_masks(set.table(i), sites);
-      for (std::size_t j = 0; j < masks.size(); ++j) {
-        if (!(masks[j] == reference[i][j])) identical = false;
-      }
-    }
-  }
-  const double sec_pooled = std::chrono::duration<double>(clock::now() - t0).count();
+  const auto [sec_batched, sec_pooled] = best_serial_and_pooled(
+      kRepeats, [&] { batched(nullptr); }, [&] { batched(&pool); });
 
   const double thr_reference = sat_steps / sec_reference;
   const double thr_batched = sat_steps / sec_batched;
@@ -381,31 +408,22 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
   const std::vector<net::GroundStation>& stations = workload.stations;
 
   const net::BentPipeScheduler scheduler(workload.scheduler, sats, terminals, stations);
-  using clock = std::chrono::steady_clock;
 
-  // Best of three repetitions per variant: the workload runs in fractions of
+  // Best of five repetitions per variant: the workload runs in fractions of
   // a second, so a single sample would fold scheduler noise into the speedup
   // the CI regression gate keys on.
   constexpr int kRepeats = 5;
-  const auto timed = [&](auto&& invoke) {
-    double best = 0.0;
-    net::ScheduleResult result;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-      const auto t0 = clock::now();
-      result = invoke();
-      const double sec = std::chrono::duration<double>(clock::now() - t0).count();
-      if (rep == 0 || sec < best) best = sec;
-    }
-    return std::pair{std::move(result), best};
-  };
-
-  const auto [reference, sec_reference] = timed(
-      [&] { return scheduler.run_reference(grid, kParties, nullptr, /*keep_steps=*/true); });
+  net::ScheduleResult reference;
+  const double sec_reference = best_of(kRepeats, [&] {
+    reference = scheduler.run_reference(grid, kParties, nullptr, /*keep_steps=*/true);
+  });
   sim::RunContext serial_context;
-  const auto [serial, sec_serial] = timed(
-      [&] { return scheduler.run(grid, kParties, serial_context, /*keep_steps=*/true); });
-  const auto [pooled, sec_pooled] = timed(
-      [&] { return scheduler.run(grid, kParties, context, /*keep_steps=*/true); });
+  net::ScheduleResult serial;
+  net::ScheduleResult pooled;
+  const auto [sec_serial, sec_pooled] = best_serial_and_pooled(
+      kRepeats,
+      [&] { serial = scheduler.run(grid, kParties, serial_context, /*keep_steps=*/true); },
+      [&] { pooled = scheduler.run(grid, kParties, context, /*keep_steps=*/true); });
 
   const bool identical = serial == reference && pooled == reference;
 

@@ -4,8 +4,6 @@
 #include <limits>
 #include <numeric>
 
-#include "util/thread_pool.hpp"
-
 namespace mpleo::core {
 
 PlacementOptimizer::PlacementOptimizer(const cov::CoverageEngine& engine,
@@ -86,24 +84,20 @@ std::vector<PlacementEvaluation> PlacementOptimizer::evaluate(
 std::vector<PlacementEvaluation> PlacementOptimizer::plan_incremental(
     std::vector<constellation::Satellite> base,
     std::span<const constellation::CandidateSlot> candidates,
-    orbit::TimePoint candidate_epoch, std::size_t count, util::ThreadPool* pool) const {
+    orbit::TimePoint candidate_epoch, std::size_t count) const {
   const double window = engine_->grid().duration_seconds();
 
   // A candidate's masks depend only on its own elements, never on the
   // growing base, so compute them once up front instead of re-propagating
   // every remaining candidate on every greedy round.
-  std::vector<std::vector<cov::StepMask>> candidate_masks(candidates.size());
-  const auto fill = [&](std::size_t i) {
+  std::vector<std::vector<cov::StepMask>> candidate_masks;
+  candidate_masks.reserve(candidates.size());
+  for (const constellation::CandidateSlot& slot : candidates) {
     constellation::Satellite probe;
-    probe.name = candidates[i].label;
-    probe.elements = candidates[i].elements;
+    probe.name = slot.label;
+    probe.elements = slot.elements;
     probe.epoch = candidate_epoch;
-    candidate_masks[i] = engine_->visibility_masks(probe, sites_);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(candidates.size(), fill);
-  } else {
-    for (std::size_t i = 0; i < candidates.size(); ++i) fill(i);
+    candidate_masks.push_back(engine_->visibility_masks(probe, sites_));
   }
 
   // The base union grows by OR-ing in each pick — bit-identical to

@@ -14,10 +14,6 @@
 #include "constellation/shell.hpp"
 #include "coverage/engine.hpp"
 
-namespace mpleo::util {
-class ThreadPool;
-}
-
 namespace mpleo::core {
 
 struct PlacementEvaluation {
@@ -47,14 +43,12 @@ class PlacementOptimizer {
 
   // Greedy gap-filling: picks `count` slots one at a time, each maximizing
   // marginal gain against base + previous picks. Returns picks in order.
-  // Candidate masks are computed once (in parallel across candidates when a
-  // pool is given) and reused across rounds; results are identical to
-  // re-evaluating every round.
+  // Candidate masks are computed once and reused across rounds; results are
+  // identical to re-evaluating every round.
   [[nodiscard]] std::vector<PlacementEvaluation> plan_incremental(
       std::vector<constellation::Satellite> base,
       std::span<const constellation::CandidateSlot> candidates,
-      orbit::TimePoint candidate_epoch, std::size_t count,
-      util::ThreadPool* pool = nullptr) const;
+      orbit::TimePoint candidate_epoch, std::size_t count) const;
 
  private:
   // Per-site union masks of a satellite set (the reusable part of the eval).

@@ -18,14 +18,6 @@ double draw_exponential(util::Xoshiro256PlusPlus& rng, double mean_s) {
 
 }  // namespace
 
-void prepare_cache(cov::VisibilityCache& cache, util::ThreadPool* pool) {
-  cache.precompute_all(pool);
-}
-
-void prepare_cache(cov::VisibilityCache& cache, sim::RunContext& context) {
-  cache.precompute_all(context);
-}
-
 WithdrawalImpact withdrawal_impact(cov::VisibilityCache& cache,
                                    std::span<const std::size_t> base,
                                    std::span<const std::size_t> withdrawn) {
@@ -97,7 +89,8 @@ std::vector<std::vector<std::size_t>> assign_to_parties(
 std::vector<ResiliencePoint> resilience_sweep(cov::VisibilityCache& cache,
                                               std::span<const std::size_t> satellite_indices,
                                               const ResilienceConfig& config,
-                                              util::ThreadPool* pool) {
+                                              sim::RunContext& context) {
+  obs::ScopedTimer timer(context.metrics().histogram("resilience.sweep_seconds"));
   const std::vector<double>& rates = config.failure_rates_per_sat_day;
   if (rates.empty()) {
     throw std::invalid_argument("resilience_sweep: no failure rates");
@@ -112,7 +105,7 @@ std::vector<ResiliencePoint> resilience_sweep(cov::VisibilityCache& cache,
   }
   if (config.runs == 0) throw std::invalid_argument("resilience_sweep: runs must be > 0");
 
-  prepare_cache(cache, pool);  // after this, every query is pure mask reads
+  cache.precompute_all(context);  // after this, every query is pure mask reads
 
   const orbit::TimeGrid& grid = cache.engine().grid();
   const double window = grid.duration_seconds();
@@ -173,7 +166,7 @@ std::vector<ResiliencePoint> resilience_sweep(cov::VisibilityCache& cache,
     }
   };
 
-  if (pool != nullptr) {
+  if (util::ThreadPool* const pool = context.pool(); pool != nullptr) {
     pool->parallel_for(config.runs, run_one);
   } else {
     for (std::size_t run = 0; run < config.runs; ++run) run_one(run);
@@ -195,16 +188,6 @@ std::vector<ResiliencePoint> resilience_sweep(cov::VisibilityCache& cache,
         baseline > 0.0 ? point.mean_coverage_fraction / baseline : 0.0;
     point.mean_worst_gap_seconds = gap_sum / static_cast<double>(config.runs);
   }
-  return points;
-}
-
-std::vector<ResiliencePoint> resilience_sweep(cov::VisibilityCache& cache,
-                                              std::span<const std::size_t> satellite_indices,
-                                              const ResilienceConfig& config,
-                                              sim::RunContext& context) {
-  obs::ScopedTimer timer(context.metrics().histogram("resilience.sweep_seconds"));
-  std::vector<ResiliencePoint> points =
-      resilience_sweep(cache, satellite_indices, config, context.pool());
   context.metrics().counter("resilience.points").add(points.size());
   context.metrics().counter("resilience.runs").add(points.size() * config.runs);
   return points;

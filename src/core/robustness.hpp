@@ -16,9 +16,6 @@ class VisibilityCache;
 namespace mpleo::sim {
 class RunContext;
 }
-namespace mpleo::util {
-class ThreadPool;
-}
 
 namespace mpleo::core {
 
@@ -35,16 +32,6 @@ struct WithdrawalImpact {
     return before_fraction > 0.0 ? drop_fraction() / before_fraction : 0.0;
   }
 };
-
-// Eagerly fills `cache` with every satellite's masks before a Monte-Carlo
-// withdrawal sweep, in parallel across satellites when a pool is given.
-// The parallel fill is bit-identical to the lazy serial one; after this,
-// withdrawal_impact calls are pure mask arithmetic.
-void prepare_cache(cov::VisibilityCache& cache, util::ThreadPool* pool = nullptr);
-
-// RunContext entry point: pool and metrics from the context (see
-// VisibilityCache::precompute_all(context)).
-void prepare_cache(cov::VisibilityCache& cache, sim::RunContext& context);
 
 // Coverage impact of removing `withdrawn` (indices into the cache's catalog)
 // from `base` (ditto). `withdrawn` must be a subset of `base`. The fractions
@@ -92,20 +79,15 @@ struct ResiliencePoint {
 };
 
 // Sweeps coverage vs failure rate for the given satellite set (indices into
-// the cache's catalog), pooled across Monte-Carlo runs when a pool is given
-// (the cache is precomputed first; results are deterministic for a given
+// the cache's catalog), pooled across Monte-Carlo runs on the context's pool
+// (the cache is precomputed first; results are bit-identical for a given
 // seed regardless of thread count). Failure candidates are drawn once per
 // run at the envelope (maximum) rate and thinned per sweep point — common
 // random numbers — so within every run the outage set grows with the rate
 // and the served fraction is monotonically non-increasing by construction,
-// not merely in expectation. Points come back in config order.
-[[nodiscard]] std::vector<ResiliencePoint> resilience_sweep(
-    cov::VisibilityCache& cache, std::span<const std::size_t> satellite_indices,
-    const ResilienceConfig& config, util::ThreadPool* pool = nullptr);
-
-// RunContext entry point: pool from the context; sweep time and point/run
-// counts land in context.metrics() under "resilience.". Bit-identical to
-// the pool overload for any context.
+// not merely in expectation. Points come back in config order. Sweep time
+// and point/run counts land in context.metrics() under "resilience.", the
+// cache fill's under "cov.".
 [[nodiscard]] std::vector<ResiliencePoint> resilience_sweep(
     cov::VisibilityCache& cache, std::span<const std::size_t> satellite_indices,
     const ResilienceConfig& config, sim::RunContext& context);

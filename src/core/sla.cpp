@@ -51,7 +51,7 @@ SlaReport evaluate_sla(const SlaTerms& terms, cov::VisibilityCache& cache,
                        std::span<const std::size_t> satellite_indices,
                        std::size_t site_index, sim::RunContext& context) {
   obs::ScopedTimer timer(context.metrics().histogram("sla.evaluate_seconds"));
-  if (context.pool() != nullptr) cache.precompute_all(context.pool());
+  if (context.pool() != nullptr) cache.precompute_all(context);
   const cov::StepMask mask =
       cache.union_mask(satellite_indices, site_index, context.faults());
   const SlaReport report = evaluate_sla(terms, cache.engine().stats(mask));

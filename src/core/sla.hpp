@@ -69,7 +69,8 @@ struct SlaReport {
 // is bit-identical to the healthy union) and its pool precomputes the
 // cache's visibility masks in parallel across satellites first
 // (bit-identical to the lazy serial fill). Evaluation time and violation
-// counts land in context.metrics() under "sla.".
+// counts land in context.metrics() under "sla.", the pooled fill's under
+// "cov.".
 [[nodiscard]] SlaReport evaluate_sla(const SlaTerms& terms, cov::VisibilityCache& cache,
                                      std::span<const std::size_t> satellite_indices,
                                      std::size_t site_index, sim::RunContext& context);

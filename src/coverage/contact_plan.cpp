@@ -9,11 +9,10 @@ namespace mpleo::cov {
 
 std::vector<Contact> build_contact_plan(const CoverageEngine& engine,
                                         std::span<const constellation::Satellite> satellites,
-                                        std::span<const GroundSite> sites,
-                                        util::ThreadPool* pool) {
+                                        std::span<const GroundSite> sites) {
   std::vector<Contact> contacts;
   const double step = engine.grid().step_seconds;
-  const orbit::EphemerisSet ephemerides = engine.ephemerides(satellites, pool);
+  const orbit::EphemerisSet ephemerides = engine.ephemerides(satellites);
   for (std::size_t i = 0; i < satellites.size(); ++i) {
     const constellation::Satellite& sat = satellites[i];
     const std::vector<StepMask> masks =

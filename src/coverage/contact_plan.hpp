@@ -11,10 +11,6 @@
 #include "constellation/shell.hpp"
 #include "coverage/engine.hpp"
 
-namespace mpleo::util {
-class ThreadPool;
-}
-
 namespace mpleo::cov {
 
 struct Contact {
@@ -27,12 +23,11 @@ struct Contact {
 };
 
 // Builds the full contact plan of `satellites` over `sites` on the engine's
-// grid, sorted by start time (ties by satellite id). The shared ephemeris
-// tables are filled in parallel across satellites when a pool is given.
+// grid, sorted by start time (ties by satellite id).
 [[nodiscard]] std::vector<Contact> build_contact_plan(
     const CoverageEngine& engine,
     std::span<const constellation::Satellite> satellites,
-    std::span<const GroundSite> sites, util::ThreadPool* pool = nullptr);
+    std::span<const GroundSite> sites);
 
 // CSV rendering: header "satellite,site,start_s,end_s,duration_s".
 [[nodiscard]] std::string contact_plan_csv(std::span<const Contact> contacts);

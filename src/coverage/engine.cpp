@@ -81,23 +81,9 @@ orbit::EphemerisTable CoverageEngine::ephemeris(
 
 orbit::EphemerisSet CoverageEngine::ephemerides(
     std::span<const constellation::Satellite> satellites, util::ThreadPool* pool) const {
-  return ephemerides(satellites, pool, default_backend_);
-}
-
-orbit::EphemerisSet CoverageEngine::ephemerides(
-    std::span<const constellation::Satellite> satellites, util::ThreadPool* pool,
-    orbit::PropagatorBackend backend) const {
-  const std::vector<orbit::EphemerisSpec> specs = ephemeris_specs(satellites, backend);
+  const std::vector<orbit::EphemerisSpec> specs =
+      ephemeris_specs(satellites, default_backend_);
   return orbit::EphemerisSet::compute(specs, grid_, gmst_, pool);
-}
-
-orbit::EphemerisSet CoverageEngine::ephemerides(
-    std::span<const constellation::Satellite> satellites, sim::RunContext& context) const {
-  obs::ScopedTimer timer(context.metrics().histogram("cov.propagate_seconds"));
-  orbit::EphemerisSet set =
-      ephemerides(satellites, context.pool(), context.scenario().propagator);
-  context.metrics().counter("cov.ephemeris_tables").add(satellites.size());
-  return set;
 }
 
 StepMask CoverageEngine::visibility_mask(const constellation::Satellite& satellite,
@@ -168,22 +154,14 @@ void CoverageEngine::fill_visibility(const orbit::EphemerisTable& ephemeris,
 }
 
 StepMask CoverageEngine::coverage_mask(std::span<const constellation::Satellite> satellites,
-                                       const orbit::TopocentricFrame& site) const {
-  StepMask result(grid_.count);
-  for (const constellation::Satellite& sat : satellites) {
-    result |= visibility_mask(sat, site);
-  }
-  return result;
-}
-
-StepMask CoverageEngine::coverage_mask(std::span<const constellation::Satellite> satellites,
                                        const orbit::TopocentricFrame& site,
                                        const fault::FaultTimeline* faults) const {
-  if (faults == nullptr || faults->empty()) return coverage_mask(satellites, site);
+  if (faults != nullptr && faults->empty()) faults = nullptr;
   StepMask result(grid_.count);
   for (std::size_t i = 0; i < satellites.size(); ++i) {
     StepMask mask = visibility_mask(satellites[i], site);
-    if (const StepMask* out = faults->satellite_outage_steps(i)) mask.subtract(*out);
+    const StepMask* out = faults != nullptr ? faults->satellite_outage_steps(i) : nullptr;
+    if (out != nullptr) mask.subtract(*out);
     result |= mask;
   }
   return result;
@@ -309,7 +287,13 @@ void VisibilityCache::precompute_all(sim::RunContext& context) {
   for (std::size_t sat = 0; sat < catalog_.size(); ++sat) {
     if (blocks_[sat].site_begin.empty()) fresh.push_back(sat);
   }
-  precompute_all(context.pool());
+  if (util::ThreadPool* const pool = context.pool(); pool != nullptr) {
+    // Each index touches only its own block, so the parallel fill is
+    // race-free and bit-identical to the serial one.
+    pool->parallel_for(catalog_.size(), [this](std::size_t sat) { (void)block(sat); });
+  } else {
+    for (std::size_t sat = 0; sat < catalog_.size(); ++sat) (void)block(sat);
+  }
   std::size_t visible = 0;
   for (const std::size_t sat : fresh) {
     for (const std::uint64_t word : blocks_[sat].bits) {
@@ -318,16 +302,6 @@ void VisibilityCache::precompute_all(sim::RunContext& context) {
   }
   context.metrics().counter("cov.masks_filled").add(fresh.size() * sites_.size());
   context.metrics().counter("cov.visible_steps").add(visible);
-}
-
-void VisibilityCache::precompute_all(util::ThreadPool* pool) {
-  if (pool != nullptr) {
-    // Each index touches only its own block, so the parallel fill is
-    // race-free and bit-identical to the serial one.
-    pool->parallel_for(catalog_.size(), [this](std::size_t sat) { (void)block(sat); });
-  } else {
-    for (std::size_t sat = 0; sat < catalog_.size(); ++sat) (void)block(sat);
-  }
 }
 
 StepMask VisibilityCache::mask(std::size_t satellite_index, std::size_t site_index) {

@@ -94,23 +94,12 @@ class CoverageEngine {
       const constellation::Satellite& satellite,
       orbit::PropagatorBackend backend) const;
 
-  // Shared ephemerides of a whole catalog; parallel across satellites when a
-  // pool is given. Without an explicit backend the engine's default applies
-  // (bit-identical to the historical single-backend fill when that default
-  // is kJ2Analytic).
+  // Shared ephemerides of a whole catalog under the engine's backend;
+  // parallel across satellites when a pool is given, bit-identical to the
+  // serial fill. The caller times the fill (it records no metrics).
   [[nodiscard]] orbit::EphemerisSet ephemerides(
       std::span<const constellation::Satellite> satellites,
       util::ThreadPool* pool = nullptr) const;
-  [[nodiscard]] orbit::EphemerisSet ephemerides(
-      std::span<const constellation::Satellite> satellites, util::ThreadPool* pool,
-      orbit::PropagatorBackend backend) const;
-
-  // RunContext entry point: pool and propagator backend from the context's
-  // scenario, propagation time and table counts recorded into
-  // context.metrics() under "cov.". Bit-identical to the pool overload for
-  // any context whose scenario keeps the default backend.
-  [[nodiscard]] orbit::EphemerisSet ephemerides(
-      std::span<const constellation::Satellite> satellites, sim::RunContext& context) const;
 
   // Visibility timeline of one satellite over one site.
   [[nodiscard]] StepMask visibility_mask(const constellation::Satellite& satellite,
@@ -133,17 +122,13 @@ class CoverageEngine {
       const constellation::Satellite& satellite,
       std::span<const GroundSite> sites) const;
 
-  // Union coverage of a satellite set over one site.
-  [[nodiscard]] StepMask coverage_mask(std::span<const constellation::Satellite> satellites,
-                                       const orbit::TopocentricFrame& site) const;
-
-  // Fault-aware union: satellite i of the span is intersected with its
-  // availability in `faults` (fault asset index == span index) before the
-  // union. nullptr or an empty timeline is bit-identical to the overload
-  // above.
+  // Union coverage of a satellite set over one site. With a non-empty
+  // `faults`, satellite i of the span is first intersected with its
+  // availability (fault asset index == span index); nullptr or an empty
+  // timeline gives the plain union.
   [[nodiscard]] StepMask coverage_mask(std::span<const constellation::Satellite> satellites,
                                        const orbit::TopocentricFrame& site,
-                                       const fault::FaultTimeline* faults) const;
+                                       const fault::FaultTimeline* faults = nullptr) const;
 
   [[nodiscard]] CoverageStats stats(const StepMask& mask) const;
 
@@ -175,10 +160,10 @@ class CoverageEngine {
 
 // Memoised per-(satellite, site) masks over a fixed catalog — the working set
 // of the Monte-Carlo benches. Masks are computed lazily one satellite at a
-// time, or eagerly for the whole catalog with precompute_all (optionally in
-// parallel across satellites; the parallel fill is bit-identical to the
-// serial one). The lazy accessors are not thread-safe; precompute first when
-// sharing a cache across threads.
+// time, or eagerly for the whole catalog with precompute_all (in parallel
+// across satellites on the context's pool; the parallel fill is
+// bit-identical to the serial one). The lazy accessors are not thread-safe;
+// precompute first when sharing a cache across threads.
 //
 // Storage: a LEO satellite clears a site's elevation mask for well under 1%
 // of a grid, so the cache keeps only each mask's nonzero 64-step words. One
@@ -205,13 +190,11 @@ class VisibilityCache {
                   std::span<const constellation::Satellite> catalog,
                   std::span<const GroundSite> sites);
 
-  // Computes every satellite's masks up front. With a pool, satellites are
-  // filled concurrently (each writes only its own block).
-  void precompute_all(util::ThreadPool* pool = nullptr);
-
-  // RunContext entry point: pool from the context, fill time and mask/step
-  // counts recorded into context.metrics() under "cov.". Bit-identical to
-  // the pool overload for any context.
+  // Computes every satellite's masks up front. With a pool on the context,
+  // satellites are filled concurrently (each writes only its own block);
+  // the masks are bit-identical for any pool size. Fill time and the
+  // mask/step counts of the satellites this call fills land in
+  // context.metrics() under "cov.".
   void precompute_all(sim::RunContext& context);
 
   // One satellite's mask at one site, expanded from the stored words.

@@ -7,16 +7,14 @@
 #include "util/units.hpp"
 
 namespace mpleo::net {
-namespace {
 
-std::vector<std::uint32_t> build_timeline(
+std::vector<std::uint32_t> serving_satellite_timeline(
     const cov::CoverageEngine& engine,
     std::span<const constellation::Satellite> satellites,
-    const orbit::TopocentricFrame& terminal, const fault::FaultTimeline* faults,
-    util::ThreadPool* pool) {
+    const orbit::TopocentricFrame& terminal, const fault::FaultTimeline* faults) {
   const orbit::TimeGrid& grid = engine.grid();
   const double mask_rad = util::deg_to_rad(engine.elevation_mask_deg());
-  const orbit::EphemerisSet ephemerides = engine.ephemerides(satellites, pool);
+  const orbit::EphemerisSet ephemerides = engine.ephemerides(satellites);
   const bool faulted = faults != nullptr && !faults->empty();
 
   std::vector<std::uint32_t> timeline(grid.count, kNoSatellite);
@@ -33,23 +31,6 @@ std::vector<std::uint32_t> build_timeline(
     }
   }
   return timeline;
-}
-
-}  // namespace
-
-std::vector<std::uint32_t> serving_satellite_timeline(
-    const cov::CoverageEngine& engine,
-    std::span<const constellation::Satellite> satellites,
-    const orbit::TopocentricFrame& terminal, util::ThreadPool* pool) {
-  return build_timeline(engine, satellites, terminal, nullptr, pool);
-}
-
-std::vector<std::uint32_t> serving_satellite_timeline(
-    const cov::CoverageEngine& engine,
-    std::span<const constellation::Satellite> satellites,
-    const orbit::TopocentricFrame& terminal, const fault::FaultTimeline& faults,
-    util::ThreadPool* pool) {
-  return build_timeline(engine, satellites, terminal, &faults, pool);
 }
 
 HandoverStats handover_stats(std::span<const std::uint32_t> timeline,

@@ -12,9 +12,6 @@
 #include "coverage/engine.hpp"
 #include "orbit/geodesy.hpp"
 
-namespace mpleo::util {
-class ThreadPool;
-}
 namespace mpleo::fault {
 class FaultTimeline;
 }
@@ -36,21 +33,15 @@ struct HandoverStats {
 
 // Per-step serving-satellite selection: the visible satellite with the
 // highest elevation; kNoSatellite when none is visible. Positions come from
-// the shared ephemeris tables (filled in parallel when a pool is given).
+// the shared ephemeris tables. With a non-empty `faults`, satellites the
+// timeline marks out at a step are not eligible to serve (fault asset index
+// == span index); nullptr or an empty timeline gives the healthy selection.
 inline constexpr std::uint32_t kNoSatellite = 0xFFFFFFFFu;
 [[nodiscard]] std::vector<std::uint32_t> serving_satellite_timeline(
     const cov::CoverageEngine& engine,
     std::span<const constellation::Satellite> satellites,
-    const orbit::TopocentricFrame& terminal, util::ThreadPool* pool = nullptr);
-
-// Fault-aware selection: satellites the timeline marks out at a step are
-// not eligible to serve (fault asset index == span index). An empty
-// timeline yields a timeline bit-identical to the overload above.
-[[nodiscard]] std::vector<std::uint32_t> serving_satellite_timeline(
-    const cov::CoverageEngine& engine,
-    std::span<const constellation::Satellite> satellites,
-    const orbit::TopocentricFrame& terminal, const fault::FaultTimeline& faults,
-    util::ThreadPool* pool = nullptr);
+    const orbit::TopocentricFrame& terminal,
+    const fault::FaultTimeline* faults = nullptr);
 
 // Aggregates the timeline into handover statistics. With a fault timeline,
 // transitions caused by the previous satellite failing are additionally

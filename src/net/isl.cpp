@@ -97,10 +97,10 @@ cov::StepMask isl_coverage_mask(const cov::CoverageEngine& engine,
                                 std::span<const constellation::Satellite> satellites,
                                 const orbit::TopocentricFrame& terminal,
                                 std::span<const cov::GroundSite> gateways,
-                                const IslConfig& config, util::ThreadPool* pool) {
+                                const IslConfig& config) {
   const orbit::TimeGrid& grid = engine.grid();
   const std::size_t n = satellites.size();
-  const orbit::EphemerisSet ephemerides = engine.ephemerides(satellites, pool);
+  const orbit::EphemerisSet ephemerides = engine.ephemerides(satellites);
 
   // Per-satellite visibility timelines from the shared tables: terminal
   // visibility and the union over all gateways.

@@ -18,10 +18,6 @@
 #include "coverage/step_mask.hpp"
 #include "util/vec3.hpp"
 
-namespace mpleo::util {
-class ThreadPool;
-}
-
 namespace mpleo::net {
 
 struct IslConfig {
@@ -58,15 +54,13 @@ class IslTopology {
 // step the terminal is covered iff some satellite above its mask is within
 // config.max_hops of a satellite above any gateway's mask.
 // With config.max_hops == 0 this degenerates to the bent-pipe rule.
-// Positions and visibility come from the shared ephemeris tables (filled in
-// parallel across satellites when a pool is given); the per-step mesh is
-// only built on steps where both a terminal-visible and a gateway-visible
-// satellite exist.
+// Positions and visibility come from the shared ephemeris tables; the
+// per-step mesh is only built on steps where both a terminal-visible and a
+// gateway-visible satellite exist.
 [[nodiscard]] cov::StepMask isl_coverage_mask(
     const cov::CoverageEngine& engine,
     std::span<const constellation::Satellite> satellites,
     const orbit::TopocentricFrame& terminal,
-    std::span<const cov::GroundSite> gateways, const IslConfig& config,
-    util::ThreadPool* pool = nullptr);
+    std::span<const cov::GroundSite> gateways, const IslConfig& config);
 
 }  // namespace mpleo::net

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "coverage/engine.hpp"
 #include "coverage/footprint_index.hpp"
 #include "coverage/packed_masks.hpp"
 #include "coverage/step_mask.hpp"
@@ -991,18 +992,6 @@ void BentPipeScheduler::validate_owners(std::size_t party_count) const {
   }
 }
 
-orbit::EphemerisSet BentPipeScheduler::ephemerides(const orbit::TimeGrid& grid,
-                                                   util::ThreadPool* pool) const {
-  std::vector<orbit::EphemerisSpec> specs;
-  specs.reserve(satellites_.size());
-  for (const constellation::Satellite& s : satellites_) {
-    orbit::EphemerisSpec spec{s.elements, s.epoch, orbit::Perturbation::kJ2Secular};
-    spec.backend = config_.propagator_backend;
-    specs.push_back(std::move(spec));
-  }
-  return orbit::EphemerisSet::compute(specs, grid, pool);
-}
-
 ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t party_count,
                                       sim::RunContext& context, bool keep_steps) const {
   validate_owners(party_count);
@@ -1025,7 +1014,8 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   // both phases (and run_reference) read positions from these tables.
   const orbit::EphemerisSet eph = [&] {
     obs::ScopedTimer propagate_timer(rm.propagate_seconds);
-    return ephemerides(grid, pool);
+    return orbit::EphemerisSet::compute(
+        cov::ephemeris_specs(satellites_, config_.propagator_backend), grid, pool);
   }();
 
   obs::ScopedTimer cull_timer(rm.cull_seconds);
@@ -1261,7 +1251,8 @@ ScheduleResult BentPipeScheduler::run_reference(const orbit::TimeGrid& grid,
   // Same shared ephemeris tables as run(): the two paths see bit-identical
   // satellite positions, which is what makes full-result bit-identity
   // possible at all.
-  const orbit::EphemerisSet eph = ephemerides(grid, nullptr);
+  const orbit::EphemerisSet eph = orbit::EphemerisSet::compute(
+      cov::ephemeris_specs(satellites_, config_.propagator_backend), grid);
 
   std::vector<util::Vec3> positions(satellites_.size());
   const double dt_step = grid.step_seconds;

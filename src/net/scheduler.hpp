@@ -50,9 +50,6 @@ class FaultTimeline;
 namespace mpleo::sim {
 class RunContext;
 }
-namespace mpleo::util {
-class ThreadPool;
-}
 
 namespace mpleo::net {
 
@@ -99,9 +96,9 @@ struct SchedulerConfig {
   const rf::InterferenceEnvironment* rf = nullptr;
   // Orbit propagation backend for the shared ephemeris fill. run() and
   // run_reference() both propagate through it, so the pipeline/reference
-  // bit-identity contract holds for either backend. Scenario-driven callers
-  // copy scenario.propagator here (see sim::parse_scenario's --propagator=
-  // flag).
+  // bit-identity contract holds for either backend. sim::build_workload
+  // copies scenario.propagator (sim::parse_scenario's --propagator= flag)
+  // here.
   orbit::PropagatorBackend propagator_backend = orbit::PropagatorBackend::kJ2Analytic;
   // Steps per phase-1 chunk. Must be a power of two in [1, 64] so a chunk
   // never straddles a mask word. Smaller chunks shrink the streaming
@@ -255,8 +252,6 @@ class BentPipeScheduler {
 
  private:
   void validate_owners(std::size_t party_count) const;
-  [[nodiscard]] orbit::EphemerisSet ephemerides(const orbit::TimeGrid& grid,
-                                                util::ThreadPool* pool) const;
 
   SchedulerConfig config_;
   std::vector<constellation::Satellite> satellites_;

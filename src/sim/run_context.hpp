@@ -3,12 +3,18 @@
 // timeline, the trace recorder and the metrics registry — so subsystem APIs
 // take `sim::RunContext&` instead of growing tails of optional parameters.
 //
-// Contract: a default-constructed RunContext (serial, no faults) drives
-// every subsystem bit-identically to the pre-RunContext default-argument
-// calls — same ScheduleResult down to link ordering, same coverage masks.
-// The pool only changes wall-clock time (all parallel fills in this codebase
-// are pool-size invariant), faults flow to exactly the same parameters the
-// old overloads exposed, and metrics/tracing observe without perturbing.
+// Each parallel operation has exactly one entry point. One whose metrics a
+// bench reads takes the context (BentPipeScheduler::run,
+// Campaign::run_epoch, evaluate_sla, VisibilityCache::precompute_all,
+// resilience_sweep, chaos_sweep, adversary_sweep). A fill whose caller
+// already times it takes a util::ThreadPool* (EphemerisSet::compute,
+// CoverageEngine::ephemerides, ProofOfCoverage::prepare_grid); callers
+// holding a context pass context.pool().
+//
+// Contract: results never depend on the pool size, including none — same
+// ScheduleResult down to link ordering, same coverage masks; the pool only
+// changes wall-clock time. Faults reach every faultable subsystem through
+// faults(), and metrics/tracing observe without perturbing.
 #pragma once
 
 #include <cstddef>

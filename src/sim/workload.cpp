@@ -95,14 +95,18 @@ Workload build_reference(const Scenario& scenario) {
 
 Workload build_workload(const Scenario& scenario) {
   core::throw_if_invalid("sim::build_workload", scenario.validate());
+  Workload w;
   switch (scenario.scale) {
     case ScalePreset::kMega:
     case ScalePreset::kMegaSmoke:
-      return build_mega(scenario);
+      w = build_mega(scenario);
+      break;
     case ScalePreset::kReference:
+      w = build_reference(scenario);
       break;
   }
-  return build_reference(scenario);
+  w.scheduler.propagator_backend = scenario.propagator;
+  return w;
 }
 
 fault::FaultTimeline build_event_timeline(const Scenario& scenario,

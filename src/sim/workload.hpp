@@ -19,7 +19,7 @@ namespace mpleo::sim {
 
 // A fully-specified scheduler workload. `scheduler` carries the preset's
 // streaming knobs (chunk size and candidate cap for the mega presets;
-// defaults for reference scale).
+// defaults for reference scale) and the scenario's propagator backend.
 struct Workload {
   std::vector<constellation::Satellite> satellites;
   std::vector<net::Terminal> terminals;

@@ -114,9 +114,4 @@ void ThreadPool::parallel_for(std::size_t count,
   });
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace mpleo::util

@@ -43,9 +43,6 @@ class ThreadPool {
   void parallel_for_chunks(std::size_t count,
                            const std::function<void(std::size_t, std::size_t)>& fn);
 
-  // Process-wide pool sized to the hardware; created on first use.
-  [[nodiscard]] static ThreadPool& shared();
-
  private:
   struct Job {
     const std::function<void(std::size_t, std::size_t)>* fn = nullptr;

@@ -9,6 +9,7 @@
 
 #include "constellation/shell.hpp"
 #include "coverage/cities.hpp"
+#include "sim/run_context.hpp"
 
 namespace mpleo::core {
 namespace {
@@ -182,17 +183,18 @@ TEST_F(WithdrawalFixture, NonSubsetWithdrawalThrows) {
 }
 
 TEST_F(WithdrawalFixture, ResilienceSweepRejectsDegenerateConfigs) {
+  sim::RunContext context;
   ResilienceConfig config;
   config.failure_rates_per_sat_day.clear();
-  EXPECT_THROW(resilience_sweep(*cache_, base_, config), std::invalid_argument);
+  EXPECT_THROW(resilience_sweep(*cache_, base_, config, context), std::invalid_argument);
   config.failure_rates_per_sat_day = {-1.0};
-  EXPECT_THROW(resilience_sweep(*cache_, base_, config), std::invalid_argument);
+  EXPECT_THROW(resilience_sweep(*cache_, base_, config, context), std::invalid_argument);
   config = ResilienceConfig{};
   config.mttr_seconds = 0.0;
-  EXPECT_THROW(resilience_sweep(*cache_, base_, config), std::invalid_argument);
+  EXPECT_THROW(resilience_sweep(*cache_, base_, config, context), std::invalid_argument);
   config = ResilienceConfig{};
   config.runs = 0;
-  EXPECT_THROW(resilience_sweep(*cache_, base_, config), std::invalid_argument);
+  EXPECT_THROW(resilience_sweep(*cache_, base_, config, context), std::invalid_argument);
 }
 
 TEST_F(WithdrawalFixture, ResilienceSweepBaselineAndRateZero) {
@@ -200,7 +202,9 @@ TEST_F(WithdrawalFixture, ResilienceSweepBaselineAndRateZero) {
   config.failure_rates_per_sat_day = {0.0, 8.0};
   config.mttr_seconds = 7200.0;
   config.runs = 2;
-  const std::vector<ResiliencePoint> points = resilience_sweep(*cache_, base_, config);
+  sim::RunContext context;
+  const std::vector<ResiliencePoint> points =
+      resilience_sweep(*cache_, base_, config, context);
   ASSERT_EQ(points.size(), 2u);
   // Rate zero is exactly the healthy constellation.
   EXPECT_DOUBLE_EQ(points[0].mean_coverage_fraction,

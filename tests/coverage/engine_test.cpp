@@ -7,7 +7,7 @@
 
 #include "constellation/starlink.hpp"
 #include "coverage/visibility.hpp"
-#include "util/thread_pool.hpp"
+#include "sim/run_context.hpp"
 #include "util/units.hpp"
 
 namespace mpleo::cov {
@@ -208,12 +208,14 @@ TEST(VisibilityCache, ParallelPrecomputeIsBitIdenticalToSerial) {
     catalog.push_back(make_sat(550e3, 53.0, raan, raan * 2.0, grid.start));
   }
 
+  sim::RunContext serial_context;
   VisibilityCache serial(engine, catalog, sites);
-  serial.precompute_all();
+  serial.precompute_all(serial_context);
 
-  util::ThreadPool pool(4);
+  sim::RunContext pooled_context;
+  pooled_context.use_threads(4);
   VisibilityCache parallel(engine, catalog, sites);
-  parallel.precompute_all(&pool);
+  parallel.precompute_all(pooled_context);
 
   for (std::size_t s = 0; s < catalog.size(); ++s) {
     for (std::size_t j = 0; j < sites.size(); ++j) {
@@ -232,9 +234,10 @@ TEST(VisibilityCache, PrecomputeMatchesLazyFill) {
     catalog.push_back(make_sat(560e3, 70.0, 15.0, phase, grid.start));
   }
 
-  util::ThreadPool pool(3);
+  sim::RunContext context;
+  context.use_threads(3);
   VisibilityCache eager(engine, catalog, sites);
-  eager.precompute_all(&pool);
+  eager.precompute_all(context);
   VisibilityCache lazy(engine, catalog, sites);
 
   for (std::size_t s = 0; s < catalog.size(); ++s) {
@@ -288,7 +291,8 @@ TEST(VisibilityCache, OutOfRangeIndicesThrow) {
   // Before any fill an unchecked index would read past the storage; after
   // precompute_all, site == site_count() would alias the next satellite.
   expect_out_of_range();
-  cache.precompute_all();
+  sim::RunContext context;
+  cache.precompute_all(context);
   expect_out_of_range();
   EXPECT_EQ(cache.mask(1, 1), engine.visibility_mask(catalog[1], sites[1].frame));
 }

@@ -267,7 +267,7 @@ TEST(FaultHandover, FaultedSatelliteNeverServes) {
                                        {6.0 * 3600.0, 2.0 * 3600.0}, {}, 99);
   ASSERT_FALSE(faults.empty());
   const std::vector<std::uint32_t> timeline =
-      net::serving_satellite_timeline(engine, sats, terminal, faults);
+      net::serving_satellite_timeline(engine, sats, terminal, &faults);
   ASSERT_EQ(timeline.size(), grid.count);
   for (std::size_t k = 0; k < timeline.size(); ++k) {
     if (timeline[k] == net::kNoSatellite) continue;
@@ -280,7 +280,7 @@ TEST(FaultHandover, FaultedSatelliteNeverServes) {
     total.add_satellite_outage(i, 0.0, grid.duration_seconds() + grid.step_seconds);
   }
   for (const std::uint32_t serving :
-       net::serving_satellite_timeline(engine, sats, terminal, total)) {
+       net::serving_satellite_timeline(engine, sats, terminal, &total)) {
     EXPECT_EQ(serving, net::kNoSatellite);
   }
 }

@@ -6,6 +6,8 @@
 // with the metrics/trace recording observing but never perturbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/campaign.hpp"
 #include "core/robustness.hpp"
 #include "core/sla.hpp"
@@ -159,26 +161,29 @@ TEST(RunContextIdentity, CoverageCacheMasksMatchForAnyContext) {
   }
 }
 
-TEST(RunContextIdentity, EphemeridesMatchForAnyContext) {
+TEST(RunContextIdentity, EphemeridesMatchForAnyPoolSize) {
   const Fleet f = make_fleet();
   const cov::CoverageEngine engine(test_grid(), 25.0);
   const std::vector<cov::GroundSite> sites = {
       {"a", orbit::TopocentricFrame(orbit::Geodetic::from_degrees(10.0, 10.0)), 1.0}};
 
-  const orbit::EphemerisSet plain = engine.ephemerides(f.satellites);
-  sim::Scenario scenario;
-  scenario.threads = 2;
-  sim::RunContext context(scenario);
-  const orbit::EphemerisSet via_context = engine.ephemerides(f.satellites, context);
+  const orbit::EphemerisSet serial = engine.ephemerides(f.satellites);
+  util::ThreadPool pool(2);
+  const orbit::EphemerisSet pooled = engine.ephemerides(f.satellites, &pool);
 
-  EXPECT_EQ(context.metrics().counter_value("cov.ephemeris_tables"),
-            f.satellites.size());
+  ASSERT_EQ(pooled.size(), serial.size());
   for (std::size_t i = 0; i < f.satellites.size(); ++i) {
-    const auto masks_plain = engine.visibility_masks(plain.table(i), sites);
-    const auto masks_ctx = engine.visibility_masks(via_context.table(i), sites);
-    ASSERT_EQ(masks_plain.size(), masks_ctx.size());
-    for (std::size_t j = 0; j < masks_plain.size(); ++j) {
-      EXPECT_TRUE(masks_plain[j] == masks_ctx[j]) << "sat " << i;
+    const orbit::EphemerisTable& a = serial.table(i);
+    const orbit::EphemerisTable& b = pooled.table(i);
+    EXPECT_TRUE(std::ranges::equal(a.x(), b.x()) && std::ranges::equal(a.y(), b.y()) &&
+                std::ranges::equal(a.z(), b.z()) &&
+                std::ranges::equal(a.radius_m(), b.radius_m()))
+        << "sat " << i;
+    const auto masks_serial = engine.visibility_masks(a, sites);
+    const auto masks_pooled = engine.visibility_masks(b, sites);
+    ASSERT_EQ(masks_serial.size(), masks_pooled.size());
+    for (std::size_t j = 0; j < masks_serial.size(); ++j) {
+      EXPECT_TRUE(masks_serial[j] == masks_pooled[j]) << "sat " << i;
     }
   }
 }
@@ -225,14 +230,14 @@ TEST(RunContextIdentity, SlaReportMatchesForAnyContext) {
             legacy.violations.size());
 }
 
-TEST(RunContextIdentity, ResilienceSweepMatchesLegacyOverload) {
+TEST(RunContextIdentity, ResilienceSweepMatchesForAnyPoolSize) {
   const Fleet f = make_fleet();
   const cov::CoverageEngine engine(test_grid(), 25.0);
   const std::vector<cov::GroundSite> sites = {
       {"a", orbit::TopocentricFrame(orbit::Geodetic::from_degrees(10.0, 10.0)), 1.0},
       {"b", orbit::TopocentricFrame(orbit::Geodetic::from_degrees(-20.0, 40.0)), 1.0}};
-  cov::VisibilityCache legacy_cache(engine, f.satellites, sites);
-  cov::VisibilityCache context_cache(engine, f.satellites, sites);
+  cov::VisibilityCache serial_cache(engine, f.satellites, sites);
+  cov::VisibilityCache pooled_cache(engine, f.satellites, sites);
   const std::vector<std::size_t> fleet_idx = {0, 1, 2, 3, 4, 5, 6, 7};
 
   core::ResilienceConfig config;
@@ -240,25 +245,27 @@ TEST(RunContextIdentity, ResilienceSweepMatchesLegacyOverload) {
   config.runs = 3;
   config.seed = 7;
 
-  util::ThreadPool pool(2);
-  const std::vector<core::ResiliencePoint> legacy =
-      core::resilience_sweep(legacy_cache, fleet_idx, config, &pool);
+  sim::RunContext serial_context;  // no pool
+  const std::vector<core::ResiliencePoint> serial =
+      core::resilience_sweep(serial_cache, fleet_idx, config, serial_context);
 
   sim::Scenario scenario;
-  scenario.threads = 3;  // deliberately a different pool size
+  scenario.threads = 3;
   sim::RunContext context(scenario);
-  const std::vector<core::ResiliencePoint> via_context =
-      core::resilience_sweep(context_cache, fleet_idx, config, context);
+  const std::vector<core::ResiliencePoint> pooled =
+      core::resilience_sweep(pooled_cache, fleet_idx, config, context);
 
-  ASSERT_EQ(via_context.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(via_context[i].mean_coverage_fraction, legacy[i].mean_coverage_fraction);
-    EXPECT_EQ(via_context[i].mean_served_fraction, legacy[i].mean_served_fraction);
-    EXPECT_EQ(via_context[i].mean_worst_gap_seconds, legacy[i].mean_worst_gap_seconds);
+  ASSERT_EQ(pooled.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(pooled[i].mean_coverage_fraction, serial[i].mean_coverage_fraction);
+    EXPECT_EQ(pooled[i].mean_served_fraction, serial[i].mean_served_fraction);
+    EXPECT_EQ(pooled[i].mean_worst_gap_seconds, serial[i].mean_worst_gap_seconds);
   }
-  EXPECT_EQ(context.metrics().counter_value("resilience.points"), legacy.size());
+  EXPECT_EQ(context.metrics().counter_value("resilience.points"), serial.size());
   EXPECT_EQ(context.metrics().counter_value("resilience.runs"),
-            legacy.size() * config.runs);
+            serial.size() * config.runs);
+  EXPECT_EQ(context.metrics().counter_value("cov.masks_filled"),
+            f.satellites.size() * sites.size());
 }
 
 core::Campaign make_campaign() {

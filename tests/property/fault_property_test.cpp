@@ -12,7 +12,6 @@
 #include "net/handover.hpp"
 #include "net/scheduler.hpp"
 #include "sim/run_context.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mpleo {
 namespace {
@@ -148,7 +147,7 @@ TEST(FaultProperty, EmptyTimelineLeavesCoverageAndSlaBitIdentical) {
   EXPECT_DOUBLE_EQ(gated.total_penalty, plain.total_penalty);
 
   // Handover: fault-aware selection with an empty timeline is bit-identical.
-  EXPECT_EQ(net::serving_satellite_timeline(engine, sats, sites[0].frame, empty),
+  EXPECT_EQ(net::serving_satellite_timeline(engine, sats, sites[0].frame, &empty),
             net::serving_satellite_timeline(engine, sats, sites[0].frame));
 }
 
@@ -214,13 +213,15 @@ TEST(FaultProperty, ResilienceSweepReproducesAndIsMonotone) {
   config.runs = 4;
   config.seed = 7;
 
-  util::ThreadPool pool;
+  sim::RunContext serial_context;
+  sim::RunContext pooled_context;
+  pooled_context.use_threads(0);
   const std::vector<core::ResiliencePoint> serial =
-      core::resilience_sweep(cache, fleet, config);
+      core::resilience_sweep(cache, fleet, config, serial_context);
   const std::vector<core::ResiliencePoint> again =
-      core::resilience_sweep(cache, fleet, config);
+      core::resilience_sweep(cache, fleet, config, serial_context);
   const std::vector<core::ResiliencePoint> pooled =
-      core::resilience_sweep(cache, fleet, config, &pool);
+      core::resilience_sweep(cache, fleet, config, pooled_context);
 
   ASSERT_EQ(serial.size(), config.failure_rates_per_sat_day.size());
   ASSERT_EQ(again.size(), serial.size());
@@ -244,7 +245,7 @@ TEST(FaultProperty, ResilienceSweepReproducesAndIsMonotone) {
   // A different seed actually changes the draw.
   config.seed = 8;
   const std::vector<core::ResiliencePoint> other =
-      core::resilience_sweep(cache, fleet, config);
+      core::resilience_sweep(cache, fleet, config, serial_context);
   bool any_difference = false;
   for (std::size_t i = 0; i < serial.size(); ++i) {
     any_difference |=

@@ -73,6 +73,22 @@ TEST(Workload, ReferenceReproducesAcceptanceFleet) {
             net::SchedulerConfig{}.max_candidates_per_terminal);
 }
 
+TEST(Workload, SchedulerTakesTheScenarioPropagator) {
+  // --propagator= reaches the scheduler only through the workload's config.
+  const Workload reference =
+      build_workload(ScenarioBuilder().propagator(orbit::PropagatorBackend::kSgp4).build());
+  EXPECT_EQ(reference.scheduler.propagator_backend, orbit::PropagatorBackend::kSgp4);
+
+  Scenario mega = smoke_scenario();
+  mega.propagator = orbit::PropagatorBackend::kSgp4;
+  mega.terminal_count = 8;
+  mega.station_count = 4;
+  EXPECT_EQ(build_workload(mega).scheduler.propagator_backend,
+            orbit::PropagatorBackend::kSgp4);
+  EXPECT_EQ(build_workload(smoke_scenario()).scheduler.propagator_backend,
+            orbit::PropagatorBackend::kJ2Analytic);
+}
+
 TEST(Workload, InvalidScenarioThrowsUnifiedReport) {
   Scenario broken = smoke_scenario();
   broken.terminal_count = 0;

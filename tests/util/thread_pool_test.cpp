@@ -83,14 +83,5 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   EXPECT_EQ(total.load(), 8u * 45u);
 }
 
-TEST(ThreadPool, SharedPoolIsStable) {
-  ThreadPool& a = ThreadPool::shared();
-  ThreadPool& b = ThreadPool::shared();
-  EXPECT_EQ(&a, &b);
-  std::atomic<std::size_t> sum{0};
-  a.parallel_for(1'000, [&](std::size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 499'500u);
-}
-
 }  // namespace
 }  // namespace mpleo::util
