@@ -1,9 +1,6 @@
-// Simulator micro-benchmarks (google-benchmark): the hot paths every figure
-// rides on — Kepler solves, propagation, per-step visibility, mask algebra.
-//
-// Besides the google-benchmark suite, two acceptance modes write a
+// Acceptance runs for the simulator's fast paths. Each mode writes a
 // machine-readable JSON report (default BENCH_perf_simulator.json; override
-// with --out=PATH) and exit non-zero on any bit-identity mismatch:
+// with --out=PATH) and exits non-zero on any bit-identity or gate failure:
 //
 //   --compare            scalar-vs-batched visibility on the canonical
 //                        500-satellite x 100-site x 1-day/60s workload
@@ -14,14 +11,18 @@
 //                        J2 lane-batched SIMD, SGP4) plus the lane-batched
 //                        bit-identity check and the cross-backend
 //                        position-error report (the accuracy gate)
+//   --scale=mega|mega-smoke
+//                        the mega-constellation scale-out run
 //
-// All three may be passed together; the report then carries every section.
-#include <benchmark/benchmark.h>
-
+// Modes may be combined; the report then carries every section. With no
+// mode the program prints its usage and exits 2. Per-layer timings of the
+// paper workloads come from mpleo-bench (`benchmark/run.py --trace 1`).
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,7 +32,6 @@
 #endif
 
 #include "bench_common.hpp"
-#include "constellation/starlink.hpp"
 #include "core/mpleo.hpp"
 #include "orbit/simd.hpp"
 #include "sim/workload.hpp"
@@ -42,215 +42,6 @@ using namespace mpleo;
 namespace {
 
 const orbit::TimePoint kEpoch = orbit::TimePoint::from_iso8601("2024-11-18T00:00:00Z");
-
-void BM_KeplerSolve(benchmark::State& state) {
-  const double e = static_cast<double>(state.range(0)) / 100.0;
-  double m = 0.0;
-  for (auto _ : state) {
-    m += 0.1;
-    benchmark::DoNotOptimize(orbit::solve_kepler(m, e));
-  }
-}
-BENCHMARK(BM_KeplerSolve)->Arg(0)->Arg(10)->Arg(70);
-
-void BM_PropagateState(benchmark::State& state) {
-  const orbit::KeplerianPropagator prop(
-      orbit::ClassicalElements::circular(550e3, 53.0, 10.0, 20.0), kEpoch);
-  double dt = 0.0;
-  for (auto _ : state) {
-    dt += 60.0;
-    benchmark::DoNotOptimize(prop.state_at_offset(dt));
-  }
-}
-BENCHMARK(BM_PropagateState);
-
-void BM_GmstTableWeek(benchmark::State& state) {
-  const orbit::TimeGrid grid =
-      orbit::TimeGrid::over_duration(kEpoch, 7.0 * 86400.0, 60.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(orbit::GmstTable::for_grid(grid));
-  }
-}
-BENCHMARK(BM_GmstTableWeek);
-
-void BM_VisibilityMaskWeek(benchmark::State& state) {
-  // One satellite against N sites over a one-week 60 s grid — the inner loop
-  // of every coverage experiment (batched ephemeris-table path).
-  const orbit::TimeGrid grid =
-      orbit::TimeGrid::over_duration(kEpoch, 7.0 * 86400.0, 60.0);
-  const cov::CoverageEngine engine(grid, 25.0);
-  constellation::Satellite sat;
-  sat.elements = orbit::ClassicalElements::circular(550e3, 53.0, 10.0, 20.0);
-  sat.epoch = kEpoch;
-  const auto all = cov::sites_from_cities(cov::paper_cities());
-  const std::vector<cov::GroundSite> sites(all.begin(),
-                                           all.begin() + state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.visibility_masks(sat, sites));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(grid.count));
-}
-BENCHMARK(BM_VisibilityMaskWeek)->Arg(1)->Arg(21);
-
-void BM_VisibilityMaskWeekReference(benchmark::State& state) {
-  // The exhaustive scalar scan the batched kernel is measured against.
-  const orbit::TimeGrid grid =
-      orbit::TimeGrid::over_duration(kEpoch, 7.0 * 86400.0, 60.0);
-  const cov::CoverageEngine engine(grid, 25.0);
-  constellation::Satellite sat;
-  sat.elements = orbit::ClassicalElements::circular(550e3, 53.0, 10.0, 20.0);
-  sat.epoch = kEpoch;
-  const auto all = cov::sites_from_cities(cov::paper_cities());
-  const std::vector<cov::GroundSite> sites(all.begin(),
-                                           all.begin() + state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.visibility_masks_reference(sat, sites));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(grid.count));
-}
-BENCHMARK(BM_VisibilityMaskWeekReference)->Arg(1)->Arg(21);
-
-void BM_EphemerisTableDay(benchmark::State& state) {
-  // One satellite propagated into a shared table over a 1-day/60s grid.
-  const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, 86400.0, 60.0);
-  const orbit::GmstTable gmst = orbit::GmstTable::for_grid(grid);
-  const orbit::KeplerianPropagator prop(
-      orbit::ClassicalElements::circular(550e3, 53.0, 10.0, 20.0), kEpoch);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(orbit::EphemerisTable::compute(prop, grid, gmst));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(grid.count));
-}
-BENCHMARK(BM_EphemerisTableDay);
-
-void BM_EphemerisSetDay(benchmark::State& state) {
-  // A whole catalog of 100 tables, serial (Arg 0) or on a hardware-sized
-  // pool (Arg 1).
-  const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, 86400.0, 60.0);
-  const orbit::GmstTable gmst = orbit::GmstTable::for_grid(grid);
-  constellation::WalkerShell shell;
-  shell.plane_count = 10;
-  shell.sats_per_plane = 10;
-  const auto sats = shell.build(kEpoch);
-  const std::vector<orbit::EphemerisSpec> specs = cov::ephemeris_specs(sats);
-  util::ThreadPool hardware_pool;
-  util::ThreadPool* pool = state.range(0) == 0 ? nullptr : &hardware_pool;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(orbit::EphemerisSet::compute(specs, grid, gmst, pool));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(specs.size() * grid.count));
-}
-BENCHMARK(BM_EphemerisSetDay)->Arg(0)->Arg(1);
-
-void BM_MaskUnion1000(benchmark::State& state) {
-  // Union of 1000 one-week masks — the Monte-Carlo subset operation.
-  const std::size_t steps = 10081;
-  util::Xoshiro256PlusPlus rng(1);
-  std::vector<cov::StepMask> masks;
-  masks.reserve(1000);
-  for (int i = 0; i < 1000; ++i) {
-    cov::StepMask m(steps);
-    for (int k = 0; k < 60; ++k) {
-      m.set(rng.uniform_index(steps));
-    }
-    masks.push_back(std::move(m));
-  }
-  for (auto _ : state) {
-    cov::StepMask acc(steps);
-    for (const auto& m : masks) acc |= m;
-    benchmark::DoNotOptimize(acc.count());
-  }
-}
-BENCHMARK(BM_MaskUnion1000);
-
-void BM_IntervalSetInsert(benchmark::State& state) {
-  util::Xoshiro256PlusPlus rng(2);
-  for (auto _ : state) {
-    cov::IntervalSet set;
-    for (int i = 0; i < 200; ++i) {
-      const double start = rng.uniform(0.0, 1e5);
-      set.insert(start, start + rng.uniform(10.0, 500.0));
-    }
-    benchmark::DoNotOptimize(set.total_length());
-  }
-}
-BENCHMARK(BM_IntervalSetInsert);
-
-void BM_BuildStarlinkCatalog(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(constellation::build_starlink_catalog(kEpoch));
-  }
-}
-BENCHMARK(BM_BuildStarlinkCatalog);
-
-void BM_SchedulerStep(benchmark::State& state) {
-  // One scheduling step: N satellites x 4 terminals x 4 stations.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<constellation::Satellite> sats(n);
-  std::vector<util::Vec3> positions;
-  for (std::size_t i = 0; i < n; ++i) {
-    sats[i].owner_party = static_cast<std::uint32_t>(i % 4);
-    positions.push_back(orbit::geodetic_to_ecef(orbit::Geodetic::from_degrees(
-        10.0 + 0.3 * static_cast<double>(i % 40), 20.0, 550e3)));
-  }
-  std::vector<net::Terminal> terminals(4);
-  std::vector<net::GroundStation> stations(4);
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    terminals[i].id = i;
-    terminals[i].owner_party = i;
-    terminals[i].location = orbit::Geodetic::from_degrees(10.0 + i, 20.0 + i);
-    terminals[i].radio = net::default_user_terminal();
-    stations[i].id = i;
-    stations[i].owner_party = i;
-    stations[i].location = orbit::Geodetic::from_degrees(10.5 + i, 20.5 + i);
-    stations[i].radio = net::default_ground_station();
-  }
-  const net::BentPipeScheduler scheduler(net::SchedulerConfig{}, sats, terminals,
-                                         stations);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.schedule_step(positions, 0));
-  }
-}
-BENCHMARK(BM_SchedulerStep)->Arg(10)->Arg(100);
-
-void BM_IslTopologyBuild(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Xoshiro256PlusPlus rng(3);
-  std::vector<util::Vec3> positions;
-  for (std::size_t i = 0; i < n; ++i) {
-    const util::Vec3 dir{rng.normal(), rng.normal(), rng.normal()};
-    positions.push_back(dir.normalized() * (util::kEarthMeanRadiusM + 550e3));
-  }
-  const net::IslConfig cfg;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::IslTopology::build(positions, cfg));
-  }
-}
-BENCHMARK(BM_IslTopologyBuild)->Arg(100)->Arg(400);
-
-void BM_ConjunctionScreen50(benchmark::State& state) {
-  const auto sats = constellation::single_plane(550e3, 53.0, 0.0, 50, kEpoch);
-  const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, 6000.0, 30.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(orbit::screen_conjunctions(sats, grid, 50e3));
-  }
-}
-BENCHMARK(BM_ConjunctionScreen50);
-
-void BM_RelayBudget(benchmark::State& state) {
-  const auto terminal = net::default_user_terminal();
-  const auto transponder = net::default_transponder();
-  const auto station = net::default_ground_station();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::compute_relay(terminal, transponder, station, 800e3,
-                                                900e3, net::RelayMode::kTransparent));
-  }
-}
-BENCHMARK(BM_RelayBudget);
 
 // Wall seconds of one call of `fn`.
 template <typename Fn>
@@ -271,24 +62,80 @@ double best_of(int repeats, Fn&& fn) {
   return best;
 }
 
+// Host-wide CPU steal so far, in clock ticks (USER_HZ, 10 ms on Linux): the
+// 8th field of /proc/stat's aggregate `cpu` line. nullopt where /proc/stat
+// cannot be read.
+std::optional<std::uint64_t> steal_ticks() {
+  std::FILE* stat = std::fopen("/proc/stat", "r");
+  if (stat == nullptr) return std::nullopt;
+  unsigned long long field[8] = {};
+  const int read = std::fscanf(stat, "cpu %llu %llu %llu %llu %llu %llu %llu %llu",
+                               &field[0], &field[1], &field[2], &field[3], &field[4],
+                               &field[5], &field[6], &field[7]);
+  std::fclose(stat);
+  if (read != 8) return std::nullopt;
+  return field[7];
+}
+
+// Serial and pooled timings of one workload.
+struct SerialPooled {
+  double serial_seconds = 0.0;  // best of the repetitions
+  double pooled_seconds = 0.0;
+  // CPU steal ticks during each timed repetition, in run order; both empty
+  // where /proc/stat is unreadable.
+  std::vector<std::uint64_t> serial_steal_ticks;
+  std::vector<std::uint64_t> pooled_steal_ticks;
+};
+
 // Best-of-`repeats` wall seconds of the serial and the pooled variant of one
 // workload. The pooled variant first runs once untimed, then the two
 // alternate, so no pooled repetition starts on lanes left idle through a
 // long serial stretch: on a shared host an idle vCPU can take longer to
-// come back than the pooled pass runs.
+// come back than the pooled pass runs. The steal ticks of every timed
+// repetition are kept, so a slow pass can be told apart from a stolen one.
 template <typename Serial, typename Pooled>
-std::pair<double, double> best_serial_and_pooled(int repeats, Serial&& serial,
-                                                 Pooled&& pooled) {
+SerialPooled best_serial_and_pooled(int repeats, Serial&& serial, Pooled&& pooled) {
   pooled();
-  double best_serial = 0.0;
-  double best_pooled = 0.0;
+  SerialPooled out;
+  bool steal_readable = true;
+  const auto timed = [&](auto& fn, std::vector<std::uint64_t>& steal) {
+    const std::optional<std::uint64_t> before = steal_ticks();
+    const double sec = seconds_of(fn);
+    const std::optional<std::uint64_t> after = steal_ticks();
+    if (before && after) {
+      steal.push_back(*after - *before);
+    } else {
+      steal_readable = false;
+    }
+    return sec;
+  };
   for (int rep = 0; rep < repeats; ++rep) {
-    const double sec_serial = seconds_of(serial);
-    const double sec_pooled = seconds_of(pooled);
-    if (rep == 0 || sec_serial < best_serial) best_serial = sec_serial;
-    if (rep == 0 || sec_pooled < best_pooled) best_pooled = sec_pooled;
+    const double sec_serial = timed(serial, out.serial_steal_ticks);
+    const double sec_pooled = timed(pooled, out.pooled_steal_ticks);
+    if (rep == 0 || sec_serial < out.serial_seconds) out.serial_seconds = sec_serial;
+    if (rep == 0 || sec_pooled < out.pooled_seconds) out.pooled_seconds = sec_pooled;
   }
-  return {best_serial, best_pooled};
+  if (!steal_readable) {
+    out.serial_steal_ticks.clear();
+    out.pooled_steal_ticks.clear();
+  }
+  return out;
+}
+
+// The steal-tick lists of `t` as trailing members of a report section
+// (",\n    \"serial_steal_ticks\": [...], ..."), or "" where steal is unknown.
+std::string steal_members(const SerialPooled& t) {
+  if (t.serial_steal_ticks.empty()) return {};
+  const auto list = [](const std::vector<std::uint64_t>& ticks) {
+    std::string s = "[";
+    for (std::size_t i = 0; i < ticks.size(); ++i) {
+      if (i != 0) s += ", ";
+      s += std::to_string(ticks[i]);
+    }
+    return s + "]";
+  };
+  return ",\n    \"serial_steal_ticks\": " + list(t.serial_steal_ticks) +
+         ",\n    \"pooled_steal_ticks\": " + list(t.pooled_steal_ticks);
 }
 
 // --compare: the acceptance workload. 500 satellites (Walker 25x20) against
@@ -342,8 +189,10 @@ bool run_compare(std::FILE* out) {
   };
   constexpr int kRepeats = 5;
   util::ThreadPool pool;
-  const auto [sec_batched, sec_pooled] = best_serial_and_pooled(
+  const SerialPooled timing = best_serial_and_pooled(
       kRepeats, [&] { batched(nullptr); }, [&] { batched(&pool); });
+  const double sec_batched = timing.serial_seconds;
+  const double sec_pooled = timing.pooled_seconds;
 
   const double thr_reference = sat_steps / sec_reference;
   const double thr_batched = sat_steps / sec_batched;
@@ -369,12 +218,13 @@ bool run_compare(std::FILE* out) {
                " \"speedup\": %.4f},\n"
                "    \"batched_pooled\": {\"seconds\": %.6f, \"sat_steps_per_sec\": %.6e,"
                " \"speedup\": %.4f},\n"
-               "    \"masks_identical\": %s\n"
+               "    \"masks_identical\": %s%s\n"
                "  }",
                sats.size(), sites.size(), grid.count, pool.thread_count(),
                sec_reference, thr_reference, sec_batched, thr_batched,
                sec_reference / sec_batched, sec_pooled, thr_pooled,
-               sec_reference / sec_pooled, identical ? "true" : "false");
+               sec_reference / sec_pooled, identical ? "true" : "false",
+               steal_members(timing).c_str());
   return identical;
 }
 
@@ -420,10 +270,12 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
   sim::RunContext serial_context;
   net::ScheduleResult serial;
   net::ScheduleResult pooled;
-  const auto [sec_serial, sec_pooled] = best_serial_and_pooled(
+  const SerialPooled timing = best_serial_and_pooled(
       kRepeats,
       [&] { serial = scheduler.run(grid, kParties, serial_context, /*keep_steps=*/true); },
       [&] { pooled = scheduler.run(grid, kParties, context, /*keep_steps=*/true); });
+  const double sec_serial = timing.serial_seconds;
+  const double sec_pooled = timing.pooled_seconds;
 
   const bool identical = serial == reference && pooled == reference;
 
@@ -473,12 +325,13 @@ bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
                "    \"pipelined_serial\": {\"seconds\": %.6f, \"speedup\": %.4f},\n"
                "    \"pipelined_pooled\": {\"seconds\": %.6f, \"speedup\": %.4f},\n"
                "    \"bit_identical\": %s,\n"
-               "    \"faulted_bit_identical\": %s\n"
+               "    \"faulted_bit_identical\": %s%s\n"
                "  }",
                sats.size(), terminals.size(), stations.size(), kParties, grid.count,
                context.thread_count(), sec_reference, sec_serial,
                sec_reference / sec_serial, sec_pooled, sec_reference / sec_pooled,
-               identical ? "true" : "false", faulted_identical ? "true" : "false");
+               identical ? "true" : "false", faulted_identical ? "true" : "false",
+               steal_members(timing).c_str());
   return identical && faulted_identical;
 }
 
@@ -707,7 +560,7 @@ bool run_mega(std::FILE* out, bool smoke) {
   std::printf("sub-fleet identity (run vs run_reference): %s\n",
               identical ? "bit-identical" : "MISMATCH");
 
-  // The slot count the run actually used (the preset leaves it on auto).
+  // The slot count the run used (one per pool lane, 2 to 4).
   std::size_t stream_slots = 0;
   for (const auto& [name, value] : context.metrics().snapshot().gauges) {
     if (name == "sched.stream_slots") stream_slots = static_cast<std::size_t>(value);
@@ -761,51 +614,51 @@ int main(int argc, char** argv) {
       out_path = argv[i] + 6;
     }
   }
-  if (compare || compare_scheduler || backends || mega || mega_smoke) {
-    std::FILE* out = std::fopen(out_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "perf_simulator: cannot open %s for writing\n",
-                   out_path.c_str());
-      return 1;
-    }
-    // One hardware-pooled run context drives every pooled/faulted compare
-    // pass; the accumulated metrics become the report's "obs" section.
-    sim::Scenario obs_scenario;
-    obs_scenario.threads = 0;
-    sim::RunContext context(obs_scenario);
-    std::fprintf(out, "{\n");
-    bool ok = true;
-    bool first_section = true;
-    const auto separate = [&] {
-      if (!first_section) std::fprintf(out, ",\n");
-      first_section = false;
-    };
-    if (compare) {
-      separate();
-      ok = run_compare(out) && ok;
-    }
-    if (backends) {
-      separate();
-      ok = run_compare_backends(out) && ok;
-    }
-    if (compare_scheduler) {
-      separate();
-      ok = run_compare_scheduler(out, context) && ok;
-      std::fprintf(out, ",\n  \"obs\": %s", context.metrics().to_json(2).c_str());
-    }
-    if (mega || mega_smoke) {
-      separate();
-      ok = run_mega(out, /*smoke=*/!mega) && ok;
-    }
-    std::fprintf(out, "\n}\n");
-    std::fclose(out);
-    std::printf("report written to %s\n", out_path.c_str());
-    return ok ? 0 : 1;
+  if (!(compare || compare_scheduler || backends || mega || mega_smoke)) {
+    std::fprintf(stderr,
+                 "usage: perf_simulator [--compare] [--compare-scheduler] [--backends]\n"
+                 "                      [--scale=mega|--scale=mega-smoke] [--out=PATH]\n"
+                 "At least one mode is required; the JSON report goes to --out\n"
+                 "(default BENCH_perf_simulator.json).\n");
+    return 2;
   }
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  std::FILE* out = std::fopen(out_path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "perf_simulator: cannot open %s for writing\n",
+                 out_path.c_str());
+    return 1;
+  }
+  // One hardware-pooled run context drives every pooled/faulted compare
+  // pass; the accumulated metrics become the report's "obs" section.
+  sim::Scenario obs_scenario;
+  obs_scenario.threads = 0;
+  sim::RunContext context(obs_scenario);
+  std::fprintf(out, "{\n");
+  bool ok = true;
+  bool first_section = true;
+  const auto separate = [&] {
+    if (!first_section) std::fprintf(out, ",\n");
+    first_section = false;
+  };
+  if (compare) {
+    separate();
+    ok = run_compare(out) && ok;
+  }
+  if (backends) {
+    separate();
+    ok = run_compare_backends(out) && ok;
+  }
+  if (compare_scheduler) {
+    separate();
+    ok = run_compare_scheduler(out, context) && ok;
+    std::fprintf(out, ",\n  \"obs\": %s", context.metrics().to_json(2).c_str());
+  }
+  if (mega || mega_smoke) {
+    separate();
+    ok = run_mega(out, /*smoke=*/!mega) && ok;
+  }
+  std::fprintf(out, "\n}\n");
+  std::fclose(out);
+  std::printf("report written to %s\n", out_path.c_str());
+  return ok ? 0 : 1;
 }

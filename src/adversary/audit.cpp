@@ -32,7 +32,7 @@ core::ReceiptVerdict ReceiptAuditor::audit_and_credit(const core::ProofOfCoverag
   // prescreened; the authoritative verdict reports them.
   bool prescreen_overhead = true;
   bool prescreened = false;
-  if (config_.prescreen_with_masks && grid_.has_value()) {
+  if (grid_.has_value()) {
     const double offset_s = receipt.time.seconds_since(grid_->start);
     const auto step = static_cast<std::int64_t>(std::floor(offset_s / grid_->step_seconds));
     if (const std::optional<bool> overhead =

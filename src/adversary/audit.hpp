@@ -6,14 +6,14 @@
 //     keyed digest, exact orbital geometry, and the ledger's content-hash
 //     duplicate guard. The auditor routes every credit through that exact
 //     path, so honest traffic is bit-identical to the unaudited campaign.
-//   * An optional prescreen re-derives the claimed contact from the shared
-//     ephemeris kernel: one visibility bit at the claimed audit-grid step
-//     (ProofOfCoverage::overhead_at_step, read off the epoch tables when
-//     the grid is prepared), and flags receipts whose bit is clear. The
-//     prescreen is analytics-only — a grid step can disagree with exact
-//     geometry right at the mask boundary, so it never overrides the
-//     verdict; it feeds the fraud telemetry and lets operators see forgery
-//     pressure before verdicts accumulate.
+//   * Whenever an audit grid is set, a prescreen re-derives the claimed
+//     contact from the shared ephemeris kernel: one visibility bit at the
+//     claimed audit-grid step (ProofOfCoverage::overhead_at_step, read off
+//     the epoch tables when the grid is prepared), and flags receipts whose
+//     bit is clear. The prescreen is analytics-only — a grid step can
+//     disagree with exact geometry right at the mask boundary, so it never
+//     overrides the verdict; it feeds the fraud telemetry and lets
+//     operators see forgery pressure before verdicts accumulate.
 //
 // The auditor also checks settlement-time SLA claims (served seconds a party
 // reports about itself) against the scheduler's ground truth, flagging
@@ -40,9 +40,6 @@ class MetricsRegistry;
 namespace mpleo::adversary {
 
 struct AuditConfig {
-  // Re-derive claimed contacts from the ephemeris kernel's visibility bit
-  // at the claimed grid step (analytics-only; see header comment).
-  bool prescreen_with_masks = true;
   // Fractional SLA overclaim tolerated before a claim counts as a
   // misreport: claimed > measured * (1 + tolerance) flags. Must be a
   // finite value >= 0.

@@ -262,16 +262,4 @@ void FootprintIndex::query_cap(const util::Vec3& center, double psi_rad,
   }
 }
 
-void FootprintIndex::query_latitude_band(double sin_lat_lo, double sin_lat_hi,
-                                         std::vector<std::uint32_t>& out) const {
-  if (site_ids_.empty() || sin_lat_lo > sin_lat_hi) return;
-  const double lat_lo = std::asin(clamp_unit(sin_lat_lo)) - kQuerySlack;
-  const double lat_hi = std::asin(clamp_unit(sin_lat_hi)) + kQuerySlack;
-  const std::size_t b_lo = band_of(lat_lo);
-  const std::size_t b_hi = band_of(lat_hi);
-  const std::uint32_t first = cell_offsets_[band_cell_begin_[b_lo]];
-  const std::uint32_t last = cell_offsets_[band_cell_begin_[b_hi + 1]];
-  for (std::uint32_t j = first; j < last; ++j) out.push_back(site_ids_[j]);
-}
-
 }  // namespace mpleo::cov

@@ -101,12 +101,6 @@ class FootprintIndex {
   void query_cap(const util::Vec3& center, double psi_rad,
                  std::vector<Range>& out) const;
 
-  // Appends to `out` the original site indices of every band intersecting
-  // geocentric sin(latitude) range [sin_lat_lo, sin_lat_hi] (inclusive,
-  // conservative). Order follows the index layout, not the original one.
-  void query_latitude_band(double sin_lat_lo, double sin_lat_hi,
-                           std::vector<std::uint32_t>& out) const;
-
  private:
   [[nodiscard]] std::size_t band_of(double lat_rad) const noexcept;
 

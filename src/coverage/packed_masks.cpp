@@ -1,38 +1,26 @@
 #include "coverage/packed_masks.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace mpleo::cov {
 
 PackedMasks::PackedMasks(std::size_t mask_count, std::size_t step_count,
                          std::size_t slab_bytes)
-    : mask_count_(mask_count),
-      step_count_(step_count),
-      words_per_mask_((step_count + 63) / 64) {
-  if (mask_count_ == 0 || words_per_mask_ == 0) {
+    : words_per_mask_((step_count + 63) / 64) {
+  if (mask_count == 0 || words_per_mask_ == 0) {
     words_per_mask_ = std::max<std::size_t>(words_per_mask_, 1);
     return;
   }
   const std::size_t slab_words = std::max<std::size_t>(slab_bytes / 8, 1);
   masks_per_slab_ = std::max<std::size_t>(slab_words / words_per_mask_, 1);
-  masks_per_slab_ = std::min(masks_per_slab_, mask_count_);
-  const std::size_t slab_count =
-      (mask_count_ + masks_per_slab_ - 1) / masks_per_slab_;
+  masks_per_slab_ = std::min(masks_per_slab_, mask_count);
+  const std::size_t slab_count = (mask_count + masks_per_slab_ - 1) / masks_per_slab_;
   slabs_.resize(slab_count);
   for (std::size_t s = 0; s < slab_count; ++s) {
     const std::size_t masks_here =
-        std::min(masks_per_slab_, mask_count_ - s * masks_per_slab_);
+        std::min(masks_per_slab_, mask_count - s * masks_per_slab_);
     slabs_[s].assign(masks_here * words_per_mask_, 0);
   }
-}
-
-std::size_t PackedMasks::count(std::size_t i) const noexcept {
-  std::size_t total = 0;
-  for (const std::uint64_t w : words(i)) {
-    total += static_cast<std::size_t>(std::popcount(w));
-  }
-  return total;
 }
 
 void PackedMasks::subtract(std::size_t i, const StepMask& other) noexcept {
@@ -40,24 +28,6 @@ void PackedMasks::subtract(std::size_t i, const StepMask& other) noexcept {
   const std::span<const std::uint64_t> theirs = other.words();
   const std::size_t n = std::min(mine.size(), theirs.size());
   for (std::size_t w = 0; w < n; ++w) mine[w] &= ~theirs[w];
-}
-
-void PackedMasks::or_into(StepMask& out, std::size_t i) const noexcept {
-  const std::span<const std::uint64_t> mine = words(i);
-  for (std::size_t w = 0; w < mine.size(); ++w) {
-    std::uint64_t bits = mine[w];
-    while (bits != 0) {
-      const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-      out.set(w * 64 + b);
-      bits &= bits - 1;
-    }
-  }
-}
-
-StepMask PackedMasks::to_step_mask(std::size_t i) const {
-  StepMask mask(step_count_);
-  or_into(mask, i);
-  return mask;
 }
 
 }  // namespace mpleo::cov

@@ -26,13 +26,9 @@ class PackedMasks {
   PackedMasks(std::size_t mask_count, std::size_t step_count,
               std::size_t slab_bytes = std::size_t{8} << 20);
 
-  [[nodiscard]] std::size_t mask_count() const noexcept { return mask_count_; }
-  [[nodiscard]] std::size_t step_count() const noexcept { return step_count_; }
-  [[nodiscard]] std::size_t words_per_mask() const noexcept { return words_per_mask_; }
-
   // The 64-step words of mask i, low bit = lowest step — same layout as
-  // StepMask::words(). The mutable span is how producers fill bits (e.g. the
-  // culler's word-span fill overload).
+  // StepMask::words(). The mutable span is how producers fill bits (the
+  // culler's word-span fill).
   [[nodiscard]] std::span<std::uint64_t> words(std::size_t i) noexcept {
     return {slabs_[i / masks_per_slab_].data() +
                 (i % masks_per_slab_) * words_per_mask_,
@@ -44,27 +40,11 @@ class PackedMasks {
             words_per_mask_};
   }
 
-  [[nodiscard]] bool test(std::size_t i, std::size_t step) const noexcept {
-    return (words(i)[step >> 6] >> (step & 63)) & 1u;
-  }
-
-  // Set bits in mask i.
-  [[nodiscard]] std::size_t count(std::size_t i) const noexcept;
-
   // mask[i] &= ~other (and-not), the outage-subtraction primitive.
-  // Precondition: other.step_count() == step_count().
+  // Precondition: other.step_count() is the masks' step count.
   void subtract(std::size_t i, const StepMask& other) noexcept;
 
-  // out |= mask[i]. Precondition: out.step_count() == step_count().
-  void or_into(StepMask& out, std::size_t i) const noexcept;
-
-  // Copies mask i into a standalone StepMask (for callers that need the
-  // richer API on one mask).
-  [[nodiscard]] StepMask to_step_mask(std::size_t i) const;
-
  private:
-  std::size_t mask_count_ = 0;
-  std::size_t step_count_ = 0;
   std::size_t words_per_mask_ = 0;
   std::size_t masks_per_slab_ = 1;
   std::vector<std::vector<std::uint64_t>> slabs_;

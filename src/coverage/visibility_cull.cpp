@@ -204,26 +204,12 @@ void VisibilityCuller::fill(const orbit::EphemerisTable& ephemeris,
 }
 
 void VisibilityCuller::fill(const orbit::EphemerisTable& ephemeris,
-                            const orbit::TopocentricFrame& frame, StepMask& out,
-                            const CullCounters& counters) const {
-  fill(ephemeris, frame, out);
-  counters.masks_filled.add(1);
-  counters.visible_steps.add(out.count());
-}
-
-void VisibilityCuller::fill(const orbit::EphemerisTable& ephemeris,
-                            const orbit::TopocentricFrame& frame,
-                            std::span<std::uint64_t> words) const {
-  fill_impl(ephemeris, frame, [words](std::size_t k) {
-    words[k >> 6] |= std::uint64_t{1} << (k & 63);
-  });
-}
-
-void VisibilityCuller::fill(const orbit::EphemerisTable& ephemeris,
                             const orbit::TopocentricFrame& frame,
                             std::span<std::uint64_t> words,
                             const CullCounters& counters) const {
-  fill(ephemeris, frame, words);
+  fill_impl(ephemeris, frame, [words](std::size_t k) {
+    words[k >> 6] |= std::uint64_t{1} << (k & 63);
+  });
   std::size_t visible = 0;
   for (const std::uint64_t w : words) visible += static_cast<std::size_t>(std::popcount(w));
   counters.masks_filled.add(1);

@@ -26,9 +26,8 @@
 
 namespace mpleo::cov {
 
-// Observability hooks for mask fills. The handles are null-safe, so a
-// default-constructed CullCounters makes the instrumented fill() behave
-// exactly like the plain one.
+// Observability hooks for the word-span fill. The handles are null-safe, so
+// a default-constructed CullCounters counts nothing.
 struct CullCounters {
   obs::Counter masks_filled;   // one per completed fill
   obs::Counter visible_steps;  // set bits emitted across fills
@@ -52,25 +51,16 @@ class VisibilityCuller {
   void fill(const orbit::EphemerisTable& ephemeris, const orbit::TopocentricFrame& frame,
             StepMask& out) const;
 
-  // Instrumented fill: identical output bits, plus counter updates. Safe to
-  // call concurrently from pool workers — counters accumulate into
-  // per-thread shards.
-  void fill(const orbit::EphemerisTable& ephemeris, const orbit::TopocentricFrame& frame,
-            StepMask& out, const CullCounters& counters) const;
-
-  // Word-span fill: the same bits as the StepMask overloads OR-ed into a
-  // caller-owned word array (low bit of words[0] = step 0 — the StepMask
-  // layout). This is the PackedMasks path, where tens of millions of pair
-  // masks share slab storage instead of owning vectors. The counters variant
-  // popcounts the span afterwards, so it expects `words` all-zero on entry
-  // (which the plain overload also assumes, like the StepMask ones do).
-  void fill(const orbit::EphemerisTable& ephemeris, const orbit::TopocentricFrame& frame,
-            std::span<std::uint64_t> words) const;
+  // Word-span fill: the same bits into a caller-owned word array (all-zero
+  // on entry; low bit of words[0] = step 0 — the StepMask layout), plus
+  // counter updates. This is the PackedMasks path, where many pair masks
+  // share slab storage instead of owning vectors. Safe to call concurrently
+  // from pool workers — counters accumulate into per-thread shards.
   void fill(const orbit::EphemerisTable& ephemeris, const orbit::TopocentricFrame& frame,
             std::span<std::uint64_t> words, const CullCounters& counters) const;
 
  private:
-  // The one cull body behind every overload; Sink is called with each step
+  // The one cull body behind both overloads; Sink is called with each step
   // index at which the satellite clears the mask, in no particular order.
   template <class Sink>
   void fill_impl(const orbit::EphemerisTable& ephemeris,

@@ -1149,14 +1149,13 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   // order (strictly chunk 0, 1, 2, ...) makes the result bit-identical for
   // any pool size, slot count, or chunk size. A slot holds its chunk's
   // candidates plus one step of scratch, both scaling with terminals, so
-  // auto sizing is one slot per producer lane, 2 to 4.
+  // there is one slot per producer lane, 2 to 4 (2 when serial), and never
+  // more slots than chunks.
   const std::size_t chunk_steps = config_.stream_chunk_steps;
   const std::size_t chunk_total = (step_total + chunk_steps - 1) / chunk_steps;
-  std::size_t slots = config_.stream_slots;
-  if (slots == 0) {
-    slots = pool != nullptr ? std::clamp<std::size_t>(pool->thread_count(), 2, 4) : 2;
-  }
-  slots = std::max<std::size_t>(1, std::min(slots, chunk_total));
+  const std::size_t lanes = pool != nullptr ? pool->thread_count() : 1;
+  const std::size_t slots = std::max<std::size_t>(
+      1, std::min(std::clamp<std::size_t>(lanes, 2, 4), chunk_total));
   std::vector<std::vector<StepCandidates>> buffers(slots);
   std::vector<StreamScratch> scratch(slots);
 

@@ -106,18 +106,11 @@ struct SchedulerConfig {
   // historical one-word-per-chunk behaviour. Chunk size never changes the
   // result — candidates are a per-step pure function of geometry.
   std::size_t stream_chunk_steps = 64;
-  // In-flight chunk slots for the phase-1 -> phase-2 streaming pipeline;
-  // at most this many chunks are produced at once. 0 = auto: one slot per
-  // pool lane, 2 to 4 (2 when serial). A slot holds its chunk's candidate
-  // output plus one step of fill scratch, both scaling with terminals. The
-  // slot count never changes the result — phase 2 consumes chunks strictly
-  // in order.
-  std::size_t stream_slots = 0;
   // Per-terminal candidate cap, applied per step at phase-1 emission on
   // every run: keep the top-K own-satellite and top-K spare candidates by
   // capacity (ties to the lower satellite index). 0 = unbounded (exact,
   // bit-identical to run_reference). A positive cap bounds candidate memory
-  // at mega scale — deterministic for any pool/slot/chunk configuration,
+  // at mega scale — deterministic for any pool size and chunk size,
   // but approximate under beam contention (a terminal whose top-K
   // satellites are all beam-exhausted goes unserved even if satellite K+1
   // had a beam). Max 64.

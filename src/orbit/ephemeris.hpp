@@ -120,7 +120,7 @@ struct EphemerisSpec {
   PropagatorBackend backend = PropagatorBackend::kJ2Analytic;
   // Source TLE for the SGP4 backend (carries BSTAR drag and the mean-element
   // fit). When absent, a drag-free TLE is synthesised from `elements`.
-  std::optional<Tle> tle;
+  std::optional<Tle> tle{};
 
   [[nodiscard]] static EphemerisSpec from_tle(const Tle& tle,
                                               PropagatorBackend backend =

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "util/units.hpp"
 
@@ -79,19 +81,55 @@ double parse_implied_exponent(const std::string& field, bool* ok) {
   return sign * mantissa * std::pow(10.0, exponent);
 }
 
-std::string format_implied_exponent(double value) {
-  char buf[16];
-  if (value == 0.0) return " 00000+0";
-  const char sign = value < 0.0 ? '-' : ' ';
-  double mag = std::fabs(value);
-  int exponent = static_cast<int>(std::floor(std::log10(mag))) + 1;
-  double mantissa = mag / std::pow(10.0, exponent);
-  auto digits = static_cast<long>(std::llround(mantissa * 1e5));
+// Records an issue for a drag field whose magnitude does not round below
+// `limit`, the first value its columns cannot hold.
+void add_unwritable(std::vector<core::ConfigIssue>& issues, const char* field,
+                    double value, const char* limit) {
+  issues.push_back({"orbit.tle", field,
+                    "value " + std::to_string(value) +
+                        " does not fit the field: |value| must round below " + limit});
+}
+
+// The 8-column implied-exponent field (" 12345-4" = 0.12345e-4): sign, five
+// mantissa digits, a one-digit exponent. Magnitudes below 1e-10 are
+// denormalised into exponent -9 (4e-12 -> " 00400-9") and round to zero
+// below its last digit (1e-14). A magnitude that rounds to 1e9 or more (or
+// NaN) does not fit: the issue goes to `issues` and "" comes back.
+std::string format_implied_exponent(const char* field, double value,
+                                    std::vector<core::ConfigIssue>& issues) {
+  const double mag = std::fabs(value);
+  if (!(mag < 1e9)) {
+    add_unwritable(issues, field, value, "1e9");
+    return {};
+  }
+  int exponent =
+      mag > 0.0 ? std::max(static_cast<int>(std::floor(std::log10(mag))) + 1, -9) : 0;
+  long long digits = std::llround(mag / std::pow(10.0, exponent) * 1e5);
   if (digits >= 100000) {  // rounding overflow, e.g. 0.999999 -> 1.0
     digits = 10000;
     ++exponent;
   }
-  std::snprintf(buf, sizeof buf, "%c%05ld%+d", sign, digits, exponent);
+  if (exponent > 9) {
+    add_unwritable(issues, field, value, "1e9");
+    return {};
+  }
+  if (digits == 0) return " 00000+0";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%c%05lld%+d", value < 0.0 ? '-' : ' ', digits, exponent);
+  return buf;
+}
+
+// The 10-column first-derivative field: sign, then ".NNNNNNNN". |value| must
+// round below 1; otherwise the issue goes to `issues` and "" comes back.
+std::string format_mean_motion_dot(double value, std::vector<core::ConfigIssue>& issues) {
+  const double mag = std::fabs(value);
+  const long long units = mag < 1.0 ? std::llround(mag * 1e8) : 0;
+  if (!(mag < 1.0) || units >= 100000000) {
+    add_unwritable(issues, "mean_motion_dot", value, "1");
+    return {};
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%c.%08lld", value < 0.0 ? '-' : ' ', units);
   return buf;
 }
 
@@ -260,16 +298,16 @@ TleLines format_tle(const Tle& tle) {
   char l1[80];
   char l2[80];
 
-  // First derivative field: sign, then ".NNNNNNNN".
-  char nd_buf[16];
-  std::snprintf(nd_buf, sizeof nd_buf, "%.8f", std::fabs(tle.mean_motion_dot));
-  // nd_buf is "0.XXXXXXXX"; the TLE field drops the leading zero.
-  std::string ndot = (tle.mean_motion_dot < 0.0 ? "-" : " ") + std::string(nd_buf + 1);
+  std::vector<core::ConfigIssue> issues;
+  const std::string ndot = format_mean_motion_dot(tle.mean_motion_dot, issues);
+  const std::string nddot =
+      format_implied_exponent("mean_motion_ddot", tle.mean_motion_ddot, issues);
+  const std::string bstar = format_implied_exponent("bstar", tle.bstar, issues);
+  core::throw_if_invalid("format_tle", issues);
 
   std::snprintf(l1, sizeof l1, "1 %05dU %-8s %s %s %s %s 0 %4d", tle.catalog_number,
                 tle.intl_designator.c_str(), format_tle_epoch(tle.epoch).c_str(),
-                ndot.c_str(), format_implied_exponent(tle.mean_motion_ddot).c_str(),
-                format_implied_exponent(tle.bstar).c_str(), tle.element_set_number % 10000);
+                ndot.c_str(), nddot.c_str(), bstar.c_str(), tle.element_set_number % 10000);
 
   const auto ecc_digits = static_cast<long>(std::llround(tle.eccentricity * 1e7));
   std::snprintf(l2, sizeof l2, "2 %05d %8.4f %8.4f %07ld %8.4f %8.4f %11.8f%5d",

@@ -60,7 +60,12 @@ struct TleParseResult {
                                        const std::string& line2);
 
 // Formats the two 69-column lines (checksums computed). name is emitted by
-// the caller if desired; returns {line1, line2}.
+// the caller if desired; returns {line1, line2}. Drag terms round to their
+// columns' last digit, so |bstar| or |mean_motion_ddot| under 5e-15 writes
+// as zero. A drag term the columns cannot hold — |mean_motion_dot| rounding
+// to 1 or more, |mean_motion_ddot| or |bstar| rounding to 1e9 or more, or
+// NaN — throws std::invalid_argument with one "orbit.tle" ConfigIssue per
+// such field.
 struct TleLines {
   std::string line1;
   std::string line2;

@@ -48,8 +48,7 @@ Workload build_mega(const Scenario& scenario) {
   }
 
   // The mega streaming preset: small chunks to bound each slot's candidate
-  // output, top-4 candidates per terminal. The slot count stays auto (one
-  // per pool lane): a slot's fill scratch is a single step's.
+  // output, top-4 candidates per terminal.
   w.scheduler.stream_chunk_steps = 8;
   w.scheduler.max_candidates_per_terminal = 4;
   return w;

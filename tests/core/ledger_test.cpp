@@ -89,8 +89,8 @@ TEST(Ledger, EntriesRecordHistory) {
 
 TEST(Ledger, BalanceOfUnknownAccountThrows) {
   Ledger ledger;
-  EXPECT_THROW(ledger.balance(7), std::out_of_range);
-  EXPECT_THROW(ledger.account_name(7), std::out_of_range);
+  EXPECT_THROW((void)ledger.balance(7), std::out_of_range);
+  EXPECT_THROW((void)ledger.account_name(7), std::out_of_range);
 }
 
 TEST(Ledger, ConservationUnderRandomActivity) {

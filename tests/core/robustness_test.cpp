@@ -179,7 +179,7 @@ TEST_F(WithdrawalFixture, FractionsAreBitIdenticalToWeightedCoverage) {
 
 TEST_F(WithdrawalFixture, NonSubsetWithdrawalThrows) {
   const std::vector<std::size_t> not_in_base{base_.size() + 5};
-  EXPECT_THROW(withdrawal_impact(*cache_, base_, not_in_base), std::invalid_argument);
+  EXPECT_THROW((void)withdrawal_impact(*cache_, base_, not_in_base), std::invalid_argument);
 }
 
 TEST_F(WithdrawalFixture, ResilienceSweepRejectsDegenerateConfigs) {

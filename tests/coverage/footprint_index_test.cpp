@@ -12,10 +12,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "coverage/step_mask.hpp"
+#include "coverage/visibility_cull.hpp"
+#include "obs/metrics.hpp"
 #include "orbit/elements.hpp"
 #include "orbit/ephemeris.hpp"
 #include "orbit/geodesy.hpp"
@@ -207,32 +208,38 @@ TEST_P(FootprintIndexProperty, QueryCapIsSupersetOfCapMembership) {
   }
 }
 
-TEST_P(FootprintIndexProperty, LatitudeBandQueryCoversRequestedSites) {
+TEST_P(FootprintIndexProperty, CulledFillsBitIdenticalToExhaustive) {
+  // The zenith-cone cull behind both VisibilityCuller fills — the StepMask
+  // one and the counted word-span one the scheduler packs its station masks
+  // with — only skips steps, so both masks equal the exhaustive scan. The
+  // negative mask takes the culler's exhaustive branch.
   const std::uint64_t seed = GetParam();
-  util::Xoshiro256PlusPlus rng(seed ^ 0xdeadbeefULL);
-  const std::vector<orbit::TopocentricFrame> frames = make_sites(seed, 80);
-  const FootprintIndex index(frames);
+  const orbit::TimeGrid grid = test_grid();
+  const std::vector<orbit::TopocentricFrame> frames = make_sites(seed, 60);
+  const std::vector<orbit::EphemerisTable> tables = make_tables(seed, grid);
 
-  std::vector<std::uint32_t> out;
-  for (int trial = 0; trial < 20; ++trial) {
-    double lo = rng.uniform(-1.0, 1.0);
-    double hi = rng.uniform(-1.0, 1.0);
-    if (lo > hi) std::swap(lo, hi);
-    out.clear();
-    index.query_latitude_band(lo, hi, out);
-    std::vector<bool> returned(frames.size(), false);
-    for (const std::uint32_t id : out) {
-      ASSERT_LT(id, frames.size());
-      returned[id] = true;
-    }
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const util::Vec3& origin = frames[i].origin_ecef();
-      const double r = origin.norm();
-      const double sin_lat = r > 0.0 ? origin.z / r : 0.0;
-      if (sin_lat >= lo + 1e-9 && sin_lat <= hi - 1e-9) {
-        EXPECT_TRUE(returned[i]) << "seed " << seed << " site " << i;
+  for (const double mask_deg : {kMaskDeg, -5.0}) {
+    const VisibilityCuller culler(grid, mask_deg);
+    obs::MetricsRegistry metrics;
+    const CullCounters counters{metrics.counter("masks"), metrics.counter("visible")};
+    std::uint64_t total_visible = 0;
+    for (const orbit::EphemerisTable& table : tables) {
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        const StepMask expected = exhaustive_mask(table, frames[i], culler.sin_mask());
+        StepMask mask(table.size());
+        culler.fill(table, frames[i], mask);
+        EXPECT_EQ(mask, expected) << "seed " << seed << " mask " << mask_deg << " site " << i;
+
+        std::vector<std::uint64_t> words(expected.words().size(), 0);
+        culler.fill(table, frames[i], words, counters);
+        EXPECT_TRUE(std::equal(words.begin(), words.end(), expected.words().begin()))
+            << "seed " << seed << " mask " << mask_deg << " site " << i;
+        total_visible += expected.count();
       }
     }
+    EXPECT_EQ(metrics.counter_value("masks"), tables.size() * frames.size());
+    EXPECT_EQ(metrics.counter_value("visible"), total_visible);
+    EXPECT_GT(total_visible, 0u) << "seed " << seed << " mask " << mask_deg;
   }
 }
 
@@ -267,9 +274,6 @@ TEST(FootprintIndex, EmptyIndexYieldsNothing) {
   std::vector<FootprintIndex::Range> ranges;
   index.query_cap({7e6, 0.0, 0.0}, 0.3, ranges);
   EXPECT_TRUE(ranges.empty());
-  std::vector<std::uint32_t> ids;
-  index.query_latitude_band(-1.0, 1.0, ids);
-  EXPECT_TRUE(ids.empty());
 }
 
 }  // namespace

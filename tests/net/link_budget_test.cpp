@@ -32,16 +32,16 @@ TEST(Fspl, ScalesWithDistanceAndFrequency) {
 }
 
 TEST(Fspl, RejectsNonPositive) {
-  EXPECT_THROW(free_space_path_loss_db(0.0, 1e9), std::invalid_argument);
-  EXPECT_THROW(free_space_path_loss_db(1e5, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)free_space_path_loss_db(0.0, 1e9), std::invalid_argument);
+  EXPECT_THROW((void)free_space_path_loss_db(1e5, -1.0), std::invalid_argument);
 }
 
 TEST(Shannon, CapacityBehaviour) {
   EXPECT_NEAR(shannon_capacity_bps(1.0, 1e6), 1e6, 1.0);      // SNR 0 dB -> 1 bit/s/Hz
   EXPECT_NEAR(shannon_capacity_bps(3.0, 1e6), 2e6, 1.0);      // SNR ~4.8 dB -> 2 bit/s/Hz
   EXPECT_EQ(shannon_capacity_bps(0.0, 1e6), 0.0);
-  EXPECT_THROW(shannon_capacity_bps(-0.5, 1e6), std::invalid_argument);
-  EXPECT_THROW(shannon_capacity_bps(1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)shannon_capacity_bps(-0.5, 1e6), std::invalid_argument);
+  EXPECT_THROW((void)shannon_capacity_bps(1.0, 0.0), std::invalid_argument);
 }
 
 TEST(RadioConfig, EirpIsPowerPlusGain) {

@@ -210,6 +210,31 @@ TEST_P(SchedulerPipeline, PoolSizeNeverChangesResult) {
   }
 }
 
+TEST(SchedulerPipeline, RegenerativeRelayMatchesReference) {
+  // No preset, bench or example runs the regenerative relay, so its Shannon
+  // terms in the downlink fill and the uplink combine run only here: every
+  // fleet case, serial, pooled and faulted, against run_reference.
+  double served_seconds = 0.0;
+  util::ThreadPool pool(3);
+  for (const FleetCase& c : fleet_cases()) {
+    SCOPED_TRACE(::testing::PrintToString(c));
+    RandomFleet f = make_case_fleet(c);
+    f.config.relay_mode = RelayMode::kRegenerative;
+    const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
+    const orbit::TimeGrid grid = test_grid();
+    const fault::FaultTimeline faults = make_faults(grid, f, c.seed);
+
+    const ScheduleResult reference =
+        scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
+    EXPECT_TRUE(run_steps(scheduler, grid, f.party_count) == reference);
+    EXPECT_TRUE(run_steps(scheduler, grid, f.party_count, nullptr, &pool) == reference);
+    EXPECT_TRUE(run_steps(scheduler, grid, f.party_count, &faults) ==
+                scheduler.run_reference(grid, f.party_count, &faults, /*keep_steps=*/true));
+    served_seconds += reference.total_served_seconds;
+  }
+  EXPECT_GT(served_seconds, 0.0);  // some case granted a link
+}
+
 TEST(SchedulerPipeline, EmptyFaultTimelineMatchesPlainRun) {
   const RandomFleet f = make_fleet(7);
   const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
@@ -237,8 +262,8 @@ TEST(SchedulerPipeline, AggregatesMatchWithoutKeptSteps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPipeline, ::testing::ValuesIn(fleet_cases()));
 
-// The footprint stream's shape knobs — chunk size, slot count, pool size —
-// never change the result, capped or not.
+// The footprint stream's shape — chunk size, and the pool size that sets
+// the slot count — never changes the result, capped or not.
 class SchedulerFootprintStream : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SchedulerFootprintStream, ChunkSlotAndPoolShapeNeverChangeResult) {
@@ -250,22 +275,18 @@ TEST_P(SchedulerFootprintStream, ChunkSlotAndPoolShapeNeverChangeResult) {
   const ScheduleResult expected = run_steps(baseline, grid, f.party_count, &faults);
 
   for (const std::size_t chunk_steps : {std::size_t{8}, std::size_t{16}}) {
-    for (const std::size_t slots : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
-      SchedulerConfig config = f.config;
-      config.stream_chunk_steps = chunk_steps;
-      config.stream_slots = slots;
-      const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
-      const ScheduleResult serial = run_steps(scheduler, grid, f.party_count, &faults);
-      EXPECT_TRUE(serial == expected)
-          << "chunk_steps=" << chunk_steps << " slots=" << slots;
-      for (const std::size_t threads : {2u, 3u}) {
-        util::ThreadPool pool(threads);
-        const ScheduleResult pooled =
-            run_steps(scheduler, grid, f.party_count, &faults, &pool);
-        EXPECT_TRUE(pooled == expected)
-            << "chunk_steps=" << chunk_steps << " slots=" << slots
-            << " pool=" << threads;
-      }
+    SchedulerConfig config = f.config;
+    config.stream_chunk_steps = chunk_steps;
+    const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
+    const ScheduleResult serial = run_steps(scheduler, grid, f.party_count, &faults);
+    EXPECT_TRUE(serial == expected) << "chunk_steps=" << chunk_steps;
+    // 2, 3 and 4 slots.
+    for (const std::size_t threads : {2u, 3u, 4u}) {
+      util::ThreadPool pool(threads);
+      const ScheduleResult pooled =
+          run_steps(scheduler, grid, f.party_count, &faults, &pool);
+      EXPECT_TRUE(pooled == expected)
+          << "chunk_steps=" << chunk_steps << " pool=" << threads;
     }
   }
 }
@@ -273,7 +294,8 @@ TEST_P(SchedulerFootprintStream, ChunkSlotAndPoolShapeNeverChangeResult) {
 TEST_P(SchedulerFootprintStream, CandidateCapIsDeterministicAcrossShapes) {
   // A finite cap may legitimately drop low-capacity candidates, so the result
   // is not compared against the exact path — but it must be a pure function
-  // of the inputs: pool size, chunk shape, and slot count cannot change it.
+  // of the inputs: pool size (and with it the slot count) and chunk shape
+  // cannot change it.
   RandomFleet f = make_fleet(GetParam());
   f.config.max_candidates_per_terminal = 2;
   const orbit::TimeGrid grid = test_grid();
@@ -283,7 +305,6 @@ TEST_P(SchedulerFootprintStream, CandidateCapIsDeterministicAcrossShapes) {
 
   SchedulerConfig reshaped = f.config;
   reshaped.stream_chunk_steps = 8;
-  reshaped.stream_slots = 3;
   const BentPipeScheduler scheduler(reshaped, f.satellites, f.terminals, f.stations);
   EXPECT_TRUE(run_steps(scheduler, grid, f.party_count) == expected);
   for (const std::size_t threads : {2u, 3u}) {
@@ -436,6 +457,38 @@ TEST_P(SchedulerCandidateCap, BindsAtEveryFleetSize) {
 INSTANTIATE_TEST_SUITE_P(TerminalCounts, SchedulerCandidateCap,
                          ::testing::Values(std::size_t{2}, std::size_t{8}, std::size_t{40}),
                          ::testing::PrintToStringParamName());
+
+TEST(SchedulerFootprintStreamConfig, SlotCountFollowsPoolLanesAndChunkCount) {
+  // One stream slot per producer lane, 2 to 4 (a serial run counts as one
+  // lane), and never more slots than chunks. perf_simulator's mega gate
+  // reads the count from the sched.stream_slots gauge.
+  const RandomFleet f = make_fleet(5);
+  const auto slots = [&f](const orbit::TimeGrid& grid, std::size_t chunk_steps,
+                          std::size_t threads) {
+    SchedulerConfig config = f.config;
+    config.stream_chunk_steps = chunk_steps;
+    const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
+    sim::RunContext context;
+    context.use_threads(threads);
+    (void)scheduler.run(grid, f.party_count, context, /*keep_steps=*/false);
+    for (const auto& [name, value] : context.metrics().snapshot().gauges) {
+      if (name == "sched.stream_slots") return value;
+    }
+    ADD_FAILURE() << "no sched.stream_slots gauge";
+    return 0.0;
+  };
+
+  const orbit::TimeGrid grid = test_grid();  // 90 steps
+  EXPECT_EQ(slots(grid, 8, 1), 2.0);  // 12 chunks
+  EXPECT_EQ(slots(grid, 8, 2), 2.0);
+  EXPECT_EQ(slots(grid, 8, 3), 3.0);
+  EXPECT_EQ(slots(grid, 8, 4), 4.0);
+  EXPECT_EQ(slots(grid, 8, 6), 4.0);
+  EXPECT_EQ(slots(grid, 32, 6), 3.0);  // 3 chunks
+  EXPECT_EQ(slots(grid, 64, 1), 2.0);  // 2 chunks
+  const orbit::TimeGrid short_grid = orbit::TimeGrid::over_duration(kEpoch, 1800.0, 60.0);
+  EXPECT_EQ(slots(short_grid, 64, 4), 1.0);  // 1 chunk
+}
 
 TEST(SchedulerFootprintStreamConfig, RejectsBadStreamShapes) {
   const RandomFleet f = make_fleet(3);

@@ -34,9 +34,9 @@ TEST(TimePoint, CivilRoundTrip) {
 }
 
 TEST(TimePoint, RejectsInvalidCivil) {
-  EXPECT_THROW(TimePoint::from_civil({2024, 13, 1, 0, 0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(TimePoint::from_civil({2024, 0, 1, 0, 0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(TimePoint::from_civil({1400, 1, 1, 0, 0, 0.0}), std::invalid_argument);
+  EXPECT_THROW((void)TimePoint::from_civil({2024, 13, 1, 0, 0, 0.0}), std::invalid_argument);
+  EXPECT_THROW((void)TimePoint::from_civil({2024, 0, 1, 0, 0, 0.0}), std::invalid_argument);
+  EXPECT_THROW((void)TimePoint::from_civil({1400, 1, 1, 0, 0, 0.0}), std::invalid_argument);
 }
 
 TEST(TimePoint, Iso8601ParseAndFormat) {
@@ -47,7 +47,7 @@ TEST(TimePoint, Iso8601ParseAndFormat) {
   EXPECT_EQ(c.day, 18);
   EXPECT_EQ(c.hour, 0);
   EXPECT_EQ(t.to_iso8601(), "2024-11-18T00:00:00.000Z");
-  EXPECT_THROW(TimePoint::from_iso8601("not a date"), std::invalid_argument);
+  EXPECT_THROW((void)TimePoint::from_iso8601("not a date"), std::invalid_argument);
 }
 
 TEST(TimePoint, Iso8601DateOnly) {
@@ -100,8 +100,8 @@ TEST(TimeGrid, OverDuration) {
 
 TEST(TimeGrid, RejectsBadInputs) {
   const TimePoint start;
-  EXPECT_THROW(TimeGrid::over_duration(start, 10.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(TimeGrid::over_duration(start, -1.0, 60.0), std::invalid_argument);
+  EXPECT_THROW((void)TimeGrid::over_duration(start, 10.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)TimeGrid::over_duration(start, -1.0, 60.0), std::invalid_argument);
 }
 
 class CivilRoundTripSweep : public ::testing::TestWithParam<CivilTime> {};

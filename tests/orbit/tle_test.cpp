@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "util/units.hpp"
 
 namespace mpleo::orbit {
@@ -123,6 +127,55 @@ TEST(TleParse, ZeroPaddedBstarParsesAsZero) {
   const TleParseResult reparsed = parse_tle("", lines.line1, lines.line2);
   ASSERT_TRUE(reparsed.ok) << reparsed.error;
   EXPECT_EQ(reparsed.tle.bstar, 0.0);
+}
+
+TEST(TleFormat, DenormalisesTinyImpliedExponentValues) {
+  // Below 1e-10 the one-digit exponent bottoms out at -9 and the mantissa
+  // takes leading zeros; below the field's last digit the value is zero.
+  Tle tle = Tle::from_elements(ClassicalElements::circular(550e3, 53.0, 0.0, 0.0),
+                               TimePoint::from_iso8601("2024-01-01T00:00:00Z"), 1);
+  tle.bstar = 4e-12;
+  tle.mean_motion_ddot = -2e-15;
+  const TleLines lines = format_tle(tle);
+  ASSERT_EQ(lines.line1.size(), 69u) << lines.line1;
+  EXPECT_EQ(lines.line1.substr(53, 8), " 00400-9");
+  EXPECT_EQ(lines.line1.substr(44, 8), " 00000+0");
+  const TleParseResult reparsed = parse_tle("", lines.line1, lines.line2);
+  ASSERT_TRUE(reparsed.ok) << reparsed.error;
+  EXPECT_NEAR(reparsed.tle.bstar, 4e-12, 1e-20);
+  EXPECT_EQ(reparsed.tle.mean_motion_ddot, 0.0);
+}
+
+TEST(TleFormat, ThrowsNamingDragTermsTheColumnsCannotHold) {
+  const Tle healthy = Tle::from_elements(
+      ClassicalElements::circular(550e3, 53.0, 0.0, 0.0),
+      TimePoint::from_iso8601("2024-01-01T00:00:00Z"), 1);
+  struct Case {
+    const char* field;
+    double Tle::*member;
+    double value;
+  };
+  const Case cases[] = {
+      {"mean_motion_dot", &Tle::mean_motion_dot, 1.0},
+      {"mean_motion_dot", &Tle::mean_motion_dot, 9.9},
+      {"mean_motion_dot", &Tle::mean_motion_dot, -12.5},
+      {"mean_motion_dot", &Tle::mean_motion_dot, 0.999999999},
+      {"mean_motion_ddot", &Tle::mean_motion_ddot, 1e9},
+      {"mean_motion_ddot", &Tle::mean_motion_ddot, -0.9999999e9},
+      {"bstar", &Tle::bstar, 3e12},
+      {"bstar", &Tle::bstar, std::numeric_limits<double>::quiet_NaN()},
+      {"bstar", &Tle::bstar, -std::numeric_limits<double>::infinity()},
+  };
+  for (const Case& c : cases) {
+    Tle tle = healthy;
+    tle.*c.member = c.value;
+    try {
+      (void)format_tle(tle);
+      ADD_FAILURE() << c.field << " = " << c.value << " formatted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(TleCatalog, ParsesThreeLineFormat) {

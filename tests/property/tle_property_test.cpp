@@ -2,6 +2,9 @@
 // parser robustness against corrupted lines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "orbit/tle.hpp"
 #include "util/angles.hpp"
 #include "util/rng.hpp"
@@ -26,13 +29,42 @@ TEST_P(TleRoundTripProperty, RandomElementsSurviveFormatParse) {
         TimePoint::from_iso8601("2024-01-01T00:00:00Z").plus_days(rng.uniform(0.0, 700.0));
     const int catalog = 1 + static_cast<int>(rng.uniform_index(99999));
 
-    const Tle tle = Tle::from_elements(coe, epoch, catalog, "FUZZ");
+    Tle tle = Tle::from_elements(coe, epoch, catalog, "FUZZ");
+    // Drag terms across each field's representable range, log-uniform in
+    // magnitude with either sign and zero now and then: mean_motion_dot
+    // below 1, the implied-exponent fields below 1e9 and down past their
+    // last digit (1e-14), where they round to zero.
+    const auto draw = [&rng](double log10_lo, double log10_hi) {
+      if (rng.uniform() < 0.1) return 0.0;
+      const double mag = std::pow(10.0, rng.uniform(log10_lo, log10_hi));
+      return rng.uniform() < 0.5 ? -mag : mag;
+    };
+    tle.mean_motion_dot = draw(-12.0, -1e-8);
+    tle.mean_motion_ddot = draw(-17.0, 8.999);
+    tle.bstar = draw(-17.0, 8.999);
+
     const TleLines lines = format_tle(tle);
     ASSERT_EQ(lines.line1.size(), 69u) << lines.line1;
     ASSERT_EQ(lines.line2.size(), 69u) << lines.line2;
 
     const TleParseResult parsed = parse_tle("FUZZ", lines.line1, lines.line2);
     ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << lines.line1 << "\n" << lines.line2;
+
+    // Each drag term reparses within half a unit of its field's last digit:
+    // 1e-8 for mean_motion_dot, and 10^(e - 5) for an implied-exponent value
+    // 0.ddddd x 10^e, whose one-digit exponent e bottoms out at -9.
+    const auto half_unit = [](double value) {
+      if (value == 0.0) return 0.0;
+      const double e = std::max(std::floor(std::log10(std::fabs(value))) + 1.0, -9.0);
+      return 0.5 * std::pow(10.0, e - 5.0);
+    };
+    constexpr double kSlack = 1.0 + 1e-6;  // parse/format floating-point round-off
+    EXPECT_NEAR(parsed.tle.mean_motion_dot, tle.mean_motion_dot, 0.5e-8 * kSlack)
+        << lines.line1;
+    EXPECT_NEAR(parsed.tle.mean_motion_ddot, tle.mean_motion_ddot,
+                half_unit(tle.mean_motion_ddot) * kSlack)
+        << lines.line1;
+    EXPECT_NEAR(parsed.tle.bstar, tle.bstar, half_unit(tle.bstar) * kSlack) << lines.line1;
 
     const ClassicalElements back = parsed.tle.to_elements();
     // TLE fields quantise: angles to 1e-4 deg, eccentricity to 1e-7, mean

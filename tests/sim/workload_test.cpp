@@ -33,7 +33,6 @@ TEST(Workload, MegaSmokeSizesAndOwners) {
 
   // The mega streaming preset rides in the workload's scheduler config.
   EXPECT_EQ(w.scheduler.stream_chunk_steps, 8u);
-  EXPECT_EQ(w.scheduler.stream_slots, 0u);  // auto: sized to the pool
   EXPECT_EQ(w.scheduler.max_candidates_per_terminal, 4u);
 }
 

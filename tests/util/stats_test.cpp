@@ -81,9 +81,9 @@ TEST(Percentile, SingleElement) {
 }
 
 TEST(Percentile, Errors) {
-  EXPECT_THROW(percentile({}, 50.0), std::invalid_argument);
-  EXPECT_THROW(percentile({1.0}, -1.0), std::invalid_argument);
-  EXPECT_THROW(percentile({1.0}, 101.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile({}, 50.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile({1.0}, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile({1.0}, 101.0), std::invalid_argument);
 }
 
 TEST(MeanStddevOf, MatchRunningStats) {
