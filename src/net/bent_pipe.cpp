@@ -26,11 +26,9 @@ RelayBudget combine_relay(const LinkBudget& uplink, const LinkBudget& downlink,
   if (mode == RelayMode::kTransparent) {
     // Noise from the uplink is re-amplified onto the downlink:
     // 1/SNR = 1/SNR_up + 1/SNR_down (+ 1/(SNR_up*SNR_down), negligible).
-    const double inv = 1.0 / snr_up + 1.0 / snr_down;
-    budget.end_to_end_snr_linear = inv > 0.0 ? 1.0 / inv : 0.0;
+    budget.end_to_end_snr_linear = transparent_snr_linear(1.0 / snr_up, 1.0 / snr_down);
     budget.end_to_end_capacity_bps = shannon_capacity_bps(
-        budget.end_to_end_snr_linear,
-        std::min(satellite.receive.bandwidth_hz, ground_station.bandwidth_hz));
+        budget.end_to_end_snr_linear, transparent_bandwidth_hz(satellite, ground_station));
   } else {
     // Regenerative: each hop decodes independently; the pipe is the weaker hop.
     budget.end_to_end_snr_linear = std::min(snr_up, snr_down);
@@ -39,27 +37,6 @@ RelayBudget combine_relay(const LinkBudget& uplink, const LinkBudget& downlink,
   }
   budget.end_to_end_snr_db = linear_to_db(budget.end_to_end_snr_linear);
   return budget;
-}
-
-double relay_capacity_bps(const LinkBudget& uplink, const LinkBudget& downlink,
-                          const TransponderConfig& satellite,
-                          const RadioConfig& ground_station, RelayMode mode) {
-  return relay_capacity_bps(uplink.snr_linear, uplink.shannon_capacity_bps,
-                            downlink.snr_linear, downlink.shannon_capacity_bps, satellite,
-                            ground_station, mode);
-}
-
-double relay_capacity_bps(double uplink_snr_linear, double uplink_shannon_bps,
-                          double downlink_snr_linear, double downlink_shannon_bps,
-                          const TransponderConfig& satellite,
-                          const RadioConfig& ground_station, RelayMode mode) {
-  if (mode == RelayMode::kTransparent) {
-    const double inv = 1.0 / uplink_snr_linear + 1.0 / downlink_snr_linear;
-    return shannon_capacity_bps(
-        inv > 0.0 ? 1.0 / inv : 0.0,
-        std::min(satellite.receive.bandwidth_hz, ground_station.bandwidth_hz));
-  }
-  return std::min(uplink_shannon_bps, downlink_shannon_bps);
 }
 
 RadioConfig default_user_terminal() {

@@ -10,6 +10,8 @@
 // propagate. This is the §4 "bent-pipe variants" alternative.
 #pragma once
 
+#include <algorithm>
+
 #include "net/link_budget.hpp"
 
 namespace mpleo::net {
@@ -52,22 +54,23 @@ struct TransponderConfig {
                                         const TransponderConfig& satellite,
                                         const RadioConfig& ground_station, RelayMode mode);
 
-// The capacity component of combine_relay alone — the scheduler's selection
-// metric — skipping the dB conversion of the combined SNR.
-[[nodiscard]] double relay_capacity_bps(const LinkBudget& uplink, const LinkBudget& downlink,
-                                        const TransponderConfig& satellite,
-                                        const RadioConfig& ground_station, RelayMode mode);
+// The transparent cascade on reciprocal hop SNRs: 1/SNR = 1/SNR_up +
+// 1/SNR_down, and 0 when that sum is not positive. combine_relay takes its
+// end-to-end SNR from here, so a caller that keeps each hop's reciprocal and
+// reuses it across many pairings (the pipelined scheduler keeps 1/SNR of
+// every downlink leg) gets the same bits as compute_relay.
+[[nodiscard]] inline double transparent_snr_linear(double inv_uplink_snr,
+                                                   double inv_downlink_snr) noexcept {
+  const double inv = inv_uplink_snr + inv_downlink_snr;
+  return inv > 0.0 ? 1.0 / inv : 0.0;
+}
 
-// Same combine on raw per-hop values (snr_linear always; the per-hop Shannon
-// capacities are read only in regenerative mode, so transparent-mode callers
-// may pass zeros). This is the form the pipelined scheduler feeds from
-// HopEvaluator legs; the LinkBudget overload delegates here, keeping the
-// arithmetic — and therefore bit-identity with compute_relay — in one place.
-[[nodiscard]] double relay_capacity_bps(double uplink_snr_linear, double uplink_shannon_bps,
-                                        double downlink_snr_linear,
-                                        double downlink_shannon_bps,
-                                        const TransponderConfig& satellite,
-                                        const RadioConfig& ground_station, RelayMode mode);
+// The bandwidth a transparent relay's Shannon capacity is taken over: the
+// narrower of the transponder's receive chain and the ground station.
+[[nodiscard]] inline double transparent_bandwidth_hz(const TransponderConfig& satellite,
+                                                     const RadioConfig& ground_station) noexcept {
+  return std::min(satellite.receive.bandwidth_hz, ground_station.bandwidth_hz);
+}
 
 // Default radio chains modelled on published Ku-band LEO terminal/gateway
 // characteristics; useful for examples and benches.

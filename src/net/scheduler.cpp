@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "coverage/engine.hpp"
@@ -70,22 +71,34 @@ std::uint64_t chunk_word(std::span<const std::uint64_t> words,
 
 // A downlink leg toward one station, cached per (satellite, step) so the
 // satellite->station leg is computed once instead of once per terminal. Only
-// the values relay_capacity_bps reads are kept, plus the station's owner for
-// the same-party match; shannon_bps stays zero in transparent mode, where
-// the combine never looks at it.
+// what the relay combine reads is kept, plus the station's owner for the
+// same-party match: 1/SNR for the transparent cascade, and the hop's Shannon
+// capacity, which stays zero in transparent mode, where the combine never
+// looks at it.
 struct StationBudget {
   std::uint32_t station = 0;
   std::uint32_t party = 0;
-  double snr_linear = 0.0;
+  double inv_snr = 0.0;
   double shannon_bps = 0.0;
 };
 
 // Per-(step, satellite) downlink legs of one chunk: list b * satellites + si
-// holds satellite si's healthy visible stations at step chunk_begin + b.
-// Kept per stream slot and reused across the chunks it processes, so the
-// lists keep their capacity instead of reallocating tens of thousands of
+// holds satellite si's healthy visible stations at step chunk_begin + b, and
+// party_masks[b * satellites + si] has bit (party & 63) set for each of their
+// owners. Kept per stream slot and reused across the chunks it processes, so
+// the lists keep their capacity instead of reallocating tens of thousands of
 // small vectors per chunk.
-using DownlinkLists = std::vector<std::vector<StationBudget>>;
+struct DownlinkLists {
+  std::vector<std::vector<StationBudget>> lists;
+  std::vector<std::uint64_t> party_masks;
+};
+
+// A terminal's bit in a DownlinkLists party mask. Parties 64 apart share a
+// bit, so the mask is a conservative gate: a set bit still needs the exact
+// party match.
+std::uint64_t party_bit(std::uint32_t party) noexcept {
+  return std::uint64_t{1} << (party & 63);
+}
 
 // What the chunk fill reads of one terminal, stored in footprint-index
 // slot order so a cap query's ranges stream through it sequentially instead
@@ -101,7 +114,6 @@ struct IndexedSite {
 // terminal) state exists: visibility is discovered per (satellite, step)
 // through the spatial index and re-tested exactly.
 struct StreamContext {
-  const SchedulerConfig& config;
   std::span<const constellation::Satellite> satellites;
   std::size_t terminal_count = 0;
   std::span<const GroundStation> stations;
@@ -120,11 +132,19 @@ struct StreamContext {
   // Range-independent downlink hop pieces, hoisted once per run:
   // downlink_hops[gi] is transponder transmit -> station gi.
   std::span<const HopEvaluator> downlink_hops;
+  // Transparent mode: relay_bandwidth_hz[gi] is the bandwidth station gi's
+  // end-to-end capacity is taken over, and uniform_relay_bandwidth says all
+  // stations share one, so the end-to-end SNR alone ranks them.
+  std::span<const double> relay_bandwidth_hz;
+  bool uniform_relay_bandwidth = false;
   // Per-hop Shannon terms are only consumed by the regenerative combine.
   bool regenerative = false;
   double sin_mask = 0.0;
   // max_candidates_per_terminal (0 = exact).
   std::size_t cap = 0;
+  // slot_of[ti] is terminal ti's footprint-index slot (inverse of
+  // FootprintIndex::site_ids), where the capped fill keeps its top-K.
+  std::span<const std::uint32_t> slot_of;
   // Per-step candidate-count high-water mark, shared across chunk workers
   // for the reserve hint and reported as a gauge at the end of the run.
   std::atomic<std::size_t>* step_high_water = nullptr;
@@ -135,19 +155,22 @@ struct StreamContext {
 
 // Downlink legs of steps [chunk_begin, chunk_begin + count): one budget per
 // (satellite, station, step) with both the pair visible and the station
-// healthy, word-iterated satellite-major. Station order inside each list
-// stays ascending — the reference tie-break order.
+// healthy, word-iterated satellite-major, and each list's party mask.
+// Station order inside each list stays ascending — the reference tie-break
+// order.
 void fill_downlinks(const StreamContext& ctx, std::size_t chunk_begin, std::size_t count,
                     DownlinkLists& downlinks) {
   const std::size_t sat_count = ctx.satellites.size();
   const std::size_t station_count = ctx.stations.size();
-  if (downlinks.size() < count * sat_count) downlinks.resize(count * sat_count);
-  for (std::size_t i = 0; i < count * sat_count; ++i) downlinks[i].clear();
+  if (downlinks.lists.size() < count * sat_count) downlinks.lists.resize(count * sat_count);
+  for (std::size_t i = 0; i < count * sat_count; ++i) downlinks.lists[i].clear();
+  downlinks.party_masks.assign(count * sat_count, 0);
   for (std::size_t si = 0; si < sat_count; ++si) {
     const orbit::EphemerisTable& table = ctx.ephemerides.table(si);
     for (std::size_t gi = 0; gi < station_count; ++gi) {
       std::uint64_t bits =
           chunk_word(ctx.station_vis->words(si * station_count + gi), chunk_begin, count);
+      const std::uint32_t party = ctx.stations[gi].owner_party;
       while (bits != 0) {
         const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
@@ -155,12 +178,73 @@ void fill_downlinks(const StreamContext& ctx, std::size_t chunk_begin, std::size
         const util::Vec3 pos = table.position_ecef(step);
         const double snr =
             ctx.downlink_hops[gi].snr_linear(ctx.station_frames[gi].range_m(pos));
-        downlinks[b * sat_count + si].push_back(
-            {static_cast<std::uint32_t>(gi), ctx.stations[gi].owner_party, snr,
+        downlinks.lists[b * sat_count + si].push_back(
+            {static_cast<std::uint32_t>(gi), party, 1.0 / snr,
              ctx.regenerative ? ctx.downlink_hops[gi].shannon_bps(snr) : 0.0});
+        downlinks.party_masks[b * sat_count + si] |= party_bit(party);
       }
     }
   }
+}
+
+// Transparent mode ranks a pair's same-party stations by 1 + SNR, the
+// argument of capacity = bandwidth * log2(1 + SNR), and takes log2 only for
+// stations whose 1 + SNR is within a relative kRelayWindow of the largest.
+// A station outside it has a true log2 at least kRelayWindow / ln 2 below
+// the best's; as log2 never exceeds 1024, that is a relative gap of at least
+// 1.4e-12, while log2's error (within 1 ulp) and the bandwidth product's
+// rounding move each capacity by under 1e-15 relative. So its capacity is
+// strictly below the best station's, and it can neither win nor tie.
+constexpr double kRelayWindow = 1e-9;
+
+// The best same-party station of one visible pair, by the reference's rule:
+// highest end-to-end capacity, the lowest station index on ties (strict >),
+// and none when no capacity is positive.
+struct RelayChoice {
+  double capacity_bps = 0.0;
+  std::uint32_t station = 0;
+  bool found = false;
+};
+
+// Picks a visible pair's station from the satellite's downlink legs at that
+// step. `evaluations` counts the station capacities computed: one log2 each
+// in transparent mode. Regenerative mode takes every same-party station's
+// min of the two hops' Shannon capacities, as combine_relay does.
+RelayChoice best_station(const StreamContext& ctx, std::span<const StationBudget> downlinks,
+                         std::uint32_t party, const IndexedSite& site, double up_snr,
+                         std::uint64_t& evaluations) {
+  RelayChoice best;
+  const auto offer = [&best](double capacity, std::uint32_t station) {
+    if (capacity > best.capacity_bps) best = {capacity, station, true};
+  };
+  if (ctx.regenerative) {
+    const double up_shannon = site.uplink.shannon_bps(up_snr);
+    for (const StationBudget& sb : downlinks) {
+      if (sb.party != party) continue;
+      ++evaluations;
+      offer(std::min(up_shannon, sb.shannon_bps), sb.station);
+    }
+    return best;
+  }
+  const double inv_up = 1.0 / up_snr;
+  // With differing bandwidths SNR alone cannot rank the stations, so the
+  // window floor stays 0 and every station is evaluated.
+  double best_x = 0.0;
+  if (ctx.uniform_relay_bandwidth) {
+    for (const StationBudget& sb : downlinks) {
+      if (sb.party != party) continue;
+      best_x = std::max(best_x, 1.0 + transparent_snr_linear(inv_up, sb.inv_snr));
+    }
+  }
+  const double x_floor = best_x * (1.0 - kRelayWindow);
+  for (const StationBudget& sb : downlinks) {
+    if (sb.party != party) continue;
+    const double snr = transparent_snr_linear(inv_up, sb.inv_snr);
+    if (1.0 + snr < x_floor) continue;
+    ++evaluations;
+    offer(shannon_capacity_bps(snr, ctx.relay_bandwidth_hz[sb.station]), sb.station);
+  }
+  return best;
 }
 
 // Per-slot scratch of the chunk fill. Apart from the chunk's downlink
@@ -172,12 +256,25 @@ struct StreamScratch {
   // order, counting-sorted into terminal-major afterwards.
   std::vector<Candidate> emitted;
   std::vector<std::uint32_t> cursors;
-  // Capped mode: per-terminal blocks of 2*cap slots — own-satellite top-K in
-  // the front half, spare top-K in the back half, each kept sorted by
-  // capacity descending (stable: earlier = lower satellite index).
+  // Capped mode: per-index-slot blocks of 2*cap entries — own-satellite
+  // top-K in the front half, spare top-K in the back half, each kept sorted
+  // by capacity descending (stable: earlier = lower satellite index).
+  // Indexed by footprint slot, so a query's contiguous slot ranges write
+  // contiguous blocks.
   std::vector<Candidate> blocks;
   std::vector<std::uint8_t> own_count;
   std::vector<std::uint8_t> spare_count;
+};
+
+// Pairs counted at each phase-1 stage, in stage order: sites the footprint
+// queries returned, cone-test survivors, party-mask survivors, pairs that
+// pass the exact elevation test, and station capacities computed.
+struct Phase1Counts {
+  std::uint64_t sites_returned = 0;
+  std::uint64_t cone_survivors = 0;
+  std::uint64_t party_gate_survivors = 0;
+  std::uint64_t exact_visible_pairs = 0;
+  std::uint64_t relay_evaluations = 0;
 };
 
 // Keeps region[0..n) the top-`cap` candidates by capacity (descending,
@@ -203,11 +300,13 @@ void top_k_insert(Candidate* region, std::uint8_t& n, std::size_t cap,
 // step's, not the chunk's. The sort restores the reference scan's
 // terminal-major / satellite-ascending candidate order, so with cap == 0
 // phase 2 sees exactly the (satellite, best station) columns of
-// run_reference's joint scan: the index + cone only prune (a conservative
-// superset of exact visibility), survivors run the same visible_above and
-// the same hop arithmetic on the same table positions.
-void fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin, std::size_t count,
-                       std::span<StepCandidates> out, StreamScratch& scratch) {
+// run_reference's joint scan: the index, cone and party mask only prune (a
+// conservative superset of exact visibility with a same-party station),
+// survivors run the same visible_above and the same hop arithmetic on the
+// same table positions. Returns the chunk's per-stage pair counts.
+Phase1Counts fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin,
+                               std::size_t count, std::span<StepCandidates> out,
+                               StreamScratch& scratch) {
   const std::size_t sat_count = ctx.satellites.size();
   const std::size_t term_count = ctx.terminal_count;
   const std::size_t cap = ctx.cap;
@@ -225,6 +324,7 @@ void fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin, std::s
 
   const std::size_t hint = ctx.step_high_water->load(std::memory_order_relaxed);
   std::uint64_t pruned = 0;
+  Phase1Counts counts;
   for (std::size_t b = 0; b < count; ++b) {
     const std::size_t step = chunk_begin + b;
     StepCandidates& sc = out[b];
@@ -243,8 +343,9 @@ void fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin, std::s
         // No reachable station at this step: no candidate can form, skip the
         // terminal scan.
         const std::vector<StationBudget>& downlinks =
-            scratch.downlinks[b * sat_count + si];
+            scratch.downlinks.lists[b * sat_count + si];
         if (downlinks.empty()) continue;
+        const std::uint64_t party_mask = scratch.downlinks.party_masks[b * sat_count + si];
         const util::Vec3 pos = ctx.ephemerides.table(si).position_ecef(step);
         scratch.ranges.clear();
         ctx.index->query_cap(pos, cone.psi_rad, scratch.ranges);
@@ -258,49 +359,35 @@ void fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin, std::s
             if (ux[j] * pos.x + uy[j] * pos.y + uz[j] * pos.z < cone.dot_threshold) {
               continue;
             }
+            ++counts.cone_survivors;
             const IndexedSite& site = ctx.sites[j];
             const std::uint32_t party = site.party;
             // No healthy station of the terminal's party in view through
             // this satellite: no candidate can form.
-            if (std::none_of(downlinks.begin(), downlinks.end(),
-                             [party](const StationBudget& sb) { return sb.party == party; })) {
-              continue;
-            }
+            if ((party_mask & party_bit(party)) == 0) continue;
+            ++counts.party_gate_survivors;
             if (!site.frame.visible_above(pos, ctx.sin_mask)) continue;
+            ++counts.exact_visible_pairs;
 
             const double up_snr = site.uplink.snr_linear(site.frame.range_m(pos));
-            const double up_shannon = ctx.regenerative ? site.uplink.shannon_bps(up_snr) : 0.0;
-            double best_capacity = 0.0;
-            std::uint32_t best_gs = 0;
-            bool found = false;
-            for (const StationBudget& sb : downlinks) {
-              if (sb.party != party) continue;
-              const double capacity = relay_capacity_bps(
-                  up_snr, up_shannon, sb.snr_linear, sb.shannon_bps,
-                  ctx.config.transponder, ctx.stations[sb.station].radio,
-                  ctx.config.relay_mode);
-              if (capacity > best_capacity) {
-                best_capacity = capacity;
-                best_gs = sb.station;
-                found = true;
-              }
-            }
-            if (!found) continue;
+            const RelayChoice relay =
+                best_station(ctx, downlinks, party, site, up_snr, counts.relay_evaluations);
+            if (!relay.found) continue;
             const std::uint32_t ti = site.terminal;
-            const Candidate cand{ti, static_cast<std::uint32_t>(si), best_gs,
-                                 best_capacity};
+            const Candidate cand{ti, static_cast<std::uint32_t>(si), relay.station,
+                                 relay.capacity_bps};
             if (cap == 0) {
               scratch.emitted.push_back(cand);
             } else {
               const bool spare = ctx.satellites[si].owner_party != party;
               Candidate* region =
-                  scratch.blocks.data() + std::size_t{ti} * 2 * cap + (spare ? cap : 0);
-              top_k_insert(region,
-                           spare ? scratch.spare_count[ti] : scratch.own_count[ti],
+                  scratch.blocks.data() + std::size_t{j} * 2 * cap + (spare ? cap : 0);
+              top_k_insert(region, spare ? scratch.spare_count[j] : scratch.own_count[j],
                            cap, cand);
             }
           }
         }
+        counts.sites_returned += visited;
         pruned += term_count - visited;
       }
     }
@@ -325,11 +412,12 @@ void fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin, std::s
       // tie-break expects).
       Candidate merged[128];  // cap <= 64 validated => 2 * cap <= 128
       for (std::size_t ti = 0; ti < term_count; ++ti) {
-        const std::size_t n_own = scratch.own_count[ti];
-        const std::size_t n_spare = scratch.spare_count[ti];
+        const std::uint32_t j = ctx.slot_of[ti];
+        const std::size_t n_own = scratch.own_count[j];
+        const std::size_t n_spare = scratch.spare_count[j];
         const std::size_t n = n_own + n_spare;
         if (n != 0) {
-          const Candidate* block = scratch.blocks.data() + ti * 2 * cap;
+          const Candidate* block = scratch.blocks.data() + std::size_t{j} * 2 * cap;
           std::copy_n(block, n_own, merged);
           std::copy_n(block + cap, n_spare, merged + n_own);
           std::sort(merged, merged + n, [](const Candidate& a, const Candidate& c) {
@@ -343,6 +431,7 @@ void fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin, std::s
     atomic_max(*ctx.step_high_water, sc.cands.size());
   }
   ctx.pruned_pairs->fetch_add(pruned, std::memory_order_relaxed);
+  return counts;
 }
 
 // Phase-2 inputs: the step-invariant scheduling state.
@@ -734,6 +823,12 @@ struct RunMetrics {
   obs::Counter cull_masks;              // station masks filled by the culler
   obs::Counter cull_visible_steps;      // set bits across the station masks
   obs::Counter index_pruned_pairs;      // pair visits skipped without a visibility test
+  // Phase-1 pairs per stage (Phase1Counts), added once per chunk.
+  obs::Counter sites_returned;
+  obs::Counter cone_survivors;
+  obs::Counter party_gate_survivors;
+  obs::Counter exact_visible_pairs;
+  obs::Counter relay_evaluations;
   obs::Counter beam_rejections;         // candidates skipped: no beam left
   obs::Counter withheld_rejections;     // spare candidates skipped: beams withheld
   obs::Counter links_granted;
@@ -758,6 +853,11 @@ struct RunMetrics {
     m.cull_masks = registry.counter("sched.cull_masks");
     m.cull_visible_steps = registry.counter("sched.cull_visible_steps");
     m.index_pruned_pairs = registry.counter("sched.index_pruned_pairs");
+    m.sites_returned = registry.counter("sched.sites_returned");
+    m.cone_survivors = registry.counter("sched.cone_survivors");
+    m.party_gate_survivors = registry.counter("sched.party_gate_survivors");
+    m.exact_visible_pairs = registry.counter("sched.exact_visible_pairs");
+    m.relay_evaluations = registry.counter("sched.relay_evaluations");
     m.beam_rejections = registry.counter("sched.beam_rejections");
     m.withheld_rejections = registry.counter("sched.spare_withheld_rejections");
     m.links_granted = registry.counter("sched.links_granted");
@@ -1110,20 +1210,27 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   // downlink_hops[gi] is transponder transmit -> station gi.
   std::vector<IndexedSite> indexed_sites;
   indexed_sites.reserve(term_count);
+  std::vector<std::uint32_t> slot_of(term_count);
   for (const std::uint32_t ti : footprint_index.site_ids()) {
+    slot_of[ti] = static_cast<std::uint32_t>(indexed_sites.size());
     indexed_sites.push_back({terminal_frames_[ti],
                              HopEvaluator::make(terminals_[ti].radio, config_.transponder.receive),
                              ti, terminals_[ti].owner_party});
   }
   std::vector<HopEvaluator> downlink_hops;
   downlink_hops.reserve(station_count);
+  std::vector<double> relay_bandwidth_hz;
+  relay_bandwidth_hz.reserve(station_count);
   for (const GroundStation& station : stations_) {
     downlink_hops.push_back(HopEvaluator::make(config_.transponder.transmit, station.radio));
+    relay_bandwidth_hz.push_back(transparent_bandwidth_hz(config_.transponder, station.radio));
   }
+  const bool uniform_relay_bandwidth =
+      std::adjacent_find(relay_bandwidth_hz.begin(), relay_bandwidth_hz.end(),
+                         std::not_equal_to<>()) == relay_bandwidth_hz.end();
 
   std::atomic<std::size_t> step_high_water{0};
-  const StreamContext sctx{config_,
-                           satellites_,
+  const StreamContext sctx{satellites_,
                            term_count,
                            stations_,
                            station_frames_,
@@ -1134,9 +1241,12 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
                            shard_cones,
                            &station_vis,
                            downlink_hops,
+                           relay_bandwidth_hz,
+                           uniform_relay_bandwidth,
                            config_.relay_mode == RelayMode::kRegenerative,
                            sin_mask_,
                            config_.max_candidates_per_terminal,
+                           slot_of,
                            &step_high_water,
                            &pruned_pairs};
   const ConsumeContext cctx{config_, satellites_, terminals_, spare_order_,
@@ -1149,13 +1259,14 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   // order (strictly chunk 0, 1, 2, ...) makes the result bit-identical for
   // any pool size, slot count, or chunk size. A slot holds its chunk's
   // candidates plus one step of scratch, both scaling with terminals, so
-  // there is one slot per producer lane, 2 to 4 (2 when serial), and never
-  // more slots than chunks.
+  // there is one slot per producer — the pool lanes plus the consuming
+  // thread, which produces while it waits — 2 to 4 (2 when serial), and
+  // never more slots than chunks.
   const std::size_t chunk_steps = config_.stream_chunk_steps;
   const std::size_t chunk_total = (step_total + chunk_steps - 1) / chunk_steps;
   const std::size_t lanes = pool != nullptr ? pool->thread_count() : 1;
   const std::size_t slots = std::max<std::size_t>(
-      1, std::min(std::clamp<std::size_t>(lanes, 2, 4), chunk_total));
+      1, std::min(std::clamp<std::size_t>(lanes + 1, 2, 4), chunk_total));
   std::vector<std::vector<StepCandidates>> buffers(slots);
   std::vector<StreamScratch> scratch(slots);
 
@@ -1190,10 +1301,16 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
     const std::size_t begin = chunk * chunk_steps;
     const std::size_t count = std::min(chunk_steps, step_total - begin);
     buffers[slot].resize(count);
-    fill_stream_chunk(sctx, begin, count, buffers[slot], scratch[slot]);
+    const Phase1Counts counts =
+        fill_stream_chunk(sctx, begin, count, buffers[slot], scratch[slot]);
     std::uint64_t emitted = 0;
     for (const StepCandidates& sc : buffers[slot]) emitted += sc.cands.size();
     rm.candidates.add(emitted);
+    rm.sites_returned.add(counts.sites_returned);
+    rm.cone_survivors.add(counts.cone_survivors);
+    rm.party_gate_survivors.add(counts.party_gate_survivors);
+    rm.exact_visible_pairs.add(counts.exact_visible_pairs);
+    rm.relay_evaluations.add(counts.relay_evaluations);
   };
 
   const auto consume = [&](std::size_t chunk, std::size_t slot) {

@@ -102,7 +102,7 @@ struct SchedulerConfig {
   orbit::PropagatorBackend propagator_backend = orbit::PropagatorBackend::kJ2Analytic;
   // Steps per phase-1 chunk. Must be a power of two in [1, 64] so a chunk
   // never straddles a mask word. Smaller chunks shrink the streaming
-  // pipeline's in-flight memory (the mega preset runs 8); 64 keeps the
+  // pipeline's in-flight memory (the mega preset runs 2); 64 keeps the
   // historical one-word-per-chunk behaviour. Chunk size never changes the
   // result — candidates are a per-step pure function of geometry.
   std::size_t stream_chunk_steps = 64;
@@ -219,8 +219,9 @@ class BentPipeScheduler {
   //    health, and a terminal whose serving satellite or station fails
   //    enters a reacquisition_backoff_steps hold before it may re-attach;
   //  * the metrics registry: phase timings (propagate / cull / chunk fill /
-  //    chunk drain), candidate-list occupancy, beam-allocation rejections
-  //    and fault-forced detaches land in context.metrics() under "sched.".
+  //    chunk drain), phase-1 pair counts per stage, candidate-list
+  //    occupancy, beam-allocation rejections and fault-forced detaches land
+  //    in context.metrics() under "sched.".
   [[nodiscard]] ScheduleResult run(const orbit::TimeGrid& grid, std::size_t party_count,
                                    sim::RunContext& context, bool keep_steps = false) const;
 

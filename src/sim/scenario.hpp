@@ -37,7 +37,7 @@ enum class AdversaryMode : std::uint8_t {
 // charge of workload sizes (the historical behavior). The mega presets pin
 // the mega-constellation scale-out workload: the synthetic Gen2-scale
 // Starlink catalog served population-gridded terminals over one day at 60 s
-// steps, with the scheduler's streaming preset of 8-step chunks and a top-4
+// steps, with the scheduler's streaming preset of 2-step chunks and a top-4
 // candidate cap (see sim::build_workload).
 enum class ScalePreset : std::uint8_t {
   kReference,  // bench-defined workload sizes

@@ -47,9 +47,10 @@ Workload build_mega(const Scenario& scenario) {
     w.stations[i].radio = net::default_ground_station();
   }
 
-  // The mega streaming preset: small chunks to bound each slot's candidate
-  // output, top-4 candidates per terminal.
-  w.scheduler.stream_chunk_steps = 8;
+  // The mega streaming preset: 2-step chunks, so a slot's candidate output
+  // stays small and a day's 721 chunks balance over every producer, and
+  // top-4 candidates per terminal.
+  w.scheduler.stream_chunk_steps = 2;
   w.scheduler.max_candidates_per_terminal = 4;
   return w;
 }

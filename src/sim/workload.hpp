@@ -35,8 +35,9 @@ struct Workload {
 //    scenario.terminal_count population-gridded terminals and
 //    scenario.station_count stations (constellation::PopulationSampler,
 //    fixed seeds so every run sees the same sites), with the streaming
-//    scheduler preset (8-step chunks and a top-4 candidate cap; the
-//    scheduler keeps one chunk slot per pool lane, 2 to 4).
+//    scheduler preset (2-step chunks and a top-4 candidate cap; the
+//    scheduler keeps one chunk slot per producer, the pool lanes plus the
+//    consuming thread, 2 to 4).
 //  * kReference — the 500-satellite Walker shell x 200 grid-spread
 //    terminals x 20 stations workload the scheduler-compare bench has
 //    always used, with a default scheduler config.

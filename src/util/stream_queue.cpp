@@ -45,6 +45,12 @@ bool ChunkStream::wait_ready(std::size_t chunk) {
   return !aborted_;
 }
 
+bool ChunkStream::poll_ready(std::size_t chunk) {
+  const std::size_t slot = chunk % slot_count_;
+  std::lock_guard lock(mutex_);
+  return aborted_ || (produce_turn_[slot] == chunk && published_[slot] != 0);
+}
+
 void ChunkStream::release(std::size_t chunk) {
   const std::size_t slot = chunk % slot_count_;
   {
@@ -127,8 +133,25 @@ void stream_chunks(ThreadPool* pool, std::size_t chunk_count,
   };
   std::thread driver([&] { pool->parallel_for(pool->thread_count(), run_lane); });
 
+  // This thread produces too while chunk c is not ready: it claims the
+  // lowest unclaimed chunk if that lies below c + slot_count. Every chunk
+  // below c is released, so that chunk's slot is free and begin_produce
+  // returns at once; this thread never waits on a slot only it could free.
+  // Once every such chunk is claimed, chunk c is in some lane's hands and
+  // this thread blocks on it.
+  const auto claim_below = [&](std::size_t limit, std::size_t& chunk) {
+    chunk = next_chunk.load();
+    while (chunk < limit) {
+      if (next_chunk.compare_exchange_weak(chunk, chunk + 1)) return true;
+    }
+    return false;
+  };
+
   try {
     for (std::size_t c = 0; c < chunk_count; ++c) {
+      const std::size_t limit = std::min(chunk_count, c + stream.slot_count());
+      std::size_t own = 0;
+      while (!stream.poll_ready(c) && claim_below(limit, own)) run_chunk(own);
       if (!stream.wait_ready(c)) break;  // aborted: producer error pending
       consume(c, c % stream.slot_count());
       stream.release(c);

@@ -48,6 +48,9 @@ class ChunkStream {
   // Consumer side: blocks until `chunk` has been published. Returns false if
   // the stream aborted instead (the chunk may never arrive).
   [[nodiscard]] bool wait_ready(std::size_t chunk);
+  // Non-blocking: true when wait_ready(chunk) would return at once, i.e. the
+  // chunk is published or the stream aborted.
+  [[nodiscard]] bool poll_ready(std::size_t chunk);
   // Frees the chunk's slot for chunk + slot_count; call after consuming.
   void release(std::size_t chunk);
 
@@ -73,10 +76,12 @@ class ChunkStream {
 // pool (inline when `pool` is null) while this thread consumes
 // `consume(chunk, slot)` strictly in chunk order, with at most `slot_count`
 // chunks in flight. Pool lanes claim chunks one at a time in ascending
-// order, so min(slot_count, pool lanes) producers can run at once.
-// Exceptions from either side abort the stream and the first producer error
-// (or the consumer's) is rethrown here after all workers drain. Returns
-// once every chunk is consumed.
+// order. Before it blocks on chunk c, this thread claims the lowest
+// unclaimed chunk below c + slot_count (its slot is already free) and
+// produces it itself, so min(slot_count, pool lanes + 1) producers can run
+// at once. Exceptions from either side abort the stream and the first
+// producer error (or the consumer's) is rethrown here after all workers
+// drain. Returns once every chunk is consumed.
 void stream_chunks(ThreadPool* pool, std::size_t chunk_count,
                    std::size_t slot_count,
                    const std::function<void(std::size_t, std::size_t)>& produce,

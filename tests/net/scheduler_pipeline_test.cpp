@@ -6,20 +6,25 @@
 // unfaulted, for every thread-pool size.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "constellation/shell.hpp"
+#include "coverage/engine.hpp"
 #include "fault/timeline.hpp"
 #include "net/scheduler.hpp"
+#include "orbit/ephemeris.hpp"
 #include "orbit/geodesy.hpp"
 #include "sim/run_context.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "util/units.hpp"
 
 namespace mpleo::net {
 namespace {
@@ -235,6 +240,139 @@ TEST(SchedulerPipeline, RegenerativeRelayMatchesReference) {
   EXPECT_GT(served_seconds, 0.0);  // some case granted a link
 }
 
+// Party 0 owns two stations at one site, so their downlink SNRs are bit-equal
+// and the lower index must win every tie, and a third station elsewhere.
+// With `half_bandwidth` that third station's bandwidth_hz is halved, so a
+// higher end-to-end SNR through it need not mean a higher capacity. Party 1
+// has one station.
+RandomFleet make_tie_fleet(bool half_bandwidth) {
+  RandomFleet f;
+  f.party_count = 2;
+  f.config.beams_per_satellite = 2;
+  f.config.elevation_mask_deg = 10.0;
+  constellation::WalkerShell shell;
+  shell.plane_count = 12;
+  shell.sats_per_plane = 12;
+  f.satellites = shell.build(kEpoch);
+  for (std::size_t i = 0; i < f.satellites.size(); ++i) {
+    f.satellites[i].owner_party = static_cast<std::uint32_t>(i % f.party_count);
+  }
+  util::Xoshiro256PlusPlus rng(19);
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    Terminal t;
+    t.id = i;
+    t.owner_party = i % 2;
+    t.location = orbit::Geodetic::from_degrees(rng.uniform(30.0, 45.0), rng.uniform(0.0, 15.0));
+    t.radio = default_user_terminal();
+    t.demand_bps = 50e6;
+    f.terminals.push_back(t);
+  }
+  const auto add_station = [&f](std::uint32_t party, double lat_deg, double lon_deg) {
+    GroundStation gs;
+    gs.id = static_cast<GroundStationId>(f.stations.size());
+    gs.owner_party = party;
+    gs.location = orbit::Geodetic::from_degrees(lat_deg, lon_deg);
+    gs.radio = default_ground_station();
+    f.stations.push_back(gs);
+  };
+  add_station(0, 38.0, 8.0);
+  add_station(0, 38.0, 8.0);
+  add_station(0, 33.0, 2.0);
+  add_station(1, 40.0, 10.0);
+  if (half_bandwidth) f.stations[2].radio.bandwidth_hz /= 2.0;
+  return f;
+}
+
+// The reference rule for one (terminal, satellite position): the same-party
+// station in view with the highest compute_relay capacity, the lowest index
+// on ties. Returns {station, capacity}; capacity 0 when none qualifies.
+std::pair<std::size_t, double> reference_station(const RandomFleet& f, const Terminal& term,
+                                                 const util::Vec3& pos, double sin_mask) {
+  const orbit::TopocentricFrame term_frame(term.location);
+  std::pair<std::size_t, double> best{0, 0.0};
+  for (std::size_t gi = 0; gi < f.stations.size(); ++gi) {
+    const GroundStation& gs = f.stations[gi];
+    const orbit::TopocentricFrame gs_frame(gs.location);
+    if (gs.owner_party != term.owner_party || !gs_frame.visible_above(pos, sin_mask)) continue;
+    const double capacity =
+        compute_relay(term.radio, f.config.transponder, gs.radio, term_frame.range_m(pos),
+                      gs_frame.range_m(pos), f.config.relay_mode)
+            .end_to_end_capacity_bps;
+    if (capacity > best.second) best = {gi, capacity};
+  }
+  return best;
+}
+
+TEST(SchedulerPipeline, TransparentStationTiesMatchReference) {
+  // The transparent combine ranks a pair's stations by end-to-end SNR and
+  // takes log2 only near the best one. Bit-equal SNRs must still resolve to
+  // the lower station index, and a station with a higher SNR but half the
+  // bandwidth must lose to the full-bandwidth one — serial, pooled, exact
+  // against run_reference, and capped against the rule itself.
+  const orbit::TimeGrid grid = test_grid();
+  util::ThreadPool pool(3);
+  for (const bool half_bandwidth : {false, true}) {
+    SCOPED_TRACE(half_bandwidth ? "half-bandwidth third station" : "uniform bandwidth");
+    const RandomFleet f = make_tie_fleet(half_bandwidth);
+    const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
+    const ScheduleResult reference =
+        scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
+    EXPECT_TRUE(run_steps(scheduler, grid, f.party_count) == reference);
+    EXPECT_TRUE(run_steps(scheduler, grid, f.party_count, nullptr, &pool) == reference);
+
+    const orbit::EphemerisSet eph =
+        orbit::EphemerisSet::compute(cov::ephemeris_specs(f.satellites), grid);
+    const double sin_mask = std::sin(util::deg_to_rad(f.config.elevation_mask_deg));
+    for (const std::size_t cap : {std::size_t{1}, std::size_t{4}}) {
+      SchedulerConfig config = f.config;
+      config.max_candidates_per_terminal = cap;
+      const BentPipeScheduler capped(config, f.satellites, f.terminals, f.stations);
+      const ScheduleResult serial = run_steps(capped, grid, f.party_count);
+      EXPECT_TRUE(run_steps(capped, grid, f.party_count, nullptr, &pool) == serial)
+          << "cap=" << cap;
+      for (const StepSchedule& step : serial.steps) {
+        for (const LinkAssignment& link : step.links) {
+          const auto [station, capacity] = reference_station(
+              f, f.terminals[link.terminal_index],
+              eph.table(link.satellite_index).position_ecef(step.step), sin_mask);
+          EXPECT_EQ(link.station_index, station) << "cap=" << cap << " step=" << step.step;
+          EXPECT_EQ(link.capacity_bps, capacity) << "cap=" << cap << " step=" << step.step;
+        }
+      }
+    }
+
+    // The fleet must exercise both rules: grants through the tied pair, and
+    // (half bandwidth) grants through it while the third station offers a
+    // higher end-to-end SNR.
+    std::size_t tied_grants = 0;
+    std::size_t outranked_by_snr = 0;
+    for (const StepSchedule& step : reference.steps) {
+      for (const LinkAssignment& link : step.links) {
+        EXPECT_NE(link.station_index, 1u) << "the tie went to the higher index";
+        if (link.station_index != 0) continue;
+        ++tied_grants;
+        const Terminal& term = f.terminals[link.terminal_index];
+        const util::Vec3 pos = eph.table(link.satellite_index).position_ecef(step.step);
+        const orbit::TopocentricFrame term_frame(term.location);
+        const orbit::TopocentricFrame third(f.stations[2].location);
+        if (!third.visible_above(pos, sin_mask)) continue;
+        const auto snr_via = [&](std::size_t gi) {
+          return compute_relay(term.radio, f.config.transponder, f.stations[gi].radio,
+                               term_frame.range_m(pos),
+                               orbit::TopocentricFrame(f.stations[gi].location).range_m(pos),
+                               f.config.relay_mode)
+              .end_to_end_snr_linear;
+        };
+        if (snr_via(2) > snr_via(0)) ++outranked_by_snr;
+      }
+    }
+    EXPECT_GT(tied_grants, 0u);
+    if (half_bandwidth) {
+      EXPECT_GT(outranked_by_snr, 0u);
+    }
+  }
+}
+
 TEST(SchedulerPipeline, EmptyFaultTimelineMatchesPlainRun) {
   const RandomFleet f = make_fleet(7);
   const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
@@ -280,7 +418,7 @@ TEST_P(SchedulerFootprintStream, ChunkSlotAndPoolShapeNeverChangeResult) {
     const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
     const ScheduleResult serial = run_steps(scheduler, grid, f.party_count, &faults);
     EXPECT_TRUE(serial == expected) << "chunk_steps=" << chunk_steps;
-    // 2, 3 and 4 slots.
+    // 3 and 4 slots, with 2 to 4 lanes.
     for (const std::size_t threads : {2u, 3u, 4u}) {
       util::ThreadPool pool(threads);
       const ScheduleResult pooled =
@@ -428,6 +566,34 @@ TEST(SchedulerFootprintStreamGolden, CappedTotalsMatchRecordedValues) {
   }
 }
 
+TEST(SchedulerPipeline, PartyMaskCollisionsMatchReference) {
+  // Phase 1 gates pairs on a per-(step, satellite) mask with bit party & 63,
+  // so parties 64 apart pass each other's gate and the combine must still
+  // match the exact party. Every other golden-fleet terminal moves to its
+  // party + 64, which owns no station: it shares a mask bit with its old
+  // party's stations but must never be offered them.
+  RandomFleet f = make_golden_fleet();
+  const orbit::TimeGrid grid = test_grid();
+  const BentPipeScheduler unshifted(f.config, f.satellites, f.terminals, f.stations);
+  bool shifted_terminal_was_served = false;
+  for (const StepSchedule& step :
+       unshifted.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true).steps) {
+    for (const LinkAssignment& link : step.links) {
+      shifted_terminal_was_served |= link.terminal_index % 2 == 0;
+    }
+  }
+  EXPECT_TRUE(shifted_terminal_was_served);
+
+  for (std::size_t ti = 0; ti < f.terminals.size(); ti += 2) f.terminals[ti].owner_party += 64;
+  f.party_count += 64;
+  const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
+  const ScheduleResult reference =
+      scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
+  EXPECT_TRUE(run_steps(scheduler, grid, f.party_count) == reference);
+  util::ThreadPool pool(3);
+  EXPECT_TRUE(run_steps(scheduler, grid, f.party_count, nullptr, &pool) == reference);
+}
+
 // The cap binds whatever the fleet size: the golden fleet's first n
 // terminals, down to a handful, still contend for one-beam satellites, so
 // keeping only each terminal's top candidate changes who is served. The
@@ -459,9 +625,10 @@ INSTANTIATE_TEST_SUITE_P(TerminalCounts, SchedulerCandidateCap,
                          ::testing::PrintToStringParamName());
 
 TEST(SchedulerFootprintStreamConfig, SlotCountFollowsPoolLanesAndChunkCount) {
-  // One stream slot per producer lane, 2 to 4 (a serial run counts as one
-  // lane), and never more slots than chunks. perf_simulator's mega gate
-  // reads the count from the sched.stream_slots gauge.
+  // One stream slot per producer — the pool lanes plus the consuming
+  // thread — 2 to 4 (a serial run counts as one lane), and never more slots
+  // than chunks. perf_simulator's mega gate reads the count from the
+  // sched.stream_slots gauge.
   const RandomFleet f = make_fleet(5);
   const auto slots = [&f](const orbit::TimeGrid& grid, std::size_t chunk_steps,
                           std::size_t threads) {
@@ -480,14 +647,56 @@ TEST(SchedulerFootprintStreamConfig, SlotCountFollowsPoolLanesAndChunkCount) {
 
   const orbit::TimeGrid grid = test_grid();  // 90 steps
   EXPECT_EQ(slots(grid, 8, 1), 2.0);  // 12 chunks
-  EXPECT_EQ(slots(grid, 8, 2), 2.0);
-  EXPECT_EQ(slots(grid, 8, 3), 3.0);
+  EXPECT_EQ(slots(grid, 8, 2), 3.0);
+  EXPECT_EQ(slots(grid, 8, 3), 4.0);
   EXPECT_EQ(slots(grid, 8, 4), 4.0);
   EXPECT_EQ(slots(grid, 8, 6), 4.0);
   EXPECT_EQ(slots(grid, 32, 6), 3.0);  // 3 chunks
   EXPECT_EQ(slots(grid, 64, 1), 2.0);  // 2 chunks
   const orbit::TimeGrid short_grid = orbit::TimeGrid::over_duration(kEpoch, 1800.0, 60.0);
   EXPECT_EQ(slots(short_grid, 64, 4), 1.0);  // 1 chunk
+}
+
+TEST(SchedulerFootprintStreamCounters, StageCountsAreShapeInvariantAndNested) {
+  // Phase 1 counts pairs at each stage in its own order. The counts are a
+  // pure function of fleet and grid, whatever the pool and chunk size, and
+  // each stage keeps a subset of the one before. With fewer than 64 parties
+  // the party mask is exact, so every visible pair has a same-party station
+  // and its best one is always evaluated.
+  const RandomFleet f = make_golden_fleet();
+  const orbit::TimeGrid grid = test_grid();
+  const char* const names[] = {"sched.sites_returned", "sched.cone_survivors",
+                               "sched.party_gate_survivors", "sched.exact_visible_pairs",
+                               "sched.relay_evaluations"};
+  const auto stage_counts = [&](std::size_t chunk_steps, std::size_t threads) {
+    SchedulerConfig config = f.config;
+    config.stream_chunk_steps = chunk_steps;
+    config.max_candidates_per_terminal = 4;
+    const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
+    sim::RunContext context;
+    context.use_threads(threads);
+    (void)scheduler.run(grid, f.party_count, context, /*keep_steps=*/false);
+    std::vector<std::uint64_t> counts(std::size(names), 0);
+    for (const auto& [name, value] : context.metrics().snapshot().counters) {
+      for (std::size_t i = 0; i < std::size(names); ++i) {
+        if (name == names[i]) counts[i] = value;
+      }
+    }
+    return counts;
+  };
+
+  const std::vector<std::uint64_t> expected = stage_counts(1, 1);
+  for (const std::size_t chunk_steps : {std::size_t{1}, std::size_t{64}}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      EXPECT_EQ(stage_counts(chunk_steps, threads), expected)
+          << "chunk_steps=" << chunk_steps << " threads=" << threads;
+    }
+  }
+  EXPECT_GT(expected[3], 0u);
+  EXPECT_GE(expected[0], expected[1]);
+  EXPECT_GE(expected[1], expected[2]);
+  EXPECT_GE(expected[2], expected[3]);
+  EXPECT_GE(expected[4], expected[3]);
 }
 
 TEST(SchedulerFootprintStreamConfig, RejectsBadStreamShapes) {

@@ -32,7 +32,7 @@ TEST(Workload, MegaSmokeSizesAndOwners) {
   EXPECT_GT(w.terminals.front().demand_bps, 0.0);
 
   // The mega streaming preset rides in the workload's scheduler config.
-  EXPECT_EQ(w.scheduler.stream_chunk_steps, 8u);
+  EXPECT_EQ(w.scheduler.stream_chunk_steps, 2u);
   EXPECT_EQ(w.scheduler.max_candidates_per_terminal, 4u);
 }
 

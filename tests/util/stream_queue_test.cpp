@@ -2,8 +2,8 @@
 // mega-scale scheduler. The contracts that keep streamed scheduling
 // bit-identical to fill-then-drain: consumption is strictly in chunk order,
 // at most slot_count chunks are ever in flight, serial and pooled execution
-// produce the same outputs, and errors on either side abort the stream
-// without deadlocking the driver.
+// produce the same outputs, the consuming thread produces while it waits,
+// and errors on either side abort the stream without deadlocking it.
 #include "util/stream_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -113,6 +113,36 @@ TEST(StreamChunks, RunsMinOfSlotsAndLanesProducersAtOnce) {
   }
 }
 
+TEST(StreamChunks, ConsumerProducesWhileItWaits) {
+  // The consuming thread produces too while its next chunk is not ready, so
+  // with 4 slots a 2-lane pool gets 3 producers at once: the two lanes and
+  // the consuming thread. Same latch as RunsMinOfSlotsAndLanesProducersAtOnce;
+  // a stream whose consumer only waits peaks at 2 and times out.
+  ThreadPool pool(2);
+  constexpr std::size_t kSlots = 4;
+  constexpr std::size_t kTarget = 3;
+  std::mutex mutex;
+  std::condition_variable arrived;
+  std::size_t in_flight = 0;
+  std::size_t peak = 0;
+  bool open = false;
+  stream_chunks(
+      &pool, 256, kSlots,
+      [&](std::size_t, std::size_t) {
+        std::unique_lock lock(mutex);
+        peak = std::max(peak, ++in_flight);
+        if (in_flight >= kTarget) open = true;
+        arrived.notify_all();
+        if (!arrived.wait_for(lock, std::chrono::seconds(10), [&] { return open; })) {
+          open = true;
+        }
+        --in_flight;
+      },
+      [](std::size_t, std::size_t) {});
+  EXPECT_GE(peak, kTarget);
+  EXPECT_LE(peak, kSlots);
+}
+
 TEST(StreamChunks, SerialAndPooledRunsProduceIdenticalResults) {
   constexpr std::size_t kChunks = 41;
   const auto run = [&](ThreadPool* pool, std::size_t slots) {
@@ -179,6 +209,45 @@ TEST(StreamChunks, ProducerThrowAgainstBlockedSlotRingDoesNotDeadlock) {
   EXPECT_EQ(after, 8);
 }
 
+TEST(StreamChunks, ConsumerProduceErrorIsRethrown) {
+  // A chunk the consuming thread produces can throw like a lane's: the
+  // stream aborts, the error surfaces from stream_chunks, and no lane is
+  // left blocked. Lanes hold their chunks until the consuming thread has
+  // entered produce() (or a timeout), so it is the one that throws.
+  ThreadPool pool(2);
+  const std::thread::id consumer = std::this_thread::get_id();
+  std::mutex mutex;
+  std::condition_variable entered;
+  bool consumer_entered = false;
+  bool timed_out = false;
+  try {
+    stream_chunks(
+        &pool, 64, 4,
+        [&](std::size_t, std::size_t) {
+          std::unique_lock lock(mutex);
+          if (std::this_thread::get_id() == consumer) {
+            consumer_entered = true;
+            entered.notify_all();
+            throw std::runtime_error("consumer-side produce boom");
+          }
+          if (!entered.wait_for(lock, std::chrono::seconds(10),
+                                [&] { return consumer_entered || timed_out; })) {
+            timed_out = true;
+          }
+        },
+        [](std::size_t, std::size_t) {});
+    FAIL() << "the consuming thread's produce error did not propagate";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "consumer-side produce boom");
+  }
+  EXPECT_FALSE(timed_out);
+  int after = 0;
+  stream_chunks(
+      &pool, 8, 4, [](std::size_t, std::size_t) {},
+      [&](std::size_t, std::size_t) { ++after; });
+  EXPECT_EQ(after, 8);
+}
+
 TEST(StreamChunks, ConsumerErrorPropagatesWithoutDeadlock) {
   ThreadPool pool(3);
   for (ThreadPool* handle : {static_cast<ThreadPool*>(nullptr), &pool}) {
@@ -212,6 +281,20 @@ TEST(ChunkStream, AbortWakesBothSides) {
   stream.abort();
   EXPECT_THROW((void)stream.begin_produce(0), ChunkStreamAborted);
   EXPECT_FALSE(stream.wait_ready(0));
+  EXPECT_TRUE(stream.poll_ready(0));
+}
+
+TEST(ChunkStream, PollReadyIsTrueOnceTheChunkIsPublished) {
+  ChunkStream stream(8, 2);
+  EXPECT_FALSE(stream.poll_ready(0));
+  EXPECT_EQ(stream.begin_produce(0), 0u);
+  EXPECT_FALSE(stream.poll_ready(0));
+  stream.publish(0);
+  EXPECT_TRUE(stream.poll_ready(0));
+  EXPECT_TRUE(stream.wait_ready(0));
+  stream.release(0);
+  // Chunk 2 reuses slot 0 and is not published yet.
+  EXPECT_FALSE(stream.poll_ready(2));
 }
 
 }  // namespace
