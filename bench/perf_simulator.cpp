@@ -244,14 +244,10 @@ bool run_compare(std::FILE* out) {
 bool run_compare_scheduler(std::FILE* out, sim::RunContext& context) {
   const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(kEpoch, 86400.0, 60.0);
 
-  // The reference workload comes from the same Scenario scale-preset builder
-  // the mega runs use, so the 500-sat acceptance fleet is defined in exactly
-  // one place (sim::build_workload).
-  const sim::Scenario ref_scenario = sim::ScenarioBuilder()
-                                         .epoch(kEpoch)
-                                         .scale(sim::ScalePreset::kReference)
-                                         .build();
-  const sim::Workload workload = sim::build_workload(ref_scenario);
+  // The reference workload comes from the same Scenario scale presets the
+  // mega runs use, so the 500-sat acceptance fleet is defined in exactly one
+  // place (sim::build_workload).
+  const sim::Workload workload = sim::build_workload(sim::Scenario{.epoch = kEpoch});
   const std::size_t kParties = workload.party_count;
   const std::vector<constellation::Satellite>& sats = workload.satellites;
   const std::vector<net::Terminal>& terminals = workload.terminals;
@@ -487,12 +483,8 @@ bool run_mega(std::FILE* out, bool smoke) {
   // sites, footprint-stream scheduler preset — comes from the Scenario scale
   // preset, so this bench, the CI smoke step and any example requesting
   // --scale=mega all run the identical workload.
-  const sim::Scenario scenario =
-      sim::ScenarioBuilder()
-          .epoch(kEpoch)
-          .threads(0)
-          .scale(smoke ? sim::ScalePreset::kMegaSmoke : sim::ScalePreset::kMega)
-          .build();
+  sim::Scenario scenario{.epoch = kEpoch, .threads = 0};
+  scenario.apply_scale(smoke ? sim::ScalePreset::kMegaSmoke : sim::ScalePreset::kMega);
   const orbit::TimeGrid grid = scenario.grid();
   const sim::Workload workload = sim::build_workload(scenario);
   const std::size_t kParties = workload.party_count;

@@ -13,8 +13,7 @@ using namespace mpleo;
 int main(int argc, char** argv) {
   sim::Scenario scenario;
   try {
-    scenario = sim::parse_scenario(argc, argv,
-                                   sim::ScenarioBuilder().step_seconds(180.0).build());
+    scenario = sim::parse_scenario(argc, argv, sim::Scenario{.step_s = 180.0});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;

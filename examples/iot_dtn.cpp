@@ -16,7 +16,7 @@ using namespace mpleo;
 int main(int argc, char** argv) {
   sim::Scenario scenario;
   try {
-    scenario = sim::parse_scenario(argc, argv, sim::ScenarioBuilder().build());
+    scenario = sim::parse_scenario(argc, argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;

@@ -43,10 +43,7 @@ int main(int argc, char** argv) {
   sim::Scenario scenario;
   try {
     scenario = sim::parse_scenario(argc, argv,
-                                   sim::ScenarioBuilder()
-                                       .duration_seconds(86400.0)
-                                       .step_seconds(120.0)
-                                       .build());
+                                   sim::Scenario{.duration_s = 86400.0, .step_s = 120.0});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;

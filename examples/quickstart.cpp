@@ -13,8 +13,7 @@ int main(int argc, char** argv) {
   sim::Scenario scenario;
   try {
     // one day is plenty for a demo
-    scenario = sim::parse_scenario(
-        argc, argv, sim::ScenarioBuilder().duration_seconds(86400.0).build());
+    scenario = sim::parse_scenario(argc, argv, sim::Scenario{.duration_s = 86400.0});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;

@@ -18,10 +18,7 @@ std::vector<Contact> build_contact_plan(const CoverageEngine& engine,
     const std::vector<StepMask> masks =
         engine.visibility_masks(ephemerides.table(i), sites);
     for (std::size_t j = 0; j < sites.size(); ++j) {
-      // Keep the IntervalSet alive for the loop (iterating a temporary's
-      // member would dangle under C++20 range-for rules).
-      const IntervalSet windows = masks[j].to_intervals(step);
-      for (const Interval& window : windows.intervals()) {
+      for (const Interval& window : masks[j].to_intervals(step)) {
         contacts.push_back({sat.id, sites[j].name, window.start, window.end});
       }
     }

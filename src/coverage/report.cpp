@@ -6,14 +6,6 @@
 
 namespace mpleo::cov {
 
-std::string summarize(const CoverageStats& stats) {
-  std::ostringstream os;
-  os << "covered " << util::Table::pct(stats.covered_fraction) << " | longest gap "
-     << util::Table::duration(stats.max_gap_seconds) << " | " << stats.pass_count
-     << " passes";
-  return os.str();
-}
-
 std::string site_report(const std::string& site_name, const CoverageStats& stats) {
   std::ostringstream os;
   os << site_name << ":\n"

@@ -7,9 +7,6 @@
 
 namespace mpleo::cov {
 
-// One-line summary, e.g. "covered 94.32% | longest gap 1h 12m | 214 passes".
-[[nodiscard]] std::string summarize(const CoverageStats& stats);
-
 // Multi-line report for a named site.
 [[nodiscard]] std::string site_report(const std::string& site_name,
                                       const CoverageStats& stats);

@@ -102,8 +102,8 @@ std::size_t StepMask::longest_zero_run() const noexcept {
   return longest;
 }
 
-IntervalSet StepMask::to_intervals(double step_seconds) const {
-  IntervalSet out;
+std::vector<Interval> StepMask::to_intervals(double step_seconds) const {
+  std::vector<Interval> out;
   std::size_t run_start = 0;
   bool in_run = false;
   for (std::size_t i = 0; i < steps_; ++i) {
@@ -112,13 +112,13 @@ IntervalSet StepMask::to_intervals(double step_seconds) const {
       run_start = i;
     } else if (!test(i) && in_run) {
       in_run = false;
-      out.insert(static_cast<double>(run_start) * step_seconds,
-                 static_cast<double>(i) * step_seconds);
+      out.push_back({static_cast<double>(run_start) * step_seconds,
+                     static_cast<double>(i) * step_seconds});
     }
   }
   if (in_run) {
-    out.insert(static_cast<double>(run_start) * step_seconds,
-               static_cast<double>(steps_) * step_seconds);
+    out.push_back({static_cast<double>(run_start) * step_seconds,
+                   static_cast<double>(steps_) * step_seconds});
   }
   return out;
 }

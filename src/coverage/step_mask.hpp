@@ -10,9 +10,16 @@
 #include <span>
 #include <vector>
 
-#include "coverage/interval_set.hpp"
-
 namespace mpleo::cov {
+
+// A half-open time interval [start, end), seconds on an experiment-local axis.
+struct Interval {
+  double start = 0.0;
+  double end = 0.0;  // exclusive
+
+  [[nodiscard]] double length() const noexcept { return end - start; }
+  friend bool operator==(const Interval&, const Interval&) = default;
+};
 
 class StepMask {
  public:
@@ -61,8 +68,9 @@ class StepMask {
   // one load instead of 64 tests.
   [[nodiscard]] std::span<const std::uint64_t> words() const noexcept { return words_; }
 
-  // Converts set runs to intervals on [0, step_count*step_seconds).
-  [[nodiscard]] IntervalSet to_intervals(double step_seconds) const;
+  // The runs of set steps as intervals on [0, step_count*step_seconds),
+  // ascending and disjoint: one per pass.
+  [[nodiscard]] std::vector<Interval> to_intervals(double step_seconds) const;
 
   friend bool operator==(const StepMask&, const StepMask&) = default;
 

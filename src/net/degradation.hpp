@@ -16,7 +16,9 @@
 //  * Bounded exponential re-acquisition backoff: consecutive failure-forced
 //    detaches back off initial * multiplier^(n-1) steps, capped, resetting
 //    after a clean horizon — spreading the re-acquisition herd after mass
-//    outages (extends PR 2's constant reacquisition_backoff_steps).
+//    outages. With initial == max every failure holds the same `initial`
+//    steps: a constant re-pointing delay. It is the only re-acquisition
+//    hold; with the backoff off, re-acquisition is instant.
 //
 // SLO observation (SloStats) is orthogonal: slo_window_steps > 0 makes runs
 // carry per-party availability, worst-window availability, time-to-recover
@@ -55,8 +57,9 @@ struct DegradationPolicy {
   // (every spare grant re-resolved from scratch, the historical behavior).
   double spare_hysteresis_margin = 0.0;
 
-  // Bounded exponential re-acquisition backoff; 0 initial steps = use the
-  // scheduler's constant reacquisition_backoff_steps (PR 2 behavior).
+  // Bounded exponential re-acquisition backoff; 0 initial steps = instant
+  // re-acquisition, backoff_initial_steps == backoff_max_steps = a constant
+  // hold of that many steps per failure.
   std::size_t backoff_initial_steps = 0;
   double backoff_multiplier = 2.0;
   std::size_t backoff_max_steps = 64;

@@ -572,8 +572,8 @@ struct DetachState {
   std::vector<std::uint32_t> prev_station;
   std::vector<std::size_t> backoff_remaining;
   std::vector<std::uint8_t> blocked;
-  // Engaged only by DegradationPolicy::backoff_initial_steps > 0; otherwise
-  // the constant reacquisition_backoff_steps hold applies (PR 2 behavior).
+  // One per terminal when the policy is enabled with backoff_initial_steps
+  // > 0; empty otherwise, and re-acquisition is then instant.
   std::vector<ReacquisitionBackoff> machines;
 
   explicit DetachState(std::size_t terminal_count)
@@ -593,22 +593,20 @@ struct DetachState {
   }
 
   // A terminal whose serving satellite or station just went down is
-  // failure-force-detached: it must re-acquire, which costs
-  // reacquisition_backoff_steps of no service (or the policy's exponential
-  // hold when engaged). Elevation-driven loss (the satellite flying out of
-  // view) stays a free handover.
-  void pre_step(const fault::FaultTimeline& faults, std::size_t step,
-                std::size_t backoff_steps, double dt_step, ScheduleResult& result,
-                SloAccumulator* slo = nullptr) {
+  // failure-force-detached: it must re-acquire, which costs the policy's
+  // backoff hold of no service when the backoff is engaged. Elevation-driven
+  // loss (the satellite flying out of view) stays a free handover.
+  void pre_step(const fault::FaultTimeline& faults, std::size_t step, double dt_step,
+                ScheduleResult& result, SloAccumulator* slo = nullptr) {
     for (std::size_t ti = 0; ti < blocked.size(); ++ti) {
       if (prev_satellite[ti] != kNone &&
           (!faults.satellite_available(prev_satellite[ti], step) ||
            (prev_station[ti] != kNone &&
             !faults.station_available(prev_station[ti], step)))) {
         ++result.failure_forced_detaches;
-        const std::size_t hold =
-            machines.empty() ? backoff_steps : machines[ti].on_failure();
-        backoff_remaining[ti] = std::max(backoff_remaining[ti], hold);
+        if (!machines.empty()) {
+          backoff_remaining[ti] = std::max(backoff_remaining[ti], machines[ti].on_failure());
+        }
         prev_satellite[ti] = kNone;
         prev_station[ti] = kNone;
         if (slo != nullptr) slo->on_failure_detach(ti, step);
@@ -679,8 +677,7 @@ struct PolicyDriver {
   std::span<const std::uint8_t> pre_step(std::size_t step, double dt_step,
                                          ScheduleResult& result) {
     if (!faulted) return {};
-    detach.pre_step(*faults, step, config.reacquisition_backoff_steps, dt_step,
-                    result, slo.engaged() ? &slo : nullptr);
+    detach.pre_step(*faults, step, dt_step, result, slo.engaged() ? &slo : nullptr);
     if (!shedding) return detach.blocked;
     // Healthy-beam fraction across the fleet at this step; a tier whose
     // threshold exceeds it is deliberately unserved so better tiers keep the

@@ -67,11 +67,6 @@ struct SchedulerConfig {
   // index used by the terminals and owned satellites (validated at
   // construction).
   std::vector<double> spare_priority_by_party;
-  // Steps a terminal stays detached after a failure-forced detach (its
-  // serving satellite or station went down under it) before it may
-  // re-attach — the re-pointing / re-ranging delay that gives outages tails
-  // instead of free instant handovers. 0 = instant re-acquisition.
-  std::size_t reacquisition_backoff_steps = 0;
   // Spare-capacity governance, both empty by default (bit-identical to the
   // ungoverned scheduler):
   //  * spare_exclude_party[p] != 0 bars party p from the spare commons in
@@ -216,8 +211,9 @@ class BentPipeScheduler {
   //    parallel over step chunks on it; the result is bit-identical for any
   //    pool size, including none;
   //  * the fault timeline (null or empty = healthy): it gates per-step asset
-  //    health, and a terminal whose serving satellite or station fails
-  //    enters a reacquisition_backoff_steps hold before it may re-attach;
+  //    health, and a terminal whose serving satellite or station fails is
+  //    detached; it waits out the degradation policy's re-acquisition
+  //    backoff, when enabled, before it may re-attach;
   //  * the metrics registry: phase timings (propagate / cull / chunk fill /
   //    chunk drain), phase-1 pair counts per stage, candidate-list
   //    occupancy, beam-allocation rejections and fault-forced detaches land

@@ -1,10 +1,12 @@
 #include "sim/scenario.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <system_error>
 
 namespace mpleo::sim {
 namespace {
@@ -21,6 +23,22 @@ double to_double(std::string_view value, const char* flag) {
   const double parsed = std::strtod(buffer.c_str(), &end);
   if (end == buffer.c_str() || *end != '\0') {
     throw std::invalid_argument(std::string("invalid numeric value for ") + flag);
+  }
+  return parsed;
+}
+
+// Counts and seeds parse into the field's own unsigned type: a sign, a
+// fraction, an exponent or an out-of-range value is rejected, never cast.
+template <typename T>
+T to_integer(std::string_view value, const char* flag) {
+  T parsed{};
+  const char* const last = value.data() + value.size();
+  const auto [end, error] = std::from_chars(value.data(), last, parsed);
+  if (error != std::errc{} || end != last) {
+    throw std::invalid_argument("invalid value for " + std::string(flag) + "=: '" +
+                                std::string(value) +
+                                "' (valid: a non-negative integer)\nvalid flags:\n" +
+                                flag_help());
   }
   return parsed;
 }
@@ -91,7 +109,7 @@ struct FlagSpec {
 constexpr FlagSpec kFlags[] = {
     {"--runs=", "Monte-Carlo runs (default 20; the paper uses 100)",
      [](Scenario& s, std::string_view v) {
-       s.runs = static_cast<std::size_t>(to_double(v, "--runs"));
+       s.runs = to_integer<std::size_t>(v, "--runs");
      }},
     {"--step=", "time step in seconds (default 60)",
      [](Scenario& s, std::string_view v) { s.step_s = to_double(v, "--step"); }},
@@ -101,7 +119,7 @@ constexpr FlagSpec kFlags[] = {
      }},
     {"--seed=", "RNG seed (default 42)",
      [](Scenario& s, std::string_view v) {
-       s.seed = static_cast<std::uint64_t>(to_double(v, "--seed"));
+       s.seed = to_integer<std::uint64_t>(v, "--seed");
      }},
     {"--days=", "evaluation window in days (default 7)",
      [](Scenario& s, std::string_view v) {
@@ -113,7 +131,7 @@ constexpr FlagSpec kFlags[] = {
      }},
     {"--threads=", "RunContext pool threads: 1 = serial, 0 = all hardware (default 1)",
      [](Scenario& s, std::string_view v) {
-       s.threads = static_cast<std::size_t>(to_double(v, "--threads"));
+       s.threads = to_integer<std::size_t>(v, "--threads");
      }},
     {"--full", "paper fidelity: 100 runs",
      [](Scenario& s, std::string_view) { s.apply_full_fidelity(); }},
@@ -142,7 +160,7 @@ constexpr FlagSpec kFlags[] = {
      }},
     {"--adversary-seed=", "seed for the Byzantine behavior book (default 1042)",
      [](Scenario& s, std::string_view v) {
-       s.adversary_seed = static_cast<std::uint64_t>(to_double(v, "--adversary-seed"));
+       s.adversary_seed = to_integer<std::uint64_t>(v, "--adversary-seed");
      }},
     {"--scale=",
      "workload scale preset: reference|mega|mega-smoke (default reference; mega pins "
@@ -154,7 +172,7 @@ constexpr FlagSpec kFlags[] = {
      [](Scenario& s, std::string_view v) { s.events = parse_events(v); }},
     {"--event-seed=", "seed for the correlated-failure event book (default 2042)",
      [](Scenario& s, std::string_view v) {
-       s.event_seed = static_cast<std::uint64_t>(to_double(v, "--event-seed"));
+       s.event_seed = to_integer<std::uint64_t>(v, "--event-seed");
      }},
     {"--event-intensity=", "correlated-failure event strength, >= 0 (default 1)",
      [](Scenario& s, std::string_view v) {
@@ -214,120 +232,8 @@ std::vector<core::ConfigIssue> Scenario::validate() const {
   return issues;
 }
 
-ScenarioBuilder& ScenarioBuilder::epoch(orbit::TimePoint value) {
-  scenario_.epoch = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::epoch_iso8601(const std::string& value) {
-  scenario_.epoch = orbit::TimePoint::from_iso8601(value);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::duration_days(double value) {
-  scenario_.duration_s = value * 86400.0;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::duration_seconds(double value) {
-  scenario_.duration_s = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::step_seconds(double value) {
-  scenario_.step_s = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::elevation_mask_deg(double value) {
-  scenario_.elevation_mask_deg = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::runs(std::size_t value) {
-  scenario_.runs = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t value) {
-  scenario_.seed = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::threads(std::size_t value) {
-  scenario_.threads = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::include_gen2(bool value) {
-  scenario_.include_gen2_catalog = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::propagator(orbit::PropagatorBackend value) {
-  scenario_.propagator = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::adversary(AdversaryMode value) {
-  scenario_.adversary_mode = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::adversary_fraction(double value) {
-  scenario_.adversary_fraction = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::adversary_intensity(double value) {
-  scenario_.adversary_intensity = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::adversary_seed(std::uint64_t value) {
-  scenario_.adversary_seed = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::rf(bool value) {
-  scenario_.rf = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::audit_doppler(bool value) {
-  scenario_.audit_doppler = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::events(fault::EventProfile value) {
-  scenario_.events = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::event_seed(std::uint64_t value) {
-  scenario_.event_seed = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::event_intensity(double value) {
-  scenario_.event_intensity = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::scale(ScalePreset value) {
-  scenario_.apply_scale(value);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::terminal_count(std::size_t value) {
-  scenario_.terminal_count = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::station_count(std::size_t value) {
-  scenario_.station_count = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::full_fidelity() {
-  scenario_.apply_full_fidelity();
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::quick() {
-  scenario_.runs = 5;
-  scenario_.duration_s = 2.0 * 86400.0;
-  scenario_.step_s = 120.0;
-  return *this;
-}
-
-std::vector<core::ConfigIssue> ScenarioBuilder::issues() const {
-  return scenario_.validate();
-}
-
-Scenario ScenarioBuilder::build() const {
-  core::throw_if_invalid("sim::Scenario", scenario_.validate());
-  return scenario_;
-}
-
 Scenario parse_scenario(int argc, const char* const* argv, Scenario defaults) {
-  ScenarioBuilder builder(std::move(defaults));
+  Scenario scenario = std::move(defaults);
   for (int i = 1; i < argc; ++i) {
     const std::string_view raw(argv[i]);
     bool matched = false;
@@ -335,10 +241,10 @@ Scenario parse_scenario(int argc, const char* const* argv, Scenario defaults) {
       if (flag.name.back() == '=') {
         std::string_view value = raw;
         if (!consume_prefix(value, flag.name)) continue;
-        flag.apply(builder.scenario(), value);
+        flag.apply(scenario, value);
       } else {
         if (raw != flag.name) continue;
-        flag.apply(builder.scenario(), {});
+        flag.apply(scenario, {});
       }
       matched = true;
       break;
@@ -348,7 +254,8 @@ Scenario parse_scenario(int argc, const char* const* argv, Scenario defaults) {
                                   flag_help());
     }
   }
-  return builder.build();
+  core::throw_if_invalid("sim::Scenario", scenario.validate());
+  return scenario;
 }
 
 const char* to_string(ScalePreset preset) noexcept {

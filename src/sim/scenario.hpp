@@ -87,8 +87,7 @@ struct Scenario {
   // Correlated-failure events (fault::EventBook presets). kOff leaves every
   // consumer bit-identical to the event-free path; any other profile seeds
   // the preset book scaled by `event_intensity` (>= 0, 1 = nominal) from
-  // `event_seed`, compiled onto the run's FaultTimeline (see
-  // sim::build_event_timeline).
+  // `event_seed` (the chaos sweep replays it; see core::ChaosSweepConfig).
   fault::EventProfile events = fault::EventProfile::kOff;
   std::uint64_t event_seed = 2042;
   double event_intensity = 1.0;
@@ -119,78 +118,20 @@ struct Scenario {
 
   // Collects every invalid field as a unified core::ConfigIssue (component
   // "sim.scenario"); empty means runnable. parse_scenario and
-  // ScenarioBuilder::build both throw std::invalid_argument joining these.
+  // sim::build_workload throw std::invalid_argument joining these.
   [[nodiscard]] std::vector<core::ConfigIssue> validate() const;
 };
 
-// Fluent programmatic construction of a Scenario. Examples and tests used to
-// mutate Scenario's public fields in whatever order; the builder names every
-// knob, keeps call sites order-independent, and funnels construction through
-// the same unified validation the flag parser uses: build() throws
-// std::invalid_argument joining every core::ConfigIssue, issues() returns
-// them for callers that want to report instead of throw.
-//
-//   sim::Scenario s = sim::ScenarioBuilder()
-//                         .duration_days(1.0)
-//                         .step_seconds(60.0)
-//                         .threads(0)
-//                         .scale(sim::ScalePreset::kMegaSmoke)
-//                         .build();
-class ScenarioBuilder {
- public:
-  ScenarioBuilder() = default;
-  // Seeds every knob from an existing scenario (the flag parser's entry).
-  explicit ScenarioBuilder(Scenario base) : scenario_(std::move(base)) {}
-
-  ScenarioBuilder& epoch(orbit::TimePoint value);
-  ScenarioBuilder& epoch_iso8601(const std::string& value);
-  ScenarioBuilder& duration_days(double value);
-  ScenarioBuilder& duration_seconds(double value);
-  ScenarioBuilder& step_seconds(double value);
-  ScenarioBuilder& elevation_mask_deg(double value);
-  ScenarioBuilder& runs(std::size_t value);
-  ScenarioBuilder& seed(std::uint64_t value);
-  ScenarioBuilder& threads(std::size_t value);
-  ScenarioBuilder& include_gen2(bool value);
-  ScenarioBuilder& propagator(orbit::PropagatorBackend value);
-  ScenarioBuilder& adversary(AdversaryMode value);
-  ScenarioBuilder& adversary_fraction(double value);
-  ScenarioBuilder& adversary_intensity(double value);
-  ScenarioBuilder& adversary_seed(std::uint64_t value);
-  ScenarioBuilder& rf(bool value);
-  ScenarioBuilder& audit_doppler(bool value);
-  ScenarioBuilder& events(fault::EventProfile value);
-  ScenarioBuilder& event_seed(std::uint64_t value);
-  ScenarioBuilder& event_intensity(double value);
-  // Applies the preset immediately (Scenario::apply_scale), so later calls
-  // can still override individual fields it pinned.
-  ScenarioBuilder& scale(ScalePreset value);
-  ScenarioBuilder& terminal_count(std::size_t value);
-  ScenarioBuilder& station_count(std::size_t value);
-  ScenarioBuilder& full_fidelity();
-  ScenarioBuilder& quick();
-
-  // The unified validation report for the current state (empty = buildable).
-  [[nodiscard]] std::vector<core::ConfigIssue> issues() const;
-  // Returns the validated scenario; throws std::invalid_argument joining
-  // every error-severity issue.
-  [[nodiscard]] Scenario build() const;
-  // The in-progress scenario, mutable — the flag parser applies FlagSpec
-  // actions straight onto it so flags and builder share one code path.
-  [[nodiscard]] Scenario& scenario() noexcept { return scenario_; }
-  [[nodiscard]] const Scenario& scenario() const noexcept { return scenario_; }
-
- private:
-  Scenario scenario_;
-};
-
 // Parses flags of the form --runs=100 --step=30 --mask=25 --seed=7 --days=7
-// --threads=4 --scale=mega --full (100 runs) --quick (5 runs, 2 days, 120 s).
-// Unknown flags throw with a message listing every valid flag (see
-// flag_help()). A thin front-end over ScenarioBuilder: flags mutate the
-// builder's scenario and the result is ScenarioBuilder::build(), so command
-// lines and programmatic construction report errors through the same
-// unified core::ConfigIssue path. `defaults` seeds the initial values.
+// --threads=4 --scale=mega --full (100 runs) --quick (5 runs, 2 days, 120 s)
+// onto `defaults`, in command-line order, then validates the result. Programs
+// set their own defaults as fields, e.g.
+//
+//   sim::parse_scenario(argc, argv, sim::Scenario{.duration_s = 86400.0, .step_s = 30.0});
+//
+// Throws std::invalid_argument on an unknown flag, a malformed value (counts
+// and seeds must be non-negative decimal integers) or an invalid scenario
+// (the joined core::ConfigIssue report).
 [[nodiscard]] Scenario parse_scenario(int argc, const char* const* argv,
                                       Scenario defaults = {});
 

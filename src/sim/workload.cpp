@@ -109,13 +109,4 @@ Workload build_workload(const Scenario& scenario) {
   return w;
 }
 
-fault::FaultTimeline build_event_timeline(const Scenario& scenario,
-                                          const Workload& workload) {
-  const orbit::TimeGrid grid = scenario.grid();
-  const fault::EventBook book = fault::EventBook::preset(
-      scenario.events, grid.duration_seconds(), scenario.event_seed,
-      scenario.event_intensity);
-  return book.compile(grid, workload.satellites, workload.stations);
-}
-
 }  // namespace mpleo::sim

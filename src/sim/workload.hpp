@@ -1,9 +1,8 @@
 // Scenario -> concrete workload: the one place the scale presets turn into
-// satellites, terminals, stations and a scheduler config. Before this,
-// every bench hand-rolled its own catalog and site loops; the mega-scale
-// acceptance run, the CI smoke and any example wanting "the Gen2 workload"
-// now all build it from a Scenario (typically via ScenarioBuilder +
-// ScalePreset), so the workload definition cannot drift between them.
+// satellites, terminals, stations and a scheduler config. The mega-scale
+// acceptance run, the CI smoke and mpleo-bench all build it from a Scenario
+// (a ScalePreset applied with Scenario::apply_scale or --scale=), so the
+// workload definition cannot drift between them.
 #pragma once
 
 #include <cstddef>
@@ -46,12 +45,5 @@ struct Workload {
 // Throws std::invalid_argument (unified ConfigIssue report) when the
 // scenario is invalid.
 [[nodiscard]] Workload build_workload(const Scenario& scenario);
-
-// Compiles the scenario's correlated-failure event profile (Scenario::events,
-// seeded by event_seed, scaled by event_intensity) against the workload's
-// fleet into a FaultTimeline on the scenario grid. kOff returns an empty
-// timeline — every consumer stays bit-identical to the event-free path.
-[[nodiscard]] fault::FaultTimeline build_event_timeline(const Scenario& scenario,
-                                                        const Workload& workload);
 
 }  // namespace mpleo::sim

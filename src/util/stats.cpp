@@ -72,24 +72,4 @@ double stddev_of(const std::vector<double>& values) {
   return rs.stddev();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) throw std::invalid_argument("Histogram: bad range/bins");
-}
-
-void Histogram::add(double x) noexcept {
-  auto bin = static_cast<long>(std::floor((x - lo_) / width_));
-  bin = std::clamp(bin, 0L, static_cast<long>(counts_.size()) - 1L);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t bin) const noexcept {
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const noexcept {
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
 }  // namespace mpleo::util

@@ -37,24 +37,4 @@ class RunningStats {
 [[nodiscard]] double mean_of(const std::vector<double>& values);
 [[nodiscard]] double stddev_of(const std::vector<double>& values);
 
-// Fixed-width histogram over [lo, hi); values outside are clamped to the
-// first/last bin. Used by benches to show distributions paper-figure style.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t bin) const noexcept;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace mpleo::util

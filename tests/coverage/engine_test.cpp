@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "constellation/starlink.hpp"
 #include "coverage/visibility.hpp"
@@ -101,6 +102,50 @@ TEST(CoverageEngine, StatsConsistency) {
   EXPECT_GE(stats.max_gap_seconds, 0.0);
   EXPECT_LE(stats.max_gap_seconds, grid.duration_seconds());
   if (stats.covered_fraction > 0.0) EXPECT_GE(stats.pass_count, 1u);
+}
+
+// A grid of `count` steps of `step` seconds, for stats on hand-made masks.
+orbit::TimeGrid steps_grid(std::size_t count, double step) {
+  orbit::TimeGrid grid = day_grid(step);
+  grid.count = count;
+  return grid;
+}
+
+StepMask mask_from_pattern(const std::string& pattern) {
+  StepMask m(pattern.size());
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    if (pattern[i] == '1') m.set(i);
+  }
+  return m;
+}
+
+TEST(CoverageEngine, StatsOfAnEmptyMaskIsOneWindowLongGap) {
+  const CoverageEngine engine(steps_grid(100, 60.0));
+  const CoverageStats stats = engine.stats(StepMask(100));
+  EXPECT_EQ(stats.pass_count, 0u);
+  EXPECT_DOUBLE_EQ(stats.max_gap_seconds, 6000.0);
+  EXPECT_DOUBLE_EQ(stats.covered_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(stats.uncovered_seconds, 6000.0);
+}
+
+TEST(CoverageEngine, StatsOfAFullMaskHasNoGap) {
+  const CoverageEngine engine(steps_grid(50, 60.0));
+  const CoverageStats stats = engine.stats(mask_from_pattern(std::string(50, '1')));
+  EXPECT_EQ(stats.pass_count, 1u);
+  EXPECT_DOUBLE_EQ(stats.max_gap_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(stats.covered_fraction, 1.0);
+  EXPECT_DOUBLE_EQ(stats.covered_seconds, 3000.0);
+}
+
+TEST(CoverageEngine, StatsOfAPatternCountPassesAndTheLongestGap) {
+  // Gaps of 2 (leading), 3 and 1 (trailing) steps around passes of 2 and 2.
+  const CoverageEngine engine(steps_grid(10, 10.0));
+  const CoverageStats stats = engine.stats(mask_from_pattern("0011000110"));
+  EXPECT_EQ(stats.pass_count, 2u);
+  EXPECT_DOUBLE_EQ(stats.max_gap_seconds, 30.0);
+  EXPECT_DOUBLE_EQ(stats.covered_fraction, 0.4);
+  EXPECT_DOUBLE_EQ(stats.covered_seconds, 40.0);
+  EXPECT_DOUBLE_EQ(stats.uncovered_seconds, 60.0);
 }
 
 TEST(CoverageEngine, SingleLeoSatelliteIsMostlyIdle) {

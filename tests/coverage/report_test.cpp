@@ -16,10 +16,10 @@ CoverageStats sample_stats() {
 }
 
 TEST(Report, SummaryContainsKeyNumbers) {
-  const std::string summary = summarize(sample_stats());
-  EXPECT_NE(summary.find("94.32%"), std::string::npos);
-  EXPECT_NE(summary.find("1h 12m"), std::string::npos);
-  EXPECT_NE(summary.find("214 passes"), std::string::npos);
+  const std::string report = site_report("Taipei", sample_stats());
+  EXPECT_NE(report.find("94.32%"), std::string::npos);
+  EXPECT_NE(report.find("1h 12m"), std::string::npos);
+  EXPECT_NE(report.find("passes    : 214"), std::string::npos);
 }
 
 TEST(Report, SiteReportIsMultiLineWithName) {
@@ -40,9 +40,9 @@ TEST(Report, ZeroCoverageRendersCleanly) {
   CoverageStats empty;
   empty.uncovered_seconds = 86400.0;
   empty.max_gap_seconds = 86400.0;
-  const std::string summary = summarize(empty);
-  EXPECT_NE(summary.find("0.00%"), std::string::npos);
-  EXPECT_NE(summary.find("0 passes"), std::string::npos);
+  const std::string report = site_report("Nowhere", empty);
+  EXPECT_NE(report.find("0.00%"), std::string::npos);
+  EXPECT_NE(report.find("passes    : 0"), std::string::npos);
 }
 
 }  // namespace

@@ -199,12 +199,13 @@ TEST(DegradedRun, AlternatingOutageForcesDetachesAndBackoffCostsService) {
 
   sim::RunContext faulted;
   faulted.use_faults(&faults);
-  net::SchedulerConfig instant;
-  instant.reacquisition_backoff_steps = 0;
+  const net::SchedulerConfig instant;  // no re-acquisition backoff
   const net::ScheduleResult no_backoff = taipei_scheduler(instant).run(grid, 1, faulted);
 
   net::SchedulerConfig slow;
-  slow.reacquisition_backoff_steps = 4;
+  slow.degradation.enabled = true;
+  slow.degradation.backoff_initial_steps = 4;  // a constant 4-step hold
+  slow.degradation.backoff_max_steps = 4;
   const net::ScheduleResult with_backoff = taipei_scheduler(slow).run(grid, 1, faulted);
 
   sim::RunContext healthy_context;

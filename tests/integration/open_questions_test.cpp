@@ -189,8 +189,8 @@ TEST(OpenQuestions, IslsReduceRequiredGateways) {
 
 TEST(OpenQuestions, ConjunctionScreeningDrivesCheapAvoidance) {
   // §1's sustainability pipeline end-to-end: screen a crowded shell for
-  // close approaches, then price the avoidance maneuver — a small altitude
-  // offset costs a few m/s, far below the deorbit or plane-change budget.
+  // close approaches, then check that a small altitude offset of one party
+  // clears them.
   const orbit::TimeGrid screen_grid =
       orbit::TimeGrid::over_duration(kEpoch, 6000.0, 5.0);
 
@@ -205,12 +205,7 @@ TEST(OpenQuestions, ConjunctionScreeningDrivesCheapAvoidance) {
   const auto hits = orbit::screen_conjunctions(shell, screen_grid, 25e3);
   ASSERT_FALSE(hits.empty());  // node crossings at ~500 m separation
 
-  // Avoidance: raise one party by 5 km. The burn is cheap...
-  const double avoid_dv =
-      orbit::hohmann_delta_v(util::kEarthMeanRadiusM + 550e3,
-                             util::kEarthMeanRadiusM + 555e3);
-  EXPECT_LT(avoid_dv, 5.0);  // m/s
-  // ...and it clears the screening threshold used above.
+  // Avoidance: raise one party 5 km past the screening threshold used above.
   auto raised = plane_b;
   for (auto& sat : raised) sat.elements.semi_major_axis_m += 25e3 + 5e3;
   std::vector<constellation::Satellite> fixed = plane_a;

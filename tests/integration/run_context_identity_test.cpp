@@ -40,7 +40,9 @@ struct Fleet {
 Fleet make_fleet() {
   Fleet f;
   f.config.beams_per_satellite = 2;
-  f.config.reacquisition_backoff_steps = 2;
+  f.config.degradation.enabled = true;
+  f.config.degradation.backoff_initial_steps = 2;  // a constant 2-step hold
+  f.config.degradation.backoff_max_steps = 2;
   for (std::size_t i = 0; i < 15; ++i) {
     constellation::Satellite sat;
     sat.id = static_cast<constellation::SatelliteId>(i);

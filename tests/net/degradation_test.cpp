@@ -1,8 +1,8 @@
 // DegradationPolicy: validation, tier mapping, the backoff state machine,
 // and the scheduler-level contracts — SLO observation never changes links,
-// run() and run_reference() agree exactly with every mitigation armed, load
-// shedding drops exactly the low tier, and a zero backoff_initial_steps
-// preserves the constant-backoff behavior of the pre-policy scheduler.
+// run() and run_reference() agree exactly with every mitigation armed, a
+// backoff with initial == max steps holds every forced detach for the same
+// steps, and load shedding drops exactly the low tier.
 #include "net/degradation.hpp"
 
 #include <gtest/gtest.h>
@@ -258,23 +258,49 @@ TEST(DegradationScheduler, DisabledPolicyIsBitIdenticalRegardlessOfKnobs) {
               run_steps(plain, grid, f.party_count, &faults));
 }
 
-TEST(DegradationScheduler, ZeroInitialBackoffKeepsConstantBackoffBehavior) {
-  // backoff_initial_steps == 0 with the policy enabled must fall back to the
-  // scheduler's constant reacquisition_backoff_steps — the pre-policy
-  // behavior this layer extends.
+TEST(DegradationScheduler, EqualInitialAndMaxBackoffHoldsEveryDetachTheSameSteps) {
+  // backoff_initial_steps == backoff_max_steps == h is the constant
+  // re-acquisition hold: every failure-forced detach costs exactly h blocked
+  // steps, whatever the multiplier. The whole fleet blinks out on every odd
+  // step of the window's first 60%, so a link alive at an even step is
+  // force-detached at the next one. A held terminal has no link to lose, and
+  // the blinking stops long before the window's last h steps, so no hold
+  // overlaps another or is cut short.
   const Fleet f = make_fleet();
   const orbit::TimeGrid grid = make_grid();
-  const fault::FaultTimeline faults = make_faults(grid, f);
+  fault::FaultTimeline faults(grid, f.satellites.size(), f.stations.size());
+  for (std::size_t si = 0; si < f.satellites.size(); ++si) {
+    for (std::size_t k = 1; k < grid.count * 6 / 10; k += 2) {
+      const double t = static_cast<double>(k) * grid.step_seconds;
+      faults.add_satellite_outage(si, t, t + grid.step_seconds);
+    }
+  }
+  const auto run_with = [&](std::size_t initial, double multiplier, std::size_t max) {
+    SchedulerConfig config = f.config;
+    config.degradation.enabled = true;
+    config.degradation.backoff_initial_steps = initial;
+    config.degradation.backoff_multiplier = multiplier;
+    config.degradation.backoff_max_steps = max;
+    const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
+    return run_steps(scheduler, grid, f.party_count, &faults);
+  };
 
-  SchedulerConfig constant = f.config;
-  constant.reacquisition_backoff_steps = 3;
-  SchedulerConfig enabled_zero = constant;
-  enabled_zero.degradation.enabled = true;  // no backoff fields set
-
-  const BentPipeScheduler a(constant, f.satellites, f.terminals, f.stations);
-  const BentPipeScheduler b(enabled_zero, f.satellites, f.terminals, f.stations);
-  EXPECT_TRUE(run_steps(a, grid, f.party_count, &faults) ==
-              run_steps(b, grid, f.party_count, &faults));
+  for (const std::size_t hold : {1u, 3u}) {
+    const ScheduleResult constant = run_with(hold, 1.0, hold);
+    EXPECT_GT(constant.failure_forced_detaches, 0u);
+    EXPECT_DOUBLE_EQ(constant.reacquisition_wait_seconds,
+                     static_cast<double>(constant.failure_forced_detaches * hold) *
+                         grid.step_seconds)
+        << "hold " << hold;
+    for (const double multiplier : {2.0, 1e3}) {
+      EXPECT_TRUE(run_with(hold, multiplier, hold) == constant)
+          << "hold " << hold << ", multiplier " << multiplier;
+    }
+    // With room above the first hold, repeated failures grow it.
+    EXPECT_GT(run_with(hold, 2.0, 8 * hold).reacquisition_wait_seconds,
+              constant.reacquisition_wait_seconds)
+        << "hold " << hold;
+  }
 }
 
 TEST(DegradationScheduler, SheddingDropsExactlyTheLowTier) {

@@ -46,7 +46,12 @@ RandomFleet make_fleet(std::uint64_t seed) {
   RandomFleet f;
   f.party_count = 2 + rng.uniform_index(3);
   f.config.beams_per_satellite = 1 + static_cast<int>(rng.uniform_index(3));
-  f.config.reacquisition_backoff_steps = rng.uniform_index(4);
+  // A constant re-acquisition hold of 0-3 steps: the policy's backoff with
+  // initial == max.
+  const std::size_t hold = rng.uniform_index(4);
+  f.config.degradation.enabled = true;
+  f.config.degradation.backoff_initial_steps = hold;
+  f.config.degradation.backoff_max_steps = hold;
   if (rng.uniform() < 0.5) {
     for (std::size_t p = 0; p < f.party_count; ++p) {
       f.config.spare_priority_by_party.push_back(rng.uniform(0.0, 5.0));

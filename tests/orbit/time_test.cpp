@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ostream>
 #include <stdexcept>
 
 #include "util/units.hpp"
@@ -105,6 +107,20 @@ TEST(TimeGrid, RejectsBadInputs) {
 }
 
 class CivilRoundTripSweep : public ::testing::TestWithParam<CivilTime> {};
+
+}  // namespace
+
+// Prints a sweep date from its fields. gtest would otherwise print
+// CivilTime's raw bytes, padding included, and the registered test names
+// (which carry the printed parameter) would differ between builds.
+void PrintTo(const CivilTime& t, std::ostream* os) {
+  char text[48];
+  std::snprintf(text, sizeof text, "%04d-%02d-%02dT%02d:%02d:%06.3f", t.year, t.month, t.day,
+                t.hour, t.minute, t.second);
+  *os << text;
+}
+
+namespace {
 
 TEST_P(CivilRoundTripSweep, RoundTrips) {
   const CivilTime in = GetParam();

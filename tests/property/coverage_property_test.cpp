@@ -3,8 +3,10 @@
 // assumes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "coverage/engine.hpp"
-#include "coverage/revisit.hpp"
 #include "util/rng.hpp"
 
 namespace mpleo::cov {
@@ -75,17 +77,26 @@ TEST_P(CoverageProperty, MaskStatsRevisitConsistency) {
 
   const StepMask mask = engine.coverage_mask(sats, site);
   const CoverageStats stats = engine.stats(mask);
-  const RevisitStats revisit = revisit_stats(mask, engine.grid().step_seconds);
 
-  EXPECT_NEAR(stats.covered_fraction, revisit.covered_fraction, 1e-12);
-  EXPECT_EQ(stats.pass_count, revisit.pass_count);
-  EXPECT_NEAR(stats.max_gap_seconds, revisit.max_gap_seconds, 1e-9);
-  // Covered + gap time partitions the window.
-  const double pass_time =
-      revisit.mean_pass_seconds * static_cast<double>(revisit.pass_count);
-  const double gap_time =
-      revisit.mean_gap_seconds * static_cast<double>(revisit.gap_count);
-  EXPECT_NEAR(pass_time + gap_time, engine.grid().duration_seconds(), 1e-6);
+  // The same numbers from the mask's runs: passes are the runs, and gaps lie
+  // between them and at either end of the window. The max gap here comes
+  // from run edges, not from longest_zero_run.
+  const double step = engine.grid().step_seconds;
+  const double window = static_cast<double>(mask.step_count()) * step;
+  const std::vector<Interval> runs = mask.to_intervals(step);
+  double covered = 0.0;
+  double max_gap = 0.0;
+  double cursor = 0.0;
+  for (const Interval& run : runs) {
+    covered += run.length();
+    max_gap = std::max(max_gap, run.start - cursor);
+    cursor = run.end;
+  }
+  max_gap = std::max(max_gap, window - cursor);
+
+  EXPECT_EQ(stats.pass_count, runs.size());
+  EXPECT_NEAR(stats.covered_fraction, covered / window, 1e-12);
+  EXPECT_NEAR(stats.max_gap_seconds, max_gap, 1e-9);
 }
 
 TEST_P(CoverageProperty, CacheAgreesWithDirectEngine) {

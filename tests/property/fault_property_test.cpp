@@ -68,7 +68,10 @@ TEST(FaultProperty, EmptyTimelineLeavesSchedulerBitIdentical) {
     stations.push_back(gs);
   }
   net::SchedulerConfig cfg;
-  cfg.reacquisition_backoff_steps = 5;  // must be inert without faults
+  // A 5-step re-acquisition hold must be inert without faults.
+  cfg.degradation.enabled = true;
+  cfg.degradation.backoff_initial_steps = 5;
+  cfg.degradation.backoff_max_steps = 5;
   const net::BentPipeScheduler scheduler(cfg, small_shell(), terminals, stations);
   const orbit::TimeGrid grid =
       orbit::TimeGrid::over_duration(epoch(), 6.0 * 3600.0, 120.0);

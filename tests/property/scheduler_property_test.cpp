@@ -156,9 +156,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerProperty,
 // Re-acquisition backoff invariants under randomized parameters: the hold is
 // monotone non-decreasing over consecutive failures, never exceeds the cap,
 // and a clean horizon resets the machine to its first-failure hold. With
-// initial steps == 0 the machine always returns 0 — the scheduler then falls
-// back to its constant reacquisition_backoff_steps, pinning the pre-policy
-// (PR 2) behavior.
+// initial steps == 0 the machine always returns 0 (instant re-acquisition),
+// and with initial == max it returns exactly initial on every failure for
+// any multiplier (the constant hold).
 class BackoffProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BackoffProperty, MonotoneCappedAndResetsAfterCleanHorizon) {
@@ -189,8 +189,16 @@ TEST_P(BackoffProperty, MonotoneCappedAndResetsAfterCleanHorizon) {
   EXPECT_EQ(backoff.consecutive_failures(), 0u);
   EXPECT_EQ(backoff.on_failure(), first);
 
-  ReacquisitionBackoff constant(0, multiplier, max_steps, horizon);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(constant.on_failure(), 0u);
+  ReacquisitionBackoff instant(0, multiplier, max_steps, horizon);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(instant.on_failure(), 0u);
+
+  for (const double any_multiplier : {1.0, multiplier, 1e3}) {
+    ReacquisitionBackoff constant(initial, any_multiplier, initial, horizon);
+    for (std::size_t n = 1; n <= 24; ++n) {
+      EXPECT_EQ(constant.on_failure(), initial)
+          << "failure " << n << " at multiplier " << any_multiplier;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackoffProperty,

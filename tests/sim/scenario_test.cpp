@@ -3,14 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace mpleo::sim {
 namespace {
 
-Scenario parse(std::initializer_list<const char*> args) {
+Scenario parse(std::initializer_list<const char*> args, Scenario defaults = {}) {
   std::vector<const char*> argv{"bench"};
   argv.insert(argv.end(), args.begin(), args.end());
-  return parse_scenario(static_cast<int>(argv.size()), argv.data());
+  return parse_scenario(static_cast<int>(argv.size()), argv.data(), std::move(defaults));
 }
 
 TEST(Scenario, DefaultsMatchPaperSetup) {
@@ -67,6 +69,40 @@ TEST(Scenario, RejectsUnknownAndInvalid) {
   EXPECT_THROW(parse({"--runs=0"}), std::invalid_argument);
   EXPECT_THROW(parse({"--step=-5"}), std::invalid_argument);
   EXPECT_THROW(parse({"--days=0"}), std::invalid_argument);
+}
+
+TEST(Scenario, IntegerFlagsRejectNonIntegers) {
+  // Counts and seeds parse as integers of the field's type: a sign, a
+  // fraction, NaN, an exponent or a value past the type's range is an error
+  // naming the flag, never a cast that wraps or truncates.
+  for (const std::string flag :
+       {"--runs", "--seed", "--threads", "--adversary-seed", "--event-seed"}) {
+    for (const std::string value :
+         {"-1", "-3", "0.5", "2.5", "nan", "1e3", "+4", "", "18446744073709551616"}) {
+      const std::string arg = flag + "=" + value;
+      try {
+        (void)parse({arg.c_str()});
+        ADD_FAILURE() << arg << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("invalid value for " + flag + "=: '" + value + "'"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(flag_help()), std::string::npos) << msg;
+      }
+    }
+  }
+}
+
+TEST(Scenario, IntegerFlagsParseTheirFullRangeExactly) {
+  // Values a double cannot hold survive: 2^53 + 1 and the largest seed.
+  EXPECT_EQ(parse({"--seed=18446744073709551615"}).seed, 18446744073709551615u);
+  EXPECT_EQ(parse({"--seed=9007199254740993"}).seed, 9007199254740993u);
+  EXPECT_EQ(parse({"--event-seed=9007199254740993"}).event_seed, 9007199254740993u);
+  EXPECT_EQ(parse({"--event-seed=0"}).event_seed, 0u);
+  EXPECT_EQ(parse({"--adversary-seed=12"}).adversary_seed, 12u);
+  EXPECT_EQ(parse({"--runs=007"}).runs, 7u);
+  EXPECT_EQ(parse({"--threads=3"}).threads, 3u);
 }
 
 TEST(Scenario, AdversaryFlags) {
@@ -197,6 +233,90 @@ TEST(Scenario, DescribeMentionsPropagatorOnlyWhenNotDefault) {
   EXPECT_EQ(describe(Scenario{}).find("propagator"), std::string::npos);
   const std::string desc = describe(parse({"--propagator=sgp4"}));
   EXPECT_NE(desc.find("propagator=sgp4"), std::string::npos);
+}
+
+TEST(Scenario, ScalePresetPinsMegaWindowAndSizes) {
+  Scenario smoke;
+  smoke.apply_scale(ScalePreset::kMegaSmoke);
+  EXPECT_EQ(smoke.scale, ScalePreset::kMegaSmoke);
+  EXPECT_DOUBLE_EQ(smoke.duration_s, 86400.0);
+  EXPECT_DOUBLE_EQ(smoke.step_s, 60.0);
+  EXPECT_EQ(smoke.terminal_count, 50'000u);
+  EXPECT_EQ(smoke.station_count, 128u);
+  EXPECT_TRUE(smoke.validate().empty());
+
+  Scenario mega;
+  mega.apply_scale(ScalePreset::kMega);
+  EXPECT_EQ(mega.terminal_count, 1'000'000u);
+
+  // Back to reference wipes the workload sizes but keeps the window.
+  smoke.apply_scale(ScalePreset::kReference);
+  EXPECT_EQ(smoke.terminal_count, 0u);
+  EXPECT_EQ(smoke.station_count, 0u);
+  EXPECT_DOUBLE_EQ(smoke.duration_s, 86400.0);
+}
+
+TEST(Scenario, ScaleFlagParsesAllPresetsInCommandLineOrder) {
+  EXPECT_EQ(parse({"--scale=reference"}).scale, ScalePreset::kReference);
+  EXPECT_EQ(parse({"--scale=mega-smoke"}).scale, ScalePreset::kMegaSmoke);
+  EXPECT_EQ(parse({"--scale=mega"}).scale, ScalePreset::kMega);
+  EXPECT_THROW((void)parse({"--scale=giga"}), std::invalid_argument);
+
+  // Flags apply in order: window flags after --scale override the preset's
+  // window, and a preset after them pins it again.
+  const Scenario overridden = parse({"--scale=mega-smoke", "--days=2", "--step=30"});
+  EXPECT_DOUBLE_EQ(overridden.duration_s, 2.0 * 86400.0);
+  EXPECT_DOUBLE_EQ(overridden.step_s, 30.0);
+  EXPECT_EQ(overridden.terminal_count, 50'000u);
+  const Scenario pinned = parse({"--days=2", "--step=30", "--scale=mega-smoke"});
+  EXPECT_DOUBLE_EQ(pinned.duration_s, 86400.0);
+  EXPECT_DOUBLE_EQ(pinned.step_s, 60.0);
+}
+
+TEST(Scenario, DescribeMentionsScaleOnlyWhenNotReference) {
+  EXPECT_EQ(describe(Scenario{}).find("scale="), std::string::npos);
+  const std::string mega = describe(parse({"--scale=mega-smoke"}));
+  EXPECT_NE(mega.find("scale=mega-smoke"), std::string::npos) << mega;
+  EXPECT_NE(mega.find("terminals=50000"), std::string::npos) << mega;
+}
+
+TEST(Scenario, InvalidFieldsAreReportedTogether) {
+  const Scenario broken{.step_s = 0.0, .runs = 0};
+  const std::vector<core::ConfigIssue> issues = broken.validate();
+  EXPECT_EQ(issues.size(), 2u);
+  EXPECT_TRUE(core::has_errors(issues));
+  // parse_scenario validates its result, defaults included, and joins every
+  // issue into one error.
+  try {
+    (void)parse({}, broken);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("step_s"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("runs"), std::string::npos) << msg;
+  }
+}
+
+TEST(Scenario, ParsedValuesAreValidated) {
+  // A flag value that parses but is out of range fails Scenario::validate,
+  // and the error names the field.
+  EXPECT_THROW((void)parse({"--step=0"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--mask=95"}), std::invalid_argument);
+  try {
+    (void)parse({"--step=-5"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("step_s"), std::string::npos);
+  }
+}
+
+TEST(Scenario, FlagsApplyOntoTheDefaults) {
+  const Scenario base{.seed = 1234, .threads = 8};
+  const Scenario parsed = parse({"--runs=3"}, base);
+  EXPECT_EQ(parsed.seed, 1234u);
+  EXPECT_EQ(parsed.threads, 8u);
+  EXPECT_EQ(parsed.runs, 3u);
+  EXPECT_DOUBLE_EQ(parsed.duration_s, base.duration_s);
 }
 
 TEST(Scenario, DescribeMentionsKeyParameters) {

@@ -13,7 +13,9 @@ namespace mpleo::sim {
 namespace {
 
 Scenario smoke_scenario() {
-  return ScenarioBuilder().scale(ScalePreset::kMegaSmoke).build();
+  Scenario s;
+  s.apply_scale(ScalePreset::kMegaSmoke);
+  return s;
 }
 
 TEST(Workload, MegaSmokeSizesAndOwners) {
@@ -54,7 +56,8 @@ TEST(Workload, MegaSitesAreDeterministic) {
 
 TEST(Workload, MegaUsesFullGen2Catalog) {
   // Size only — actually scheduling 1M terminals is the bench's job.
-  Scenario mega = ScenarioBuilder().scale(ScalePreset::kMega).build();
+  Scenario mega;
+  mega.apply_scale(ScalePreset::kMega);
   mega.terminal_count = 1000;  // shrink sites; the catalog stays full-scale
   const Workload w = build_workload(mega);
   EXPECT_EQ(w.satellites.size(), 29'520u);
@@ -62,7 +65,7 @@ TEST(Workload, MegaUsesFullGen2Catalog) {
 }
 
 TEST(Workload, ReferenceReproducesAcceptanceFleet) {
-  const Workload w = build_workload(ScenarioBuilder().build());
+  const Workload w = build_workload(Scenario{});
   EXPECT_EQ(w.satellites.size(), 500u);  // Walker 25 planes x 20 sats
   EXPECT_EQ(w.terminals.size(), 200u);
   EXPECT_EQ(w.stations.size(), 20u);
@@ -75,7 +78,7 @@ TEST(Workload, ReferenceReproducesAcceptanceFleet) {
 TEST(Workload, SchedulerTakesTheScenarioPropagator) {
   // --propagator= reaches the scheduler only through the workload's config.
   const Workload reference =
-      build_workload(ScenarioBuilder().propagator(orbit::PropagatorBackend::kSgp4).build());
+      build_workload(Scenario{.propagator = orbit::PropagatorBackend::kSgp4});
   EXPECT_EQ(reference.scheduler.propagator_backend, orbit::PropagatorBackend::kSgp4);
 
   Scenario mega = smoke_scenario();
