@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
 
   const std::vector<cov::GroundSite> taipei{cov::GroundSite::from_city(cov::taipei())};
   cov::VisibilityCache cache(exp.engine, exp.catalog, taipei);
+  cache.precompute_all(exp.context);
   util::Xoshiro256PlusPlus rng(scenario.seed);
 
   core::CostModel model;

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
     bench::Experiment exp(variant);
     const std::vector<cov::GroundSite> taipei{cov::GroundSite::from_city(cov::taipei())};
     cov::VisibilityCache cache(exp.engine, exp.catalog, taipei);
+    cache.precompute_all(exp.context);
     util::Xoshiro256PlusPlus rng(scenario.seed);
 
     std::vector<std::string> row{util::Table::num(mask, 0)};

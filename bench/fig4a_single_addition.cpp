@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const std::vector<cov::GroundSite> sites =
       cov::sites_from_cities(cov::paper_cities());
   cov::VisibilityCache cache(exp.engine, exp.catalog, sites);
+  cache.precompute_all(exp.context);
   util::Xoshiro256PlusPlus rng(scenario.seed);
   const double window = exp.engine.grid().duration_seconds();
 

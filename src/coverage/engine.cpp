@@ -37,11 +37,17 @@ std::vector<orbit::EphemerisSpec> ephemeris_specs(
   std::vector<orbit::EphemerisSpec> specs;
   specs.reserve(satellites.size());
   for (const constellation::Satellite& sat : satellites) {
-    orbit::EphemerisSpec spec{sat.elements, sat.epoch, orbit::Perturbation::kJ2Secular};
-    spec.backend = backend;
-    specs.push_back(std::move(spec));
+    specs.push_back(ephemeris_spec(sat, backend));
   }
   return specs;
+}
+
+orbit::EphemerisSpec ephemeris_spec(const constellation::Satellite& satellite,
+                                    orbit::PropagatorBackend backend) {
+  orbit::EphemerisSpec spec{satellite.elements, satellite.epoch,
+                            orbit::Perturbation::kJ2Secular};
+  spec.backend = backend;
+  return spec;
 }
 
 CoverageEngine::CoverageEngine(const orbit::TimeGrid& grid, double elevation_mask_deg,
@@ -73,10 +79,8 @@ orbit::EphemerisTable CoverageEngine::ephemeris(
     const orbit::KeplerianPropagator prop(satellite.elements, satellite.epoch);
     return orbit::EphemerisTable::compute(prop, grid_, gmst_);
   }
-  orbit::EphemerisSpec spec{satellite.elements, satellite.epoch,
-                            orbit::Perturbation::kJ2Secular};
-  spec.backend = backend;
-  return orbit::EphemerisTable::compute(orbit::make_propagator(spec), grid_, gmst_);
+  return orbit::EphemerisTable::compute(
+      orbit::make_propagator(ephemeris_spec(satellite, backend)), grid_, gmst_);
 }
 
 orbit::EphemerisSet CoverageEngine::ephemerides(
@@ -236,8 +240,19 @@ const VisibilityCache::Block& VisibilityCache::block(std::size_t satellite_index
   Block& out = blocks_[satellite_index];
   if (!out.site_begin.empty()) return out;
 
-  const std::vector<StepMask> per_site =
-      engine_->visibility_masks(catalog_[satellite_index], sites_);
+  // precompute_all's fill with a group of one, which runs the scalar path.
+  const orbit::EphemerisSpec spec =
+      ephemeris_spec(catalog_[satellite_index], engine_->default_backend());
+  const orbit::EphemerisFill fill(std::span<const orbit::EphemerisSpec>(&spec, 1),
+                                  engine_->grid(), engine_->gmst());
+  orbit::EphemerisTable table;
+  fill.run(0, std::span<orbit::EphemerisTable>(&table, 1));
+  store(out, table);
+  return out;
+}
+
+void VisibilityCache::store(Block& out, const orbit::EphemerisTable& ephemeris) const {
+  const std::vector<StepMask> per_site = engine_->visibility_masks(ephemeris, sites_);
   std::size_t nonzero = 0;
   for (const StepMask& mask : per_site) {
     for (const std::uint64_t word : mask.words()) nonzero += word != 0 ? 1 : 0;
@@ -255,7 +270,6 @@ const VisibilityCache::Block& VisibilityCache::block(std::size_t satellite_index
     }
     out.site_begin.push_back(static_cast<std::uint32_t>(out.index.size()));
   }
-  return out;
 }
 
 void VisibilityCache::check_site(std::size_t site_index) const {
@@ -287,12 +301,29 @@ void VisibilityCache::precompute_all(sim::RunContext& context) {
   for (std::size_t sat = 0; sat < catalog_.size(); ++sat) {
     if (blocks_[sat].site_begin.empty()) fresh.push_back(sat);
   }
+  std::vector<orbit::EphemerisSpec> specs;
+  specs.reserve(fresh.size());
+  for (const std::size_t sat : fresh) {
+    specs.push_back(ephemeris_spec(catalog_[sat], engine_->default_backend()));
+  }
+  const orbit::EphemerisFill fill(specs, engine_->grid(), engine_->gmst());
+  // Each group writes only its own satellites' blocks, so the parallel fill
+  // is race-free and bit-identical to the serial one. A chunk of groups
+  // reuses one set of tables, group after group.
+  const auto run = [this, &fill, &fresh](std::size_t begin, std::size_t end) {
+    orbit::EphemerisTable tables[orbit::EphemerisFill::kMaxGroupSize];
+    for (std::size_t g = begin; g < end; ++g) {
+      fill.run(g, tables);
+      const std::span<const std::size_t> members = fill.group(g);
+      for (std::size_t l = 0; l < members.size(); ++l) {
+        store(blocks_[fresh[members[l]]], tables[l]);
+      }
+    }
+  };
   if (util::ThreadPool* const pool = context.pool(); pool != nullptr) {
-    // Each index touches only its own block, so the parallel fill is
-    // race-free and bit-identical to the serial one.
-    pool->parallel_for(catalog_.size(), [this](std::size_t sat) { (void)block(sat); });
+    pool->parallel_for_chunks(fill.group_count(), run);
   } else {
-    for (std::size_t sat = 0; sat < catalog_.size(); ++sat) (void)block(sat);
+    run(0, fill.group_count());
   }
   std::size_t visible = 0;
   for (const std::size_t sat : fresh) {

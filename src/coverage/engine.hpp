@@ -55,6 +55,9 @@ struct GroundSite {
 [[nodiscard]] std::vector<orbit::EphemerisSpec> ephemeris_specs(
     std::span<const constellation::Satellite> satellites,
     orbit::PropagatorBackend backend = orbit::PropagatorBackend::kJ2Analytic);
+// One satellite's entry of ephemeris_specs.
+[[nodiscard]] orbit::EphemerisSpec ephemeris_spec(const constellation::Satellite& satellite,
+                                                  orbit::PropagatorBackend backend);
 
 // Gap statistics of one site's coverage timeline.
 struct CoverageStats {
@@ -160,10 +163,19 @@ class CoverageEngine {
 
 // Memoised per-(satellite, site) masks over a fixed catalog — the working set
 // of the Monte-Carlo benches. Masks are computed lazily one satellite at a
-// time, or eagerly for the whole catalog with precompute_all (in parallel
-// across satellites on the context's pool; the parallel fill is
-// bit-identical to the serial one). The lazy accessors are not thread-safe;
-// precompute first when sharing a cache across threads.
+// time, or eagerly for the whole catalog with precompute_all. The lazy
+// accessors are not thread-safe; precompute first when sharing a cache
+// across threads.
+//
+// Fill: both paths run the one catalog fill, orbit::EphemerisFill, on the
+// engine's GmstTable (borrowed, not copied). precompute_all runs its groups
+// on the context's pool: up to four circular J2 satellites per group fill
+// together in the AVX2 lane kernel, and each group's tables become masks
+// (CoverageEngine::visibility_masks of the table) before the thread reuses
+// them for its next group, so a thread holds at most four tables at a time.
+// A lazy fill is a group of one, which runs the scalar path. Every mask is
+// bit-identical to CoverageEngine::visibility_masks(satellite, sites), the
+// per-satellite oracle, for any pool size and SIMD mode.
 //
 // Storage: a LEO satellite clears a site's elevation mask for well under 1%
 // of a grid, so the cache keeps only each mask's nonzero 64-step words. One
@@ -190,11 +202,11 @@ class VisibilityCache {
                   std::span<const constellation::Satellite> catalog,
                   std::span<const GroundSite> sites);
 
-  // Computes every satellite's masks up front. With a pool on the context,
-  // satellites are filled concurrently (each writes only its own block);
-  // the masks are bit-identical for any pool size. Fill time and the
-  // mask/step counts of the satellites this call fills land in
-  // context.metrics() under "cov.".
+  // Computes the masks of every satellite not yet cached. With a pool on
+  // the context, fill groups run concurrently (each writes only its own
+  // satellites' blocks); the masks are bit-identical for any pool size.
+  // Fill time and the mask/step counts of the satellites this call fills
+  // land in context.metrics() under "cov.".
   void precompute_all(sim::RunContext& context);
 
   // One satellite's mask at one site, expanded from the stored words.
@@ -248,6 +260,8 @@ class VisibilityCache {
   // The satellite's block, computed on first use; throws std::out_of_range
   // for an index outside the catalog.
   const Block& block(std::size_t satellite_index);
+  // Stores the masks of `ephemeris` over the sites into `out`.
+  void store(Block& out, const orbit::EphemerisTable& ephemeris) const;
   void check_site(std::size_t site_index) const;
   // out |= the block's mask at `site`, minus `outage` when non-null.
   static void or_site(StepMask& out, const Block& block, std::size_t site,

@@ -70,14 +70,13 @@ FootprintCone FootprintCone::make(double r_min_m, double r_max_m,
 }
 
 double max_abs_sin_latitude(const orbit::EphemerisTable& table) {
-  const std::span<const double> zs = table.z();
-  const std::span<const double> rs = table.radius_m();
-  double max_sin = 0.0;
-  for (std::size_t k = 0; k < zs.size(); ++k) {
-    if (!(rs[k] > 0.0)) return 1.0;  // degenerate position: assume anywhere
-    max_sin = std::max(max_sin, std::abs(zs[k]) / rs[k]);
-  }
-  return std::min(max_sin, 1.0);
+  if (table.size() == 0) return 0.0;
+  const double r_min = table.min_radius_m();
+  if (!(r_min > 0.0)) return 1.0;  // degenerate position: assume anywhere
+  // |z_k| / r_k <= max|z| / r_k <= max|z| / r_min at every step, and IEEE
+  // division is monotone in both operands, so the rounded bound is never
+  // below the rounded per-step maximum.
+  return std::min(table.max_abs_z_m() / r_min, 1.0);
 }
 
 bool latitude_reachable(double max_abs_sin_lat, double psi_rad,

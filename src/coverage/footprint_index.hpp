@@ -47,9 +47,14 @@ struct FootprintCone {
                                           double elevation_mask_deg);
 };
 
-// Largest |sin(geocentric latitude)| the table's sampled positions reach.
-// Exact over the grid (visibility is only ever evaluated at sampled steps),
-// valid for any orbit shape.
+// Upper bound on |sin(geocentric latitude)| over the table's sampled steps
+// (visibility is only ever evaluated there), valid for any orbit shape:
+// max|z| / r_min from the extremes every fill records, so O(1) per table.
+// Never below max_k |z_k| / r_k; within a few ulps of it when the radius is
+// constant (circular orbits), up to the radius spread r_max / r_min - 1
+// above it for eccentric ones. 0 for an empty table, 1 when the smallest
+// radius is not positive. A step with a NaN coordinate, which no visibility
+// test accepts, may be left out of the bound.
 [[nodiscard]] double max_abs_sin_latitude(const orbit::EphemerisTable& table);
 
 // Latitude-band reachability: can a satellite whose |sin(latitude)| never

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/rounding.hpp"
 #include "util/units.hpp"
 
 namespace mpleo::cov {
@@ -170,10 +171,14 @@ void VisibilityCuller::fill_impl(const orbit::EphemerisTable& ephemeris,
   }
 
   // Each arc recurs once per orbit; walk its 2*pi translates across the grid
-  // with an incremental step counter (no divisions in the loop).
+  // with an incremental step counter (no divisions in the loop). Each
+  // crossing's step range is clamped to [-1, n - 1] before rounding, which
+  // keeps the integer floor/ceil inside their input bound and leaves the
+  // clamped [0, n - 1] range unchanged.
   const double u_first = arg.u0;
   const double steps_per_orbit = kTwoPi * inv_du;
-  const double last_step = static_cast<double>(n - 1) + 1e-9;
+  const double last_index = static_cast<double>(n - 1);
+  const double last_step = last_index + 1e-9;
   for (std::size_t ai = 0; ai < arc_count; ++ai) {
     const double lo = arcs[ai][0];
     const double hi = arcs[ai][1];
@@ -183,13 +188,14 @@ void VisibilityCuller::fill_impl(const orbit::EphemerisTable& ephemeris,
     double k_lo = (lo + kTwoPi * m0 - u_first) * inv_du;
     double k_hi = k_lo + (hi - lo) * inv_du;
     while (k_lo <= last_step) {
-      const long k_begin = std::max(0L, static_cast<long>(std::ceil(k_lo - 1e-9)));
-      const long k_end = std::min(static_cast<long>(n) - 1,
-                                  static_cast<long>(std::floor(k_hi + 1e-9)));
+      const std::int64_t k_begin = std::max<std::int64_t>(
+          0, util::ceil_to_int64(std::max(k_lo - 1e-9, -1.0)));
+      const std::int64_t k_end =
+          util::floor_to_int64(std::clamp(k_hi + 1e-9, -1.0, last_index));
       if (k_begin <= k_end) {
-        const std::size_t k_mid = static_cast<std::size_t>((k_begin + k_end) / 2);
+        const auto k_mid = static_cast<std::size_t>((k_begin + k_end) / 2);
         if (ux * xs[k_mid] + uy * ys[k_mid] + uz * zs[k_mid] >= relaxed_threshold) {
-          for (long k = k_begin; k <= k_end; ++k) exact(static_cast<std::size_t>(k));
+          for (std::int64_t k = k_begin; k <= k_end; ++k) exact(static_cast<std::size_t>(k));
         }
       }
       k_lo += steps_per_orbit;

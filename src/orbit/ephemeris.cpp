@@ -1,5 +1,6 @@
 #include "orbit/ephemeris.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -58,18 +59,26 @@ std::vector<util::Vec3> ecef_positions(const KeplerianPropagator& propagator,
   return ecef_positions(propagator, grid, GmstTable::for_grid(grid));
 }
 
-EphemerisTable EphemerisTable::compute(const KeplerianPropagator& propagator,
-                                      const TimeGrid& grid, const GmstTable& gmst) {
+void EphemerisTable::resize(std::size_t n) {
+  x_.resize(n);
+  y_.resize(n);
+  z_.resize(n);
+  r_.resize(n);
+  r_min_ = 0.0;
+  r_max_ = 0.0;
+  z_abs_max_ = 0.0;
+  lat_arg_ = {};
+  backend_ = PropagatorBackend::kJ2Analytic;
+}
+
+void EphemerisTable::fill(const KeplerianPropagator& propagator, const TimeGrid& grid,
+                          const GmstTable& gmst) {
   if (gmst.size() != grid.count) {
     throw std::invalid_argument("EphemerisTable: GmstTable does not match grid");
   }
-  EphemerisTable table;
   const std::size_t n = grid.count;
-  table.x_.resize(n);
-  table.y_.resize(n);
-  table.z_.resize(n);
-  table.r_.resize(n);
-  if (n == 0) return table;
+  resize(n);
+  if (n == 0) return;
 
   const ClassicalElements& coe = propagator.epoch_elements();
   const double a = coe.semi_major_axis_m;
@@ -93,7 +102,7 @@ EphemerisTable EphemerisTable::compute(const KeplerianPropagator& propagator,
   double cw = 0.0, sw = 0.0;  // argument of perigee
   double co = 0.0, so = 0.0;  // RAAN
   double ce = 0.0, se = 0.0;  // eccentric anomaly (circular fast path only)
-  double r_min = 0.0, r_max = 0.0;
+  double r_min = 0.0, r_max = 0.0, z_abs_max = 0.0;
 
   for (std::size_t k = 0; k < n; ++k) {
     const double dt = t0 + h * static_cast<double>(k);
@@ -134,12 +143,13 @@ EphemerisTable EphemerisTable::compute(const KeplerianPropagator& propagator,
     const double sg = gmst.sin_gmst[k];
     const double ca = co * cg + so * sg;
     const double sa = so * cg - co * sg;
-    table.x_[k] = x1 * ca - y2 * sa;
-    table.y_[k] = x1 * sa + y2 * ca;
-    table.z_[k] = z2;
-    table.r_[k] = r;
+    x_[k] = x1 * ca - y2 * sa;
+    y_[k] = x1 * sa + y2 * ca;
+    z_[k] = z2;
+    r_[k] = r;
     if (k == 0 || r < r_min) r_min = r;
     if (k == 0 || r > r_max) r_max = r;
+    z_abs_max = std::max(z_abs_max, std::abs(z2));
 
     // Advance the incremental rotations to step k+1.
     const double cw_next = cw * cdw - sw * sdw;
@@ -155,16 +165,64 @@ EphemerisTable EphemerisTable::compute(const KeplerianPropagator& propagator,
     }
   }
 
-  table.r_min_ = r_min;
-  table.r_max_ = r_max;
+  r_min_ = r_min;
+  r_max_ = r_max;
+  z_abs_max_ = z_abs_max;
   if (circular) {
     const double u_dot = w_dot + m_dot;
-    table.lat_arg_.valid = u_dot > 0.0;
-    table.lat_arg_.u0 = coe.arg_perigee_rad + coe.mean_anomaly_rad + u_dot * t0;
-    table.lat_arg_.du = u_dot * h;
-    table.lat_arg_.sin_incl = sin_i;
-    table.lat_arg_.radius_m = a;
+    lat_arg_.valid = u_dot > 0.0;
+    lat_arg_.u0 = coe.arg_perigee_rad + coe.mean_anomaly_rad + u_dot * t0;
+    lat_arg_.du = u_dot * h;
+    lat_arg_.sin_incl = sin_i;
+    lat_arg_.radius_m = a;
   }
+}
+
+void EphemerisTable::fill(const AnyPropagator& propagator, const TimeGrid& grid,
+                          const GmstTable& gmst) {
+  if (const KeplerianPropagator* keplerian = propagator.keplerian()) {
+    fill(*keplerian, grid, gmst);
+    return;
+  }
+  if (gmst.size() != grid.count) {
+    throw std::invalid_argument("EphemerisTable: GmstTable does not match grid");
+  }
+  // Generic pointwise fill for SGP4: one model evaluation per step, then the
+  // shared sidereal rotation. The radius is the recomputed norm here (no
+  // closed-form orbit equation under drag), and the latitude argument stays
+  // invalid — SGP4's z is not an exact sinusoid, so visibility culling falls
+  // back to per-step cone tests.
+  const std::size_t n = grid.count;
+  resize(n);
+  backend_ = propagator.backend();
+  if (n == 0) return;
+
+  const double t0 = grid.start.seconds_since(propagator.epoch());
+  const double h = grid.step_seconds;
+  double r_min = 0.0, r_max = 0.0, z_abs_max = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double dt = t0 + h * static_cast<double>(k);
+    const util::Vec3 eci = propagator.position_eci_at_offset(dt);
+    const double cg = gmst.cos_gmst[k];
+    const double sg = gmst.sin_gmst[k];
+    const double r = std::sqrt(eci.x * eci.x + eci.y * eci.y + eci.z * eci.z);
+    x_[k] = cg * eci.x + sg * eci.y;
+    y_[k] = -sg * eci.x + cg * eci.y;
+    z_[k] = eci.z;
+    r_[k] = r;
+    if (k == 0 || r < r_min) r_min = r;
+    if (k == 0 || r > r_max) r_max = r;
+    z_abs_max = std::max(z_abs_max, std::abs(eci.z));
+  }
+  r_min_ = r_min;
+  r_max_ = r_max;
+  z_abs_max_ = z_abs_max;
+}
+
+EphemerisTable EphemerisTable::compute(const KeplerianPropagator& propagator,
+                                      const TimeGrid& grid, const GmstTable& gmst) {
+  EphemerisTable table;
+  table.fill(propagator, grid, gmst);
   return table;
 }
 
@@ -175,43 +233,8 @@ EphemerisTable EphemerisTable::compute(const KeplerianPropagator& propagator,
 
 EphemerisTable EphemerisTable::compute(const AnyPropagator& propagator,
                                       const TimeGrid& grid, const GmstTable& gmst) {
-  if (const KeplerianPropagator* keplerian = propagator.keplerian()) {
-    return compute(*keplerian, grid, gmst);
-  }
-  if (gmst.size() != grid.count) {
-    throw std::invalid_argument("EphemerisTable: GmstTable does not match grid");
-  }
-  // Generic pointwise fill for SGP4: one model evaluation per step, then the
-  // shared sidereal rotation. The radius is the recomputed norm here (no
-  // closed-form orbit equation under drag), and the latitude argument stays
-  // invalid — SGP4's z is not an exact sinusoid, so visibility culling falls
-  // back to per-step cone tests.
   EphemerisTable table;
-  const std::size_t n = grid.count;
-  table.x_.resize(n);
-  table.y_.resize(n);
-  table.z_.resize(n);
-  table.r_.resize(n);
-  if (n == 0) return table;
-
-  const double t0 = grid.start.seconds_since(propagator.epoch());
-  const double h = grid.step_seconds;
-  double r_min = 0.0, r_max = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double dt = t0 + h * static_cast<double>(k);
-    const util::Vec3 eci = propagator.position_eci_at_offset(dt);
-    const double cg = gmst.cos_gmst[k];
-    const double sg = gmst.sin_gmst[k];
-    const double r = std::sqrt(eci.x * eci.x + eci.y * eci.y + eci.z * eci.z);
-    table.x_[k] = cg * eci.x + sg * eci.y;
-    table.y_[k] = -sg * eci.x + cg * eci.y;
-    table.z_[k] = eci.z;
-    table.r_[k] = r;
-    if (k == 0 || r < r_min) r_min = r;
-    if (k == 0 || r > r_max) r_max = r;
-  }
-  table.r_min_ = r_min;
-  table.r_max_ = r_max;
+  table.fill(propagator, grid, gmst);
   return table;
 }
 
@@ -246,17 +269,142 @@ AnyPropagator make_propagator(const EphemerisSpec& spec) {
       KeplerianPropagator(spec.elements, spec.epoch, spec.perturbation));
 }
 
-namespace {
+static_assert(EphemerisFill::kMaxGroupSize == batch::kLanes,
+              "a fill group is one lane group of the batched kernel");
 
-// One unit of parallel fill work: either a group of up to kLanes circular J2
-// satellites for the lane-batched kernel, or a single satellite for the
-// per-satellite scalar path.
-struct FillItem {
-  std::size_t first = 0;   // index into the batched-index vector, or spec index
-  std::size_t count = 0;   // > 0: lane group size; 0: single satellite
-};
+EphemerisFill::EphemerisFill(std::span<const EphemerisSpec> specs, const TimeGrid& grid,
+                             const GmstTable& gmst)
+    : specs_(specs), grid_(grid), gmst_(&gmst) {
+  if (gmst.size() != grid.count) {
+    throw std::invalid_argument("EphemerisFill: GmstTable does not match grid");
+  }
+  bool lane_batching = false;
+#if defined(MPLEO_HAVE_AVX2_KERNEL)
+  lane_batching = active_simd_mode() == SimdMode::kAvx2 && grid.count > 0;
+#endif
+  // Circular J2 specs first, kLanes to a group (a tail group of one is just
+  // a scalar single), then every other spec on its own.
+  order_.reserve(specs.size());
+  group_begin_.reserve(specs.size() + 1);
+  std::vector<bool> batched(specs.size(), false);
+  if (lane_batching) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      batched[i] = specs[i].backend == PropagatorBackend::kJ2Analytic &&
+                   specs[i].elements.eccentricity < kCircularEccentricity;
+      if (!batched[i]) continue;
+      if (order_.size() % batch::kLanes == 0) group_begin_.push_back(order_.size());
+      order_.push_back(i);
+    }
+  }
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (batched[i]) continue;
+    group_begin_.push_back(order_.size());
+    order_.push_back(i);
+  }
+  group_begin_.push_back(order_.size());
+}
 
-}  // namespace
+void EphemerisFill::run(std::size_t g, std::span<EphemerisTable> tables) const {
+  const std::span<const std::size_t> members = group(g);
+  if (tables.size() < members.size()) {
+    throw std::invalid_argument("EphemerisFill: fewer tables than group members");
+  }
+  if (members.size() > 1) {
+    run_lanes(members, tables);
+    return;
+  }
+  const EphemerisSpec& spec = specs_[members.front()];
+  if (spec.backend == PropagatorBackend::kJ2Analytic) {
+    // Scalar J2 path, kept free of the AnyPropagator indirection.
+    tables.front().fill(KeplerianPropagator(spec.elements, spec.epoch, spec.perturbation),
+                        grid_, *gmst_);
+    return;
+  }
+  tables.front().fill(make_propagator(spec), grid_, *gmst_);
+}
+
+void EphemerisFill::run_lanes(std::span<const std::size_t> members,
+                              std::span<EphemerisTable> tables) const {
+  const std::size_t count = members.size();
+  const std::size_t n = grid_.count;
+  const double h = grid_.step_seconds;
+  batch::CircularBatch bt{};
+  batch::LaneOutput out[batch::kLanes] = {};
+  // Derived per-lane constants use the exact expressions (and libm calls)
+  // of the scalar EphemerisTable::fill prologue.
+  for (std::size_t l = 0; l < count; ++l) {
+    const EphemerisSpec& spec = specs_[members[l]];
+    const KeplerianPropagator propagator(spec.elements, spec.epoch, spec.perturbation);
+    const ClassicalElements& coe = propagator.epoch_elements();
+    bt.a[l] = coe.semi_major_axis_m;
+    bt.e[l] = coe.eccentricity;
+    bt.b[l] = bt.a[l] * std::sqrt(1.0 - bt.e[l] * bt.e[l]);
+    bt.cos_i[l] = std::cos(coe.inclination_rad);
+    bt.sin_i[l] = std::sin(coe.inclination_rad);
+    bt.t0[l] = grid_.start.seconds_since(propagator.epoch());
+    bt.w0[l] = coe.arg_perigee_rad;
+    bt.o0[l] = coe.raan_rad;
+    bt.m0[l] = coe.mean_anomaly_rad;
+    bt.w_dot[l] = propagator.arg_perigee_rate();
+    bt.o_dot[l] = propagator.raan_rate();
+    bt.m_dot[l] = propagator.mean_anomaly_rate();
+    bt.cdw[l] = std::cos(bt.w_dot[l] * h);
+    bt.sdw[l] = std::sin(bt.w_dot[l] * h);
+    bt.cdo[l] = std::cos(bt.o_dot[l] * h);
+    bt.sdo[l] = std::sin(bt.o_dot[l] * h);
+    bt.cdm[l] = std::cos(bt.m_dot[l] * h);
+    bt.sdm[l] = std::sin(bt.m_dot[l] * h);
+
+    EphemerisTable& table = tables[l];
+    table.resize(n);
+    out[l] = {table.x_.data(), table.y_.data(), table.z_.data(), table.r_.data()};
+  }
+  // Pad unused tail lanes with lane 0's constants; null outputs skip them.
+  for (std::size_t l = count; l < batch::kLanes; ++l) {
+    bt.a[l] = bt.a[0];
+    bt.e[l] = bt.e[0];
+    bt.b[l] = bt.b[0];
+    bt.cos_i[l] = bt.cos_i[0];
+    bt.sin_i[l] = bt.sin_i[0];
+    bt.t0[l] = bt.t0[0];
+    bt.w0[l] = bt.w0[0];
+    bt.o0[l] = bt.o0[0];
+    bt.m0[l] = bt.m0[0];
+    bt.w_dot[l] = bt.w_dot[0];
+    bt.o_dot[l] = bt.o_dot[0];
+    bt.m_dot[l] = bt.m_dot[0];
+    bt.cdw[l] = bt.cdw[0];
+    bt.sdw[l] = bt.sdw[0];
+    bt.cdo[l] = bt.cdo[0];
+    bt.sdo[l] = bt.sdo[0];
+    bt.cdm[l] = bt.cdm[0];
+    bt.sdm[l] = bt.sdm[0];
+  }
+#if defined(MPLEO_HAVE_AVX2_KERNEL)
+  batch::fill_circular_avx2(bt, n, h, gmst_->cos_gmst.data(), gmst_->sin_gmst.data(), out);
+#endif
+  // Epilogue per lane: radius range and max |z| (the same value sets as the
+  // scalar in-loop tracking) and the circular latitude-argument summary.
+  for (std::size_t l = 0; l < count; ++l) {
+    EphemerisTable& table = tables[l];
+    double r_min = 0.0, r_max = 0.0, z_abs_max = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double r = table.r_[k];
+      if (k == 0 || r < r_min) r_min = r;
+      if (k == 0 || r > r_max) r_max = r;
+      z_abs_max = std::max(z_abs_max, std::abs(table.z_[k]));
+    }
+    table.r_min_ = r_min;
+    table.r_max_ = r_max;
+    table.z_abs_max_ = z_abs_max;
+    const double u_dot = bt.w_dot[l] + bt.m_dot[l];
+    table.lat_arg_.valid = u_dot > 0.0;
+    table.lat_arg_.u0 = bt.w0[l] + bt.m0[l] + u_dot * bt.t0[l];
+    table.lat_arg_.du = u_dot * h;
+    table.lat_arg_.sin_incl = bt.sin_i[l];
+    table.lat_arg_.radius_m = bt.a[l];
+  }
+}
 
 EphemerisSet EphemerisSet::compute(std::span<const EphemerisSpec> specs,
                                    const TimeGrid& grid, GmstTable gmst,
@@ -268,147 +416,20 @@ EphemerisSet EphemerisSet::compute(std::span<const EphemerisSpec> specs,
   set.grid_ = grid;
   set.gmst_ = std::move(gmst);
   set.tables_.resize(specs.size());
-  set.backends_.assign(specs.size(), PropagatorBackend::kJ2Analytic);
 
-  // Resolve the SIMD mode once, on the calling thread, so an invalid
-  // MPLEO_SIMD setting throws here rather than inside the pool.
-  bool lane_batching = false;
-#if defined(MPLEO_HAVE_AVX2_KERNEL)
-  lane_batching = active_simd_mode() == SimdMode::kAvx2 && grid.count > 0;
-#endif
-
-  // Partition: circular J2 entries go through the lane-batched kernel when
-  // AVX2 is active; everything else (eccentric J2, SGP4) stays per-satellite.
-  std::vector<std::size_t> batched;
-  std::vector<FillItem> items;
-  if (lane_batching) {
-    batched.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].backend == PropagatorBackend::kJ2Analytic &&
-          specs[i].elements.eccentricity < kCircularEccentricity) {
-        batched.push_back(i);
-      }
+  const EphemerisFill fill(specs, grid, set.gmst_);
+  const auto run = [&set, &fill](std::size_t g) {
+    EphemerisTable tables[EphemerisFill::kMaxGroupSize];
+    fill.run(g, tables);
+    const std::span<const std::size_t> members = fill.group(g);
+    for (std::size_t l = 0; l < members.size(); ++l) {
+      set.tables_[members[l]] = std::move(tables[l]);
     }
-    // Lane groups carry less per-item work than scalar fills, so keep them
-    // whole: one item per group of kLanes (tail group included).
-    for (std::size_t g = 0; g < batched.size(); g += batch::kLanes) {
-      items.push_back({g, std::min(batch::kLanes, batched.size() - g)});
-    }
-  }
-  std::vector<bool> in_batch(specs.size(), false);
-  for (const std::size_t i : batched) in_batch[i] = true;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!in_batch[i]) items.push_back({i, 0});
-  }
-
-  const auto fill_group = [&set, &specs, &grid, &batched](std::size_t first,
-                                                          std::size_t count) {
-    const std::size_t n = grid.count;
-    const double h = grid.step_seconds;
-    batch::CircularBatch bt{};
-    batch::LaneOutput out[batch::kLanes] = {};
-    // Derived per-lane constants use the exact expressions (and libm calls)
-    // of the scalar EphemerisTable::compute prologue.
-    for (std::size_t l = 0; l < count; ++l) {
-      const EphemerisSpec& spec = specs[batched[first + l]];
-      const KeplerianPropagator propagator(spec.elements, spec.epoch,
-                                           spec.perturbation);
-      const ClassicalElements& coe = propagator.epoch_elements();
-      bt.a[l] = coe.semi_major_axis_m;
-      bt.e[l] = coe.eccentricity;
-      bt.b[l] = bt.a[l] * std::sqrt(1.0 - bt.e[l] * bt.e[l]);
-      bt.cos_i[l] = std::cos(coe.inclination_rad);
-      bt.sin_i[l] = std::sin(coe.inclination_rad);
-      bt.t0[l] = grid.start.seconds_since(propagator.epoch());
-      bt.w0[l] = coe.arg_perigee_rad;
-      bt.o0[l] = coe.raan_rad;
-      bt.m0[l] = coe.mean_anomaly_rad;
-      bt.w_dot[l] = propagator.arg_perigee_rate();
-      bt.o_dot[l] = propagator.raan_rate();
-      bt.m_dot[l] = propagator.mean_anomaly_rate();
-      bt.cdw[l] = std::cos(bt.w_dot[l] * h);
-      bt.sdw[l] = std::sin(bt.w_dot[l] * h);
-      bt.cdo[l] = std::cos(bt.o_dot[l] * h);
-      bt.sdo[l] = std::sin(bt.o_dot[l] * h);
-      bt.cdm[l] = std::cos(bt.m_dot[l] * h);
-      bt.sdm[l] = std::sin(bt.m_dot[l] * h);
-
-      EphemerisTable& table = set.tables_[batched[first + l]];
-      table.x_.resize(n);
-      table.y_.resize(n);
-      table.z_.resize(n);
-      table.r_.resize(n);
-      out[l] = {table.x_.data(), table.y_.data(), table.z_.data(),
-                table.r_.data()};
-    }
-    // Pad unused tail lanes with lane 0's constants; null outputs skip them.
-    for (std::size_t l = count; l < batch::kLanes; ++l) {
-      bt.a[l] = bt.a[0];
-      bt.e[l] = bt.e[0];
-      bt.b[l] = bt.b[0];
-      bt.cos_i[l] = bt.cos_i[0];
-      bt.sin_i[l] = bt.sin_i[0];
-      bt.t0[l] = bt.t0[0];
-      bt.w0[l] = bt.w0[0];
-      bt.o0[l] = bt.o0[0];
-      bt.m0[l] = bt.m0[0];
-      bt.w_dot[l] = bt.w_dot[0];
-      bt.o_dot[l] = bt.o_dot[0];
-      bt.m_dot[l] = bt.m_dot[0];
-      bt.cdw[l] = bt.cdw[0];
-      bt.sdw[l] = bt.sdw[0];
-      bt.cdo[l] = bt.cdo[0];
-      bt.sdo[l] = bt.sdo[0];
-      bt.cdm[l] = bt.cdm[0];
-      bt.sdm[l] = bt.sdm[0];
-    }
-#if defined(MPLEO_HAVE_AVX2_KERNEL)
-    batch::fill_circular_avx2(bt, n, h, set.gmst_.cos_gmst.data(),
-                              set.gmst_.sin_gmst.data(), out);
-#endif
-    // Epilogue per lane: min/max scan (same value set as the scalar in-loop
-    // tracking) and the circular latitude-argument summary.
-    for (std::size_t l = 0; l < count; ++l) {
-      EphemerisTable& table = set.tables_[batched[first + l]];
-      double r_min = 0.0, r_max = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        const double r = table.r_[k];
-        if (k == 0 || r < r_min) r_min = r;
-        if (k == 0 || r > r_max) r_max = r;
-      }
-      table.r_min_ = r_min;
-      table.r_max_ = r_max;
-      const double u_dot = bt.w_dot[l] + bt.m_dot[l];
-      table.lat_arg_.valid = u_dot > 0.0;
-      table.lat_arg_.u0 = bt.w0[l] + bt.m0[l] + u_dot * bt.t0[l];
-      table.lat_arg_.du = u_dot * h;
-      table.lat_arg_.sin_incl = bt.sin_i[l];
-      table.lat_arg_.radius_m = bt.a[l];
-    }
-  };
-
-  const auto fill = [&set, &specs, &grid, &fill_group, &items](std::size_t w) {
-    const FillItem& item = items[w];
-    if (item.count > 0) {
-      fill_group(item.first, item.count);
-      return;
-    }
-    const std::size_t i = item.first;
-    if (specs[i].backend == PropagatorBackend::kJ2Analytic) {
-      // Unchanged scalar path, kept free of the AnyPropagator indirection.
-      const KeplerianPropagator propagator(specs[i].elements, specs[i].epoch,
-                                           specs[i].perturbation);
-      set.tables_[i] = EphemerisTable::compute(propagator, grid, set.gmst_);
-      return;
-    }
-    const AnyPropagator propagator = make_propagator(specs[i]);
-    set.tables_[i] = EphemerisTable::compute(propagator, grid, set.gmst_);
-    set.backends_[i] = propagator.backend();
   };
   if (pool != nullptr) {
-    pool->parallel_for(items.size(), fill);
+    pool->parallel_for(fill.group_count(), run);
   } else {
-    for (std::size_t w = 0; w < items.size(); ++w) fill(w);
+    for (std::size_t g = 0; g < fill.group_count(); ++g) run(g);
   }
   return set;
 }

@@ -10,10 +10,13 @@
 // the mean anomaly) advances through incremental plane rotations that are
 // resynchronised against libm every few dozen steps, so a table costs a
 // handful of multiply-adds per step instead of a full element conversion.
-// EphemerisSet owns tables for a whole catalog and can fill them in
-// parallel across satellites; every visibility consumer (coverage, contact
+// EphemerisFill is the one catalog fill: it splits a catalog into groups
+// the lane-batched kernel or the scalar path fills independently.
+// EphemerisSet owns tables for a whole catalog and runs that fill in
+// parallel across groups; every visibility consumer (coverage, contact
 // plans, ISL, handover, placement) reads these shared tables instead of
-// re-propagating.
+// re-propagating, and cov::VisibilityCache runs the same fill group by
+// group, keeping only the masks.
 #pragma once
 
 #include <cstddef>
@@ -95,18 +98,34 @@ class EphemerisTable {
   [[nodiscard]] std::span<const double> radius_m() const noexcept { return r_; }
   [[nodiscard]] double min_radius_m() const noexcept { return r_min_; }
   [[nodiscard]] double max_radius_m() const noexcept { return r_max_; }
+  // Largest |z| over the steps, skipping NaN; 0 for an empty table. Every
+  // fill records it beside the radius range, so a latitude bound costs no
+  // scan.
+  [[nodiscard]] double max_abs_z_m() const noexcept { return z_abs_max_; }
 
   [[nodiscard]] const LinearLatitudeArgument& latitude_argument() const noexcept {
     return lat_arg_;
   }
+  // The model that produced the table (kJ2Analytic when an SGP4 request
+  // fell back on a deep-space orbit).
+  [[nodiscard]] PropagatorBackend backend() const noexcept { return backend_; }
 
  private:
-  friend class EphemerisSet;  // lane-batched fill writes the SoA arrays directly
+  friend class EphemerisFill;  // lane-batched fill writes the SoA arrays directly
+
+  // The bodies behind compute(): fill *this in place, keeping storage that
+  // is already sized to the grid.
+  void fill(const KeplerianPropagator& propagator, const TimeGrid& grid,
+            const GmstTable& gmst);
+  void fill(const AnyPropagator& propagator, const TimeGrid& grid, const GmstTable& gmst);
+  void resize(std::size_t n);
 
   std::vector<double> x_, y_, z_, r_;
   double r_min_ = 0.0;
   double r_max_ = 0.0;
+  double z_abs_max_ = 0.0;
   LinearLatitudeArgument lat_arg_;
+  PropagatorBackend backend_ = PropagatorBackend::kJ2Analytic;
 };
 
 // Elements + epoch of one catalog entry, the input to EphemerisSet. Mirrors
@@ -132,12 +151,51 @@ struct EphemerisSpec {
 // analytic model — the returned handle's backend() reports what actually ran.
 [[nodiscard]] AnyPropagator make_propagator(const EphemerisSpec& spec);
 
-// Shared ephemerides of a whole catalog over one grid. Tables are computed
-// in parallel across satellites when a thread pool is given; results are
-// identical to the serial fill. Circular J2 entries are additionally batched
-// four satellites across SIMD lanes when the active SimdMode is AVX2 (see
-// orbit/simd.hpp) — the batched fill is bit-identical to the per-satellite
-// scalar path by construction.
+// A catalog's ephemeris fill, split into groups that run independently.
+// While AVX2 is the active SimdMode (orbit/simd.hpp), circular J2 specs go
+// in groups of up to kMaxGroupSize that the lane-batched kernel fills
+// together, one satellite per SIMD lane. Every other spec (eccentric J2,
+// SGP4, anything without AVX2) is a group of one on the per-satellite
+// scalar path, and so is a lone circular spec left after the groups of
+// four: a lane pass costs more than one scalar satellite at any lane count
+// (about 1.8x at two lanes, 2.5x at four). Every table is bit-identical to
+// EphemerisTable::compute of its spec, by construction. Groups write
+// disjoint tables, so they may run on any threads in any order. Borrows
+// `specs` and `gmst`; both must outlive the fill.
+class EphemerisFill {
+ public:
+  static constexpr std::size_t kMaxGroupSize = 4;  // orbit::batch::kLanes
+
+  // Resolves the SIMD mode on the calling thread (an invalid MPLEO_SIMD
+  // throws here, not inside a pool). Throws std::invalid_argument when
+  // `gmst` does not match `grid`.
+  EphemerisFill(std::span<const EphemerisSpec> specs, const TimeGrid& grid,
+                const GmstTable& gmst);
+
+  [[nodiscard]] std::size_t group_count() const noexcept { return group_begin_.size() - 1; }
+  // Spec indices of group g: 1 to kMaxGroupSize of them.
+  [[nodiscard]] std::span<const std::size_t> group(std::size_t g) const {
+    return std::span<const std::size_t>(order_).subspan(
+        group_begin_.at(g), group_begin_.at(g + 1) - group_begin_[g]);
+  }
+  // Fills tables[l] with the ephemeris of spec group(g)[l]; `tables` holds
+  // at least group(g).size() entries. A table already sized to the grid is
+  // overwritten in place, so callers can reuse one set of tables per thread.
+  void run(std::size_t g, std::span<EphemerisTable> tables) const;
+
+ private:
+  void run_lanes(std::span<const std::size_t> members, std::span<EphemerisTable> tables) const;
+
+  std::span<const EphemerisSpec> specs_;
+  TimeGrid grid_;
+  const GmstTable* gmst_;
+  std::vector<std::size_t> order_;        // spec indices, group after group
+  std::vector<std::size_t> group_begin_;  // group g is order_[begin[g], begin[g + 1])
+};
+
+// Shared ephemerides of a whole catalog over one grid: EphemerisFill's
+// groups, run in parallel when a thread pool is given; results are
+// identical to the serial fill.
 class EphemerisSet {
  public:
   EphemerisSet() = default;
@@ -159,14 +217,13 @@ class EphemerisSet {
   // The backend that actually produced table `index` (kJ2Analytic when an
   // SGP4 request fell back on a deep-space orbit).
   [[nodiscard]] PropagatorBackend backend(std::size_t index) const {
-    return backends_.at(index);
+    return tables_.at(index).backend();
   }
 
  private:
   TimeGrid grid_;
   GmstTable gmst_;
   std::vector<EphemerisTable> tables_;
-  std::vector<PropagatorBackend> backends_;
 };
 
 }  // namespace mpleo::orbit

@@ -91,18 +91,4 @@ double TopocentricFrame::azimuth_rad(const Vec3& target_ecef) const noexcept {
   return util::wrap_two_pi(az);
 }
 
-double TopocentricFrame::range_m(const Vec3& target_ecef) const noexcept {
-  return (target_ecef - origin_).norm();
-}
-
-bool TopocentricFrame::visible_above(const Vec3& target_ecef, double sin_mask) const noexcept {
-  // Precondition: sin_mask >= 0 (masks below the horizon are not meaningful
-  // for ground stations).
-  const Vec3 rho = target_ecef - origin_;
-  const double along_up = dot(rho, up_);
-  // sin(el) >= sin_mask  <=>  along_up >= sin_mask * |rho| (mask in [0, pi/2)).
-  if (along_up < 0.0) return false;
-  return along_up * along_up >= sin_mask * sin_mask * rho.norm_squared();
-}
-
 }  // namespace mpleo::orbit

@@ -54,11 +54,22 @@ class TopocentricFrame {
   // Azimuth angle (radians, clockwise from north in [0, 2*pi)).
   [[nodiscard]] double azimuth_rad(const Vec3& target_ecef) const noexcept;
   // Slant range (metres).
-  [[nodiscard]] double range_m(const Vec3& target_ecef) const noexcept;
+  [[nodiscard]] double range_m(const Vec3& target_ecef) const noexcept {
+    return (target_ecef - origin_).norm();
+  }
 
   // Fast visibility test: true iff elevation(target) >= mask. Equivalent to
-  // elevation_rad(..) >= mask_rad but avoids the asin.
-  [[nodiscard]] bool visible_above(const Vec3& target_ecef, double sin_mask) const noexcept;
+  // elevation_rad(..) >= mask_rad but avoids the asin. Inline: it is the
+  // exact test in the inner loops of the visibility cull and the scheduler.
+  // Precondition: sin_mask >= 0 (masks below the horizon are not meaningful
+  // for ground stations).
+  [[nodiscard]] bool visible_above(const Vec3& target_ecef, double sin_mask) const noexcept {
+    const Vec3 rho = target_ecef - origin_;
+    const double along_up = dot(rho, up_);
+    // sin(el) >= sin_mask  <=>  along_up >= sin_mask * |rho| (mask in [0, pi/2)).
+    if (along_up < 0.0) return false;
+    return along_up * along_up >= sin_mask * sin_mask * rho.norm_squared();
+  }
 
  private:
   Vec3 origin_;

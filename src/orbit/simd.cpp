@@ -11,8 +11,8 @@ namespace {
 
 // Set once by the first active_simd_mode() call or by force_simd_mode;
 // dispatch afterwards is a plain load. Not atomic: resolution happens before
-// any parallel fill starts (EphemerisSet::compute resolves on the calling
-// thread), and force_simd_mode is a test-only hook.
+// any parallel fill starts (the EphemerisFill constructor resolves it on the
+// calling thread), and force_simd_mode is a test-only hook.
 std::optional<SimdMode> g_mode;
 
 SimdMode resolve_from_environment() {

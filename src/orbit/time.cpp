@@ -128,13 +128,21 @@ double gmst_rad(const TimePoint& t) noexcept {
 
 TimeGrid TimeGrid::over_duration(TimePoint start, double duration_seconds,
                                  double step_seconds) {
-  if (!(step_seconds > 0.0) || duration_seconds < 0.0) {
-    throw std::invalid_argument("TimeGrid: step must be > 0 and duration >= 0");
+  if (!(step_seconds > 0.0) || !std::isfinite(step_seconds) || !(duration_seconds >= 0.0) ||
+      !std::isfinite(duration_seconds)) {
+    throw std::invalid_argument("TimeGrid: step must be finite and > 0, duration finite and >= 0");
+  }
+  // Checked before the cast: a ratio past the size_t range would make it
+  // undefined.
+  const double intervals = std::floor(duration_seconds / step_seconds);
+  if (!(intervals < static_cast<double>(kMaxSteps))) {
+    throw std::invalid_argument("TimeGrid: duration / step gives more than " +
+                                std::to_string(kMaxSteps) + " steps");
   }
   TimeGrid grid;
   grid.start = start;
   grid.step_seconds = step_seconds;
-  grid.count = static_cast<std::size_t>(std::floor(duration_seconds / step_seconds)) + 1;
+  grid.count = static_cast<std::size_t>(intervals) + 1;
   return grid;
 }
 

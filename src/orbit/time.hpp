@@ -72,10 +72,20 @@ inline constexpr double kJ2000Jd = 2451545.0;
 // A uniform grid of `count` instants: start, start+step, ...
 // This is the time base shared by the coverage engine, masks, and schedulers.
 struct TimeGrid {
+  // Largest step count over_duration builds. Every grid-sized buffer holds
+  // one value per step (a satellite's ephemeris table is 32 B per step), so
+  // 10^8 steps (over three years at 1 s) is far past any workload here,
+  // while a mistyped step such as 1e-300 s is refused instead of being
+  // rounded into a meaningless grid.
+  static constexpr std::size_t kMaxSteps = 100'000'000;
+
   TimePoint start;
   double step_seconds = 60.0;
   std::size_t count = 0;
 
+  // floor(duration / step) + 1 instants. Throws std::invalid_argument unless
+  // the step is finite and > 0, the duration is finite and >= 0, and the
+  // count is at most kMaxSteps.
   [[nodiscard]] static TimeGrid over_duration(TimePoint start, double duration_seconds,
                                               double step_seconds);
 

@@ -208,6 +208,14 @@ std::vector<core::ConfigIssue> Scenario::validate() const {
   }
   if (!(duration_s > 0.0) || duration_s > 1e300) {
     add("duration_s", "must be finite and > 0, got " + std::to_string(duration_s));
+  } else if (step_s > 0.0 && step_s <= 1e300 &&
+             !(duration_s / step_s < static_cast<double>(orbit::TimeGrid::kMaxSteps))) {
+    // The bound TimeGrid::over_duration enforces, reported before any grid
+    // is built.
+    std::ostringstream message;
+    message << "duration_s / step_s = " << duration_s << " / " << step_s
+            << " exceeds the grid maximum of " << orbit::TimeGrid::kMaxSteps << " steps";
+    add("step_s", message.str());
   }
   if (!(elevation_mask_deg >= 0.0) || !(elevation_mask_deg < 90.0)) {
     add("elevation_mask_deg",

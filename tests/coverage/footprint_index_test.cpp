@@ -21,7 +21,9 @@
 #include "orbit/ephemeris.hpp"
 #include "orbit/geodesy.hpp"
 #include "orbit/propagator.hpp"
+#include "orbit/simd.hpp"
 #include "orbit/time.hpp"
+#include "support/simd_mode_guard.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 #include "util/vec3.hpp"
@@ -265,6 +267,90 @@ TEST(FootprintCone, FamilyConeContainsMemberCones) {
   const FootprintCone tight = FootprintCone::make(6.92e6, 6.93e6, 6.37e6, 25.0);
   const FootprintCone wide = FootprintCone::make(6.80e6, 7.40e6, 6.35e6, 25.0);
   EXPECT_GE(wide.psi_rad, tight.psi_rad);
+}
+
+// The exact per-step maximum of |z| / r, or 1 at a non-positive radius: the
+// oracle the O(1) max_abs_sin_latitude is checked against.
+double scanned_max_abs_sin_latitude(const orbit::EphemerisTable& table) {
+  double max_sin = 0.0;
+  for (std::size_t k = 0; k < table.size(); ++k) {
+    if (!(table.radius_m()[k] > 0.0)) return 1.0;
+    max_sin = std::max(max_sin, std::abs(table.z()[k]) / table.radius_m()[k]);
+  }
+  return std::min(max_sin, 1.0);
+}
+
+class MaxAbsSinLatitude : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MaxAbsSinLatitude, BoundsThePerStepScanOnEveryFill) {
+  util::Xoshiro256PlusPlus rng(GetParam());
+  const orbit::TimeGrid grid = test_grid();
+  // Six circular J2 specs (a full lane group and a group of two under
+  // AVX2), three eccentric J2 specs and three SGP4 specs.
+  std::vector<orbit::EphemerisSpec> specs;
+  for (int i = 0; i < 6; ++i) {
+    specs.push_back({orbit::ClassicalElements::circular(
+                         rng.uniform(400e3, 1200e3), rng.uniform(0.0, 180.0),
+                         rng.uniform(0.0, 360.0), rng.uniform(0.0, 360.0)),
+                     grid.start});
+  }
+  for (int i = 0; i < 3; ++i) {
+    orbit::ClassicalElements el = orbit::ClassicalElements::circular(
+        rng.uniform(900e3, 1200e3), rng.uniform(20.0, 98.0), rng.uniform(0.0, 360.0),
+        rng.uniform(0.0, 360.0));
+    el.eccentricity = rng.uniform(0.005, 0.05);
+    specs.push_back({el, grid.start});
+  }
+  for (int i = 0; i < 3; ++i) {
+    orbit::EphemerisSpec spec{orbit::ClassicalElements::circular(
+                                  rng.uniform(500e3, 1200e3), rng.uniform(30.0, 98.0),
+                                  rng.uniform(0.0, 360.0), rng.uniform(0.0, 360.0)),
+                              grid.start};
+    spec.backend = orbit::PropagatorBackend::kSgp4;
+    specs.push_back(spec);
+  }
+  const auto check = [&](const orbit::EphemerisTable& table, std::size_t i,
+                         const char* fill) {
+    const double bound = max_abs_sin_latitude(table);
+    const double scanned = scanned_max_abs_sin_latitude(table);
+    EXPECT_GE(bound, scanned) << fill << " spec " << i;
+    if (specs[i].backend == orbit::PropagatorBackend::kJ2Analytic &&
+        specs[i].elements.eccentricity == 0.0) {
+      EXPECT_NEAR(bound, scanned, 1e-12) << fill << " spec " << i;
+    }
+  };
+
+  const orbit::GmstTable gmst = orbit::GmstTable::for_grid(grid);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    check(orbit::EphemerisTable::compute(orbit::make_propagator(specs[i]), grid, gmst), i,
+          "scalar");
+  }
+  if (!orbit::cpu_supports_avx2()) return;  // no lane kernel to check
+  orbit::SimdModeGuard guard;
+  orbit::force_simd_mode(orbit::SimdMode::kAvx2);
+  const orbit::EphemerisSet lanes = orbit::EphemerisSet::compute(specs, grid);
+  for (std::size_t i = 0; i < specs.size(); ++i) check(lanes.table(i), i, "lane");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MaxAbsSinLatitude, ::testing::Values(3u, 17u, 2024u));
+
+TEST(MaxAbsSinLatitude, EmptyAndNonPositiveRadiusTablesKeepTheScanAnswers) {
+  EXPECT_EQ(max_abs_sin_latitude(orbit::EphemerisTable{}), 0.0);
+  const orbit::TimeGrid empty_grid{test_grid().start, 60.0, 0};
+  const orbit::KeplerianPropagator leo(orbit::ClassicalElements::circular(550e3, 53.0, 0.0, 0.0),
+                                       empty_grid.start);
+  EXPECT_EQ(max_abs_sin_latitude(orbit::EphemerisTable::compute(leo, empty_grid)), 0.0);
+
+  // e = 1.5 without J2 rates: r = a (1 - e cos E) goes negative near
+  // perigee, so the table holds non-positive radii.
+  orbit::ClassicalElements unbound = orbit::ClassicalElements::circular(550e3, 53.0, 0.0, 0.0);
+  unbound.eccentricity = 1.5;
+  const orbit::KeplerianPropagator degenerate(unbound, empty_grid.start,
+                                              orbit::Perturbation::kNone);
+  const orbit::EphemerisTable table = orbit::EphemerisTable::compute(degenerate, test_grid());
+  ASSERT_FALSE(table.min_radius_m() > 0.0);
+  EXPECT_EQ(max_abs_sin_latitude(table), 1.0);
+  EXPECT_EQ(scanned_max_abs_sin_latitude(table), 1.0);
 }
 
 TEST(FootprintIndex, EmptyIndexYieldsNothing) {

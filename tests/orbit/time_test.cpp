@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -102,8 +103,26 @@ TEST(TimeGrid, OverDuration) {
 
 TEST(TimeGrid, RejectsBadInputs) {
   const TimePoint start;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW((void)TimeGrid::over_duration(start, 10.0, 0.0), std::invalid_argument);
   EXPECT_THROW((void)TimeGrid::over_duration(start, -1.0, 60.0), std::invalid_argument);
+  EXPECT_THROW((void)TimeGrid::over_duration(start, nan, 60.0), std::invalid_argument);
+  EXPECT_THROW((void)TimeGrid::over_duration(start, inf, 60.0), std::invalid_argument);
+  EXPECT_THROW((void)TimeGrid::over_duration(start, -inf, 60.0), std::invalid_argument);
+  EXPECT_THROW((void)TimeGrid::over_duration(start, 600.0, nan), std::invalid_argument);
+  EXPECT_THROW((void)TimeGrid::over_duration(start, 600.0, inf), std::invalid_argument);
+}
+
+TEST(TimeGrid, BoundsTheStepCount) {
+  const TimePoint start;
+  const auto max_steps = static_cast<double>(TimeGrid::kMaxSteps);
+  // floor(duration / step) + 1 == kMaxSteps is the largest grid.
+  EXPECT_EQ(TimeGrid::over_duration(start, max_steps - 1.0, 1.0).count, TimeGrid::kMaxSteps);
+  EXPECT_THROW((void)TimeGrid::over_duration(start, max_steps, 1.0), std::invalid_argument);
+  // Ratios past the size_t range, where an unchecked cast is undefined.
+  EXPECT_THROW((void)TimeGrid::over_duration(start, 86400.0, 1e-300), std::invalid_argument);
+  EXPECT_THROW((void)TimeGrid::over_duration(start, 1e300, 1e-300), std::invalid_argument);
 }
 
 class CivilRoundTripSweep : public ::testing::TestWithParam<CivilTime> {};

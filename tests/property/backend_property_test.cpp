@@ -21,6 +21,7 @@
 
 #include "orbit/ephemeris.hpp"
 #include "orbit/simd.hpp"
+#include "support/simd_mode_guard.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -69,6 +70,7 @@ void expect_tables_identical(const EphemerisTable& a, const EphemerisTable& b,
   }
   EXPECT_EQ(a.min_radius_m(), b.min_radius_m()) << "sat " << sat;
   EXPECT_EQ(a.max_radius_m(), b.max_radius_m()) << "sat " << sat;
+  EXPECT_EQ(a.max_abs_z_m(), b.max_abs_z_m()) << "sat " << sat;
   EXPECT_EQ(a.latitude_argument().valid, b.latitude_argument().valid) << "sat " << sat;
   EXPECT_EQ(a.latitude_argument().u0, b.latitude_argument().u0) << "sat " << sat;
   EXPECT_EQ(a.latitude_argument().du, b.latitude_argument().du) << "sat " << sat;
@@ -77,17 +79,6 @@ void expect_tables_identical(const EphemerisTable& a, const EphemerisTable& b,
   EXPECT_EQ(a.latitude_argument().radius_m, b.latitude_argument().radius_m)
       << "sat " << sat;
 }
-
-// Restores the process-wide SIMD mode on scope exit; force_simd_mode is
-// sticky, so every test that flips it must go through this guard.
-class SimdModeGuard {
- public:
-  SimdModeGuard() : prev_(active_simd_mode()) {}
-  ~SimdModeGuard() { force_simd_mode(prev_); }
-
- private:
-  SimdMode prev_;
-};
 
 class BackendProperty : public ::testing::TestWithParam<std::uint64_t> {};
 

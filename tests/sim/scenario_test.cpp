@@ -297,6 +297,30 @@ TEST(Scenario, InvalidFieldsAreReportedTogether) {
   }
 }
 
+TEST(Scenario, StepCountAboveTheGridMaximumIsOneIssue) {
+  // A one-day window at 1e-300 s would be ~10^305 steps; before the bound it
+  // was cast to size_t unchecked and ran as a 1-step grid.
+  const Scenario tiny_step{.duration_s = 86400.0, .step_s = 1e-300};
+  const std::vector<core::ConfigIssue> issues = tiny_step.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].field, "step_s");
+  EXPECT_NE(issues[0].message.find("duration_s"), std::string::npos) << issues[0].message;
+  try {
+    (void)parse({"--quick", "--step=1e-300"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("step_s"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("duration_s"), std::string::npos) << msg;
+  }
+  // Representable but huge: 7 days at 1 us is 6 x 10^11 steps.
+  EXPECT_EQ((Scenario{.step_s = 1e-6}).validate().size(), 1u);
+  // The largest grid over_duration builds passes.
+  const auto max_steps = static_cast<double>(orbit::TimeGrid::kMaxSteps);
+  EXPECT_TRUE((Scenario{.duration_s = max_steps - 1.0, .step_s = 1.0}).validate().empty());
+  EXPECT_EQ((Scenario{.duration_s = max_steps, .step_s = 1.0}).validate().size(), 1u);
+}
+
 TEST(Scenario, ParsedValuesAreValidated) {
   // A flag value that parses but is out of range fails Scenario::validate,
   // and the error names the field.
