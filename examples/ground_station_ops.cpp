@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                 contacts[i].start_offset_s, contacts[i].end_offset_s,
                 contacts[i].duration_s());
   }
-  std::printf("(full plan exportable as CSV: cov::contact_plan_csv)\n\n");
+  std::printf("\n");
 
   // 2. Doppler tracking profile of the first contact's satellite.
   if (!contacts.empty()) {

@@ -1,10 +1,10 @@
 #include "adversary/audit.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/validation.hpp"
 #include "obs/metrics.hpp"
+#include "util/rounding.hpp"
 
 namespace mpleo::adversary {
 
@@ -33,8 +33,13 @@ core::ReceiptVerdict ReceiptAuditor::audit_and_credit(const core::ProofOfCoverag
   bool prescreen_overhead = true;
   bool prescreened = false;
   if (grid_.has_value()) {
-    const double offset_s = receipt.time.seconds_since(grid_->start);
-    const auto step = static_cast<std::int64_t>(std::floor(offset_s / grid_->step_seconds));
+    // The claimed time is a party's claim: clamp its step index into
+    // [-1, count] before the integer conversion (NaN goes to -1). Both ends
+    // lie off the grid, where overhead_at_step reads false.
+    const double index = receipt.time.seconds_since(grid_->start) / grid_->step_seconds;
+    const double count = static_cast<double>(grid_->count);
+    const std::int64_t step =
+        util::floor_to_int64(index >= -1.0 ? std::min(index, count) : -1.0);
     if (const std::optional<bool> overhead =
             poc.overhead_at_step(receipt.satellite, receipt.verifier, *grid_, step)) {
       prescreened = true;

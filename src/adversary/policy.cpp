@@ -21,20 +21,6 @@ constexpr bool behavior_withholds(Behavior behavior) noexcept {
 
 }  // namespace
 
-const char* to_string(Behavior behavior) noexcept {
-  switch (behavior) {
-    case Behavior::kHonest: return "honest";
-    case Behavior::kForgeReceipts: return "forge_receipts";
-    case Behavior::kInflateReceipts: return "inflate_receipts";
-    case Behavior::kWithholdCapacity: return "withhold_capacity";
-    case Behavior::kMisreportSla: return "misreport_sla";
-    case Behavior::kCollude: return "collude";
-    case Behavior::kJamming: return "jamming";
-    case Behavior::kSpectrumSquatting: return "spectrum_squatting";
-  }
-  return "unknown";
-}
-
 double PartyPolicy::withheld_fraction() const noexcept {
   if (behavior != Behavior::kWithholdCapacity) return 0.0;
   return std::clamp(0.5 * intensity, 0.0, 1.0);
@@ -55,6 +41,7 @@ BehaviorBook BehaviorBook::sample(std::size_t party_count, double byzantine_frac
 
   BehaviorBook book;
   book.seed_ = seed;
+  // byzantine_fraction is in [0, 1], so the count is in [0, party_count].
   const auto byzantine_count = static_cast<std::size_t>(
       std::llround(byzantine_fraction * static_cast<double>(party_count)));
   if (byzantine_count == 0 || mix.empty()) return book;

@@ -46,8 +46,6 @@ enum class Behavior : std::uint8_t {
   kSpectrumSquatting,  // transmits outside its assigned channel at nominal power
 };
 
-[[nodiscard]] const char* to_string(Behavior behavior) noexcept;
-
 struct PartyPolicy {
   Behavior behavior = Behavior::kHonest;
   // Fraudulent submissions per epoch (forge / inflate / collude).

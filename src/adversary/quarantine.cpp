@@ -8,16 +8,6 @@
 
 namespace mpleo::adversary {
 
-const char* to_string(TrustState state) noexcept {
-  switch (state) {
-    case TrustState::kTrusted: return "trusted";
-    case TrustState::kSuspected: return "suspected";
-    case TrustState::kQuarantined: return "quarantined";
-    case TrustState::kExpelled: return "expelled";
-  }
-  return "unknown";
-}
-
 QuarantineManager::QuarantineManager(QuarantineConfig config, std::size_t party_count,
                                      obs::MetricsRegistry* metrics)
     : config_(config),

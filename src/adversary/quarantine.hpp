@@ -48,8 +48,6 @@ enum class TrustState : std::uint8_t {
   kExpelled,  // terminal
 };
 
-[[nodiscard]] const char* to_string(TrustState state) noexcept;
-
 struct QuarantineConfig {
   // Fraud events in one epoch that turn kTrusted into kSuspected.
   std::uint64_t suspect_threshold = 1;

@@ -30,85 +30,86 @@ constexpr double kTwoPi = 2.0 * std::numbers::pi;
 }  // namespace
 
 PopulationSampler::PopulationSampler(PopulationSamplerConfig config,
-                                     std::span<const cov::City> cities)
-    : config_(config) {
-  if (!(config_.band_height_deg > 0.0) || config_.band_height_deg > 90.0) {
-    throw std::invalid_argument("PopulationSampler: band_height_deg out of (0, 90]");
+                                     std::span<const cov::City> cities) {
+  if (!(config.band_height_deg >= 0.1) || config.band_height_deg > 90.0) {
+    throw std::invalid_argument("PopulationSampler: band_height_deg out of [0.1, 90]");
   }
-  if (!(config_.max_latitude_deg > 0.0) || config_.max_latitude_deg > 90.0) {
+  if (!(config.max_latitude_deg > 0.0) || config.max_latitude_deg > 90.0) {
     throw std::invalid_argument("PopulationSampler: max_latitude_deg out of (0, 90]");
   }
-  if (!(config_.city_radius_deg > 0.0) || config_.city_radius_deg > 90.0) {
+  if (!(config.city_radius_deg > 0.0) || config.city_radius_deg > 90.0) {
     throw std::invalid_argument("PopulationSampler: city_radius_deg out of (0, 90]");
   }
-  if (!(config_.uniform_floor_fraction >= 0.0) ||
-      config_.uniform_floor_fraction > 1.0) {
+  if (!(config.uniform_floor_fraction >= 0.0) ||
+      config.uniform_floor_fraction > 1.0) {
     throw std::invalid_argument(
         "PopulationSampler: uniform_floor_fraction out of [0, 1]");
   }
   const std::vector<cov::City>& default_cities = cov::paper_cities();
   if (cities.empty()) cities = default_cities;
 
-  band_height_rad_ = util::deg_to_rad(config_.band_height_deg);
-  const double lat_max = util::deg_to_rad(config_.max_latitude_deg);
-  lat_min_rad_ = -lat_max;
-  band_count_ = static_cast<std::size_t>(
-      std::max(1.0, std::ceil(2.0 * lat_max / band_height_rad_)));
+  // A band height of at least 0.1 degrees bounds the rounded counts below:
+  // at most 1800 bands of at most 3600 cells.
+  const double band_height = util::deg_to_rad(config.band_height_deg);
+  const double lat_max = util::deg_to_rad(config.max_latitude_deg);
+  const double lat_min = -lat_max;
+  const auto band_count = static_cast<std::size_t>(
+      std::max(1.0, std::ceil(2.0 * lat_max / band_height)));
 
   // Lay out the cells: equal-area bands, cos-scaled cell counts.
-  const double base_cells = std::ceil(kTwoPi / band_height_rad_);
-  band_cell_begin_.assign(band_count_ + 1, 0);
-  for (std::size_t b = 0; b < band_count_; ++b) {
-    const double lo = lat_min_rad_ + static_cast<double>(b) * band_height_rad_;
-    const double hi = std::min(lo + band_height_rad_, lat_max);
+  const double base_cells = std::ceil(kTwoPi / band_height);
+  std::vector<std::uint32_t> band_cell_begin(band_count + 1, 0);
+  for (std::size_t b = 0; b < band_count; ++b) {
+    const double lo = lat_min + static_cast<double>(b) * band_height;
+    const double hi = std::min(lo + band_height, lat_max);
     const double center = 0.5 * (lo + hi);
     const auto cells = static_cast<std::uint32_t>(
         std::max(1.0, std::round(base_cells * std::cos(center))));
-    band_cell_begin_[b + 1] = band_cell_begin_[b] + cells;
+    band_cell_begin[b + 1] = band_cell_begin[b] + cells;
   }
-  const std::size_t total = band_cell_begin_[band_count_];
+  const std::size_t total = band_cell_begin[band_count];
   cells_.resize(total);
   std::vector<double> mass(total, 0.0);
   std::vector<double> area(total, 0.0);
   double area_total = 0.0;
-  for (std::size_t b = 0; b < band_count_; ++b) {
-    const double lo = lat_min_rad_ + static_cast<double>(b) * band_height_rad_;
-    const double hi = std::min(lo + band_height_rad_, lat_max);
-    const std::uint32_t cells_b = band_cell_begin_[b + 1] - band_cell_begin_[b];
+  for (std::size_t b = 0; b < band_count; ++b) {
+    const double lo = lat_min + static_cast<double>(b) * band_height;
+    const double hi = std::min(lo + band_height, lat_max);
+    const std::uint32_t cells_b = band_cell_begin[b + 1] - band_cell_begin[b];
     const double width = kTwoPi / static_cast<double>(cells_b);
     const double cell_area = (std::sin(hi) - std::sin(lo)) * width;  // sphere area
     for (std::uint32_t c = 0; c < cells_b; ++c) {
-      Cell& cell = cells_[band_cell_begin_[b] + c];
+      Cell& cell = cells_[band_cell_begin[b] + c];
       cell.sin_lat_lo = static_cast<float>(std::sin(lo));
       cell.sin_lat_hi = static_cast<float>(std::sin(hi));
       cell.lon_lo = static_cast<float>(static_cast<double>(c) * width);
       cell.lon_width = static_cast<float>(width);
-      area[band_cell_begin_[b] + c] = cell_area;
+      area[band_cell_begin[b] + c] = cell_area;
       area_total += cell_area;
     }
   }
 
   // Splat each city onto nearby cells with a linear falloff in great-circle
   // distance; population scales the splat.
-  const double radius = util::deg_to_rad(config_.city_radius_deg);
+  const double radius = util::deg_to_rad(config.city_radius_deg);
   double city_total = 0.0;
   for (const cov::City& city : cities) {
     if (!(city.population > 0.0)) continue;
     const double c_lat = city.location.latitude_rad;
     const double c_lon = wrap_lon(city.location.longitude_rad);
-    for (std::size_t b = 0; b < band_count_; ++b) {
-      const double lo = lat_min_rad_ + static_cast<double>(b) * band_height_rad_;
-      const double hi = std::min(lo + band_height_rad_, lat_max);
+    for (std::size_t b = 0; b < band_count; ++b) {
+      const double lo = lat_min + static_cast<double>(b) * band_height;
+      const double hi = std::min(lo + band_height, lat_max);
       const double band_center = 0.5 * (lo + hi);
-      if (std::abs(band_center - c_lat) > radius + band_height_rad_) continue;
-      const std::uint32_t cells_b = band_cell_begin_[b + 1] - band_cell_begin_[b];
+      if (std::abs(band_center - c_lat) > radius + band_height) continue;
+      const std::uint32_t cells_b = band_cell_begin[b + 1] - band_cell_begin[b];
       const double width = kTwoPi / static_cast<double>(cells_b);
       for (std::uint32_t c = 0; c < cells_b; ++c) {
         const double cell_lon = (static_cast<double>(c) + 0.5) * width;
         const double d = central_angle(band_center, cell_lon, c_lat, c_lon);
         if (d >= radius) continue;
         const double w = city.population * (1.0 - d / radius);
-        mass[band_cell_begin_[b] + c] += w;
+        mass[band_cell_begin[b] + c] += w;
         city_total += w;
       }
     }
@@ -117,7 +118,7 @@ PopulationSampler::PopulationSampler(PopulationSamplerConfig config,
   // Mix: (1 - floor) of the mass follows the cities, `floor` is spread
   // area-uniformly. With no city mass at all (e.g. cities outside the
   // latitude belt), everything falls back to area-uniform.
-  double floor_fraction = config_.uniform_floor_fraction;
+  double floor_fraction = config.uniform_floor_fraction;
   if (!(city_total > 0.0)) floor_fraction = 1.0;
   double total_mass = 0.0;
   for (std::size_t i = 0; i < total; ++i) {
@@ -162,22 +163,6 @@ std::vector<orbit::Geodetic> PopulationSampler::sample(std::size_t count,
   sites.reserve(count);
   for (std::size_t i = 0; i < count; ++i) sites.push_back(sample(rng));
   return sites;
-}
-
-std::size_t PopulationSampler::cell_index(double lat_rad, double lon_rad) const noexcept {
-  const double shifted = (lat_rad - lat_min_rad_) / band_height_rad_;
-  const auto b = static_cast<std::size_t>(std::clamp(
-      static_cast<long>(std::floor(shifted)), 0L, static_cast<long>(band_count_) - 1L));
-  const std::uint32_t cells_b = band_cell_begin_[b + 1] - band_cell_begin_[b];
-  const double width = kTwoPi / static_cast<double>(cells_b);
-  auto c = static_cast<std::uint32_t>(wrap_lon(lon_rad) / width);
-  c = std::min(c, cells_b - 1);
-  return band_cell_begin_[b] + c;
-}
-
-double PopulationSampler::cell_mass(double lat_rad, double lon_rad) const noexcept {
-  const std::size_t idx = cell_index(lat_rad, lon_rad);
-  return idx == 0 ? cdf_[0] : cdf_[idx] - cdf_[idx - 1];
 }
 
 }  // namespace mpleo::constellation

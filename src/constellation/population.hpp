@@ -22,8 +22,8 @@
 namespace mpleo::constellation {
 
 struct PopulationSamplerConfig {
-  // Density-grid resolution; cells are ~band_height_deg on a side at the
-  // equator and shrink in longitude with cos(latitude).
+  // Density-grid resolution, in [0.1, 90]; cells are ~band_height_deg on a
+  // side at the equator and shrink in longitude with cos(latitude).
   double band_height_deg = 4.0;
   // Terminals are confined to |latitude| <= max_latitude_deg (nobody lives
   // on the ice caps, and LEO broadband shells barely reach them).
@@ -55,10 +55,6 @@ class PopulationSampler {
   [[nodiscard]] std::vector<orbit::Geodetic> sample(std::size_t count,
                                                     std::uint64_t seed) const;
 
-  // Probability mass of the cell containing (lat, lon) — exposed so tests
-  // can assert city concentration without re-deriving the grid.
-  [[nodiscard]] double cell_mass(double lat_rad, double lon_rad) const noexcept;
-
  private:
   struct Cell {
     float sin_lat_lo = 0.0F;
@@ -67,13 +63,6 @@ class PopulationSampler {
     float lon_width = 0.0F;
   };
 
-  [[nodiscard]] std::size_t cell_index(double lat_rad, double lon_rad) const noexcept;
-
-  PopulationSamplerConfig config_;
-  std::vector<std::uint32_t> band_cell_begin_;  // flat cell table, per band
-  double band_height_rad_ = 0.0;
-  double lat_min_rad_ = 0.0;
-  std::size_t band_count_ = 0;
   std::vector<Cell> cells_;
   std::vector<double> cdf_;  // inclusive prefix sums of cell mass, ends at 1
 };

@@ -51,7 +51,6 @@ struct Campaign::AdversaryHarness {
 
 Campaign::~Campaign() = default;
 Campaign::Campaign(Campaign&&) noexcept = default;
-Campaign& Campaign::operator=(Campaign&&) noexcept = default;
 
 void Campaign::arm_adversaries(adversary::BehaviorBook book,
                                adversary::AuditConfig audit_config,

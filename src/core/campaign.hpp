@@ -155,7 +155,6 @@ class Campaign {
 
   ~Campaign();
   Campaign(Campaign&&) noexcept;
-  Campaign& operator=(Campaign&&) noexcept;
 
  private:
   // The armed state: behavior book, audit trail, sanction ladder, reputation

@@ -70,7 +70,15 @@ std::vector<core::ConfigIssue> ChaosSweepConfig::validate() const {
   if (!(duration_s > 0.0) || duration_s > 1e300) {
     add("duration_s", "must be finite and > 0");
   }
-  if (!(step_s > 0.0) || step_s > 1e300) add("step_s", "must be finite and > 0");
+  if (!(step_s > 0.0) || step_s > 1e300) {
+    add("step_s", "must be finite and > 0");
+  } else if (duration_s > 0.0 && duration_s <= 1e300 &&
+             !(duration_s / step_s < static_cast<double>(orbit::TimeGrid::kMaxSteps))) {
+    // The bound TimeGrid::over_duration enforces, reported before any grid
+    // is built.
+    add("step_s", "duration_s / step_s exceeds the grid maximum of " +
+                      std::to_string(orbit::TimeGrid::kMaxSteps) + " steps");
+  }
   if (!(elevation_mask_deg >= 0.0) || !(elevation_mask_deg < 90.0)) {
     add("elevation_mask_deg", "must be in [0, 90)");
   }

@@ -6,15 +6,6 @@
 
 namespace mpleo::core {
 
-const char* to_string(PartyStatus status) noexcept {
-  switch (status) {
-    case PartyStatus::kActive: return "active";
-    case PartyStatus::kQuarantined: return "quarantined";
-    case PartyStatus::kWithdrawn: return "withdrawn";
-  }
-  return "?";
-}
-
 PartyId Consortium::add_party(Party party) {
   const auto id = static_cast<PartyId>(parties_.size());
   party.id = id;
@@ -86,37 +77,10 @@ PartyStatus Consortium::party_status(PartyId party) const {
   return statuses_[party];
 }
 
-std::vector<std::uint8_t> Consortium::spare_exclusion_mask() const {
-  std::vector<std::uint8_t> mask(parties_.size(), 0);
-  for (std::size_t p = 0; p < statuses_.size(); ++p) {
-    if (statuses_[p] != PartyStatus::kActive) mask[p] = 1;
-  }
-  return mask;
-}
-
 double Consortium::slash_amount(double stake_balance, double fraction) {
   require_non_negative(stake_balance, "stake_balance");
   require_fraction(fraction, "slash_fraction");
   return stake_balance * fraction;
-}
-
-bool Consortium::fail_satellite(constellation::SatelliteId satellite) {
-  for (Member& member : members_) {
-    if (member.satellite.id == satellite) {
-      if (!member.active) return false;
-      member.active = false;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::size_t Consortium::active_party_count() const noexcept {
-  std::size_t n = 0;
-  for (const Party& p : parties_) {
-    if (p.active) ++n;
-  }
-  return n;
 }
 
 std::vector<constellation::Satellite> Consortium::active_satellites() const {

@@ -27,8 +27,6 @@ enum class PartyStatus : std::uint8_t {
   kWithdrawn,
 };
 
-[[nodiscard]] const char* to_string(PartyStatus status) noexcept;
-
 class Consortium {
  public:
   // Registers a party; returns its index (== Party::id assigned here).
@@ -43,12 +41,7 @@ class Consortium {
   // active set. Returns the number of satellites removed. Idempotent.
   std::size_t withdraw_party(PartyId party);
 
-  // Marks a single satellite failed (removed from the active set).
-  // Returns false if the id is unknown or already failed.
-  bool fail_satellite(constellation::SatelliteId satellite);
-
   [[nodiscard]] const std::vector<Party>& parties() const noexcept { return parties_; }
-  [[nodiscard]] std::size_t active_party_count() const noexcept;
 
   // All currently active satellites (order stable across calls).
   [[nodiscard]] std::vector<constellation::Satellite> active_satellites() const;
@@ -66,9 +59,6 @@ class Consortium {
   void quarantine_party(PartyId party);
   void reinstate_party(PartyId party);
   [[nodiscard]] PartyStatus party_status(PartyId party) const;
-  // Byte-per-party mask (1 = quarantined or withdrawn), sized to parties():
-  // the exclusion vector the scheduler/market spare paths consume directly.
-  [[nodiscard]] std::vector<std::uint8_t> spare_exclusion_mask() const;
 
   // Stake slashing arithmetic with structured validation: negative stakes
   // and out-of-range fractions raise core::ValidationError (field + value)

@@ -1,5 +1,7 @@
 #include "core/fairness.hpp"
 
+#include <vector>
+
 namespace mpleo::core {
 
 double jain_fairness_index(std::span<const double> allocations) noexcept {
@@ -12,29 +14,6 @@ double jain_fairness_index(std::span<const double> allocations) noexcept {
   }
   if (sum_sq <= 0.0) return 1.0;
   return sum * sum / (static_cast<double>(allocations.size()) * sum_sq);
-}
-
-std::vector<Reciprocity> reciprocity_by_party(const net::ScheduleResult& usage) {
-  std::vector<Reciprocity> out;
-  out.reserve(usage.per_party.size());
-  for (const net::PartyUsage& u : usage.per_party) {
-    out.push_back({u.spare_provided_seconds, u.spare_used_seconds});
-  }
-  return out;
-}
-
-std::vector<std::size_t> detect_free_riders(const net::ScheduleResult& usage,
-                                            const FreeRiderPolicy& policy) {
-  std::vector<std::size_t> riders;
-  const std::vector<Reciprocity> reciprocity = reciprocity_by_party(usage);
-  for (std::size_t p = 0; p < reciprocity.size(); ++p) {
-    const Reciprocity& r = reciprocity[p];
-    if (r.consumed_seconds >= policy.min_consumed_seconds &&
-        r.ratio() < policy.min_ratio) {
-      riders.push_back(p);
-    }
-  }
-  return riders;
 }
 
 double service_fairness(const net::ScheduleResult& usage) noexcept {

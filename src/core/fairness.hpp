@@ -1,16 +1,9 @@
-// Fairness and good-behavior metrics (§3.2: "What constitutes good behavior
-// for participating parties in such a shared network?").
-//
-// Operationalised here as:
-//  * Jain's fairness index over the service each party's terminals received;
-//  * reciprocity — spare capacity provided vs consumed, normalised by stake;
-//  * free-rider detection — parties that consume meaningfully but provide
-//    (almost) nothing relative to their consumption.
+// Fairness metric (§3.2: "What constitutes good behavior for participating
+// parties in such a shared network?"), operationalised as Jain's fairness
+// index over the service each party's terminals received.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "net/scheduler.hpp"
 
@@ -19,33 +12,6 @@ namespace mpleo::core {
 // Jain's index: (sum x)^2 / (n * sum x^2), in (0, 1]; 1 = perfectly fair.
 // Empty or all-zero input yields 1 (nothing to be unfair about).
 [[nodiscard]] double jain_fairness_index(std::span<const double> allocations) noexcept;
-
-struct Reciprocity {
-  double provided_seconds = 0.0;
-  double consumed_seconds = 0.0;
-  // provided / consumed; +inf-free: pure providers report consumed==0 via
-  // is_pure_provider(), ratio() returns provided when consumed is 0.
-  [[nodiscard]] double ratio() const noexcept {
-    return consumed_seconds > 0.0 ? provided_seconds / consumed_seconds
-                                  : provided_seconds;
-  }
-  [[nodiscard]] bool is_pure_provider() const noexcept {
-    return consumed_seconds == 0.0 && provided_seconds > 0.0;
-  }
-};
-
-// Per-party reciprocity extracted from a schedule run.
-[[nodiscard]] std::vector<Reciprocity> reciprocity_by_party(
-    const net::ScheduleResult& usage);
-
-struct FreeRiderPolicy {
-  double min_consumed_seconds = 600.0;  // ignore parties that barely used spare
-  double min_ratio = 0.1;               // provide at least 10% of what you consume
-};
-
-// Party indices flagged as free riders under the policy.
-[[nodiscard]] std::vector<std::size_t> detect_free_riders(
-    const net::ScheduleResult& usage, const FreeRiderPolicy& policy = {});
 
 // Fairness of received service (own + spare seconds per party).
 [[nodiscard]] double service_fairness(const net::ScheduleResult& usage) noexcept;

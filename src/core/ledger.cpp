@@ -1,10 +1,6 @@
 #include "core/ledger.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace mpleo::core {
@@ -68,131 +64,6 @@ const std::string& Ledger::account_name(AccountId account) const {
     throw std::out_of_range("Ledger::account_name: unknown account");
   }
   return names_[account];
-}
-
-namespace {
-
-// Hexfloat formatting round-trips doubles exactly; names and memos are
-// rest-of-line so they may contain spaces (but not newlines).
-void put_double(std::ostream& out, double value) {
-  std::ostringstream os;
-  os << std::hexfloat << value;
-  out << os.str();
-}
-
-double get_double(std::istream& in, const char* what) {
-  std::string token;
-  if (!(in >> token)) {
-    throw std::invalid_argument(std::string("Ledger::deserialize: missing ") + what);
-  }
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("Ledger::deserialize: bad ") + what + ": " +
-                                token);
-  }
-}
-
-std::uint64_t get_u64(std::istream& in, const char* what) {
-  std::uint64_t value = 0;
-  if (!(in >> value)) {
-    throw std::invalid_argument(std::string("Ledger::deserialize: bad ") + what);
-  }
-  return value;
-}
-
-std::string get_rest_of_line(std::istream& in) {
-  std::string rest;
-  std::getline(in, rest);
-  if (!rest.empty() && rest.front() == ' ') rest.erase(rest.begin());
-  return rest;
-}
-
-void expect_keyword(std::istream& in, const char* keyword) {
-  std::string token;
-  if (!(in >> token) || token != keyword) {
-    throw std::invalid_argument(std::string("Ledger::deserialize: expected '") + keyword +
-                                "', got '" + token + "'");
-  }
-}
-
-}  // namespace
-
-void Ledger::serialize(std::ostream& out) const {
-  out << "mpleo-ledger v1\n";
-  out << "minted ";
-  put_double(out, minted_);
-  out << "\nnext_sequence " << next_sequence_ << '\n';
-  out << "accounts " << balances_.size() << '\n';
-  for (std::size_t i = 0; i < balances_.size(); ++i) {
-    out << "account " << i << ' ';
-    put_double(out, balances_[i]);
-    out << ' ' << names_[i] << '\n';
-  }
-  out << "entries " << entries_.size() << '\n';
-  for (const LedgerEntry& e : entries_) {
-    out << "entry " << e.sequence << ' ' << e.from << ' ' << e.to << ' ';
-    put_double(out, e.amount);
-    out << ' ' << e.memo << '\n';
-  }
-  // Sorted so serialization is deterministic regardless of insertion order.
-  std::vector<std::uint64_t> credited(credited_receipts_.begin(), credited_receipts_.end());
-  std::sort(credited.begin(), credited.end());
-  out << "credited " << credited.size() << '\n';
-  for (const std::uint64_t hash : credited) out << hash << '\n';
-}
-
-Ledger Ledger::deserialize(std::istream& in) {
-  std::string header;
-  std::getline(in, header);
-  if (header != "mpleo-ledger v1") {
-    throw std::invalid_argument("Ledger::deserialize: bad header: " + header);
-  }
-  Ledger ledger;
-  ledger.balances_.clear();
-  ledger.names_.clear();
-
-  expect_keyword(in, "minted");
-  ledger.minted_ = get_double(in, "minted");
-  expect_keyword(in, "next_sequence");
-  ledger.next_sequence_ = get_u64(in, "next_sequence");
-
-  expect_keyword(in, "accounts");
-  const std::uint64_t account_count = get_u64(in, "account count");
-  for (std::uint64_t i = 0; i < account_count; ++i) {
-    expect_keyword(in, "account");
-    const std::uint64_t index = get_u64(in, "account index");
-    if (index != i) throw std::invalid_argument("Ledger::deserialize: account order");
-    const double balance = get_double(in, "balance");
-    ledger.balances_.push_back(balance);
-    ledger.names_.push_back(get_rest_of_line(in));
-  }
-  if (ledger.balances_.empty()) {
-    throw std::invalid_argument("Ledger::deserialize: no treasury account");
-  }
-
-  expect_keyword(in, "entries");
-  const std::uint64_t entry_count = get_u64(in, "entry count");
-  for (std::uint64_t i = 0; i < entry_count; ++i) {
-    expect_keyword(in, "entry");
-    LedgerEntry entry;
-    entry.sequence = get_u64(in, "sequence");
-    entry.from = static_cast<AccountId>(get_u64(in, "from"));
-    entry.to = static_cast<AccountId>(get_u64(in, "to"));
-    entry.amount = get_double(in, "amount");
-    entry.memo = get_rest_of_line(in);
-    ledger.entries_.push_back(std::move(entry));
-  }
-
-  expect_keyword(in, "credited");
-  const std::uint64_t credited_count = get_u64(in, "credited count");
-  for (std::uint64_t i = 0; i < credited_count; ++i) {
-    ledger.credited_receipts_.insert(get_u64(in, "credited hash"));
-  }
-  return ledger;
 }
 
 }  // namespace mpleo::core

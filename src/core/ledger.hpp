@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -68,14 +67,6 @@ class Ledger {
   [[nodiscard]] const std::vector<LedgerEntry>& entries() const noexcept { return entries_; }
 
   static constexpr AccountId kTreasury = 0;
-
-  // Text serialization with hexfloat amounts, so a round trip reproduces
-  // every balance and entry bit-exactly (doubles included). The format is
-  // line-oriented ("mpleo-ledger v1" header; memos/names are
-  // rest-of-line). deserialize throws std::invalid_argument on malformed
-  // input.
-  void serialize(std::ostream& out) const;
-  [[nodiscard]] static Ledger deserialize(std::istream& in);
 
   friend bool operator==(const Ledger&, const Ledger&) = default;
 

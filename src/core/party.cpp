@@ -10,13 +10,4 @@ const char* to_string(PartyKind kind) noexcept {
   return "?";
 }
 
-const char* to_string(Objective objective) noexcept {
-  switch (objective) {
-    case Objective::kGlobalCoverage: return "global-coverage";
-    case Objective::kRegionalCoverage: return "regional-coverage";
-    case Objective::kProfit: return "profit";
-  }
-  return "?";
-}
-
 }  // namespace mpleo::core

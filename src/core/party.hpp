@@ -36,6 +36,5 @@ struct Party {
 };
 
 [[nodiscard]] const char* to_string(PartyKind kind) noexcept;
-[[nodiscard]] const char* to_string(Objective objective) noexcept;
 
 }  // namespace mpleo::core

@@ -28,27 +28,6 @@ std::vector<cov::StepMask> PlacementOptimizer::union_masks(
   return unions;
 }
 
-double PlacementOptimizer::marginal_gain_seconds(
-    std::span<const constellation::Satellite> base,
-    const orbit::ClassicalElements& candidate, orbit::TimePoint candidate_epoch) const {
-  const std::vector<cov::StepMask> base_masks = union_masks(base);
-
-  constellation::Satellite probe;
-  probe.name = "CANDIDATE";
-  probe.elements = candidate;
-  probe.epoch = candidate_epoch;
-  const std::vector<cov::StepMask> probe_masks = engine_->visibility_masks(probe, sites_);
-
-  const double window = engine_->grid().duration_seconds();
-  double gain = 0.0;
-  for (std::size_t j = 0; j < sites_.size(); ++j) {
-    cov::StepMask fresh = probe_masks[j];
-    fresh.subtract(base_masks[j]);  // only time not already covered counts
-    gain += weights_[j] * fresh.fraction() * window;
-  }
-  return gain;
-}
-
 std::vector<PlacementEvaluation> PlacementOptimizer::evaluate(
     std::span<const constellation::Satellite> base,
     std::span<const constellation::CandidateSlot> candidates,

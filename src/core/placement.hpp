@@ -29,13 +29,9 @@ class PlacementOptimizer {
   PlacementOptimizer(const cov::CoverageEngine& engine,
                      std::span<const cov::GroundSite> sites);
 
-  // Marginal weighted coverage (seconds) of adding `candidate` to `base`.
-  [[nodiscard]] double marginal_gain_seconds(
-      std::span<const constellation::Satellite> base,
-      const orbit::ClassicalElements& candidate, orbit::TimePoint candidate_epoch) const;
-
-  // Evaluates every candidate against the same base; results are returned in
-  // candidate order (not sorted) so callers can plot sweeps (Fig. 4b).
+  // Marginal weighted coverage (seconds) of adding each candidate to `base`,
+  // evaluated against the same base; results are returned in candidate
+  // order (not sorted) so callers can plot sweeps (Fig. 4b).
   [[nodiscard]] std::vector<PlacementEvaluation> evaluate(
       std::span<const constellation::Satellite> base,
       std::span<const constellation::CandidateSlot> candidates,

@@ -37,19 +37,6 @@ orbit::EphemerisSpec registration_spec(const orbit::ClassicalElements& elements,
 
 }  // namespace
 
-const char* to_string(ReceiptVerdict verdict) noexcept {
-  switch (verdict) {
-    case ReceiptVerdict::kValid: return "valid";
-    case ReceiptVerdict::kBadDigest: return "bad-digest";
-    case ReceiptVerdict::kNotOverhead: return "not-overhead";
-    case ReceiptVerdict::kUnknownSatellite: return "unknown-satellite";
-    case ReceiptVerdict::kUnknownVerifier: return "unknown-verifier";
-    case ReceiptVerdict::kDuplicate: return "duplicate";
-    case ReceiptVerdict::kRfImplausible: return "rf-implausible";
-  }
-  return "?";
-}
-
 std::uint64_t CoverageReceipt::content_hash() const noexcept {
   struct Payload {
     constellation::SatelliteId satellite;

@@ -60,8 +60,6 @@ enum class ReceiptVerdict {
   kRfImplausible,    // Doppler track doesn't match the ephemeris prediction
 };
 
-[[nodiscard]] const char* to_string(ReceiptVerdict verdict) noexcept;
-
 class ProofOfCoverage {
  public:
   struct Config {

@@ -16,23 +16,10 @@ ReputationTracker::ReputationTracker(std::size_t party_count, Config config)
   }
 }
 
-void ReputationTracker::record_poc(PartyId party, bool valid) {
-  double& score = scores_.at(party);
-  score += valid ? config_.poc_gain : -config_.poc_penalty;
-  score = std::clamp(score, config_.floor, config_.ceiling);
-}
-
 void ReputationTracker::record_fraud(PartyId party, std::size_t count) {
   if (count == 0) return;
   double& score = scores_.at(party);
   score -= config_.fraud_penalty * static_cast<double>(count);
-  score = std::clamp(score, config_.floor, config_.ceiling);
-}
-
-void ReputationTracker::record_reciprocity(PartyId party, double ratio) {
-  double& score = scores_.at(party);
-  score += ratio >= config_.good_ratio ? config_.reciprocity_gain
-                                       : -config_.reciprocity_penalty;
   score = std::clamp(score, config_.floor, config_.ceiling);
 }
 

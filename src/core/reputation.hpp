@@ -2,11 +2,9 @@
 // constitutes good behavior" and the §1 requirement that parties cannot
 // "deny service to others while continuing to benefit").
 //
-// Scores move on evidence: verified proof-of-coverage receipts and healthy
-// reciprocity raise them; forged receipts and free-riding lower them —
-// asymmetrically, so trust is slow to build and fast to lose. The score maps
-// to a service-priority weight the scheduler layer can apply to spare
-// capacity contention.
+// Scores move on evidence, and only down: audit-confirmed fraud and asset
+// downtime lower them. The score maps to a service-priority weight the
+// scheduler layer can apply to spare capacity contention.
 #pragma once
 
 #include <cstddef>
@@ -20,19 +18,12 @@ class ReputationTracker {
  public:
   struct Config {
     double initial = 0.5;
-    double poc_gain = 0.02;        // per verified receipt
-    double poc_penalty = 0.10;     // per forged/failed receipt
-    double reciprocity_gain = 0.05;   // per epoch with ratio >= good_ratio
-    double reciprocity_penalty = 0.08;  // per epoch flagged as free riding
     // Per audit-confirmed fraudulent receipt / SLA misreport (see
-    // adversary::ReceiptAuditor). Heavier than a merely failed receipt:
-    // confirmed forgery is intent, not noise.
+    // adversary::ReceiptAuditor).
     double fraud_penalty = 0.20;
     // Per hour of a party's assets being down (fault::FaultTimeline outage
-    // records). Asymmetric like the rest: uptime earns nothing, downtime
-    // erodes trust.
+    // records). Uptime earns nothing; downtime erodes trust.
     double outage_penalty_per_hour = 0.005;
-    double good_ratio = 0.5;
     double floor = 0.0;
     double ceiling = 1.0;
   };
@@ -41,12 +32,9 @@ class ReputationTracker {
       : ReputationTracker(party_count, Config{}) {}
   ReputationTracker(std::size_t party_count, Config config);
 
-  void record_poc(PartyId party, bool valid);
   // Feed `count` audit-confirmed fraud events (forged/inflated receipts,
   // SLA misreports) for one party. Zero count is a no-op.
   void record_fraud(PartyId party, std::size_t count);
-  // Feed an epoch's provided/consumed ratio (see core::Reciprocity::ratio()).
-  void record_reciprocity(PartyId party, double ratio);
   // Feed an epoch's accumulated asset downtime for one party (e.g. one
   // entry of fault::FaultTimeline::outage_seconds_by_party). Zero seconds
   // is a no-op. Precondition: outage_seconds >= 0.

@@ -9,7 +9,6 @@ const char* to_string(SlaClause clause) noexcept {
   switch (clause) {
     case SlaClause::kCoverageFraction: return "coverage-fraction";
     case SlaClause::kMaxGap: return "max-gap";
-    case SlaClause::kServedFraction: return "served-fraction";
   }
   return "?";
 }
@@ -28,22 +27,6 @@ SlaReport evaluate_sla(const SlaTerms& terms, const cov::CoverageStats& coverage
   report.compliant = report.violations.empty();
   report.total_penalty =
       terms.penalty_per_violation * static_cast<double>(report.violations.size());
-  return report;
-}
-
-SlaReport evaluate_sla(const SlaTerms& terms, const cov::CoverageStats& coverage,
-                       const net::PartyUsage& usage, double window_seconds) {
-  SlaReport report = evaluate_sla(terms, coverage);
-  if (terms.min_served_fraction > 0.0 && window_seconds > 0.0) {
-    const double served =
-        (usage.own_link_seconds + usage.spare_used_seconds) / window_seconds;
-    if (served < terms.min_served_fraction) {
-      report.violations.push_back(
-          {SlaClause::kServedFraction, terms.min_served_fraction, served});
-      report.compliant = false;
-      report.total_penalty += terms.penalty_per_violation;
-    }
-  }
   return report;
 }
 

@@ -1,11 +1,11 @@
 // Service-level agreements (§4 "Market design": "What kinds of
 // quality-of-service can they provide?").
 //
-// An SLA binds a provider to measurable service: minimum coverage fraction,
-// maximum continuous outage, minimum delivered capacity. Compliance is
-// evaluated against the same CoverageStats / PartyUsage artifacts the rest
-// of the stack produces, and violations settle as ledger penalties — so QoS
-// is enforceable inside the token economy rather than by promise.
+// An SLA binds a provider to measurable service: minimum coverage fraction
+// and maximum continuous outage. Compliance is evaluated against the same
+// CoverageStats the rest of the stack produces, and violations settle as
+// ledger penalties — so QoS is enforceable inside the token economy rather
+// than by promise.
 #pragma once
 
 #include <string>
@@ -13,7 +13,6 @@
 
 #include "core/ledger.hpp"
 #include "coverage/engine.hpp"
-#include "net/scheduler.hpp"
 
 namespace mpleo::sim {
 class RunContext;
@@ -25,8 +24,6 @@ struct SlaTerms {
   std::string name = "standard";
   double min_coverage_fraction = 0.95;
   double max_gap_seconds = 3600.0;
-  // Minimum served fraction of the customer's terminal time (own + spare).
-  double min_served_fraction = 0.0;
   // Penalty per violated clause, paid provider -> customer at settlement.
   double penalty_per_violation = 25.0;
 };
@@ -34,7 +31,6 @@ struct SlaTerms {
 enum class SlaClause {
   kCoverageFraction,
   kMaxGap,
-  kServedFraction,
 };
 
 [[nodiscard]] const char* to_string(SlaClause clause) noexcept;
@@ -51,15 +47,9 @@ struct SlaReport {
   double total_penalty = 0.0;
 };
 
-// Evaluates the coverage clauses against a site's coverage statistics and
-// (optionally, when usage/party are provided) the served-fraction clause
-// against the customer's scheduler usage over `window_seconds`.
+// Evaluates the coverage clauses against a site's coverage statistics.
 [[nodiscard]] SlaReport evaluate_sla(const SlaTerms& terms,
                                      const cov::CoverageStats& coverage);
-[[nodiscard]] SlaReport evaluate_sla(const SlaTerms& terms,
-                                     const cov::CoverageStats& coverage,
-                                     const net::PartyUsage& usage,
-                                     double window_seconds);
 
 // Evaluates the coverage clauses on the fault-degraded union of
 // `satellite_indices` at `site_index`: outages carve real gaps into the

@@ -5,14 +5,6 @@
 
 namespace mpleo::core {
 
-const char* to_string(IssueSeverity severity) noexcept {
-  switch (severity) {
-    case IssueSeverity::kWarning: return "warning";
-    case IssueSeverity::kError: return "error";
-  }
-  return "unknown";
-}
-
 bool has_errors(const std::vector<ConfigIssue>& issues) noexcept {
   return std::any_of(issues.begin(), issues.end(), [](const ConfigIssue& issue) {
     return issue.severity == IssueSeverity::kError;

@@ -25,8 +25,6 @@ enum class IssueSeverity : std::uint8_t {
   kError,    // the config cannot be used; throw_if_invalid throws
 };
 
-[[nodiscard]] const char* to_string(IssueSeverity severity) noexcept;
-
 // One problem found in one configuration field. `component` names the
 // owning subsystem ("rf.doppler", "orbit.tle", "net.scheduler",
 // "sim.scenario"...), `field` the offending knob within it, and `message`

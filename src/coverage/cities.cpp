@@ -45,15 +45,4 @@ const City& taipei() {
   return city;
 }
 
-std::vector<double> population_weights(std::span<const City> cities) {
-  double total = 0.0;
-  for (const City& city : cities) total += city.population;
-  std::vector<double> weights;
-  weights.reserve(cities.size());
-  for (const City& city : cities) {
-    weights.push_back(total > 0.0 ? city.population / total : 0.0);
-  }
-  return weights;
-}
-
 }  // namespace mpleo::cov

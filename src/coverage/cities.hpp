@@ -3,7 +3,6 @@
 // §3.2), and Taipei as the Fig-2 sovereign-coverage case study.
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -18,14 +17,11 @@ struct City {
   double population = 0.0;  // metro population, used as the coverage weight
 };
 
-// The paper's 21-city list in descending population order. Stable ordering:
+// The paper's 21-city list, largest metro (Tokyo) first. Stable ordering:
 // experiments that "serve the first k cities" index this list directly.
 [[nodiscard]] const std::vector<City>& paper_cities();
 
 // Taipei, the Fig-2 receiver site.
 [[nodiscard]] const City& taipei();
-
-// Population weights normalised to sum to 1 over `cities`.
-[[nodiscard]] std::vector<double> population_weights(std::span<const City> cities);
 
 }  // namespace mpleo::cov

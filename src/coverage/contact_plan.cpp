@@ -1,9 +1,6 @@
 #include "coverage/contact_plan.hpp"
 
 #include <algorithm>
-#include <sstream>
-
-#include "util/csv.hpp"
 
 namespace mpleo::cov {
 
@@ -28,18 +25,6 @@ std::vector<Contact> build_contact_plan(const CoverageEngine& engine,
     return a.satellite < b.satellite;
   });
   return contacts;
-}
-
-std::string contact_plan_csv(std::span<const Contact> contacts) {
-  std::ostringstream os;
-  util::CsvWriter writer(os);
-  writer.write_row({"satellite", "site", "start_s", "end_s", "duration_s"});
-  for (const Contact& c : contacts) {
-    writer.write_row({std::to_string(c.satellite), c.site_name,
-                      std::to_string(c.start_offset_s), std::to_string(c.end_offset_s),
-                      std::to_string(c.duration_s())});
-  }
-  return os.str();
 }
 
 double total_contact_seconds(std::span<const Contact> contacts,

@@ -1,7 +1,7 @@
 // Contact plans: the schedule of (satellite, site, start, end) windows that
 // DTN routers and ground-station schedulers consume. This is the standard
 // interchange artifact between a constellation simulator and an operations
-// stack; exported as CSV for external tooling.
+// stack.
 #pragma once
 
 #include <span>
@@ -28,9 +28,6 @@ struct Contact {
     const CoverageEngine& engine,
     std::span<const constellation::Satellite> satellites,
     std::span<const GroundSite> sites);
-
-// CSV rendering: header "satellite,site,start_s,end_s,duration_s".
-[[nodiscard]] std::string contact_plan_csv(std::span<const Contact> contacts);
 
 // Total contact seconds per site name (aggregation used by capacity checks).
 [[nodiscard]] double total_contact_seconds(std::span<const Contact> contacts,

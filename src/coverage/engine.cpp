@@ -204,14 +204,6 @@ double CoverageEngine::weighted_coverage_seconds(
   return weighted * grid_.duration_seconds();
 }
 
-double CoverageEngine::idle_fraction(const constellation::Satellite& satellite,
-                                     std::span<const GroundSite> sites) const {
-  const std::vector<StepMask> per_site = visibility_masks(satellite, sites);
-  StepMask busy(grid_.count);
-  for (const StepMask& mask : per_site) busy |= mask;
-  return 1.0 - busy.fraction();
-}
-
 VisibilityCache::VisibilityCache(const CoverageEngine& engine,
                                  std::span<const constellation::Satellite> catalog,
                                  std::span<const GroundSite> sites)

@@ -141,11 +141,6 @@ class CoverageEngine {
       std::span<const constellation::Satellite> satellites,
       std::span<const GroundSite> sites) const;
 
-  // Idle fraction of one satellite: fraction of the window during which the
-  // satellite sees none of the sites (the paper's §2 idle-time metric).
-  [[nodiscard]] double idle_fraction(const constellation::Satellite& satellite,
-                                     std::span<const GroundSite> sites) const;
-
  private:
   // Sets the visible steps of `ephemeris` over `site` in `out` (all-zero on
   // entry).

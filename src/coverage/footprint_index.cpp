@@ -24,6 +24,9 @@ constexpr double kAngularSlack = 2e-4;
 // Pure floating-point pad on the asin/acos/atan2 chain in cap queries; the
 // geometric margins above dwarf it.
 constexpr double kQuerySlack = 1e-9;
+// Latitude band height: 45 bands of at most 90 cells, which bounds every
+// band and cell count the constructor rounds.
+constexpr double kBandHeightDeg = 4.0;
 
 [[nodiscard]] double clamp_unit(double v) { return std::clamp(v, -1.0, 1.0); }
 
@@ -88,10 +91,8 @@ bool latitude_reachable(double max_abs_sin_lat, double psi_rad,
   return site_lat <= sat_lat + psi_rad + kQuerySlack;
 }
 
-FootprintIndex::FootprintIndex(std::span<const orbit::TopocentricFrame> frames,
-                               double band_height_deg) {
-  if (!(band_height_deg > 0.0) || band_height_deg > 180.0) band_height_deg = 4.0;
-  band_height_rad_ = util::deg_to_rad(band_height_deg);
+FootprintIndex::FootprintIndex(std::span<const orbit::TopocentricFrame> frames) {
+  band_height_rad_ = util::deg_to_rad(kBandHeightDeg);
   band_count_ = static_cast<std::size_t>(std::ceil(kPi / band_height_rad_));
   const std::size_t n = frames.size();
 
@@ -160,6 +161,8 @@ FootprintIndex::FootprintIndex(std::span<const orbit::TopocentricFrame> frames,
 }
 
 std::size_t FootprintIndex::band_of(double lat_rad) const noexcept {
+  // Precondition: lat_rad is finite (query_cap passes a clamped asin plus or
+  // minus a psi below pi), so the floor fits in a long.
   const double shifted = (lat_rad + kHalfPi) / band_height_rad_;
   const auto b = static_cast<long>(std::floor(shifted));
   return static_cast<std::size_t>(
@@ -171,7 +174,7 @@ void FootprintIndex::query_cap(const util::Vec3& center, double psi_rad,
   const auto size = static_cast<std::uint32_t>(site_ids_.size());
   if (size == 0) return;
   const double norm = center.norm();
-  if (!(norm > 0.0) || psi_rad >= kPi - kQuerySlack) {
+  if (!(norm > 0.0) || !(psi_rad < kPi - kQuerySlack)) {
     out.push_back({0, size});
     return;
   }
@@ -237,6 +240,8 @@ void FootprintIndex::query_cap(const util::Vec3& center, double psi_rad,
     }
     if (min_f > 1.0) continue;  // band corner outside the cap entirely
     const double dlon = std::acos(clamp_unit(min_f)) + kQuerySlack;
+    // lon0 is in [0, 2*pi) and dlon within a slack of [0, pi], so both
+    // floors lie within one of [-cells_b, 2 * cells_b).
     const double width = kTwoPi / static_cast<double>(cells_b);
     const auto c_lo = static_cast<long>(std::floor((lon0 - dlon) / width));
     const auto c_hi = static_cast<long>(std::floor((lon0 + dlon) / width));

@@ -76,11 +76,9 @@ class FootprintIndex {
 
   FootprintIndex() = default;
 
-  // Buckets the sites behind `frames` (their ECEF origins) into latitude
-  // bands of `band_height_deg`, each split into longitude cells scaled by
-  // cos(latitude).
-  explicit FootprintIndex(std::span<const orbit::TopocentricFrame> frames,
-                          double band_height_deg = 4.0);
+  // Buckets the sites behind `frames` (their ECEF origins) into 4-degree
+  // latitude bands, each split into longitude cells scaled by cos(latitude).
+  explicit FootprintIndex(std::span<const orbit::TopocentricFrame> frames);
 
   [[nodiscard]] std::size_t site_count() const noexcept { return site_ids_.size(); }
   // Smallest site geocentric radius — the site_r_min_m a conservative

@@ -11,10 +11,12 @@
 namespace mpleo::cov {
 
 EarthGrid::EarthGrid(double band_height_deg, double max_latitude_deg) {
-  if (band_height_deg <= 0.0 || max_latitude_deg <= 0.0 || max_latitude_deg > 90.0) {
+  if (!(band_height_deg >= 0.1 && band_height_deg <= 180.0) ||
+      !(max_latitude_deg > 0.0 && max_latitude_deg <= 90.0)) {
     throw std::invalid_argument("EarthGrid: invalid band height or latitude cap");
   }
-  // Cells per band at the equator; scaled down by cos(lat) toward the poles.
+  // Cells per band at the equator, at most 3600; scaled down by cos(lat)
+  // toward the poles.
   const auto equator_cells =
       static_cast<int>(std::lround(360.0 / band_height_deg));
 

@@ -17,7 +17,9 @@ namespace mpleo::cov {
 class CoverageEngine;
 
 // An approximately equal-area grid: latitude bands of `band_height_deg`,
-// each band split into cells scaled by cos(latitude).
+// each band split into cells scaled by cos(latitude). Throws
+// std::invalid_argument unless band_height_deg is in [0.1, 180] and
+// max_latitude_deg in (0, 90].
 class EarthGrid {
  public:
   struct Cell {

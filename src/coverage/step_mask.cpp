@@ -14,11 +14,6 @@ void StepMask::set(std::size_t index) noexcept {
   words_[index >> 6] |= (std::uint64_t{1} << (index & 63));
 }
 
-void StepMask::reset(std::size_t index) noexcept {
-  assert(index < steps_);
-  words_[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
-}
-
 bool StepMask::test(std::size_t index) const noexcept {
   assert(index < steps_);
   return (words_[index >> 6] >> (index & 63)) & 1;
@@ -74,12 +69,6 @@ StepMask& StepMask::or_words_and_not(std::span<const std::uint32_t> word_index,
     words_[w] |= word_bits[k] & ~clear.words_[w];
   }
   return *this;
-}
-
-StepMask StepMask::operator|(const StepMask& other) const {
-  StepMask out = *this;
-  out |= other;
-  return out;
 }
 
 StepMask StepMask::operator&(const StepMask& other) const {

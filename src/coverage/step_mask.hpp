@@ -29,7 +29,6 @@ class StepMask {
   [[nodiscard]] std::size_t step_count() const noexcept { return steps_; }
 
   void set(std::size_t index) noexcept;
-  void reset(std::size_t index) noexcept;
   [[nodiscard]] bool test(std::size_t index) const noexcept;
 
   // Number of set steps.
@@ -56,7 +55,6 @@ class StepMask {
                              std::span<const std::uint64_t> word_bits,
                              const StepMask& clear) noexcept;
 
-  [[nodiscard]] StepMask operator|(const StepMask& other) const;
   [[nodiscard]] StepMask operator&(const StepMask& other) const;
 
   // Longest run of consecutive unset steps.

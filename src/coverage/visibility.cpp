@@ -1,25 +1,21 @@
 #include "coverage/visibility.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/units.hpp"
 
 namespace mpleo::cov {
 
-namespace {
-
-// Shared sweep over per-step ECEF positions; `position(i)` supplies step i.
-template <typename PositionFn>
-std::vector<Pass> find_passes_impl(PositionFn&& position, std::size_t count,
-                                   const orbit::TopocentricFrame& site,
-                                   const orbit::TimeGrid& grid,
-                                   double elevation_mask_deg) {
+std::vector<Pass> find_passes(const orbit::EphemerisTable& ephemeris,
+                              const orbit::TopocentricFrame& site,
+                              const orbit::TimeGrid& grid, double elevation_mask_deg) {
   const double mask_rad = util::deg_to_rad(elevation_mask_deg);
   std::vector<Pass> passes;
   bool in_pass = false;
   Pass current;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double elevation = site.elevation_rad(position(i));
+  for (std::size_t i = 0; i < ephemeris.size(); ++i) {
+    const double elevation = site.elevation_rad(ephemeris.position_ecef(i));
     const bool visible = elevation >= mask_rad;
     const double offset = grid.step_seconds * static_cast<double>(i);
     if (visible && !in_pass) {
@@ -35,24 +31,6 @@ std::vector<Pass> find_passes_impl(PositionFn&& position, std::size_t count,
   }
   if (in_pass) passes.push_back(current);
   return passes;
-}
-
-}  // namespace
-
-std::vector<Pass> find_passes(const constellation::Satellite& satellite,
-                              const orbit::TopocentricFrame& site,
-                              const orbit::TimeGrid& grid, double elevation_mask_deg) {
-  const orbit::KeplerianPropagator prop(satellite.elements, satellite.epoch);
-  const std::vector<util::Vec3> positions = orbit::ecef_positions(prop, grid);
-  return find_passes_impl([&](std::size_t i) { return positions[i]; },
-                          positions.size(), site, grid, elevation_mask_deg);
-}
-
-std::vector<Pass> find_passes(const orbit::EphemerisTable& ephemeris,
-                              const orbit::TopocentricFrame& site,
-                              const orbit::TimeGrid& grid, double elevation_mask_deg) {
-  return find_passes_impl([&](std::size_t i) { return ephemeris.position_ecef(i); },
-                          ephemeris.size(), site, grid, elevation_mask_deg);
 }
 
 double footprint_half_angle_rad(double altitude_m, double elevation_mask_deg) {

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "constellation/shell.hpp"
 #include "orbit/ephemeris.hpp"
 #include "orbit/geodesy.hpp"
 #include "orbit/time.hpp"
@@ -19,16 +18,9 @@ struct Pass {
   [[nodiscard]] double duration_s() const noexcept { return end_offset_s - start_offset_s; }
 };
 
-// Finds all passes of `satellite` over `site` on the grid, with the peak
-// elevation sampled at grid resolution. Propagates with the J2 analytic
-// model; use the EphemerisTable overload to honor a scenario's backend.
-[[nodiscard]] std::vector<Pass> find_passes(const constellation::Satellite& satellite,
-                                            const orbit::TopocentricFrame& site,
-                                            const orbit::TimeGrid& grid,
-                                            double elevation_mask_deg);
-
-// Same pass extraction from a precomputed ephemeris table (any backend),
-// e.g. CoverageEngine::ephemeris. The table must cover `grid`.
+// Finds all passes over `site` of the satellite whose precomputed ephemeris
+// table (any backend, e.g. CoverageEngine::ephemeris) covers `grid`, with the
+// peak elevation sampled at grid resolution.
 [[nodiscard]] std::vector<Pass> find_passes(const orbit::EphemerisTable& ephemeris,
                                             const orbit::TopocentricFrame& site,
                                             const orbit::TimeGrid& grid,

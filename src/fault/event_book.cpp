@@ -305,8 +305,10 @@ EventBook EventBook::preset(EventProfile profile, double window_s, std::uint64_t
   const auto debris_at = [&](double start_frac) {
     DebrisCascadeEvent cascade;
     cascade.start_offset_s = start_frac * w;
-    cascade.loss_count =
-        std::max<std::size_t>(4, static_cast<std::size_t>(std::lround(8.0 * intensity)));
+    // intensity is finite (<= 1e300); clamping at 2^32 before rounding keeps
+    // the conversion defined, and compile() caps losses at the fleet size.
+    cascade.loss_count = std::max<std::size_t>(
+        4, static_cast<std::size_t>(std::lround(std::min(8.0 * intensity, 4294967296.0))));
     cascade.inter_loss_spacing_s = std::max(1.0, 0.02 * w);
     return cascade;
   };

@@ -18,14 +18,6 @@ double draw_exponential(util::Xoshiro256PlusPlus& rng, double mean_s) {
 
 }  // namespace
 
-const char* to_string(AssetKind kind) noexcept {
-  switch (kind) {
-    case AssetKind::kSatellite: return "satellite";
-    case AssetKind::kGroundStation: return "ground-station";
-  }
-  return "?";
-}
-
 FaultTimeline::FaultTimeline(const orbit::TimeGrid& grid, std::size_t satellite_count,
                              std::size_t station_count)
     : grid_(grid), satellite_out_(satellite_count), station_out_(station_count) {
@@ -64,12 +56,14 @@ void FaultTimeline::add_outage(AssetKind kind, std::size_t index,
   if (mask.step_count() == 0) mask = cov::StepMask(grid_.count);
 
   // Step k samples the instant k * step; it is out when that instant falls
-  // inside [start, end).
+  // inside [start, end). Both ends are clamped into [0, count] before the
+  // conversion: a window may start or end far past the grid (even at +inf).
   const double step = grid_.step_seconds;
+  const auto count = static_cast<double>(grid_.count);
   const auto k_begin =
-      static_cast<std::size_t>(std::max(0.0, std::ceil(start_offset_s / step)));
-  const auto k_end = static_cast<std::size_t>(
-      std::min(static_cast<double>(grid_.count), std::ceil(end_offset_s / step)));
+      static_cast<std::size_t>(std::clamp(std::ceil(start_offset_s / step), 0.0, count));
+  const auto k_end =
+      static_cast<std::size_t>(std::clamp(std::ceil(end_offset_s / step), 0.0, count));
   for (std::size_t k = k_begin; k < k_end; ++k) mask.set(k);
 
   records_.push_back({kind, index, start_offset_s, end_offset_s});
@@ -174,6 +168,8 @@ int FaultTimeline::degraded_beam_count(std::size_t satellite, std::size_t step,
   const double factor = satellite_capacity_factor(satellite, step);
   if (factor >= 1.0) return nominal_beams;  // full health: exactly nominal
   if (factor <= 0.0) return 0;
+  // factor is in (0, 1) here (every recorded degradation is in (0, 1]), so
+  // the floor lies in [0, nominal_beams].
   const int beams = static_cast<int>(
       std::floor(static_cast<double>(nominal_beams) * factor + 1e-9));
   return std::clamp(beams, 0, nominal_beams);
@@ -191,15 +187,6 @@ const cov::StepMask* FaultTimeline::station_outage_steps(
   if (station >= station_out_.size()) return nullptr;
   const cov::StepMask& mask = station_out_[station];
   return mask.step_count() == 0 ? nullptr : &mask;
-}
-
-cov::StepMask FaultTimeline::satellite_availability(std::size_t satellite) const {
-  cov::StepMask available(grid_.count);
-  for (std::size_t k = 0; k < grid_.count; ++k) available.set(k);
-  if (const cov::StepMask* out = satellite_outage_steps(satellite)) {
-    available.subtract(*out);
-  }
-  return available;
 }
 
 void FaultTimeline::normalize() {

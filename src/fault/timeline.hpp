@@ -25,8 +25,6 @@ namespace mpleo::fault {
 
 enum class AssetKind : std::uint8_t { kSatellite, kGroundStation };
 
-[[nodiscard]] const char* to_string(AssetKind kind) noexcept;
-
 // One contiguous full outage of one asset, in seconds from grid start.
 struct OutageRecord {
   AssetKind kind = AssetKind::kSatellite;
@@ -126,9 +124,6 @@ class FaultTimeline {
       std::size_t satellite) const noexcept;
   [[nodiscard]] const cov::StepMask* station_outage_steps(
       std::size_t station) const noexcept;
-
-  // Availability as a positive mask (set bit = healthy), always materialized.
-  [[nodiscard]] cov::StepMask satellite_availability(std::size_t satellite) const;
 
   // Canonicalizes the outage record list in place: records are sorted by
   // (kind, asset, start), clipped to the grid window [0, duration), and

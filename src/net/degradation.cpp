@@ -50,10 +50,13 @@ std::size_t ReacquisitionBackoff::on_failure() noexcept {
   ++consecutive_;
   if (initial_ == 0) return 0;
   // initial * multiplier^(n-1), saturating at max_ without overflow.
+  const auto cap = static_cast<double>(max_);
   double steps = static_cast<double>(initial_);
-  for (std::size_t i = 1; i < consecutive_ && steps < static_cast<double>(max_); ++i) {
-    steps *= multiplier_;
-  }
+  for (std::size_t i = 1; i < consecutive_ && steps < cap; ++i) steps *= multiplier_;
+  // Saturate before the cast: a product past the cap (up to inf) does not
+  // fit in size_t. Below it, ceil(steps) <= max_ holds because converting
+  // max_ rounds to the nearest double.
+  if (!(steps < cap)) return max_;
   return std::min<std::size_t>(max_, static_cast<std::size_t>(std::ceil(steps)));
 }
 

@@ -876,8 +876,8 @@ std::vector<core::ConfigIssue> SchedulerConfig::validate() const {
   const auto add = [&issues](const char* field, std::string message) {
     issues.push_back({"net.scheduler", field, std::move(message)});
   };
-  if (!std::isfinite(elevation_mask_deg)) {
-    add("elevation_mask_deg", "must be finite");
+  if (!(elevation_mask_deg >= 0.0 && elevation_mask_deg < 90.0)) {
+    add("elevation_mask_deg", "must be in [0, 90), got " + std::to_string(elevation_mask_deg));
   }
   if (beams_per_satellite <= 0) {
     add("beams_per_satellite",
@@ -947,6 +947,7 @@ BentPipeScheduler::BentPipeScheduler(SchedulerConfig config,
     for (std::size_t si = 0; si < satellites_.size(); ++si) {
       const std::uint32_t owner = satellites_[si].owner_party;
       if (owner >= config_.spare_withheld_fraction.size()) continue;
+      // validate() keeps fraction in [0, 1], so the ceil fits in an int.
       const double fraction = config_.spare_withheld_fraction[owner];
       spare_reserved_[si] = std::min(
           config_.beams_per_satellite,

@@ -4,15 +4,6 @@
 
 namespace mpleo::net {
 
-const char* band_name(Band band) noexcept {
-  switch (band) {
-    case Band::kX: return "X";
-    case Band::kKu: return "Ku";
-    case Band::kKa: return "Ka";
-  }
-  return "?";
-}
-
 const std::vector<BandPlan>& standard_band_plans() {
   static const std::vector<BandPlan> plans = {
       {Band::kX, 7.9e9, 8.4e9, 7.25e9, 7.75e9},
@@ -62,12 +53,6 @@ std::optional<Channel> ChannelTable::grant(double bandwidth_hz, std::uint32_t pa
     }
   }
   return std::nullopt;
-}
-
-bool ChannelTable::release(std::uint32_t channel_id) {
-  const auto before = grants_.size();
-  std::erase_if(grants_, [channel_id](const Channel& ch) { return ch.id == channel_id; });
-  return grants_.size() != before;
 }
 
 }  // namespace mpleo::net

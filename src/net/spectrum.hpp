@@ -16,8 +16,6 @@ namespace mpleo::net {
 
 enum class Band { kX, kKu, kKa };
 
-[[nodiscard]] const char* band_name(Band band) noexcept;
-
 // Frequency range of a band segment, Hz.
 struct BandPlan {
   Band band = Band::kKu;
@@ -47,9 +45,6 @@ class ChannelTable {
   // Grants the next free channel of `bandwidth_hz` to `party`; nullopt when
   // the band is exhausted.
   [[nodiscard]] std::optional<Channel> grant(double bandwidth_hz, std::uint32_t party);
-
-  // Releases a previously granted channel id; returns false if unknown.
-  bool release(std::uint32_t channel_id);
 
   [[nodiscard]] const std::vector<Channel>& grants() const noexcept { return grants_; }
   [[nodiscard]] const BandPlan& plan() const noexcept { return plan_; }

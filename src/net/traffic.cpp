@@ -26,11 +26,4 @@ double diurnal_demand_bps(const DiurnalProfile& profile, const orbit::TimePoint&
   return profile.base_bps + (profile.peak_bps - profile.base_bps) * bump;
 }
 
-double city_demand_bps(const DiurnalProfile& profile, const cov::City& city,
-                       const orbit::TimePoint& t) noexcept {
-  const double per_terminal =
-      diurnal_demand_bps(profile, t, city.location.longitude_rad);
-  return per_terminal * (city.population / 1e6);
-}
-
 }  // namespace mpleo::net

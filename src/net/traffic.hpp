@@ -4,7 +4,6 @@
 // zones away. The market/settlement examples use this to generate demand.
 #pragma once
 
-#include "coverage/cities.hpp"
 #include "orbit/time.hpp"
 
 namespace mpleo::net {
@@ -26,11 +25,5 @@ struct DiurnalProfile {
 [[nodiscard]] double diurnal_demand_bps(const DiurnalProfile& profile,
                                         const orbit::TimePoint& t,
                                         double longitude_rad) noexcept;
-
-// Population-scaled city demand: profile demand times (population / 1e6)
-// terminals-equivalent. Used to weight market bids per region.
-[[nodiscard]] double city_demand_bps(const DiurnalProfile& profile,
-                                     const cov::City& city,
-                                     const orbit::TimePoint& t) noexcept;
 
 }  // namespace mpleo::net

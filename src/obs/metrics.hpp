@@ -190,8 +190,8 @@ class MetricsRegistry {
 };
 
 // Escapes `text` for embedding inside a JSON string literal (quotes,
-// backslashes, control characters). Shared by obs::to_json and
-// sim::TraceRecorder::to_json so every exporter speaks the same schema.
+// backslashes, control characters). Shared by MetricsRegistry::to_json and
+// mpleo-bench's results writer so every exporter speaks the same schema.
 [[nodiscard]] std::string json_escape(std::string_view text);
 
 }  // namespace mpleo::obs

@@ -9,27 +9,6 @@
 
 namespace mpleo::orbit {
 
-CloseApproach closest_approach(const constellation::Satellite& a,
-                               const constellation::Satellite& b, const TimeGrid& grid) {
-  const KeplerianPropagator prop_a(a.elements, a.epoch);
-  const KeplerianPropagator prop_b(b.elements, b.epoch);
-
-  CloseApproach approach;
-  approach.min_distance_m = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < grid.count; ++i) {
-    const TimePoint t = grid.at(i);
-    // Relative distance is frame-independent; compare in ECI directly.
-    const util::Vec3 ra = prop_a.state_at(t).position;
-    const util::Vec3 rb = prop_b.state_at(t).position;
-    const double d = (ra - rb).norm();
-    if (d < approach.min_distance_m) {
-      approach.min_distance_m = d;
-      approach.offset_seconds = grid.step_seconds * static_cast<double>(i);
-    }
-  }
-  return approach;
-}
-
 std::vector<CloseApproach> screen_conjunctions(
     std::span<const constellation::Satellite> satellites, const TimeGrid& grid,
     double threshold_m) {

@@ -24,16 +24,12 @@ struct CloseApproach {
   double offset_seconds = 0.0;  // from grid start, at the sampled minimum
 };
 
-// Minimum separation of two satellites across the grid (sampled at grid
-// resolution; LEO relative velocities of ~10 km/s mean a 1 s step resolves
-// to ~10 km — choose the step to match the screening threshold).
-[[nodiscard]] CloseApproach closest_approach(const constellation::Satellite& a,
-                                             const constellation::Satellite& b,
-                                             const TimeGrid& grid);
-
-// All pairs whose sampled minimum separation falls below `threshold_m`,
-// sorted by ascending distance. O(n^2 * steps): intended for screening
-// shells or samples, not 10k-satellite catalogs at 1 s resolution.
+// All pairs whose minimum separation across the grid falls below
+// `threshold_m`, sorted by ascending distance. The minimum is sampled at grid
+// resolution: LEO relative velocities of ~10 km/s mean a 1 s step resolves
+// to ~10 km, so choose the step to match the threshold. O(n^2 * steps):
+// intended for screening shells or samples, not 10k-satellite catalogs at
+// 1 s resolution.
 [[nodiscard]] std::vector<CloseApproach> screen_conjunctions(
     std::span<const constellation::Satellite> satellites, const TimeGrid& grid,
     double threshold_m);

@@ -25,14 +25,6 @@ double ClassicalElements::semi_latus_rectum_m() const noexcept {
   return semi_major_axis_m * (1.0 - eccentricity * eccentricity);
 }
 
-double ClassicalElements::perigee_altitude_m() const noexcept {
-  return semi_major_axis_m * (1.0 - eccentricity) - util::kEarthMeanRadiusM;
-}
-
-double ClassicalElements::apogee_altitude_m() const noexcept {
-  return semi_major_axis_m * (1.0 + eccentricity) - util::kEarthMeanRadiusM;
-}
-
 ClassicalElements ClassicalElements::circular(double altitude_m, double inclination_deg,
                                               double raan_deg,
                                               double mean_anomaly_deg) noexcept {
@@ -77,61 +69,6 @@ StateVector elements_to_state(const ClassicalElements& coe) noexcept {
   };
 
   return {rotate(r_pqw), rotate(v_pqw)};
-}
-
-ClassicalElements state_to_elements(const StateVector& s) noexcept {
-  const Vec3& r = s.position;
-  const Vec3& v = s.velocity;
-  const double rn = r.norm();
-  const double vn2 = v.norm_squared();
-
-  const Vec3 h = cross(r, v);             // specific angular momentum
-  const double hn = h.norm();
-  const Vec3 n{-h.y, h.x, 0.0};           // node vector = k x h
-  const double nn = n.norm();
-
-  const Vec3 e_vec = cross(v, h) / kMu - r / rn;
-  const double e = e_vec.norm();
-
-  const double energy = vn2 / 2.0 - kMu / rn;
-  ClassicalElements coe;
-  coe.semi_major_axis_m = -kMu / (2.0 * energy);
-  coe.eccentricity = e;
-  coe.inclination_rad = std::acos(std::clamp(h.z / hn, -1.0, 1.0));
-
-  const bool equatorial = nn < 1e-8 * hn;
-  const bool circular = e < 1e-10;
-
-  double raan = 0.0;
-  if (!equatorial) {
-    raan = std::acos(std::clamp(n.x / nn, -1.0, 1.0));
-    if (n.y < 0.0) raan = util::kTwoPi - raan;
-  }
-  coe.raan_rad = raan;
-
-  double argp = 0.0;
-  double nu;  // true anomaly
-  if (circular) {
-    // Measure anomaly from the node line (or x-axis when equatorial).
-    const Vec3 ref = equatorial ? Vec3{1.0, 0.0, 0.0} : n.normalized();
-    nu = std::acos(std::clamp(dot(ref, r) / rn, -1.0, 1.0));
-    if (dot(cross(ref, r), h) < 0.0) nu = util::kTwoPi - nu;
-  } else {
-    if (equatorial) {
-      argp = std::atan2(e_vec.y, e_vec.x);
-      if (argp < 0.0) argp += util::kTwoPi;
-    } else {
-      argp = std::acos(std::clamp(dot(n, e_vec) / (nn * e), -1.0, 1.0));
-      if (e_vec.z < 0.0) argp = util::kTwoPi - argp;
-    }
-    nu = std::acos(std::clamp(dot(e_vec, r) / (e * rn), -1.0, 1.0));
-    if (dot(r, v) < 0.0) nu = util::kTwoPi - nu;
-  }
-  coe.arg_perigee_rad = argp;
-
-  const double E = eccentric_from_true(nu, e);
-  coe.mean_anomaly_rad = util::wrap_two_pi(mean_from_eccentric(E, e));
-  return coe;
 }
 
 }  // namespace mpleo::orbit

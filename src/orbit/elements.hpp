@@ -1,4 +1,4 @@
-// Classical (Keplerian) orbital elements and conversion to/from Cartesian
+// Classical (Keplerian) orbital elements and conversion to Cartesian
 // inertial state vectors.
 #pragma once
 
@@ -30,9 +30,6 @@ struct ClassicalElements {
   [[nodiscard]] double period_seconds() const noexcept;
   // Semi-latus rectum p = a(1-e^2), metres.
   [[nodiscard]] double semi_latus_rectum_m() const noexcept;
-  // Perigee/apogee altitude above the mean Earth radius, metres.
-  [[nodiscard]] double perigee_altitude_m() const noexcept;
-  [[nodiscard]] double apogee_altitude_m() const noexcept;
 
   // Convenience constructor for circular orbits, taking the altitude above
   // the mean Earth radius and angles in degrees.
@@ -44,11 +41,5 @@ struct ClassicalElements {
 // Elements -> inertial state (position/velocity) at the instant the mean
 // anomaly refers to.
 [[nodiscard]] StateVector elements_to_state(const ClassicalElements& coe) noexcept;
-
-// Inertial state -> elements. Precondition: a bound, non-degenerate orbit.
-// For near-circular / near-equatorial orbits the individual angles follow the
-// usual conventions (raan := 0 when equatorial, argp := 0 when circular) so
-// that elements_to_state(from_state(s)) reproduces s.
-[[nodiscard]] ClassicalElements state_to_elements(const StateVector& state) noexcept;
 
 }  // namespace mpleo::orbit

@@ -226,11 +226,6 @@ EphemerisTable EphemerisTable::compute(const KeplerianPropagator& propagator,
   return table;
 }
 
-EphemerisTable EphemerisTable::compute(const KeplerianPropagator& propagator,
-                                      const TimeGrid& grid) {
-  return compute(propagator, grid, GmstTable::for_grid(grid));
-}
-
 EphemerisTable EphemerisTable::compute(const AnyPropagator& propagator,
                                       const TimeGrid& grid, const GmstTable& gmst) {
   EphemerisTable table;

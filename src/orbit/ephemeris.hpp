@@ -76,8 +76,6 @@ class EphemerisTable {
 
   [[nodiscard]] static EphemerisTable compute(const KeplerianPropagator& propagator,
                                               const TimeGrid& grid, const GmstTable& gmst);
-  [[nodiscard]] static EphemerisTable compute(const KeplerianPropagator& propagator,
-                                              const TimeGrid& grid);
   // Backend-erased overloads: a J2 handle delegates to the specialised path
   // above (bit-identical); SGP4 runs the generic pointwise fill.
   [[nodiscard]] static EphemerisTable compute(const AnyPropagator& propagator,

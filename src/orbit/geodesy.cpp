@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/angles.hpp"
 #include "util/units.hpp"
 
 namespace mpleo::orbit {
@@ -59,12 +58,6 @@ Vec3 eci_to_ecef(const Vec3& eci, double gmst) noexcept {
   return {c * eci.x + s * eci.y, -s * eci.x + c * eci.y, eci.z};
 }
 
-Vec3 ecef_to_eci(const Vec3& ecef, double gmst) noexcept {
-  const double c = std::cos(gmst);
-  const double s = std::sin(gmst);
-  return {c * ecef.x - s * ecef.y, s * ecef.x + c * ecef.y, ecef.z};
-}
-
 TopocentricFrame::TopocentricFrame(const Geodetic& site) noexcept
     : origin_(geodetic_to_ecef(site)) {
   const double sin_lat = std::sin(site.latitude_rad);
@@ -83,12 +76,6 @@ double TopocentricFrame::elevation_rad(const Vec3& target_ecef) const noexcept {
   if (n <= 0.0) return util::kPi / 2.0;
   // Clamp: rounding can push the ratio infinitesimally past +-1 at zenith.
   return std::asin(std::clamp(dot(rho, up_) / n, -1.0, 1.0));
-}
-
-double TopocentricFrame::azimuth_rad(const Vec3& target_ecef) const noexcept {
-  const Vec3 rho = target_ecef - origin_;
-  const double az = std::atan2(dot(rho, east_), dot(rho, north_));
-  return util::wrap_two_pi(az);
 }
 
 }  // namespace mpleo::orbit

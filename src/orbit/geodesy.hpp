@@ -30,9 +30,8 @@ struct Geodetic {
 // near-Earth points).
 [[nodiscard]] Geodetic ecef_to_geodetic(const Vec3& ecef) noexcept;
 
-// Frame rotations about z by the sidereal angle.
+// Frame rotation about z by the sidereal angle.
 [[nodiscard]] Vec3 eci_to_ecef(const Vec3& eci, double gmst) noexcept;
-[[nodiscard]] Vec3 ecef_to_eci(const Vec3& ecef, double gmst) noexcept;
 [[nodiscard]] inline Vec3 eci_to_ecef(const Vec3& eci, const TimePoint& t) noexcept {
   return eci_to_ecef(eci, gmst_rad(t));
 }
@@ -51,8 +50,6 @@ class TopocentricFrame {
   // Elevation angle (radians) of a target given in ECEF; negative when the
   // target is below the local horizon.
   [[nodiscard]] double elevation_rad(const Vec3& target_ecef) const noexcept;
-  // Azimuth angle (radians, clockwise from north in [0, 2*pi)).
-  [[nodiscard]] double azimuth_rad(const Vec3& target_ecef) const noexcept;
   // Slant range (metres).
   [[nodiscard]] double range_m(const Vec3& target_ecef) const noexcept {
     return (target_ecef - origin_).norm();

@@ -44,13 +44,4 @@ double true_from_eccentric(double E, double e) noexcept {
   return nu + (E - util::wrap_pi(E));
 }
 
-double eccentric_from_true(double nu, double e) noexcept {
-  const double cos_nu = std::cos(nu);
-  const double sin_nu = std::sin(nu);
-  const double E = std::atan2(std::sqrt(1.0 - e * e) * sin_nu, cos_nu + e);
-  return E + (nu - util::wrap_pi(nu));
-}
-
-double mean_from_eccentric(double E, double e) noexcept { return E - e * std::sin(E); }
-
 }  // namespace mpleo::orbit

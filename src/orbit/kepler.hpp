@@ -9,12 +9,8 @@ namespace mpleo::orbit {
 // M may be any real; the result is in the same 2*pi branch as M.
 [[nodiscard]] double solve_kepler(double mean_anomaly_rad, double eccentricity) noexcept;
 
-// Anomaly conversions (radians). Preconditions: 0 <= e < 1.
+// Eccentric -> true anomaly (radians). Precondition: 0 <= e < 1.
 [[nodiscard]] double true_from_eccentric(double eccentric_anomaly_rad,
-                                         double eccentricity) noexcept;
-[[nodiscard]] double eccentric_from_true(double true_anomaly_rad,
-                                         double eccentricity) noexcept;
-[[nodiscard]] double mean_from_eccentric(double eccentric_anomaly_rad,
                                          double eccentricity) noexcept;
 
 }  // namespace mpleo::orbit

@@ -30,15 +30,4 @@ bool is_eclipsed(const util::Vec3& position_eci, const util::Vec3& sun_direction
   return perpendicular.norm() < util::kEarthMeanRadiusM;
 }
 
-double sunlit_fraction(const KeplerianPropagator& propagator, const TimeGrid& grid) {
-  if (grid.count == 0) return 0.0;
-  std::size_t sunlit = 0;
-  for (std::size_t i = 0; i < grid.count; ++i) {
-    const TimePoint t = grid.at(i);
-    const util::Vec3 position = propagator.state_at(t).position;
-    if (!is_eclipsed(position, sun_direction_eci(t))) ++sunlit;
-  }
-  return static_cast<double>(sunlit) / static_cast<double>(grid.count);
-}
-
 }  // namespace mpleo::orbit

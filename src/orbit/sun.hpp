@@ -6,7 +6,6 @@
 // Almanac low-precision formula) — far beyond what eclipse timing needs.
 #pragma once
 
-#include "orbit/propagator.hpp"
 #include "orbit/time.hpp"
 #include "util/vec3.hpp"
 
@@ -19,9 +18,5 @@ namespace mpleo::orbit {
 // cylindrical umbra for the given sun direction.
 [[nodiscard]] bool is_eclipsed(const util::Vec3& position_eci,
                                const util::Vec3& sun_direction) noexcept;
-
-// Fraction of `grid` during which the satellite is sunlit.
-[[nodiscard]] double sunlit_fraction(const KeplerianPropagator& propagator,
-                                     const TimeGrid& grid);
 
 }  // namespace mpleo::orbit

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/angles.hpp"
+#include "util/rounding.hpp"
 #include "util/units.hpp"
 
 namespace mpleo::orbit {
@@ -25,11 +26,14 @@ void TimePoint::normalise() noexcept {
   }
 }
 
-TimePoint TimePoint::from_julian_date(double jd) noexcept { return TimePoint(jd, 0.0); }
-
 TimePoint TimePoint::from_civil(const CivilTime& c) {
   if (c.month < 1 || c.month > 12 || c.day < 1 || c.day > 31 || c.year < 1583) {
     throw std::invalid_argument("TimePoint::from_civil: invalid civil date");
+  }
+  // NaN fails the seconds check too; 60.x admits a leap second.
+  if (c.hour < 0 || c.hour > 23 || c.minute < 0 || c.minute > 59 ||
+      !(c.second >= 0.0 && c.second < 61.0)) {
+    throw std::invalid_argument("TimePoint::from_civil: invalid time of day");
   }
   // Fliegel & Van Flandern (1968) Gregorian date -> Julian day number.
   const long y = c.year;
@@ -60,7 +64,9 @@ TimePoint TimePoint::from_iso8601(const std::string& text) {
 CivilTime TimePoint::to_civil() const {
   // Invert Fliegel & Van Flandern. jd_midnight_ + 0.5 is exactly the Julian
   // day number of the civil date; seconds_ carries the time of day.
-  const auto z = static_cast<long>(std::floor(jd_midnight_ + 0.5 + 1e-9));
+  // Precondition: |jd_midnight_| < 2^63, the input bound of floor_to_int64
+  // (any date the ISO, civil or TLE parsers accept is far inside it).
+  const long z = util::floor_to_int64(jd_midnight_ + 0.5 + 1e-9);
 
   long a = z;
   if (z >= 2299161) {

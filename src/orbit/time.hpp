@@ -30,8 +30,8 @@ class TimePoint {
  public:
   TimePoint() = default;
 
-  [[nodiscard]] static TimePoint from_julian_date(double jd) noexcept;
-  // Precondition: a valid Gregorian civil date (year >= 1583).
+  // Throws std::invalid_argument unless the date is Gregorian (year >= 1583)
+  // and the time of day valid (second in [0, 61), NaN rejected).
   [[nodiscard]] static TimePoint from_civil(const CivilTime& civil);
   // Parses "YYYY-MM-DDTHH:MM:SSZ" (fractional seconds allowed).
   [[nodiscard]] static TimePoint from_iso8601(const std::string& text);

@@ -19,11 +19,17 @@ std::string slice(const std::string& line, std::size_t start_col, std::size_t le
   return line.substr(start_col - 1, len);
 }
 
+// True when only blanks follow `end` in `field`: a numeric field must hold
+// one number and nothing else.
+bool only_blanks_after(const std::string& field, const char* end) {
+  return std::all_of(end, field.c_str() + field.size(),
+                     [](char ch) { return std::isspace(static_cast<unsigned char>(ch)); });
+}
+
 double parse_double(const std::string& field, bool* ok) {
   char* end = nullptr;
-  const std::string trimmed = field;
-  const double v = std::strtod(trimmed.c_str(), &end);
-  if (end == trimmed.c_str()) {
+  const double v = std::strtod(field.c_str(), &end);
+  if (end == field.c_str() || !only_blanks_after(field, end)) {
     *ok = false;
     return 0.0;
   }
@@ -33,7 +39,7 @@ double parse_double(const std::string& field, bool* ok) {
 long parse_long(const std::string& field, bool* ok) {
   char* end = nullptr;
   const long v = std::strtol(field.c_str(), &end, 10);
-  if (end == field.c_str()) {
+  if (end == field.c_str() || !only_blanks_after(field, end)) {
     *ok = false;
     return 0;
   }
@@ -102,6 +108,8 @@ std::string format_implied_exponent(const char* field, double value,
     add_unwritable(issues, field, value, "1e9");
     return {};
   }
+  // 0 < mag < 1e9, so floor(log10(mag)) lies in [-324, 8], and the scaled
+  // mantissa rounds to at most 10^5.
   int exponent =
       mag > 0.0 ? std::max(static_cast<int>(std::floor(std::log10(mag))) + 1, -9) : 0;
   long long digits = std::llround(mag / std::pow(10.0, exponent) * 1e5);
@@ -137,12 +145,18 @@ std::string format_mean_motion_dot(double value, std::vector<core::ConfigIssue>&
 TimePoint parse_tle_epoch(const std::string& field, bool* ok) {
   bool field_ok = true;
   const double raw = parse_double(field, &field_ok);
-  if (!field_ok) {
+  // YYDDD.DDDDDDDD: a two-digit year and a day of year in [1, 367). The
+  // range check also keeps the year conversion below defined.
+  if (!field_ok || !(raw >= 1.0 && raw < 99367.0)) {
     *ok = false;
     return {};
   }
   const int yy = static_cast<int>(raw / 1000.0);
   const double doy = raw - yy * 1000.0;  // fractional day of year (1.0 = Jan 1 00:00)
+  if (!(doy >= 1.0 && doy < 367.0)) {
+    *ok = false;
+    return {};
+  }
   const int year = yy >= 57 ? 1900 + yy : 2000 + yy;
   const TimePoint jan1 = TimePoint::from_civil({year, 1, 1, 0, 0, 0.0});
   return jan1.plus_days(doy - 1.0);
@@ -282,6 +296,18 @@ TleParseResult parse_tle(const std::string& line0, const std::string& line1,
     add("eccentricity",
         "value " + std::to_string(tle.eccentricity) + " outside [0, 1)");
   }
+  // The counters' columns hold 4 and 5 unsigned digits.
+  if (tle.element_set_number < 0) {
+    add("element_set_number", "value " + std::to_string(tle.element_set_number) + " < 0");
+  }
+  if (tle.revolution_number < 0) {
+    add("revolution_number", "value " + std::to_string(tle.revolution_number) + " < 0");
+  }
+  // The first derivative's ".NNNNNNNN" columns hold magnitudes below 1.
+  if (!(std::fabs(tle.mean_motion_dot) < 1.0)) {
+    add("mean_motion_dot",
+        "value " + std::to_string(tle.mean_motion_dot) + " outside (-1, 1)");
+  }
   // No bound orbit above the Earth's surface completes 20+ rev/day.
   if (!(tle.mean_motion_rev_per_day > 0.0 && tle.mean_motion_rev_per_day <= 20.0)) {
     add("mean_motion", "value " + std::to_string(tle.mean_motion_rev_per_day) +
@@ -309,6 +335,9 @@ TleLines format_tle(const Tle& tle) {
                 tle.intl_designator.c_str(), format_tle_epoch(tle.epoch).c_str(),
                 ndot.c_str(), nddot.c_str(), bstar.c_str(), tle.element_set_number % 10000);
 
+  // An eccentricity in [0, 1), the range parse_tle accepts, rounds to at
+  // most 10^7; llround leaves a result out of range unspecified, not
+  // undefined.
   const auto ecc_digits = static_cast<long>(std::llround(tle.eccentricity * 1e7));
   std::snprintf(l2, sizeof l2, "2 %05d %8.4f %8.4f %07ld %8.4f %8.4f %11.8f%5d",
                 tle.catalog_number, tle.inclination_deg, tle.raan_deg, ecc_digits,

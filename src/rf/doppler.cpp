@@ -28,9 +28,9 @@ std::vector<core::ConfigIssue> DopplerAuditConfig::validate() const {
     add_issue(issues, "doppler.carrier_hz", carrier_hz,
               "must be inside the [1, 100] GHz satellite allocations");
   }
-  if (track_samples < 2) {
+  if (track_samples < 2 || track_samples > kMaxTrackSamples) {
     add_issue(issues, "doppler.track_samples", static_cast<double>(track_samples),
-              "must be >= 2 to pin a curve shape");
+              "must be in [2, 1024]: at least two samples pin a curve shape");
   }
   if (min_track_samples < 2 || min_track_samples > track_samples) {
     add_issue(issues, "doppler.min_track_samples",

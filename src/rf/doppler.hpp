@@ -40,9 +40,10 @@ struct DopplerAuditConfig {
   double rms_tolerance_hz = 250.0;
   // Reference downlink carrier the tracks are measured at.
   double carrier_hz = 11.7e9;
-  // Samples per track and their spacing on the audit grid. A track shorter
-  // than min_track_samples cannot pin a curve shape and is rejected as
-  // implausible.
+  // Samples per track (at most kMaxTrackSamples) and their spacing on the
+  // audit grid. A track shorter than min_track_samples cannot pin a curve
+  // shape and is rejected as implausible.
+  static constexpr std::size_t kMaxTrackSamples = 1024;
   std::size_t track_samples = 9;
   std::size_t min_track_samples = 5;
   double sample_spacing_s = 30.0;

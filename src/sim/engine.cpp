@@ -10,11 +10,6 @@ void SimEngine::at(double time_s, EventCallback callback) {
   queue_.schedule(time_s, std::move(callback));
 }
 
-void SimEngine::after(double delay_s, EventCallback callback) {
-  if (delay_s < 0.0) throw std::invalid_argument("SimEngine::after: negative delay");
-  queue_.schedule(now_s_ + delay_s, std::move(callback));
-}
-
 void SimEngine::every(double period_s, double until_s, const EventCallback& callback) {
   if (period_s <= 0.0) throw std::invalid_argument("SimEngine::every: period must be > 0");
   // Each firing is now + k * period, not an accumulated t += period: the
@@ -36,13 +31,6 @@ void SimEngine::run_until(double end_s) {
     (void)queue_.run_next();
   }
   now_s_ = std::max(now_s_, end_s);
-}
-
-void SimEngine::run_all() {
-  while (!queue_.empty()) {
-    now_s_ = queue_.next_time();
-    (void)queue_.run_next();
-  }
 }
 
 }  // namespace mpleo::sim

@@ -12,9 +12,8 @@ class SimEngine {
  public:
   [[nodiscard]] double now() const noexcept { return now_s_; }
 
-  // Schedules at an absolute time (>= now) or after a relative delay.
+  // Schedules at an absolute time (>= now).
   void at(double time_s, EventCallback callback);
-  void after(double delay_s, EventCallback callback);
   // Schedules `callback` every `period_s` starting at now + period_s until
   // `until_s` (exclusive).
   void every(double period_s, double until_s, const EventCallback& callback);
@@ -22,9 +21,6 @@ class SimEngine {
   // Runs events until the queue is empty or the next event is past `end_s`.
   // The clock finishes at min(end_s, last event time).
   void run_until(double end_s);
-
-  // Drains everything.
-  void run_all();
 
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 

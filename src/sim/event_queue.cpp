@@ -25,9 +25,4 @@ double EventQueue::run_next() {
   return entry.time;
 }
 
-void EventQueue::clear() {
-  heap_ = {};
-  next_sequence_ = 0;
-}
-
 }  // namespace mpleo::sim

@@ -24,8 +24,6 @@ class EventQueue {
   // Pops and runs the earliest event; returns its time. Precondition: !empty().
   double run_next();
 
-  void clear();
-
  private:
   struct Entry {
     double time;

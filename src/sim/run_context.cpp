@@ -28,21 +28,13 @@ RunContext& RunContext::use_pool(util::ThreadPool* pool) {
   return *this;
 }
 
-RunContext& RunContext::use_faults(fault::FaultTimeline timeline) {
-  owned_faults_ = std::move(timeline);
-  borrowed_faults_ = nullptr;
-  return *this;
-}
-
 RunContext& RunContext::use_faults(const fault::FaultTimeline* timeline) {
-  borrowed_faults_ = timeline;
-  owned_faults_.reset();
+  faults_ = timeline;
   return *this;
 }
 
 RunContext& RunContext::clear_faults() {
-  owned_faults_.reset();
-  borrowed_faults_ = nullptr;
+  faults_ = nullptr;
   return *this;
 }
 

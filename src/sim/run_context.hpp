@@ -1,7 +1,8 @@
-// The simulator's single entry-point facade: one RunContext owns everything
-// a run needs — the Scenario, the worker pool, the (optional) fault
-// timeline, the trace recorder and the metrics registry — so subsystem APIs
-// take `sim::RunContext&` instead of growing tails of optional parameters.
+// The simulator's single entry-point facade: one RunContext holds everything
+// a run needs — the Scenario, the worker pool, the (optional, borrowed)
+// fault timeline, the trace recorder and the metrics registry — so subsystem
+// APIs take `sim::RunContext&` instead of growing tails of optional
+// parameters.
 //
 // Each parallel operation has exactly one entry point. One whose metrics a
 // bench reads takes the context (BentPipeScheduler::run,
@@ -19,7 +20,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 
 #include "fault/timeline.hpp"
 #include "obs/metrics.hpp"
@@ -59,13 +59,8 @@ class RunContext {
   RunContext& use_pool(util::ThreadPool* pool);
 
   // The fault timeline every faultable subsystem sees; nullptr = healthy.
-  // Passing by value hands ownership to the context; passing a pointer
-  // borrows (the timeline must outlive the runs).
-  [[nodiscard]] const fault::FaultTimeline* faults() const noexcept {
-    return borrowed_faults_ != nullptr ? borrowed_faults_
-                                       : (owned_faults_ ? &*owned_faults_ : nullptr);
-  }
-  RunContext& use_faults(fault::FaultTimeline timeline);
+  // The context borrows it: the timeline must outlive the runs.
+  [[nodiscard]] const fault::FaultTimeline* faults() const noexcept { return faults_; }
   RunContext& use_faults(const fault::FaultTimeline* timeline);
   RunContext& clear_faults();
 
@@ -79,8 +74,7 @@ class RunContext {
   Scenario scenario_;
   std::unique_ptr<util::ThreadPool> owned_pool_;
   util::ThreadPool* pool_ = nullptr;
-  std::optional<fault::FaultTimeline> owned_faults_;
-  const fault::FaultTimeline* borrowed_faults_ = nullptr;
+  const fault::FaultTimeline* faults_ = nullptr;
   TraceRecorder trace_;
   obs::MetricsRegistry metrics_;
 };

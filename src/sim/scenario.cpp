@@ -80,6 +80,15 @@ fault::EventProfile parse_events(std::string_view value) {
       flag_help());
 }
 
+orbit::TimePoint parse_epoch(std::string_view value) {
+  try {
+    return orbit::TimePoint::from_iso8601(std::string(value));
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("invalid value for --epoch=: '" + std::string(value) +
+                                "' (" + e.what() + ")\nvalid flags:\n" + flag_help());
+  }
+}
+
 ScalePreset parse_scale(std::string_view value) {
   if (value == "reference") return ScalePreset::kReference;
   if (value == "mega") return ScalePreset::kMega;
@@ -126,9 +135,7 @@ constexpr FlagSpec kFlags[] = {
        s.duration_s = to_double(v, "--days") * 86400.0;
      }},
     {"--epoch=", "ISO-8601 scenario epoch (default 2024-11-18T00:00:00Z)",
-     [](Scenario& s, std::string_view v) {
-       s.epoch = orbit::TimePoint::from_iso8601(std::string(v));
-     }},
+     [](Scenario& s, std::string_view v) { s.epoch = parse_epoch(v); }},
     {"--threads=", "RunContext pool threads: 1 = serial, 0 = all hardware (default 1)",
      [](Scenario& s, std::string_view v) {
        s.threads = to_integer<std::size_t>(v, "--threads");
@@ -203,6 +210,10 @@ std::vector<core::ConfigIssue> Scenario::validate() const {
     issues.push_back({"sim.scenario", field, std::move(message)});
   };
   if (runs == 0) add("runs", "must be >= 1");
+  if (threads > kMaxThreads) {
+    add("threads", "must be <= " + std::to_string(kMaxThreads) + ", got " +
+                       std::to_string(threads));
+  }
   if (!(step_s > 0.0) || step_s > 1e300) {
     add("step_s", "must be finite and > 0, got " + std::to_string(step_s));
   }

@@ -56,8 +56,9 @@ struct Scenario {
   std::uint64_t seed = 42;
   bool include_gen2_catalog = true;
   // Worker threads for the RunContext pool: 1 (default) = serial, 0 = all
-  // hardware threads, N = N threads. Results are bit-identical for any
-  // value; only wall-clock time changes.
+  // hardware threads, N = N threads, at most kMaxThreads. Results are
+  // bit-identical for any value; only wall-clock time changes.
+  static constexpr std::size_t kMaxThreads = 1024;
   std::size_t threads = 1;
   // Byzantine-party knobs (adversary-aware benches only; kOff leaves every
   // consumer bit-identical to the adversary-free path). The fraction is the

@@ -1,10 +1,6 @@
 #include "sim/trace.hpp"
 
-#include <iomanip>
-#include <limits>
 #include <sstream>
-
-#include "obs/metrics.hpp"
 
 namespace mpleo::sim {
 
@@ -12,45 +8,11 @@ void TraceRecorder::record(double time_s, std::string category, std::string mess
   events_.push_back({time_s, std::move(category), std::move(message)});
 }
 
-std::vector<TraceEvent> TraceRecorder::by_category(const std::string& category) const {
-  std::vector<TraceEvent> out;
-  for (const TraceEvent& e : events_) {
-    if (e.category == category) out.push_back(e);
-  }
-  return out;
-}
-
-std::size_t TraceRecorder::count(const std::string& category) const noexcept {
-  std::size_t n = 0;
-  for (const TraceEvent& e : events_) {
-    if (e.category == category) ++n;
-  }
-  return n;
-}
-
 std::string TraceRecorder::to_string() const {
   std::ostringstream os;
   for (const TraceEvent& e : events_) {
     os << "t=" << e.time_s << "s [" << e.category << "] " << e.message << '\n';
   }
-  return os.str();
-}
-
-std::string TraceRecorder::to_json(std::size_t base_indent) const {
-  const std::string pad(base_indent, ' ');
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "{\n";
-  os << pad << "  \"event_count\": " << events_.size() << ",\n";
-  os << pad << "  \"events\": [";
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    const TraceEvent& e = events_[i];
-    os << (i == 0 ? "\n" : ",\n") << pad << "    {\"time_s\": " << e.time_s
-       << ", \"category\": \"" << obs::json_escape(e.category) << "\", \"message\": \""
-       << obs::json_escape(e.message) << "\"}";
-  }
-  os << (events_.empty() ? "" : "\n" + pad + "  ") << "]\n";
-  os << pad << "}";
   return os.str();
 }
 

@@ -19,18 +19,9 @@ class TraceRecorder {
   void record(double time_s, std::string category, std::string message);
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept { return events_; }
-  [[nodiscard]] std::vector<TraceEvent> by_category(const std::string& category) const;
-  [[nodiscard]] std::size_t count(const std::string& category) const noexcept;
 
   // Renders "t=123.0s [category] message" lines.
   [[nodiscard]] std::string to_string() const;
-
-  // Renders {"event_count": N, "events": [{"time_s": ..., "category": ...,
-  // "message": ...}, ...]} with the same two-space indentation and string
-  // escaping as obs::MetricsRegistry::to_json, so trace and metrics sections
-  // embed side by side in one report. Lines after the first are prefixed by
-  // `base_indent` spaces.
-  [[nodiscard]] std::string to_json(std::size_t base_indent = 0) const;
 
   void clear() noexcept { events_.clear(); }
 

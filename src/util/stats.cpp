@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -31,26 +30,9 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double percentile(std::vector<double> values, double p) {
   if (values.empty()) throw std::invalid_argument("percentile: empty input");
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p out of range");
+  if (!(p >= 0.0 && p <= 100.0)) throw std::invalid_argument("percentile: p out of range");
   std::sort(values.begin(), values.end());
   if (values.size() == 1) return values.front();
   const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
@@ -64,12 +46,6 @@ double mean_of(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   return std::accumulate(values.begin(), values.end(), 0.0) /
          static_cast<double>(values.size());
-}
-
-double stddev_of(const std::vector<double>& values) {
-  RunningStats rs;
-  for (double v : values) rs.add(v);
-  return rs.stddev();
 }
 
 }  // namespace mpleo::util

@@ -20,9 +20,6 @@ class RunningStats {
   [[nodiscard]] double max() const noexcept { return n_ > 0 ? max_ : 0.0; }
   [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(n_); }
 
-  // Merges another accumulator into this one (parallel-combine form).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -35,6 +32,5 @@ class RunningStats {
 [[nodiscard]] double percentile(std::vector<double> values, double p);
 
 [[nodiscard]] double mean_of(const std::vector<double>& values);
-[[nodiscard]] double stddev_of(const std::vector<double>& values);
 
 }  // namespace mpleo::util

@@ -155,14 +155,5 @@ TEST(MixForMode, CoversEveryMode) {
   EXPECT_EQ(mix_for_mode(sim::AdversaryMode::kMixed).size(), 5u);
 }
 
-TEST(Behavior, ToStringCoversAllBehaviors) {
-  EXPECT_STREQ(to_string(Behavior::kHonest), "honest");
-  EXPECT_STREQ(to_string(Behavior::kForgeReceipts), "forge_receipts");
-  EXPECT_STREQ(to_string(Behavior::kInflateReceipts), "inflate_receipts");
-  EXPECT_STREQ(to_string(Behavior::kWithholdCapacity), "withhold_capacity");
-  EXPECT_STREQ(to_string(Behavior::kMisreportSla), "misreport_sla");
-  EXPECT_STREQ(to_string(Behavior::kCollude), "collude");
-}
-
 }  // namespace
 }  // namespace mpleo::adversary

@@ -165,12 +165,5 @@ TEST(QuarantineManager, ValidatesConfigAndBounds) {
   EXPECT_THROW((void)manager.state(99), std::out_of_range);
 }
 
-TEST(TrustState, ToStringCoversAllStates) {
-  EXPECT_STREQ(to_string(TrustState::kTrusted), "trusted");
-  EXPECT_STREQ(to_string(TrustState::kSuspected), "suspected");
-  EXPECT_STREQ(to_string(TrustState::kQuarantined), "quarantined");
-  EXPECT_STREQ(to_string(TrustState::kExpelled), "expelled");
-}
-
 }  // namespace
 }  // namespace mpleo::adversary

@@ -62,21 +62,28 @@ TEST(PopulationSampler, SitesStayInsideTheLatitudeBelt) {
 TEST(PopulationSampler, ConcentratesMassAroundCities) {
   const PopulationSampler sampler;
   ASSERT_GT(sampler.cell_count(), 0u);
+  const std::vector<orbit::Geodetic> sites = sampler.sample(20000, 11);
+  const auto sites_within = [&](const orbit::Geodetic& centre, double radius_deg) {
+    const double radius = util::deg_to_rad(radius_deg);
+    return std::count_if(sites.begin(), sites.end(), [&](const orbit::Geodetic& g) {
+      return angular_distance_rad(g, centre) <= radius;
+    });
+  };
 
-  // Cell mass right at a metro centre must dwarf an empty-ocean cell (the
-  // south Pacific point below is far from every city in the paper's list).
+  // Equal caps around a metro centre and an empty-ocean point (the south
+  // Pacific point below is far from every city in the paper's list): the
+  // city's holds far more sites, and the ocean's still gets the uniform
+  // floor's trickle rather than none.
   const orbit::Geodetic tokyo = orbit::Geodetic::from_degrees(35.7, 139.7);
   const orbit::Geodetic ocean = orbit::Geodetic::from_degrees(-45.0, -120.0);
-  const double city_mass = sampler.cell_mass(tokyo.latitude_rad, tokyo.longitude_rad);
-  const double ocean_mass = sampler.cell_mass(ocean.latitude_rad, ocean.longitude_rad);
-  EXPECT_GT(city_mass, 0.0);
-  EXPECT_GT(ocean_mass, 0.0);  // uniform floor: oceans get a trickle, not zero
-  EXPECT_GT(city_mass, 10.0 * ocean_mass);
+  const auto city_sites = sites_within(tokyo, 10.0);
+  const auto ocean_sites = sites_within(ocean, 10.0);
+  EXPECT_GT(ocean_sites, 0);
+  EXPECT_GT(city_sites, 10 * ocean_sites);
 
   // Sampled sites land near cities far more often than an area-uniform draw
   // would. The 21 splat disks cover a small fraction of the sphere, yet most
   // of the mass (1 - uniform_floor_fraction) lives inside them.
-  const std::vector<orbit::Geodetic> sites = sampler.sample(5000, 11);
   const std::vector<cov::City>& cities = cov::paper_cities();
   const double radius = util::deg_to_rad(8.0);
   std::size_t near_city = 0;

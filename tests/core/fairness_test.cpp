@@ -45,43 +45,6 @@ TEST(Jain, BoundedAndOrdered) {
   EXPECT_GE(skewed_index, 1.0 / 3.0);
 }
 
-TEST(Reciprocity, RatiosFromUsage) {
-  const auto usage = usage_of({party(100.0, 50.0, 200.0), party(0.0, 300.0, 30.0)});
-  const auto reciprocity = reciprocity_by_party(usage);
-  ASSERT_EQ(reciprocity.size(), 2u);
-  EXPECT_DOUBLE_EQ(reciprocity[0].ratio(), 4.0);
-  EXPECT_DOUBLE_EQ(reciprocity[1].ratio(), 0.1);
-  EXPECT_FALSE(reciprocity[0].is_pure_provider());
-}
-
-TEST(Reciprocity, PureProviderDetected) {
-  const auto usage = usage_of({party(0.0, 0.0, 500.0)});
-  const auto reciprocity = reciprocity_by_party(usage);
-  EXPECT_TRUE(reciprocity[0].is_pure_provider());
-  EXPECT_DOUBLE_EQ(reciprocity[0].ratio(), 500.0);
-}
-
-TEST(FreeRiders, FlagsHeavyConsumersWhoProvideNothing) {
-  const auto usage = usage_of({
-      party(100.0, 2000.0, 10.0),   // consumes a lot, provides ~nothing -> rider
-      party(100.0, 2000.0, 1500.0), // heavy consumer but reciprocates -> ok
-      party(100.0, 100.0, 0.0),     // small consumer below threshold -> ok
-  });
-  const auto riders = detect_free_riders(usage);
-  ASSERT_EQ(riders.size(), 1u);
-  EXPECT_EQ(riders[0], 0u);
-}
-
-TEST(FreeRiders, PolicyThresholdsRespected) {
-  const auto usage = usage_of({party(0.0, 700.0, 100.0)});
-  FreeRiderPolicy lax;
-  lax.min_ratio = 0.1;  // 100/700 = 0.14 > 0.1 -> not a rider
-  EXPECT_TRUE(detect_free_riders(usage, lax).empty());
-  FreeRiderPolicy strict;
-  strict.min_ratio = 0.5;
-  EXPECT_EQ(detect_free_riders(usage, strict).size(), 1u);
-}
-
 TEST(ServiceFairness, EqualServiceIsFair) {
   const auto usage = usage_of({party(500.0, 100.0, 0.0), party(100.0, 500.0, 0.0)});
   EXPECT_DOUBLE_EQ(service_fairness(usage), 1.0);

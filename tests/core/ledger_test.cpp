@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -146,38 +145,6 @@ TEST(Ledger, CreditReceiptConsumesHashEvenWhenTreasuryCannotPay) {
   // The receipt stays consumed: no retroactive double-claim window.
   EXPECT_FALSE(ledger.credit_receipt(owner, 5.0, 42, "retry"));
   EXPECT_DOUBLE_EQ(ledger.balance(owner), 0.0);
-}
-
-TEST(Ledger, SerializationRoundTripsBitExactly) {
-  util::Xoshiro256PlusPlus rng(7);
-  Ledger ledger;
-  std::vector<AccountId> accounts;
-  for (int i = 0; i < 4; ++i) {
-    accounts.push_back(ledger.open_account("party " + std::to_string(i)));
-  }
-  ledger.mint(1.0 / 3.0, "genesis mint");  // non-representable amounts on purpose
-  for (int step = 0; step < 50; ++step) {
-    (void)ledger.transfer(step % 5 == 0 ? Ledger::kTreasury
-                                        : accounts[rng.uniform_index(accounts.size())],
-                          accounts[rng.uniform_index(accounts.size())],
-                          rng.uniform(0.0, 0.01), "memo with spaces " + std::to_string(step));
-  }
-  (void)ledger.credit_receipt(accounts[0], 0.1, 0xDEADBEEF, "receipt");
-
-  std::stringstream stream;
-  ledger.serialize(stream);
-  const Ledger restored = Ledger::deserialize(stream);
-  EXPECT_EQ(restored, ledger);  // balances, entries, receipts — bit for bit
-  EXPECT_TRUE(restored.receipt_credited(0xDEADBEEF));
-  EXPECT_EQ(restored.account_name(accounts[2]), "party 2");
-}
-
-TEST(Ledger, DeserializeRejectsMalformedInput) {
-  std::stringstream empty;
-  EXPECT_THROW((void)Ledger::deserialize(empty), std::invalid_argument);
-
-  std::stringstream wrong_header("not-a-ledger v9\n");
-  EXPECT_THROW((void)Ledger::deserialize(wrong_header), std::invalid_argument);
 }
 
 }  // namespace

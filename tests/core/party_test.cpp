@@ -17,11 +17,5 @@ TEST(Party, KindNames) {
   EXPECT_STREQ(to_string(PartyKind::kCompany), "company");
 }
 
-TEST(Party, ObjectiveNames) {
-  EXPECT_STREQ(to_string(Objective::kGlobalCoverage), "global-coverage");
-  EXPECT_STREQ(to_string(Objective::kRegionalCoverage), "regional-coverage");
-  EXPECT_STREQ(to_string(Objective::kProfit), "profit");
-}
-
 }  // namespace
 }  // namespace mpleo::core

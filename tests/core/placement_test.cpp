@@ -34,17 +34,20 @@ class PlacementFixture : public ::testing::Test {
 
 TEST_F(PlacementFixture, MarginalGainIsPositiveForNewOrbit) {
   const auto base = plane_of(4);
-  const auto candidate = orbit::ClassicalElements::circular(546e3, 97.6, 90.0, 45.0);
-  const double gain =
-      optimizer_.marginal_gain_seconds(base, candidate, base.front().epoch);
-  EXPECT_GT(gain, 0.0);
+  const std::vector<constellation::CandidateSlot> candidate{
+      {"sun-synchronous", orbit::ClassicalElements::circular(546e3, 97.6, 90.0, 45.0)}};
+  const auto evals = optimizer_.evaluate(base, candidate, base.front().epoch);
+  ASSERT_EQ(evals.size(), 1u);
+  EXPECT_GT(evals[0].gained_weighted_seconds, 0.0);
 }
 
 TEST_F(PlacementFixture, DuplicateSatelliteAddsNothing) {
   const auto base = plane_of(4);
-  const double gain = optimizer_.marginal_gain_seconds(base, base.front().elements,
-                                                       base.front().epoch);
-  EXPECT_NEAR(gain, 0.0, 1e-9);
+  const std::vector<constellation::CandidateSlot> duplicate{
+      {"duplicate", base.front().elements}};
+  const auto evals = optimizer_.evaluate(base, duplicate, base.front().epoch);
+  ASSERT_EQ(evals.size(), 1u);
+  EXPECT_NEAR(evals[0].gained_weighted_seconds, 0.0, 1e-9);
 }
 
 TEST_F(PlacementFixture, MidpointPhaseBeatsAdjacentPhase) {

@@ -138,15 +138,6 @@ TEST(ProofOfCoverage, DuplicateSatelliteRegistrationThrows) {
   EXPECT_EQ(fx.poc.verify(receipt), ReceiptVerdict::kValid);
 }
 
-TEST(ProofOfCoverage, ToStringCoversAllVerdicts) {
-  EXPECT_STREQ(to_string(ReceiptVerdict::kValid), "valid");
-  EXPECT_STREQ(to_string(ReceiptVerdict::kBadDigest), "bad-digest");
-  EXPECT_STREQ(to_string(ReceiptVerdict::kNotOverhead), "not-overhead");
-  EXPECT_STREQ(to_string(ReceiptVerdict::kUnknownSatellite), "unknown-satellite");
-  EXPECT_STREQ(to_string(ReceiptVerdict::kUnknownVerifier), "unknown-verifier");
-  EXPECT_STREQ(to_string(ReceiptVerdict::kDuplicate), "duplicate");
-}
-
 TEST(ProofOfCoverage, ContentHashCoversEveryField) {
   CoverageReceipt receipt;
   receipt.satellite = 7;

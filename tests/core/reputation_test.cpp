@@ -12,43 +12,43 @@ TEST(Reputation, StartsAtInitial) {
   for (PartyId p = 0; p < 3; ++p) EXPECT_DOUBLE_EQ(tracker.score(p), 0.5);
 }
 
-TEST(Reputation, PocEvidenceMovesScore) {
+TEST(Reputation, FraudEvidenceMovesScore) {
   ReputationTracker tracker(2);
-  tracker.record_poc(0, true);
-  EXPECT_DOUBLE_EQ(tracker.score(0), 0.52);
-  tracker.record_poc(1, false);
-  EXPECT_DOUBLE_EQ(tracker.score(1), 0.4);
-  // Trust is slow to build, fast to lose: one forgery erases five proofs.
-  ReputationTracker asym(1);
-  for (int i = 0; i < 5; ++i) asym.record_poc(0, true);
-  asym.record_poc(0, false);
-  EXPECT_DOUBLE_EQ(asym.score(0), 0.5);
-}
-
-TEST(Reputation, ReciprocityEvidence) {
-  ReputationTracker tracker(2);
-  tracker.record_reciprocity(0, 1.5);   // good citizen
-  tracker.record_reciprocity(1, 0.05);  // free rider
-  EXPECT_GT(tracker.score(0), 0.5);
-  EXPECT_LT(tracker.score(1), 0.5);
+  tracker.record_fraud(0, 1);
+  EXPECT_DOUBLE_EQ(tracker.score(0), 0.3);
+  // Zero count is a no-op; the other party is untouched either way.
+  tracker.record_fraud(1, 0);
+  EXPECT_DOUBLE_EQ(tracker.score(1), 0.5);
+  // Each confirmed event costs the configured penalty.
+  ReputationTracker::Config config;
+  config.fraud_penalty = 0.05;
+  ReputationTracker light(1, config);
+  light.record_fraud(0, 3);
+  EXPECT_DOUBLE_EQ(light.score(0), 0.35);
 }
 
 TEST(Reputation, ScoresClampToBounds) {
   ReputationTracker tracker(1);
-  for (int i = 0; i < 100; ++i) tracker.record_poc(0, true);
-  EXPECT_DOUBLE_EQ(tracker.score(0), 1.0);
-  for (int i = 0; i < 100; ++i) tracker.record_poc(0, false);
+  tracker.record_fraud(0, 100);
   EXPECT_DOUBLE_EQ(tracker.score(0), 0.0);
+  // A custom floor holds too.
+  ReputationTracker::Config config;
+  config.floor = 0.2;
+  ReputationTracker floored(1, config);
+  floored.record_fraud(0, 100);
+  EXPECT_DOUBLE_EQ(floored.score(0), 0.2);
 }
 
 TEST(Reputation, PriorityWeightNeverStarves) {
   ReputationTracker tracker(1);
-  for (int i = 0; i < 100; ++i) tracker.record_poc(0, false);
+  EXPECT_DOUBLE_EQ(tracker.priority_weight(0), 0.55);
+  tracker.record_fraud(0, 100);
   // Even a zero-reputation party keeps 10% weight: degradation stays
   // proportional, not a blackout (the paper's §1 design goal).
   EXPECT_DOUBLE_EQ(tracker.priority_weight(0), 0.1);
-  for (int i = 0; i < 200; ++i) tracker.record_poc(0, true);
-  EXPECT_DOUBLE_EQ(tracker.priority_weight(0), 1.0);
+  ReputationTracker::Config config;
+  config.initial = 1.0;
+  EXPECT_DOUBLE_EQ(ReputationTracker(1, config).priority_weight(0), 1.0);
 }
 
 TEST(Reputation, OutageSecondsErodeScore) {
@@ -72,7 +72,7 @@ TEST(Reputation, OutageRejectsNegativeSeconds) {
 
 TEST(Reputation, UnknownPartyThrows) {
   ReputationTracker tracker(2);
-  EXPECT_THROW(tracker.record_poc(5, true), std::out_of_range);
+  EXPECT_THROW(tracker.record_fraud(5, 1), std::out_of_range);
   EXPECT_THROW((void)tracker.score(5), std::out_of_range);
   EXPECT_THROW(tracker.record_outage(5, 60.0), std::out_of_range);
 }

@@ -45,24 +45,6 @@ TEST(Sla, GapAndCoverageStackPenalties) {
   EXPECT_DOUBLE_EQ(report.total_penalty, 20.0);
 }
 
-TEST(Sla, ServedFractionClause) {
-  SlaTerms terms;
-  terms.min_coverage_fraction = 0.0;
-  terms.max_gap_seconds = 1e9;
-  terms.min_served_fraction = 0.5;
-  net::PartyUsage usage;
-  usage.own_link_seconds = 1000.0;
-  usage.spare_used_seconds = 2000.0;
-  // 3000 served of 10000 -> 30% < 50%.
-  const SlaReport failing = evaluate_sla(terms, stats_of(1.0, 0.0), usage, 10000.0);
-  ASSERT_EQ(failing.violations.size(), 1u);
-  EXPECT_EQ(failing.violations[0].clause, SlaClause::kServedFraction);
-  EXPECT_NEAR(failing.violations[0].delivered, 0.3, 1e-12);
-  // 3000 of 5000 -> 60% passes.
-  const SlaReport passing = evaluate_sla(terms, stats_of(1.0, 0.0), usage, 5000.0);
-  EXPECT_TRUE(passing.compliant);
-}
-
 TEST(Sla, PenaltySettlesOnLedger) {
   Ledger ledger;
   ledger.mint(100.0);
@@ -100,7 +82,6 @@ TEST(Sla, CompliantReportSettlesAsNoop) {
 TEST(Sla, ClauseNames) {
   EXPECT_STREQ(to_string(SlaClause::kCoverageFraction), "coverage-fraction");
   EXPECT_STREQ(to_string(SlaClause::kMaxGap), "max-gap");
-  EXPECT_STREQ(to_string(SlaClause::kServedFraction), "served-fraction");
 }
 
 }  // namespace

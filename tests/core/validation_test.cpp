@@ -27,8 +27,6 @@ TEST(ConfigIssue, OneReportAcrossComponents) {
 TEST(ConfigIssue, SeverityDefaultsToError) {
   const core::ConfigIssue issue{"net.scheduler", "beams", "bad"};
   EXPECT_EQ(issue.severity, core::IssueSeverity::kError);
-  EXPECT_STREQ(core::to_string(core::IssueSeverity::kError), "error");
-  EXPECT_STREQ(core::to_string(core::IssueSeverity::kWarning), "warning");
 }
 
 TEST(ConfigIssue, WarningsAloneAreNotErrors) {

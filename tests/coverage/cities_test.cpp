@@ -54,23 +54,6 @@ TEST(Cities, TaipeiLocation) {
   EXPECT_NEAR(util::rad_to_deg(t.location.longitude_rad), 121.57, 0.01);
 }
 
-TEST(Cities, PopulationWeightsNormalised) {
-  const auto weights = population_weights(paper_cities());
-  ASSERT_EQ(weights.size(), 21u);
-  double sum = 0.0;
-  for (double w : weights) {
-    EXPECT_GT(w, 0.0);
-    sum += w;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-  // Weights preserve ordering by population.
-  EXPECT_GT(weights[0], weights[20]);
-}
-
-TEST(Cities, PopulationWeightsEmptyInput) {
-  EXPECT_TRUE(population_weights({}).empty());
-}
-
 TEST(Cities, MajorContinentsRepresented) {
   // Spot-check hemispheric spread: at least 4 southern-hemisphere sites and
   // at least 5 western-hemisphere sites.

@@ -47,17 +47,6 @@ TEST_F(ContactPlanFixture, MatchesEngineMaskDurations) {
   EXPECT_NEAR(total_contact_seconds(contacts, "taipei"), expected, 1e-6);
 }
 
-TEST_F(ContactPlanFixture, CsvHasHeaderAndOneLinePerContact) {
-  const auto contacts = build_contact_plan(engine, sats, sites);
-  const std::string csv = contact_plan_csv(contacts);
-  std::size_t lines = 0;
-  for (char ch : csv) {
-    if (ch == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, contacts.size() + 1);  // header + rows
-  EXPECT_EQ(csv.rfind("satellite,site,start_s,end_s,duration_s", 0), 0u);
-}
-
 TEST_F(ContactPlanFixture, UnknownSiteHasZeroSeconds) {
   const auto contacts = build_contact_plan(engine, sats, sites);
   EXPECT_EQ(total_contact_seconds(contacts, "nowhere"), 0.0);
@@ -66,8 +55,6 @@ TEST_F(ContactPlanFixture, UnknownSiteHasZeroSeconds) {
 TEST_F(ContactPlanFixture, EmptyConstellationEmptyPlan) {
   const auto contacts = build_contact_plan(engine, {}, sites);
   EXPECT_TRUE(contacts.empty());
-  EXPECT_EQ(contact_plan_csv(contacts),
-            "satellite,site,start_s,end_s,duration_s\n");
 }
 
 }  // namespace

@@ -95,7 +95,8 @@ TEST(Doppler, TableOverloadMatchesSatelliteOverload) {
   const orbit::TopocentricFrame site(orbit::Geodetic::from_degrees(25.0, 121.5));
   const constellation::Satellite sat = overhead_sat();
   const orbit::KeplerianPropagator prop(sat.elements, sat.epoch);
-  const orbit::EphemerisTable table = orbit::EphemerisTable::compute(prop, grid);
+  const orbit::EphemerisTable table =
+      orbit::EphemerisTable::compute(prop, grid, orbit::GmstTable::for_grid(grid));
 
   const auto from_table = doppler_profile(sat, table, site, grid, 10.0, 11.7e9);
   const auto from_satellite = doppler_profile(sat, site, grid, 10.0, 11.7e9);

@@ -339,7 +339,9 @@ TEST(MaxAbsSinLatitude, EmptyAndNonPositiveRadiusTablesKeepTheScanAnswers) {
   const orbit::TimeGrid empty_grid{test_grid().start, 60.0, 0};
   const orbit::KeplerianPropagator leo(orbit::ClassicalElements::circular(550e3, 53.0, 0.0, 0.0),
                                        empty_grid.start);
-  EXPECT_EQ(max_abs_sin_latitude(orbit::EphemerisTable::compute(leo, empty_grid)), 0.0);
+  const orbit::EphemerisTable empty_table =
+      orbit::EphemerisTable::compute(leo, empty_grid, orbit::GmstTable::for_grid(empty_grid));
+  EXPECT_EQ(max_abs_sin_latitude(empty_table), 0.0);
 
   // e = 1.5 without J2 rates: r = a (1 - e cos E) goes negative near
   // perigee, so the table holds non-positive radii.
@@ -347,7 +349,8 @@ TEST(MaxAbsSinLatitude, EmptyAndNonPositiveRadiusTablesKeepTheScanAnswers) {
   unbound.eccentricity = 1.5;
   const orbit::KeplerianPropagator degenerate(unbound, empty_grid.start,
                                               orbit::Perturbation::kNone);
-  const orbit::EphemerisTable table = orbit::EphemerisTable::compute(degenerate, test_grid());
+  const orbit::EphemerisTable table = orbit::EphemerisTable::compute(
+      degenerate, test_grid(), orbit::GmstTable::for_grid(test_grid()));
   ASSERT_FALSE(table.min_radius_m() > 0.0);
   EXPECT_EQ(max_abs_sin_latitude(table), 1.0);
   EXPECT_EQ(scanned_max_abs_sin_latitude(table), 1.0);

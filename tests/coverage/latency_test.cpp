@@ -89,7 +89,8 @@ TEST(Latency, TableOverloadMatchesSatelliteOverload) {
   const orbit::TopocentricFrame taipei_frame(taipei().location);
 
   const orbit::KeplerianPropagator prop(sat.elements, sat.epoch);
-  const orbit::EphemerisTable table = orbit::EphemerisTable::compute(prop, grid);
+  const orbit::EphemerisTable table =
+      orbit::EphemerisTable::compute(prop, grid, orbit::GmstTable::for_grid(grid));
   const LatencyStats from_table =
       propagation_latency_stats(table, taipei_frame, grid, 25.0);
   const LatencyStats from_satellite =

@@ -13,6 +13,9 @@
 namespace mpleo::cov {
 namespace {
 
+// a | b through the in-place union the programs use.
+StepMask union_of(StepMask a, const StepMask& b) { return a |= b; }
+
 TEST(StepMask, EmptyMask) {
   StepMask m(100);
   EXPECT_EQ(m.step_count(), 100u);
@@ -27,7 +30,7 @@ TEST(StepMask, ZeroStepMask) {
   EXPECT_EQ(m.fraction(), 0.0);
 }
 
-TEST(StepMask, SetTestReset) {
+TEST(StepMask, SetAndTest) {
   StepMask m(130);  // spans three words
   m.set(0);
   m.set(63);
@@ -39,9 +42,6 @@ TEST(StepMask, SetTestReset) {
   EXPECT_TRUE(m.test(129));
   EXPECT_FALSE(m.test(1));
   EXPECT_EQ(m.count(), 4u);
-  m.reset(63);
-  EXPECT_FALSE(m.test(63));
-  EXPECT_EQ(m.count(), 3u);
 }
 
 TEST(StepMask, FractionAndCount) {
@@ -57,7 +57,7 @@ TEST(StepMask, OrAndSubtract) {
   a.set(65);
   b.set(2);
   b.set(65);
-  const StepMask u = a | b;
+  const StepMask u = union_of(a, b);
   EXPECT_EQ(u.count(), 3u);
   const StepMask i = a & b;
   EXPECT_EQ(i.count(), 1u);
@@ -195,7 +195,7 @@ TEST_P(StepMaskProperty, DeMorganOnMasks) {
   const StepMask a = random_mask(rng, 300);
   const StepMask b = random_mask(rng, 300);
   // |a| + |b| == |a|b| + |a&b|.
-  EXPECT_EQ(a.count() + b.count(), (a | b).count() + (a & b).count());
+  EXPECT_EQ(a.count() + b.count(), union_of(a, b).count() + (a & b).count());
   // subtract == a & ~b: |a - b| == |a| - |a & b|.
   StepMask d = a;
   d.subtract(b);
@@ -232,7 +232,7 @@ TEST_P(StepMaskProperty, SparseOrMatchesDenseOr) {
 
     StepMask sparse = acc;
     sparse.or_words(index, bits);
-    EXPECT_EQ(sparse, acc | visible) << "density " << density;
+    EXPECT_EQ(sparse, union_of(acc, visible)) << "density " << density;
 
     StepMask copied = visible;
     copied.subtract(outage);
@@ -277,7 +277,7 @@ TEST_P(IntervalAlgebraProperty, UnionLengthBounds) {
   util::Xoshiro256PlusPlus rng(GetParam());
   const StepMask a = random_timeline(rng);
   const StepMask b = random_timeline(rng);
-  const double u = run_length(a | b);
+  const double u = run_length(union_of(a, b));
   EXPECT_GE(u, std::max(run_length(a), run_length(b)));
   EXPECT_LE(u, run_length(a) + run_length(b));
 }
@@ -287,7 +287,7 @@ TEST_P(IntervalAlgebraProperty, InclusionExclusion) {
   const StepMask a = random_timeline(rng);
   const StepMask b = random_timeline(rng);
   // Run lengths are whole multiples of the step, so the sums are exact.
-  EXPECT_EQ(run_length(a | b) + run_length(a & b), run_length(a) + run_length(b));
+  EXPECT_EQ(run_length(union_of(a, b)) + run_length(a & b), run_length(a) + run_length(b));
 }
 
 TEST_P(IntervalAlgebraProperty, ComplementPartitionsWindow) {
@@ -321,8 +321,9 @@ TEST_P(IntervalAlgebraProperty, UnionIsIdempotentAndCommutative) {
   util::Xoshiro256PlusPlus rng(GetParam() ^ 0x777);
   const StepMask a = random_timeline(rng);
   const StepMask b = random_timeline(rng);
-  EXPECT_EQ((a | a).to_intervals(kStepSeconds), a.to_intervals(kStepSeconds));
-  EXPECT_EQ((a | b).to_intervals(kStepSeconds), (b | a).to_intervals(kStepSeconds));
+  EXPECT_EQ(union_of(a, a).to_intervals(kStepSeconds), a.to_intervals(kStepSeconds));
+  EXPECT_EQ(union_of(a, b).to_intervals(kStepSeconds),
+            union_of(b, a).to_intervals(kStepSeconds));
   EXPECT_EQ((a & b).to_intervals(kStepSeconds), (b & a).to_intervals(kStepSeconds));
 }
 

@@ -131,16 +131,20 @@ TEST(FaultTimeline, InterleavedDegradationsOnlyScaleTheirOwnSatellite) {
   }
 }
 
-TEST(FaultTimeline, AvailabilityMaskIsComplementOfOutageMask) {
+TEST(FaultTimeline, OutageMaskIsComplementOfAvailability) {
   FaultTimeline timeline(make_grid(), 2, 0);
   timeline.add_satellite_outage(0, 120.0, 300.0);
-  const cov::StepMask avail = timeline.satellite_availability(0);
-  EXPECT_EQ(avail.step_count(), timeline.grid().count);
-  for (std::size_t k = 0; k < avail.step_count(); ++k) {
-    EXPECT_EQ(avail.test(k), timeline.satellite_available(0, k)) << "step " << k;
+  const cov::StepMask* out = timeline.satellite_outage_steps(0);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->step_count(), timeline.grid().count);
+  for (std::size_t k = 0; k < out->step_count(); ++k) {
+    EXPECT_EQ(out->test(k), !timeline.satellite_available(0, k)) << "step " << k;
   }
-  // A never-faulted satellite still gets a fully set availability mask.
-  EXPECT_EQ(timeline.satellite_availability(1).count(), timeline.grid().count);
+  // A never-faulted satellite has no mask and is available at every step.
+  EXPECT_EQ(timeline.satellite_outage_steps(1), nullptr);
+  for (std::size_t k = 0; k < timeline.grid().count; ++k) {
+    EXPECT_TRUE(timeline.satellite_available(1, k)) << "step " << k;
+  }
 }
 
 TEST(FaultTimeline, EventsAreSortedAndClamped) {

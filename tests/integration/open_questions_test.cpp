@@ -64,13 +64,10 @@ TEST(OpenQuestions, IncentiveFieldAgreesWithPlacementOptimizer) {
 }
 
 TEST(OpenQuestions, ReputationFeedsSchedulerPriority) {
-  // A party that forges proof-of-coverage receipts loses spare-capacity
+  // A party caught forging proof-of-coverage receipts loses spare-capacity
   // priority to an honest competitor.
   core::ReputationTracker reputation(3);
-  for (int i = 0; i < 10; ++i) {
-    reputation.record_poc(1, false);  // party 1 caught forging
-    reputation.record_poc(2, true);   // party 2 honest
-  }
+  reputation.record_fraud(1, 10);  // party 1 caught forging; party 2 honest
 
   net::SchedulerConfig cfg;
   cfg.beams_per_satellite = 1;

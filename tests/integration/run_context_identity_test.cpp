@@ -328,7 +328,10 @@ TEST(RunContextIdentity, CampaignEpochMatchesForAnyPoolSize) {
     EXPECT_EQ(via_context.active_satellites, legacy.active_satellites);
   }
   EXPECT_EQ(context.metrics().counter_value("campaign.epochs"), 2u);
-  EXPECT_EQ(context.trace().count("campaign"), 2u);
+  const std::vector<sim::TraceEvent>& events = context.trace().events();
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const sim::TraceEvent& e) { return e.category == "campaign"; }),
+            2);
 }
 
 }  // namespace

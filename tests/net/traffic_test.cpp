@@ -62,16 +62,5 @@ TEST(DiurnalDemand, EveningInTokyoIsMorningInNewYork) {
   EXPECT_GT(tokyo, nyc * 2.0);
 }
 
-TEST(CityDemand, ScalesWithPopulation) {
-  DiurnalProfile profile;
-  const auto& cities = cov::paper_cities();
-  const cov::City& tokyo = cities.front();     // 37.4M
-  cov::City small = tokyo;
-  small.population = tokyo.population / 10.0;  // same longitude, less demand
-  const double big = city_demand_bps(profile, tokyo, kMidnightUtc);
-  const double little = city_demand_bps(profile, small, kMidnightUtc);
-  EXPECT_NEAR(big / little, 10.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace mpleo::net

@@ -22,12 +22,22 @@ TimeGrid orbit_grid(double step = 10.0) {
   return TimeGrid::over_duration(kEpoch, 6000.0, step);  // ~one orbit
 }
 
+// The one pair of a two-satellite screen with a threshold above any LEO
+// separation.
+CloseApproach screened_pair(const constellation::Satellite& a,
+                            const constellation::Satellite& b, const TimeGrid& grid) {
+  const std::vector<constellation::Satellite> pair{a, b};
+  const std::vector<CloseApproach> hits = screen_conjunctions(pair, grid, 1e9);
+  EXPECT_EQ(hits.size(), 1u);
+  return hits.empty() ? CloseApproach{} : hits.front();
+}
+
 TEST(ClosestApproach, CoplanarSeparationIsChordDistance) {
   // Same circular orbit, 30 deg apart in phase: separation is constant at
   // 2 r sin(15 deg).
   const auto a = sat_at(550e3, 53.0, 0.0, 0.0);
   const auto b = sat_at(550e3, 53.0, 0.0, 30.0);
-  const CloseApproach approach = closest_approach(a, b, orbit_grid());
+  const CloseApproach approach = screened_pair(a, b, orbit_grid());
   const double r = util::kEarthMeanRadiusM + 550e3;
   EXPECT_NEAR(approach.min_distance_m, 2.0 * r * std::sin(util::deg_to_rad(15.0)),
               2e3);
@@ -40,7 +50,7 @@ TEST(ClosestApproach, CrossingPlanesAtSharedNodeCollide) {
   // conjunction class operators actually screen for.
   const auto a = sat_at(550e3, 53.0, 0.0, 0.0);
   const auto b = sat_at(550e3, 53.0, 180.0, 180.0);
-  const CloseApproach approach = closest_approach(a, b, orbit_grid(1.0));
+  const CloseApproach approach = screened_pair(a, b, orbit_grid(1.0));
   EXPECT_LT(approach.min_distance_m, 20e3);
   EXPECT_GE(approach.offset_seconds, 0.0);
 }
@@ -49,7 +59,7 @@ TEST(ClosestApproach, AltitudeSeparationIsFloor) {
   // 30 km of altitude separation: minimum distance never drops below it.
   const auto a = sat_at(550e3, 53.0, 0.0, 0.0);
   const auto b = sat_at(580e3, 53.0, 40.0, 77.0);
-  const CloseApproach approach = closest_approach(a, b, orbit_grid(1.0));
+  const CloseApproach approach = screened_pair(a, b, orbit_grid(1.0));
   EXPECT_GE(approach.min_distance_m, 29e3);
 }
 

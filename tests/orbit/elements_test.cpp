@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "orbit/kepler.hpp"
 #include "util/units.hpp"
 
 namespace mpleo::orbit {
@@ -22,14 +23,6 @@ TEST(Elements, PeriodOfLeoOrbit) {
   // ~550 km circular orbit: period ~ 95.6 minutes.
   const ClassicalElements coe = ClassicalElements::circular(550e3, 53.0, 0.0, 0.0);
   EXPECT_NEAR(coe.period_seconds() / 60.0, 95.6, 0.3);
-}
-
-TEST(Elements, PerigeeApogeeAltitudes) {
-  ClassicalElements coe;
-  coe.semi_major_axis_m = 7000e3;
-  coe.eccentricity = 0.01;
-  EXPECT_NEAR(coe.perigee_altitude_m(), 7000e3 * 0.99 - util::kEarthMeanRadiusM, 1.0);
-  EXPECT_NEAR(coe.apogee_altitude_m(), 7000e3 * 1.01 - util::kEarthMeanRadiusM, 1.0);
 }
 
 TEST(ElementsToState, CircularEquatorialAtPerigee) {
@@ -81,22 +74,24 @@ TEST(ElementsToState, VisVivaEnergyHolds) {
   EXPECT_NEAR(energy, -util::kMuEarth / (2.0 * coe.semi_major_axis_m), 1e-3);
 }
 
-TEST(StateToElements, RecoversKnownCircular) {
-  const ClassicalElements in = ClassicalElements::circular(550e3, 53.0, 100.0, 200.0);
-  const ClassicalElements out = state_to_elements(elements_to_state(in));
-  EXPECT_NEAR(out.semi_major_axis_m, in.semi_major_axis_m, 1e-3);
-  EXPECT_NEAR(out.eccentricity, 0.0, 1e-9);
-  EXPECT_NEAR(out.inclination_rad, in.inclination_rad, 1e-9);
-  EXPECT_NEAR(out.raan_rad, in.raan_rad, 1e-9);
+TEST(ElementsToState, CircularOrbitKeepsRadiusAndSpeed) {
+  const ClassicalElements coe = ClassicalElements::circular(550e3, 53.0, 100.0, 200.0);
+  const StateVector s = elements_to_state(coe);
+  EXPECT_NEAR(s.position.norm(), coe.semi_major_axis_m, 1e-3);
+  EXPECT_NEAR(s.velocity.norm(), std::sqrt(util::kMuEarth / coe.semi_major_axis_m), 1e-6);
+  EXPECT_NEAR(dot(s.position, s.velocity), 0.0, 1e-3 * s.position.norm());
 }
 
-struct RoundTripCase {
+struct ElementsCase {
   double a, e, i_deg, raan_deg, argp_deg, m_deg;
 };
 
-class StateRoundTripSweep : public ::testing::TestWithParam<RoundTripCase> {};
+// The state carries the elements' conserved quantities: vis-viva energy,
+// angular momentum |h| = sqrt(mu * p) with h.z / |h| = cos(i), the conic
+// radius at the solved true anomaly, and the node line at the RAAN.
+class ElementsToStateSweep : public ::testing::TestWithParam<ElementsCase> {};
 
-TEST_P(StateRoundTripSweep, StateSurvivesElementRoundTrip) {
+TEST_P(ElementsToStateSweep, StateCarriesTheElementsInvariants) {
   const auto p = GetParam();
   ClassicalElements coe;
   coe.semi_major_axis_m = p.a;
@@ -106,29 +101,36 @@ TEST_P(StateRoundTripSweep, StateSurvivesElementRoundTrip) {
   coe.arg_perigee_rad = util::deg_to_rad(p.argp_deg);
   coe.mean_anomaly_rad = util::deg_to_rad(p.m_deg);
 
-  const StateVector s1 = elements_to_state(coe);
-  const ClassicalElements back = state_to_elements(s1);
-  const StateVector s2 = elements_to_state(back);
+  const StateVector s = elements_to_state(coe);
+  const double mu = util::kMuEarth;
+  const double energy = s.velocity.norm_squared() / 2.0 - mu / s.position.norm();
+  EXPECT_NEAR(energy / (-mu / (2.0 * p.a)), 1.0, 1e-9);
 
-  const double pos_tol = 1e-4 * s1.position.norm();
-  EXPECT_NEAR(s2.position.x, s1.position.x, pos_tol);
-  EXPECT_NEAR(s2.position.y, s1.position.y, pos_tol);
-  EXPECT_NEAR(s2.position.z, s1.position.z, pos_tol);
-  const double vel_tol = 1e-4 * s1.velocity.norm();
-  EXPECT_NEAR(s2.velocity.x, s1.velocity.x, vel_tol);
-  EXPECT_NEAR(s2.velocity.y, s1.velocity.y, vel_tol);
-  EXPECT_NEAR(s2.velocity.z, s1.velocity.z, vel_tol);
+  const util::Vec3 h = cross(s.position, s.velocity);
+  EXPECT_NEAR(h.norm() / std::sqrt(mu * coe.semi_latus_rectum_m()), 1.0, 1e-9);
+  EXPECT_NEAR(h.z / h.norm(), std::cos(coe.inclination_rad), 1e-9);
+
+  const double nu = true_from_eccentric(solve_kepler(coe.mean_anomaly_rad, p.e), p.e);
+  EXPECT_NEAR(s.position.norm(), coe.semi_latus_rectum_m() / (1.0 + p.e * std::cos(nu)),
+              1e-6 * p.a);
+
+  // The ascending node k x h points along the RAAN (undefined when equatorial).
+  if (p.i_deg > 0.0) {
+    const util::Vec3 node{-h.y, h.x, 0.0};
+    EXPECT_NEAR(std::atan2(node.y, node.x),
+                std::atan2(std::sin(coe.raan_rad), std::cos(coe.raan_rad)), 1e-9);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, StateRoundTripSweep,
-    ::testing::Values(RoundTripCase{6928e3, 0.0, 53.0, 10.0, 0.0, 45.0},
-                      RoundTripCase{6928e3, 0.001, 53.0, 350.0, 90.0, 180.0},
-                      RoundTripCase{7150e3, 0.1, 97.6, 200.0, 270.0, 300.0},
-                      RoundTripCase{6900e3, 0.0, 0.0, 0.0, 0.0, 120.0},    // equatorial circular
-                      RoundTripCase{7000e3, 0.05, 0.0, 0.0, 45.0, 30.0},   // equatorial elliptic
-                      RoundTripCase{7000e3, 0.0, 90.0, 60.0, 0.0, 250.0},  // polar circular
-                      RoundTripCase{26560e3, 0.6, 63.4, 120.0, 270.0, 10.0}  // Molniya-like
+    Sweep, ElementsToStateSweep,
+    ::testing::Values(ElementsCase{6928e3, 0.0, 53.0, 10.0, 0.0, 45.0},
+                      ElementsCase{6928e3, 0.001, 53.0, 350.0, 90.0, 180.0},
+                      ElementsCase{7150e3, 0.1, 97.6, 200.0, 270.0, 300.0},
+                      ElementsCase{6900e3, 0.0, 0.0, 0.0, 0.0, 120.0},    // equatorial circular
+                      ElementsCase{7000e3, 0.05, 0.0, 0.0, 45.0, 30.0},   // equatorial elliptic
+                      ElementsCase{7000e3, 0.0, 90.0, 60.0, 0.0, 250.0},  // polar circular
+                      ElementsCase{26560e3, 0.6, 63.4, 120.0, 270.0, 10.0}  // Molniya-like
                       ));
 
 }  // namespace

@@ -40,6 +40,11 @@ TEST(TimePoint, RejectsInvalidCivil) {
   EXPECT_THROW((void)TimePoint::from_civil({2024, 13, 1, 0, 0, 0.0}), std::invalid_argument);
   EXPECT_THROW((void)TimePoint::from_civil({2024, 0, 1, 0, 0, 0.0}), std::invalid_argument);
   EXPECT_THROW((void)TimePoint::from_civil({1400, 1, 1, 0, 0, 0.0}), std::invalid_argument);
+  // The time of day too: a NaN second would otherwise make a NaN instant.
+  EXPECT_THROW((void)TimePoint::from_civil({2024, 1, 1, 24, 0, 0.0}), std::invalid_argument);
+  EXPECT_THROW((void)TimePoint::from_civil({2024, 1, 1, 0, 60, 0.0}), std::invalid_argument);
+  EXPECT_THROW((void)TimePoint::from_civil({2024, 1, 1, 0, 0, -1.0}), std::invalid_argument);
+  EXPECT_THROW((void)TimePoint::from_iso8601("2024-11-18T00:00:nanZ"), std::invalid_argument);
 }
 
 TEST(TimePoint, Iso8601ParseAndFormat) {
@@ -70,8 +75,8 @@ TEST(TimePoint, ArithmeticAndComparison) {
 }
 
 TEST(Gmst, J2000Value) {
-  // GMST at J2000.0 epoch is 280.46061837 deg.
-  const TimePoint t = TimePoint::from_julian_date(2451545.0);
+  // GMST at the J2000.0 epoch (JD 2451545.0) is 280.46061837 deg.
+  const TimePoint t = TimePoint::from_iso8601("2000-01-01T12:00:00Z");
   EXPECT_NEAR(util::rad_to_deg(gmst_rad(t)), 280.46061837, 1e-6);
 }
 

@@ -26,7 +26,6 @@ TEST_P(ConsortiumProperty, InvariantsUnderRandomOperations) {
   util::Xoshiro256PlusPlus rng(GetParam());
   Consortium consortium;
   std::vector<PartyId> parties;
-  std::vector<constellation::SatelliteId> all_satellite_ids;
 
   const std::size_t n_parties = 2 + rng.uniform_index(5);
   for (std::size_t p = 0; p < n_parties; ++p) {
@@ -40,15 +39,14 @@ TEST_P(ConsortiumProperty, InvariantsUnderRandomOperations) {
     const PartyId party = parties[rng.uniform_index(parties.size())];
     if (roll < 0.5) {
       if (consortium.parties()[party].active) {
-        const auto ids =
-            consortium.contribute(party, some_sats(1 + rng.uniform_index(5)));
-        all_satellite_ids.insert(all_satellite_ids.end(), ids.begin(), ids.end());
+        (void)consortium.contribute(party, some_sats(1 + rng.uniform_index(5)));
       }
     } else if (roll < 0.7) {
       (void)consortium.withdraw_party(party);
-    } else if (!all_satellite_ids.empty()) {
-      (void)consortium.fail_satellite(
-          all_satellite_ids[rng.uniform_index(all_satellite_ids.size())]);
+    } else if (consortium.party_status(party) == PartyStatus::kActive) {
+      consortium.quarantine_party(party);
+    } else if (consortium.party_status(party) == PartyStatus::kQuarantined) {
+      consortium.reinstate_party(party);
     }
 
     // Invariant 1: per-party counts sum to the active total.
@@ -74,8 +72,11 @@ TEST_P(ConsortiumProperty, InvariantsUnderRandomOperations) {
       ASSERT_LT(sat.owner_party, parties.size());
     }
 
-    // Invariant 4: withdrawn parties hold nothing.
+    // Invariant 4: withdrawn parties hold nothing, and only they are
+    // inactive; a quarantined party stays a member.
     for (PartyId p : parties) {
+      ASSERT_EQ(consortium.parties()[p].active,
+                consortium.party_status(p) != PartyStatus::kWithdrawn);
       if (!consortium.parties()[p].active) {
         ASSERT_EQ(consortium.party_satellite_count(p), 0u);
       }

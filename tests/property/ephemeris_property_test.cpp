@@ -41,7 +41,7 @@ TEST_P(EphemerisProperty, TableMatchesPropagatorUnderOneMillimetre) {
 
   for (bool eccentric : {false, true}) {
     const KeplerianPropagator prop(random_elements(rng, eccentric), kEpoch);
-    const EphemerisTable table = EphemerisTable::compute(prop, grid);
+    const EphemerisTable table = EphemerisTable::compute(prop, grid, GmstTable::for_grid(grid));
     ASSERT_EQ(table.size(), grid.count);
     for (std::size_t k = 0; k < grid.count; ++k) {
       const util::Vec3 eci =
@@ -60,7 +60,7 @@ TEST_P(EphemerisProperty, RadiusBoundsBracketEveryStep) {
   util::Xoshiro256PlusPlus rng(GetParam());
   const TimeGrid grid = TimeGrid::over_duration(kEpoch, 6.0 * 3600.0, 45.0);
   const KeplerianPropagator prop(random_elements(rng, true), kEpoch);
-  const EphemerisTable table = EphemerisTable::compute(prop, grid);
+  const EphemerisTable table = EphemerisTable::compute(prop, grid, GmstTable::for_grid(grid));
   for (std::size_t k = 0; k < grid.count; ++k) {
     EXPECT_GE(table.radius_m()[k], table.min_radius_m() - 1e-6);
     EXPECT_LE(table.radius_m()[k], table.max_radius_m() + 1e-6);
@@ -72,7 +72,7 @@ TEST_P(EphemerisProperty, CircularLatitudeArgumentPredictsZ) {
   const TimeGrid grid = TimeGrid::over_duration(kEpoch, 3.0 * 3600.0, 60.0);
   ClassicalElements coe = random_elements(rng, false);
   const KeplerianPropagator prop(coe, kEpoch);
-  const EphemerisTable table = EphemerisTable::compute(prop, grid);
+  const EphemerisTable table = EphemerisTable::compute(prop, grid, GmstTable::for_grid(grid));
   const LinearLatitudeArgument& arg = table.latitude_argument();
   ASSERT_TRUE(arg.valid);
   for (std::size_t k = 0; k < grid.count; ++k) {

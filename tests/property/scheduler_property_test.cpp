@@ -3,6 +3,7 @@
 // silently depends on.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "net/scheduler.hpp"
@@ -198,6 +199,28 @@ TEST_P(BackoffProperty, MonotoneCappedAndResetsAfterCleanHorizon) {
       EXPECT_EQ(constant.on_failure(), initial)
           << "failure " << n << " at multiplier " << any_multiplier;
     }
+  }
+
+  // Products past the size_t range saturate at the cap instead of wrapping:
+  // a huge multiplier overshoots on the second failure, and a SIZE_MAX cap is
+  // only reached once doubling passes 2^64.
+  struct Extreme {
+    double multiplier;
+    std::size_t max_steps;
+  };
+  for (const Extreme extreme : {Extreme{1e20, max_steps},
+                                Extreme{std::numeric_limits<double>::max(), max_steps},
+                                Extreme{2.0, std::numeric_limits<std::size_t>::max()}}) {
+    ReacquisitionBackoff steep(initial, extreme.multiplier, extreme.max_steps, horizon);
+    std::size_t last = steep.on_failure();
+    EXPECT_EQ(last, initial);
+    for (std::size_t n = 2; n <= 80; ++n) {
+      const std::size_t hold = steep.on_failure();
+      EXPECT_GE(hold, last) << "failure " << n << " at multiplier " << extreme.multiplier;
+      EXPECT_LE(hold, extreme.max_steps) << "failure " << n;
+      last = hold;
+    }
+    EXPECT_EQ(last, extreme.max_steps) << "multiplier " << extreme.multiplier;
   }
 }
 

@@ -59,13 +59,5 @@ TEST(EventQueue, NullCallbackRejected) {
   EXPECT_THROW(q.schedule(1.0, EventCallback{}), std::invalid_argument);
 }
 
-TEST(EventQueue, ClearEmptiesQueue) {
-  EventQueue q;
-  q.schedule(1.0, [] {});
-  q.schedule(2.0, [] {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-}
-
 }  // namespace
 }  // namespace mpleo::sim

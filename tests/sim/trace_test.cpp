@@ -14,19 +14,6 @@ TEST(Trace, RecordsEvents) {
   EXPECT_EQ(trace.events()[1].time_s, 2.0);
 }
 
-TEST(Trace, FilterByCategory) {
-  TraceRecorder trace;
-  trace.record(1.0, "a", "x");
-  trace.record(2.0, "b", "y");
-  trace.record(3.0, "a", "z");
-  EXPECT_EQ(trace.count("a"), 2u);
-  EXPECT_EQ(trace.count("b"), 1u);
-  EXPECT_EQ(trace.count("missing"), 0u);
-  const auto only_a = trace.by_category("a");
-  ASSERT_EQ(only_a.size(), 2u);
-  EXPECT_EQ(only_a[1].message, "z");
-}
-
 TEST(Trace, ToStringFormatsLines) {
   TraceRecorder trace;
   trace.record(1.5, "withdrawal", "party 3 exits");
@@ -41,28 +28,6 @@ TEST(Trace, ClearResets) {
   trace.record(1.0, "a", "x");
   trace.clear();
   EXPECT_TRUE(trace.events().empty());
-}
-
-TEST(Trace, ToJsonEmptyRecorder) {
-  const TraceRecorder trace;
-  EXPECT_EQ(trace.to_json(),
-            "{\n"
-            "  \"event_count\": 0,\n"
-            "  \"events\": []\n"
-            "}");
-}
-
-TEST(Trace, ToJsonEscapesAndIndents) {
-  TraceRecorder trace;
-  trace.record(1.5, "poc", "line\none \"quoted\"");
-  const std::string json = trace.to_json(2);
-  EXPECT_NE(json.find("\"event_count\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"time_s\": 1.5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\\n"), std::string::npos) << json;       // newline escaped
-  EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos) << json;
-  // base_indent prefixes every line after the first, so the object nests
-  // inside an outer report at that depth.
-  EXPECT_NE(json.find("\n    \"events\": ["), std::string::npos) << json;
 }
 
 }  // namespace
