@@ -62,4 +62,11 @@ double HopEvaluator::snr_linear(double distance_m) const {
   return db_to_linear(received_power_dbw - noise_power_dbw);
 }
 
+double HopEvaluator::inverse_square_snr_m2() const {
+  const double wavelength_over_4pi =
+      util::kSpeedOfLightMPerSec / (4.0 * util::kPi * frequency_hz);
+  return db_to_linear(eirp_dbw + receive_gain_dbi - misc_losses_db - noise_power_dbw) *
+         wavelength_over_4pi * wavelength_over_4pi;
+}
+
 }  // namespace mpleo::net

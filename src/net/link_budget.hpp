@@ -71,6 +71,13 @@ struct HopEvaluator {
   [[nodiscard]] double shannon_bps(double snr_linear_value) const {
     return shannon_capacity_bps(snr_linear_value, bandwidth_hz);
   }
+
+  // The hop's free-space inverse-square constant K, in m²: the SNR at slant
+  // range d is K / d², with K = 10^((EIRP + G - L - N) / 10) * (c / 4πf)²
+  // folded from the same terms snr_linear() reads. The two agree up to the
+  // dB chain's rounding, not bit for bit; K / d² costs one division where
+  // snr_linear() takes a sqrt, a log10 and a pow.
+  [[nodiscard]] double inverse_square_snr_m2() const;
 };
 
 }  // namespace mpleo::net

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
@@ -22,17 +23,55 @@
 namespace mpleo::net {
 namespace {
 
-// One precomputed service option: for a (terminal, satellite) pair visible at
-// a step, the best (highest end-to-end capacity, lowest index on ties) healthy
-// same-party station and the resulting capacity. Beam contention is NOT
-// resolved here — that is phase 2's job — so candidates depend only on
-// geometry and faults, never on scheduling state, and chunks can be built in
-// parallel in any order.
+// Phase 1 ranks, and phase 2 compares, capacities by a key: the relay
+// combine and log2 of the exact capacity, fed an uplink SNR of K / d²
+// (HopEvaluator::inverse_square_snr_m2, d² from the exact elevation test)
+// instead of the dB chain's sqrt, log10 and pow. Both are the free-space
+// inverse-square law and differ only by rounding:
+// - each dB term of the chain (EIRP, path loss, gains, losses, noise power)
+//   carries an absolute error of a few ulps of its magnitude, under 1e-13 dB
+//   for terms of a few hundred dB, which 10^(x/10) turns into ln(10)/10 of
+//   that in relative SNR;
+// - the transparent cascade and log2(1 + SNR) never amplify a relative SNR
+//   error, except through 1 + SNR's own rounding, under 1.1e-13 relative for
+//   SNR >= kKeySnrFloor.
+// So a key is within 1e-12 of its exact capacity: the stated bound, which
+// tests/property/capacity_key_property_test.cpp checks over random radios
+// and ranges (its worst sample, 2.2e-13, sits near the floor). Two values
+// further apart than kRelayWindow, relative to the larger, therefore order
+// their exact capacities the same way and cannot hide a tie. Inside the
+// window — two keys, a key and the sticky bar `held × (1 + margin)`, or a
+// regenerative uplink key and a downlink capacity — both sides are
+// recomputed exactly and compared exactly. A pair whose end-to-end key SNR
+// is below kKeySnrFloor, where an exact capacity may also round to 0, takes
+// the exact path outright. Exact capacities come from ExactEvaluator: phase
+// 1 runs it for near-ties and weak pairs only, phase 2 once per grant, so
+// every grant, tie-break, sticky decision, top-K set and granted capacity
+// is the one run_reference computes.
+//
+// The window also spares the transparent combine a log2 per station: with
+// uniform station bandwidths log2 is monotone, so stations rank by 1 + SNR
+// and only the best one's log2 is taken.
+constexpr double kRelayWindow = 1e-9;
+constexpr double kKeySnrFloor = 1e-3;
+
+// True when a key comparison cannot decide between two non-negative values:
+// they sit within kRelayWindow of each other, relative to the larger.
+bool within_window(double a, double b) noexcept {
+  return std::abs(a - b) <= kRelayWindow * std::max(a, b);
+}
+
+// One precomputed service option, 16 bytes: for a (terminal, satellite) pair
+// visible at a step, the best (highest end-to-end capacity, lowest index on
+// ties) healthy same-party station and the pair's capacity key. The terminal
+// is where the candidate sits: its StepCandidates offsets range, or its
+// footprint slot's top-K block. Beam contention is NOT resolved here — that
+// is phase 2's job — so candidates depend only on geometry and faults, never
+// on scheduling state, and chunks can be built in parallel in any order.
 struct Candidate {
-  std::uint32_t terminal = 0;
   std::uint32_t satellite = 0;
   std::uint32_t station = 0;
-  double capacity_bps = 0.0;
+  double key = 0.0;
 };
 
 // Candidates of one step, terminal-major with satellites ascending inside
@@ -74,7 +113,7 @@ std::uint64_t chunk_word(std::span<const std::uint64_t> words,
 // what the relay combine reads is kept, plus the station's owner for the
 // same-party match: 1/SNR for the transparent cascade, and the hop's Shannon
 // capacity, which stays zero in transparent mode, where the combine never
-// looks at it.
+// looks at it. Legs are exact: the dB chain runs once per leg.
 struct StationBudget {
   std::uint32_t station = 0;
   std::uint32_t party = 0;
@@ -87,10 +126,76 @@ struct StationBudget {
 // party_masks[b * satellites + si] has bit (party & 63) set for each of their
 // owners. Kept per stream slot and reused across the chunks it processes, so
 // the lists keep their capacity instead of reallocating tens of thousands of
-// small vectors per chunk.
+// small vectors per chunk. Phase 2 reads a chunk's legs while it drains the
+// chunk: the slot is not refilled until the drain releases it.
 struct DownlinkLists {
   std::vector<std::vector<StationBudget>> lists;
   std::vector<std::uint64_t> party_masks;
+};
+
+// One step of a chunk, by satellite: the downlink legs there (the step's
+// slice of the chunk's DownlinkLists) and the satellite's position.
+struct StepLegs {
+  const orbit::EphemerisSet& ephemerides;
+  std::span<const std::vector<StationBudget>> lists;
+  std::size_t step = 0;
+
+  [[nodiscard]] const std::vector<StationBudget>& legs(std::size_t si) const {
+    return lists[si];
+  }
+  [[nodiscard]] util::Vec3 position(std::size_t si) const {
+    return ephemerides.table(si).position_ecef(step);
+  }
+};
+
+// The exact capacity of a (terminal, satellite, station) triple: each hop's
+// HopEvaluator dB chain, the relay combine and the Shannon capacity in
+// compute_relay's arithmetic, so the result is the double run_reference
+// computes. The range-independent hop pieces are hoisted once per run into
+// terminal- and station-indexed arrays that only this evaluator reads. Each
+// downlink leg is evaluated once per chunk (fill_downlinks), and both
+// phases combine an uplink with that cached leg.
+struct ExactEvaluator {
+  std::span<const orbit::TopocentricFrame> terminal_frames;
+  // uplinks[ti]: terminal ti -> transponder receive.
+  std::span<const HopEvaluator> uplinks;
+  std::span<const GroundStation> stations;
+  std::span<const orbit::TopocentricFrame> station_frames;
+  // downlinks[gi]: transponder transmit -> station gi.
+  std::span<const HopEvaluator> downlinks;
+  // Transparent mode: relay_bandwidth_hz[gi] is the bandwidth station gi's
+  // end-to-end capacity is taken over.
+  std::span<const double> relay_bandwidth_hz;
+  bool regenerative = false;
+
+  [[nodiscard]] double uplink_snr(std::uint32_t ti, const util::Vec3& pos) const {
+    return uplinks[ti].snr_linear(terminal_frames[ti].range_m(pos));
+  }
+
+  // Station gi's downlink leg from satellite position `pos`. Only the
+  // regenerative combine reads the hop's Shannon capacity.
+  [[nodiscard]] StationBudget leg(std::uint32_t gi, const util::Vec3& pos) const {
+    const double snr = downlinks[gi].snr_linear(station_frames[gi].range_m(pos));
+    return {gi, stations[gi].owner_party, 1.0 / snr,
+            regenerative ? downlinks[gi].shannon_bps(snr) : 0.0};
+  }
+
+  [[nodiscard]] double combine(std::uint32_t ti, double up_snr, const StationBudget& leg) const {
+    if (regenerative) return std::min(uplinks[ti].shannon_bps(up_snr), leg.shannon_bps);
+    return shannon_capacity_bps(transparent_snr_linear(1.0 / up_snr, leg.inv_snr),
+                                relay_bandwidth_hz[leg.station]);
+  }
+
+  // Terminal ti through satellite si and station gi at one step, from the
+  // satellite's cached position and legs there (phase 1 picked gi from
+  // that list).
+  [[nodiscard]] double capacity(std::uint32_t ti, const StepLegs& step, std::uint32_t si,
+                                std::uint32_t gi) const {
+    const std::vector<StationBudget>& legs = step.legs(si);
+    const auto leg = std::find_if(legs.begin(), legs.end(),
+                                  [gi](const StationBudget& l) { return l.station == gi; });
+    return combine(ti, uplink_snr(ti, step.position(si)), *leg);
+  }
 };
 
 // A terminal's bit in a DownlinkLists party mask. Parties 64 apart share a
@@ -100,15 +205,19 @@ std::uint64_t party_bit(std::uint32_t party) noexcept {
   return std::uint64_t{1} << (party & 63);
 }
 
-// What the chunk fill reads of one terminal, stored in footprint-index
-// slot order so a cap query's ranges stream through it sequentially instead
-// of hopping across terminal-indexed arrays.
-struct IndexedSite {
-  orbit::TopocentricFrame frame;
-  HopEvaluator uplink;
+// What the chunk fill reads of one terminal, stored in footprint-index slot
+// order so a cap query's ranges stream through it sequentially: the exact
+// elevation test's origin and up vectors, the uplink's inverse-square
+// constant K (the key's uplink SNR is K / d²), the terminal and its party.
+// One cache line per site.
+struct alignas(64) IndexedSite {
+  util::Vec3 origin;
+  util::Vec3 up;
+  double uplink_snr_m2 = 0.0;
   std::uint32_t terminal = 0;
   std::uint32_t party = 0;
 };
+static_assert(sizeof(IndexedSite) == 64);
 
 // Read-only phase-1 inputs, shared across chunk workers. No per-(satellite,
 // terminal) state exists: visibility is discovered per (satellite, step)
@@ -116,8 +225,6 @@ struct IndexedSite {
 struct StreamContext {
   std::span<const constellation::Satellite> satellites;
   std::size_t terminal_count = 0;
-  std::span<const GroundStation> stations;
-  std::span<const orbit::TopocentricFrame> station_frames;
   const orbit::EphemerisSet& ephemerides;
   const cov::FootprintIndex* index = nullptr;
   // sites[j] is the terminal behind index slot j.
@@ -127,18 +234,15 @@ struct StreamContext {
   std::span<const constellation::ShellShard> shards;
   std::span<const cov::FootprintCone> shard_cones;
   // Station visibility in slab-packed word storage, outage-subtracted:
-  // mask si * stations.size() + gi.
+  // mask si * stations + gi.
   const cov::PackedMasks* station_vis = nullptr;
-  // Range-independent downlink hop pieces, hoisted once per run:
-  // downlink_hops[gi] is transponder transmit -> station gi.
-  std::span<const HopEvaluator> downlink_hops;
-  // Transparent mode: relay_bandwidth_hz[gi] is the bandwidth station gi's
-  // end-to-end capacity is taken over, and uniform_relay_bandwidth says all
-  // stations share one, so the end-to-end SNR alone ranks them.
-  std::span<const double> relay_bandwidth_hz;
+  const ExactEvaluator& exact;
+  // Transparent mode: all stations share one relay bandwidth, so the end-to-
+  // end SNR alone ranks them.
   bool uniform_relay_bandwidth = false;
-  // Per-hop Shannon terms are only consumed by the regenerative combine.
-  bool regenerative = false;
+  // Regenerative mode: the uplink's Shannon bandwidth (the transponder's
+  // receive chain, the same for every terminal).
+  double uplink_bandwidth_hz = 0.0;
   double sin_mask = 0.0;
   // max_candidates_per_terminal (0 = exact).
   std::size_t cap = 0;
@@ -161,7 +265,7 @@ struct StreamContext {
 void fill_downlinks(const StreamContext& ctx, std::size_t chunk_begin, std::size_t count,
                     DownlinkLists& downlinks) {
   const std::size_t sat_count = ctx.satellites.size();
-  const std::size_t station_count = ctx.stations.size();
+  const std::size_t station_count = ctx.exact.stations.size();
   if (downlinks.lists.size() < count * sat_count) downlinks.lists.resize(count * sat_count);
   for (std::size_t i = 0; i < count * sat_count; ++i) downlinks.lists[i].clear();
   downlinks.party_masks.assign(count * sat_count, 0);
@@ -170,81 +274,156 @@ void fill_downlinks(const StreamContext& ctx, std::size_t chunk_begin, std::size
     for (std::size_t gi = 0; gi < station_count; ++gi) {
       std::uint64_t bits =
           chunk_word(ctx.station_vis->words(si * station_count + gi), chunk_begin, count);
-      const std::uint32_t party = ctx.stations[gi].owner_party;
       while (bits != 0) {
         const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
-        const std::size_t step = chunk_begin + b;
-        const util::Vec3 pos = table.position_ecef(step);
-        const double snr =
-            ctx.downlink_hops[gi].snr_linear(ctx.station_frames[gi].range_m(pos));
-        downlinks.lists[b * sat_count + si].push_back(
-            {static_cast<std::uint32_t>(gi), party, 1.0 / snr,
-             ctx.regenerative ? ctx.downlink_hops[gi].shannon_bps(snr) : 0.0});
-        downlinks.party_masks[b * sat_count + si] |= party_bit(party);
+        const StationBudget leg =
+            ctx.exact.leg(static_cast<std::uint32_t>(gi), table.position_ecef(chunk_begin + b));
+        downlinks.lists[b * sat_count + si].push_back(leg);
+        downlinks.party_masks[b * sat_count + si] |= party_bit(leg.party);
       }
     }
   }
 }
 
-// Transparent mode ranks a pair's same-party stations by 1 + SNR, the
-// argument of capacity = bandwidth * log2(1 + SNR), and takes log2 only for
-// stations whose 1 + SNR is within a relative kRelayWindow of the largest.
-// A station outside it has a true log2 at least kRelayWindow / ln 2 below
-// the best's; as log2 never exceeds 1024, that is a relative gap of at least
-// 1.4e-12, while log2's error (within 1 ulp) and the bandwidth product's
-// rounding move each capacity by under 1e-15 relative. So its capacity is
-// strictly below the best station's, and it can neither win nor tie.
-constexpr double kRelayWindow = 1e-9;
+// Pairs counted at each phase-1 stage, in stage order: sites the footprint
+// queries returned, cone-test survivors, party-mask survivors, pairs that
+// pass the exact elevation test, and station capacities ranked; plus exact
+// capacity evaluations (near-ties and weak pairs), and the seconds spent on
+// downlink legs, on the per-site loop, and on candidate emission (scratch
+// resets, counting sort or top-K merge).
+struct Phase1Stats {
+  std::uint64_t sites_returned = 0;
+  std::uint64_t cone_survivors = 0;
+  std::uint64_t party_gate_survivors = 0;
+  std::uint64_t exact_visible_pairs = 0;
+  std::uint64_t relay_evaluations = 0;
+  std::uint64_t exact_capacity_evaluations = 0;
+  double downlinks_seconds = 0.0;
+  double sites_seconds = 0.0;
+  double emit_seconds = 0.0;
+};
+
+// Orders one terminal's candidates at one step by capacity: by key, and by
+// exact capacity when the two keys sit inside the window. `evaluations`
+// counts the exact capacities computed.
+struct CapacityOrder {
+  const ExactEvaluator& exact;
+  const StepLegs& step;
+  std::uint32_t terminal = 0;
+  std::uint64_t& evaluations;
+
+  [[nodiscard]] double exact_capacity(const Candidate& cand) const {
+    ++evaluations;
+    return exact.capacity(terminal, step, cand.satellite, cand.station);
+  }
+
+  [[nodiscard]] bool less(const Candidate& a, const Candidate& b) const {
+    if (!within_window(a.key, b.key)) return a.key < b.key;
+    return exact_capacity(a) < exact_capacity(b);
+  }
+};
 
 // The best same-party station of one visible pair, by the reference's rule:
 // highest end-to-end capacity, the lowest station index on ties (strict >),
-// and none when no capacity is positive.
+// and none when no capacity is positive. `key` is the pair's capacity key,
+// or its exact capacity when the exact path ran.
 struct RelayChoice {
-  double capacity_bps = 0.0;
+  double key = 0.0;
   std::uint32_t station = 0;
   bool found = false;
 };
 
 // Picks a visible pair's station from the satellite's downlink legs at that
-// step. `evaluations` counts the station capacities computed: one log2 each
-// in transparent mode. Regenerative mode takes every same-party station's
-// min of the two hops' Shannon capacities, as combine_relay does.
-RelayChoice best_station(const StreamContext& ctx, std::span<const StationBudget> downlinks,
-                         std::uint32_t party, const IndexedSite& site, double up_snr,
-                         std::uint64_t& evaluations) {
-  RelayChoice best;
-  const auto offer = [&best](double capacity, std::uint32_t station) {
-    if (capacity > best.capacity_bps) best = {capacity, station, true};
+// step, `range_squared` being the pair's d². Counts each station capacity
+// ranked in `relay_evaluations` (one per pair in uniform-bandwidth
+// transparent mode unless stations tie, every same-party station otherwise)
+// and each exact uplink evaluation.
+RelayChoice best_station(const StreamContext& ctx, std::span<const StationBudget> legs,
+                         const IndexedSite& site, double range_squared, const util::Vec3& pos,
+                         Phase1Stats& stats) {
+  const ExactEvaluator& exact = ctx.exact;
+  const std::uint32_t party = site.party;
+  // The exact rule over the same-party legs `keep` admits: the uplink's dB
+  // chain once, then each station's exact combine.
+  const auto exact_choice = [&](const auto& keep) {
+    ++stats.exact_capacity_evaluations;
+    const double up_snr = exact.uplink_snr(site.terminal, pos);
+    RelayChoice choice;
+    for (const StationBudget& leg : legs) {
+      if (leg.party != party || !keep(leg)) continue;
+      const double capacity = exact.combine(site.terminal, up_snr, leg);
+      if (capacity > choice.key) choice = {capacity, leg.station, true};
+    }
+    return choice;
   };
-  if (ctx.regenerative) {
-    const double up_shannon = site.uplink.shannon_bps(up_snr);
-    for (const StationBudget& sb : downlinks) {
-      if (sb.party != party) continue;
-      ++evaluations;
-      offer(std::min(up_shannon, sb.shannon_bps), sb.station);
+
+  if (exact.regenerative) {
+    // capacity = min(uplink, downlink) with exact downlink capacities, so the
+    // key only enters through the uplink: the choice is the same as the
+    // exact one unless some downlink sits inside the window of it.
+    const double up_snr = site.uplink_snr_m2 / range_squared;
+    const double up_key = ctx.uplink_bandwidth_hz * std::log2(1.0 + up_snr);
+    bool undecided = up_snr < kKeySnrFloor;
+    RelayChoice choice;
+    for (const StationBudget& leg : legs) {
+      if (leg.party != party) continue;
+      ++stats.relay_evaluations;
+      undecided |= within_window(up_key, leg.shannon_bps);
+      const double key = std::min(up_key, leg.shannon_bps);
+      if (key > choice.key) choice = {key, leg.station, true};
     }
-    return best;
+    if (!undecided) return choice;
+    return exact_choice([](const StationBudget&) { return true; });
   }
-  const double inv_up = 1.0 / up_snr;
-  // With differing bandwidths SNR alone cannot rank the stations, so the
-  // window floor stays 0 and every station is evaluated.
-  double best_x = 0.0;
-  if (ctx.uniform_relay_bandwidth) {
-    for (const StationBudget& sb : downlinks) {
-      if (sb.party != party) continue;
-      best_x = std::max(best_x, 1.0 + transparent_snr_linear(inv_up, sb.inv_snr));
+
+  // Transparent: rank the stations by 1 + SNR when their bandwidths are
+  // uniform (log2 is monotone), by capacity key otherwise, keeping the best
+  // (the first on ties) and the largest value among the rest.
+  const double inv_up = range_squared / site.uplink_snr_m2;
+  const bool uniform = ctx.uniform_relay_bandwidth;
+  const auto value = [&](const StationBudget& leg, double x) {
+    return uniform ? x : exact.relay_bandwidth_hz[leg.station] * std::log2(x);
+  };
+  double best = 0.0, runner_up = 0.0, best_x = 0.0;
+  std::uint32_t best_station = 0;
+  bool any = false, weak = false;
+  for (const StationBudget& leg : legs) {
+    if (leg.party != party) continue;
+    any = true;
+    const double x = 1.0 + transparent_snr_linear(inv_up, leg.inv_snr);
+    // A capacity key is trusted only at or above the SNR floor.
+    if (!uniform) {
+      ++stats.relay_evaluations;
+      weak |= x < 1.0 + kKeySnrFloor;
+    }
+    const double v = value(leg, x);
+    if (v > best) {
+      runner_up = best;
+      best = v;
+      best_x = x;
+      best_station = leg.station;
+    } else if (v > runner_up) {
+      runner_up = v;
     }
   }
-  const double x_floor = best_x * (1.0 - kRelayWindow);
-  for (const StationBudget& sb : downlinks) {
-    if (sb.party != party) continue;
-    const double snr = transparent_snr_linear(inv_up, sb.inv_snr);
-    if (1.0 + snr < x_floor) continue;
-    ++evaluations;
-    offer(shannon_capacity_bps(snr, ctx.relay_bandwidth_hz[sb.station]), sb.station);
+  if (!any) return {};
+  if (!within_window(runner_up, best) && !weak && best_x >= 1.0 + kKeySnrFloor) {
+    if (!uniform) return {best, best_station, true};
+    ++stats.relay_evaluations;
+    return {exact.relay_bandwidth_hz[best_station] * std::log2(best_x), best_station, true};
   }
-  return best;
+  // A station outside the window of the best can neither win nor tie, so
+  // only those inside it are evaluated — every station when a capacity key
+  // is below the floor.
+  return exact_choice([&](const StationBudget& leg) {
+    if (!weak &&
+        !within_window(value(leg, 1.0 + transparent_snr_linear(inv_up, leg.inv_snr)), best)) {
+      return false;
+    }
+    if (uniform) ++stats.relay_evaluations;
+    return true;
+  });
 }
 
 // Per-slot scratch of the chunk fill. Apart from the chunk's downlink
@@ -253,8 +432,10 @@ struct StreamScratch {
   DownlinkLists downlinks;
   std::vector<cov::FootprintIndex::Range> ranges;
   // Exact mode: the step's emission in (satellite-ascending, site-bucket)
-  // order, counting-sorted into terminal-major afterwards.
+  // order and each entry's terminal, counting-sorted into terminal-major
+  // afterwards.
   std::vector<Candidate> emitted;
+  std::vector<std::uint32_t> emitted_terminals;
   std::vector<std::uint32_t> cursors;
   // Capped mode: per-index-slot blocks of 2*cap entries — own-satellite
   // top-K in the front half, spare top-K in the back half, each kept sorted
@@ -266,29 +447,26 @@ struct StreamScratch {
   std::vector<std::uint8_t> spare_count;
 };
 
-// Pairs counted at each phase-1 stage, in stage order: sites the footprint
-// queries returned, cone-test survivors, party-mask survivors, pairs that
-// pass the exact elevation test, and station capacities computed.
-struct Phase1Counts {
-  std::uint64_t sites_returned = 0;
-  std::uint64_t cone_survivors = 0;
-  std::uint64_t party_gate_survivors = 0;
-  std::uint64_t exact_visible_pairs = 0;
-  std::uint64_t relay_evaluations = 0;
-};
-
 // Keeps region[0..n) the top-`cap` candidates by capacity (descending,
 // stable so the earlier — lower-satellite — entry wins ties).
-void top_k_insert(Candidate* region, std::uint8_t& n, std::size_t cap,
-                  const Candidate& cand) {
-  if (n >= cap && !(cand.capacity_bps > region[cap - 1].capacity_bps)) return;
+void top_k_insert(Candidate* region, std::uint8_t& n, std::size_t cap, const Candidate& cand,
+                  const CapacityOrder& order) {
+  if (n >= cap && !order.less(region[cap - 1], cand)) return;
   std::size_t pos = n < cap ? n : cap - 1;
-  while (pos > 0 && region[pos - 1].capacity_bps < cand.capacity_bps) {
+  while (pos > 0 && order.less(region[pos - 1], cand)) {
     region[pos] = region[pos - 1];
     --pos;
   }
   region[pos] = cand;
   if (n < cap) ++n;
+}
+
+// Seconds from `mark` to now; moves `mark` to now.
+double lap(std::chrono::steady_clock::time_point& mark) {
+  const std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now();
+  const double seconds = std::chrono::duration<double>(now - mark).count();
+  mark = now;
+  return seconds;
 }
 
 // Builds the candidate lists of steps [chunk_begin, chunk_begin + count) into
@@ -302,14 +480,17 @@ void top_k_insert(Candidate* region, std::uint8_t& n, std::size_t cap,
 // phase 2 sees exactly the (satellite, best station) columns of
 // run_reference's joint scan: the index, cone and party mask only prune (a
 // conservative superset of exact visibility with a same-party station),
-// survivors run the same visible_above and the same hop arithmetic on the
-// same table positions. Returns the chunk's per-stage pair counts.
-Phase1Counts fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin,
-                               std::size_t count, std::span<StepCandidates> out,
-                               StreamScratch& scratch) {
-  const std::size_t sat_count = ctx.satellites.size();
+// survivors run the same visible_above on the same table positions, and
+// the key decides only what it provably decides the same way. Returns the
+// chunk's per-stage pair counts and stage times.
+Phase1Stats fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin,
+                              std::size_t count, std::span<StepCandidates> out,
+                              StreamScratch& scratch) {
   const std::size_t term_count = ctx.terminal_count;
+  const std::size_t sat_count = ctx.satellites.size();
   const std::size_t cap = ctx.cap;
+  Phase1Stats stats;
+  std::chrono::steady_clock::time_point mark = std::chrono::steady_clock::now();
 
   fill_downlinks(ctx, chunk_begin, count, scratch.downlinks);
   if (cap == 0) {
@@ -317,6 +498,7 @@ Phase1Counts fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin
   } else {
     scratch.blocks.resize(term_count * 2 * cap);
   }
+  stats.downlinks_seconds = lap(mark);
 
   const std::span<const double> ux = ctx.index->unit_x();
   const std::span<const double> uy = ctx.index->unit_y();
@@ -324,29 +506,31 @@ Phase1Counts fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin
 
   const std::size_t hint = ctx.step_high_water->load(std::memory_order_relaxed);
   std::uint64_t pruned = 0;
-  Phase1Counts counts;
   for (std::size_t b = 0; b < count; ++b) {
-    const std::size_t step = chunk_begin + b;
     StepCandidates& sc = out[b];
     sc.reset(term_count, hint);
     if (cap == 0) {
       scratch.emitted.clear();
+      scratch.emitted_terminals.clear();
     } else {
       scratch.own_count.assign(term_count, 0);
       scratch.spare_count.assign(term_count, 0);
     }
+    stats.emit_seconds += lap(mark);
 
+    const StepLegs step_legs{ctx.ephemerides,
+                             {scratch.downlinks.lists.data() + b * sat_count, sat_count},
+                             chunk_begin + b};
     for (std::size_t shard_i = 0; shard_i < ctx.shards.size(); ++shard_i) {
       const constellation::ShellShard& shard = ctx.shards[shard_i];
       const cov::FootprintCone& cone = ctx.shard_cones[shard_i];
       for (std::size_t si = shard.begin; si < shard.end; ++si) {
         // No reachable station at this step: no candidate can form, skip the
         // terminal scan.
-        const std::vector<StationBudget>& downlinks =
-            scratch.downlinks.lists[b * sat_count + si];
+        const std::vector<StationBudget>& downlinks = step_legs.legs(si);
         if (downlinks.empty()) continue;
         const std::uint64_t party_mask = scratch.downlinks.party_masks[b * sat_count + si];
-        const util::Vec3 pos = ctx.ephemerides.table(si).position_ecef(step);
+        const util::Vec3 pos = step_legs.position(si);
         scratch.ranges.clear();
         ctx.index->query_cap(pos, cone.psi_rad, scratch.ranges);
 
@@ -359,52 +543,56 @@ Phase1Counts fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin
             if (ux[j] * pos.x + uy[j] * pos.y + uz[j] * pos.z < cone.dot_threshold) {
               continue;
             }
-            ++counts.cone_survivors;
+            ++stats.cone_survivors;
             const IndexedSite& site = ctx.sites[j];
-            const std::uint32_t party = site.party;
             // No healthy station of the terminal's party in view through
             // this satellite: no candidate can form.
-            if ((party_mask & party_bit(party)) == 0) continue;
-            ++counts.party_gate_survivors;
-            if (!site.frame.visible_above(pos, ctx.sin_mask)) continue;
-            ++counts.exact_visible_pairs;
+            if ((party_mask & party_bit(site.party)) == 0) continue;
+            ++stats.party_gate_survivors;
+            double range_squared = 0.0;
+            if (!orbit::TopocentricFrame::visible_above(site.origin, site.up, pos, ctx.sin_mask,
+                                                        range_squared)) {
+              continue;
+            }
+            ++stats.exact_visible_pairs;
 
-            const double up_snr = site.uplink.snr_linear(site.frame.range_m(pos));
             const RelayChoice relay =
-                best_station(ctx, downlinks, party, site, up_snr, counts.relay_evaluations);
+                best_station(ctx, downlinks, site, range_squared, pos, stats);
             if (!relay.found) continue;
-            const std::uint32_t ti = site.terminal;
-            const Candidate cand{ti, static_cast<std::uint32_t>(si), relay.station,
-                                 relay.capacity_bps};
+            const Candidate cand{static_cast<std::uint32_t>(si), relay.station, relay.key};
             if (cap == 0) {
               scratch.emitted.push_back(cand);
+              scratch.emitted_terminals.push_back(site.terminal);
             } else {
-              const bool spare = ctx.satellites[si].owner_party != party;
+              const bool spare = ctx.satellites[si].owner_party != site.party;
               Candidate* region =
                   scratch.blocks.data() + std::size_t{j} * 2 * cap + (spare ? cap : 0);
-              top_k_insert(region, spare ? scratch.spare_count[j] : scratch.own_count[j],
-                           cap, cand);
+              top_k_insert(region, spare ? scratch.spare_count[j] : scratch.own_count[j], cap,
+                           cand,
+                           {ctx.exact, step_legs, site.terminal,
+                            stats.exact_capacity_evaluations});
             }
           }
         }
-        counts.sites_returned += visited;
+        stats.sites_returned += visited;
         pruned += term_count - visited;
       }
     }
+    stats.sites_seconds += lap(mark);
 
     if (cap == 0) {
       // Counting sort: stable by terminal, so within a terminal the
       // satellite-ascending emission order (the reference scan order) is
       // preserved.
-      const std::vector<Candidate>& em = scratch.emitted;
-      for (const Candidate& cand : em) ++sc.offsets[cand.terminal + 1];
+      const std::vector<std::uint32_t>& owners = scratch.emitted_terminals;
+      for (const std::uint32_t ti : owners) ++sc.offsets[ti + 1];
       for (std::size_t ti = 0; ti < term_count; ++ti) {
         sc.offsets[ti + 1] += sc.offsets[ti];
         scratch.cursors[ti] = sc.offsets[ti];
       }
-      sc.cands.resize(em.size());
-      for (const Candidate& cand : em) {
-        sc.cands[scratch.cursors[cand.terminal]++] = cand;
+      sc.cands.resize(owners.size());
+      for (std::size_t i = 0; i < owners.size(); ++i) {
+        sc.cands[scratch.cursors[owners[i]]++] = scratch.emitted[i];
       }
     } else {
       // Merge each terminal's own/spare top-K blocks back into satellite-
@@ -429,9 +617,10 @@ Phase1Counts fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin
       }
     }
     atomic_max(*ctx.step_high_water, sc.cands.size());
+    stats.emit_seconds += lap(mark);
   }
   ctx.pruned_pairs->fetch_add(pruned, std::memory_order_relaxed);
-  return counts;
+  return stats;
 }
 
 // Phase-2 inputs: the step-invariant scheduling state.
@@ -442,6 +631,7 @@ struct ConsumeContext {
   std::span<const std::size_t> spare_order;
   // Per-satellite beams reserved from the spare pass (withholding).
   std::span<const int> spare_reserved;
+  const ExactEvaluator& exact;
 };
 
 // Per-run phase-2 scratch: beam counters and the served bitmap are assigned
@@ -450,6 +640,16 @@ struct ConsumeContext {
 struct ConsumeScratch {
   std::vector<int> beams_left;
   std::vector<std::uint8_t> served;
+};
+
+// Phase-2 tallies: candidates skipped because their satellite had no beam
+// left — the contention signal the obs layer reports — spare candidates
+// skipped because the remaining beams are withheld, and exact capacities
+// computed (one per grant, plus near-ties).
+struct ConsumeCounts {
+  std::uint64_t beam_rejections = 0;
+  std::uint64_t withheld_rejections = 0;
+  std::uint64_t exact_capacity_evaluations = 0;
 };
 
 // Spare-commons ban check shared by both phase-2 implementations: parties
@@ -464,15 +664,14 @@ bool spare_excluded(const SchedulerConfig& config, std::uint32_t party) noexcept
 // schedule_step exactly: same two passes, same strict-> maximisation, same
 // tie-breaks — a candidate list entry stands in for the (si, best-station)
 // column of the reference's joint scan, so the selected links and their
-// order are bit-identical. `beam_rejections` counts candidates skipped
-// because their satellite had no beam left — the contention signal the obs
-// layer reports — and `withheld_rejections` spare candidates skipped
-// because the remaining beams are withheld.
+// order are bit-identical. Keys rank the candidates; near-ties and the
+// sticky bar resolve exactly (see kRelayWindow), and each grant's capacity
+// is computed exactly over the downlink `legs` phase 1 cached for the step.
 StepSchedule consume_step(const ConsumeContext& ctx, const StepCandidates& sc,
-                          std::size_t step, const fault::FaultTimeline* faults,
+                          std::size_t step, const StepLegs& legs,
+                          const fault::FaultTimeline* faults,
                           std::span<const std::uint8_t> blocked_terminals,
-                          ConsumeScratch& scratch, std::uint64_t& beam_rejections,
-                          std::uint64_t& withheld_rejections,
+                          ConsumeScratch& scratch, ConsumeCounts& counts,
                           std::span<const std::uint32_t> sticky_prev,
                           double sticky_margin) {
   StepSchedule schedule;
@@ -487,6 +686,7 @@ StepSchedule consume_step(const ConsumeContext& ctx, const StepCandidates& sc,
     }
   }
 
+  constexpr std::uint32_t kNone = 0xFFFFFFFFu;
   std::vector<std::uint8_t>& served = scratch.served;
   served.assign(ctx.terminals.size(), 0);
   for (const bool spare_pass : {false, true}) {
@@ -505,55 +705,113 @@ StepSchedule consume_step(const ConsumeContext& ctx, const StepCandidates& sc,
       const std::uint32_t sticky_sat =
           spare_pass && sticky_margin > 0.0 && ti < sticky_prev.size()
               ? sticky_prev[ti]
-              : 0xFFFFFFFFu;
-      double sticky_capacity = 0.0;
-      std::size_t sticky_gs = 0;
-      bool sticky_found = false;
-      double best_capacity = 0.0;
-      std::size_t best_sat = 0, best_gs = 0;
-      bool found = false;
-      for (std::uint32_t k = sc.offsets[ti]; k < sc.offsets[ti + 1]; ++k) {
-        const Candidate& cand = sc.cands[k];
+              : kNone;
+      // Whether `cand` is on offer in this pass; `tally` counts a candidate
+      // skipped for its satellite's beams.
+      const auto on_offer = [&](const Candidate& cand, bool tally) {
         if (spare_pass &&
             spare_excluded(ctx.config, ctx.satellites[cand.satellite].owner_party)) {
-          continue;  // quarantined capacity is not on offer
+          return false;  // quarantined capacity is not on offer
         }
         const int spare_floor = spare_pass ? ctx.spare_reserved[cand.satellite] : 0;
         if (beams_left[cand.satellite] <= spare_floor) {
-          if (beams_left[cand.satellite] <= 0) {
-            ++beam_rejections;
-          } else {
-            ++withheld_rejections;
+          if (tally) {
+            ++(beams_left[cand.satellite] <= 0 ? counts.beam_rejections
+                                               : counts.withheld_rejections);
           }
-          continue;
+          return false;
         }
         const bool own = ctx.satellites[cand.satellite].owner_party == party;
-        if (own == spare_pass) continue;  // pass 0: own only; pass 1: spare only
-        if (cand.satellite == sticky_sat) {
-          sticky_capacity = cand.capacity_bps;
-          sticky_gs = cand.station;
-          sticky_found = true;
+        return own != spare_pass;  // pass 0: own only; pass 1: spare only
+      };
+      // The best candidate by key (the first on ties), the largest key
+      // among the others, and the sticky satellite's candidate.
+      std::uint32_t best = kNone, sticky = kNone;
+      double best_key = 0.0, runner_up = 0.0;
+      for (std::uint32_t k = sc.offsets[ti]; k < sc.offsets[ti + 1]; ++k) {
+        const Candidate& cand = sc.cands[k];
+        if (!on_offer(cand, true)) continue;
+        if (cand.satellite == sticky_sat) sticky = k;
+        if (cand.key > best_key) {
+          runner_up = best_key;
+          best_key = cand.key;
+          best = k;
+        } else if (cand.key > runner_up) {
+          runner_up = cand.key;
         }
-        if (cand.capacity_bps > best_capacity) {
-          best_capacity = cand.capacity_bps;
-          best_sat = cand.satellite;
-          best_gs = cand.station;
-          found = true;
+      }
+      if (best == kNone) continue;
+
+      const CapacityOrder order{ctx.exact, legs, static_cast<std::uint32_t>(ti),
+                                counts.exact_capacity_evaluations};
+      // The exact capacity of sc.cands[best]; negative until computed, and
+      // then left to the pass after the grants.
+      double best_capacity = -1.0;
+      if (within_window(runner_up, best_key)) {
+        // Keys this close cannot rank the candidates: the exact capacities
+        // of those inside the window decide, the first on ties.
+        best_capacity = 0.0;
+        for (std::uint32_t k = sc.offsets[ti]; k < sc.offsets[ti + 1]; ++k) {
+          const Candidate& cand = sc.cands[k];
+          if (!on_offer(cand, false) || !within_window(cand.key, best_key)) continue;
+          const double capacity = order.exact_capacity(cand);
+          if (capacity > best_capacity) {
+            best_capacity = capacity;
+            best = k;
+          }
         }
       }
-      if (sticky_found && best_sat != sticky_sat &&
-          !(best_capacity > sticky_capacity * (1.0 + sticky_margin))) {
-        best_capacity = sticky_capacity;
-        best_sat = sticky_sat;
-        best_gs = sticky_gs;
+      if (sticky != kNone && sticky != best) {
+        // Keep the sticky satellite unless the best beats it by more than
+        // the margin.
+        const Candidate& held = sc.cands[sticky];
+        const double lead = best_capacity >= 0.0 ? best_capacity : sc.cands[best].key;
+        const double bar = held.key * (1.0 + sticky_margin);
+        bool beaten = lead > bar;
+        double held_capacity = -1.0;
+        if (within_window(lead, bar)) {
+          if (best_capacity < 0.0) best_capacity = order.exact_capacity(sc.cands[best]);
+          held_capacity = order.exact_capacity(held);
+          beaten = best_capacity > held_capacity * (1.0 + sticky_margin);
+        }
+        if (!beaten) {
+          best = sticky;
+          best_capacity = held_capacity;
+        }
       }
-      if (found) {
-        --beams_left[best_sat];
-        served[ti] = 1;
-        schedule.links.push_back({ti, best_sat, best_gs, best_capacity,
-                                  ctx.satellites[best_sat].owner_party != party});
-      }
+      const Candidate& grant = sc.cands[best];
+      --beams_left[grant.satellite];
+      served[ti] = 1;
+      schedule.links.push_back({ti, grant.satellite, grant.station, best_capacity,
+                                ctx.satellites[grant.satellite].owner_party != party});
     }
+  }
+
+  // The capacities no decision needed, computed after both passes in grant
+  // order: each reads its terminal's origin and uplink hop and its
+  // satellite's position, scattered over arrays the candidate scan never
+  // touched, so the pass prefetches them a few grants ahead.
+  constexpr std::size_t kAhead = 8;
+  const auto prefetch = [&ctx, &legs](const LinkAssignment& link) {
+    const util::Vec3& origin = ctx.exact.terminal_frames[link.terminal_index].origin_ecef();
+    const HopEvaluator& hop = ctx.exact.uplinks[link.terminal_index];
+    const orbit::EphemerisTable& table = legs.ephemerides.table(link.satellite_index);
+    __builtin_prefetch(&origin.x);
+    __builtin_prefetch(&origin.z);
+    __builtin_prefetch(&hop.eirp_dbw);
+    __builtin_prefetch(&hop.bandwidth_hz);
+    __builtin_prefetch(&table.x()[legs.step]);
+    __builtin_prefetch(&table.y()[legs.step]);
+    __builtin_prefetch(&table.z()[legs.step]);
+  };
+  for (std::size_t i = 0; i < schedule.links.size(); ++i) {
+    if (i + kAhead < schedule.links.size()) prefetch(schedule.links[i + kAhead]);
+    LinkAssignment& link = schedule.links[i];
+    if (link.capacity_bps >= 0.0) continue;  // computed for a near-tie or the sticky bar
+    ++counts.exact_capacity_evaluations;
+    link.capacity_bps = ctx.exact.capacity(static_cast<std::uint32_t>(link.terminal_index),
+                                           legs, static_cast<std::uint32_t>(link.satellite_index),
+                                           static_cast<std::uint32_t>(link.station_index));
   }
 
   for (std::size_t ti = 0; ti < ctx.terminals.size(); ++ti) {
@@ -814,18 +1072,26 @@ struct RunMetrics {
   obs::Histogram propagate_seconds;     // shared ephemeris kernel
   obs::Histogram cull_seconds;          // station masks + outages + spatial index
   obs::Histogram chunk_seconds;         // per phase-1 chunk (worker threads)
+  // Per phase-1 chunk, by stage (Phase1Stats): downlink legs, the per-site
+  // loop, candidate emission.
+  obs::Histogram phase1_downlinks_seconds;
+  obs::Histogram phase1_sites_seconds;
+  obs::Histogram phase1_emit_seconds;
   obs::Histogram drain_seconds;         // per phase-2 chunk drain
   obs::Histogram candidates_per_step;   // candidate-list occupancy
   obs::Counter candidates;              // candidates emitted by phase 1
   obs::Counter cull_masks;              // station masks filled by the culler
   obs::Counter cull_visible_steps;      // set bits across the station masks
   obs::Counter index_pruned_pairs;      // pair visits skipped without a visibility test
-  // Phase-1 pairs per stage (Phase1Counts), added once per chunk.
+  // Phase-1 pairs per stage (Phase1Stats), added once per chunk.
   obs::Counter sites_returned;
   obs::Counter cone_survivors;
   obs::Counter party_gate_survivors;
   obs::Counter exact_visible_pairs;
   obs::Counter relay_evaluations;
+  // Exact capacities computed: phase-1 near-ties and weak pairs, phase-2
+  // grants and near-ties.
+  obs::Counter exact_capacity_evaluations;
   obs::Counter beam_rejections;         // candidates skipped: no beam left
   obs::Counter withheld_rejections;     // spare candidates skipped: beams withheld
   obs::Counter links_granted;
@@ -843,6 +1109,9 @@ struct RunMetrics {
     m.propagate_seconds = registry.histogram("sched.propagate_seconds");
     m.cull_seconds = registry.histogram("sched.cull_seconds");
     m.chunk_seconds = registry.histogram("sched.phase1_chunk_seconds");
+    m.phase1_downlinks_seconds = registry.histogram("sched.phase1_downlinks_seconds");
+    m.phase1_sites_seconds = registry.histogram("sched.phase1_sites_seconds");
+    m.phase1_emit_seconds = registry.histogram("sched.phase1_emit_seconds");
     m.drain_seconds = registry.histogram("sched.phase2_drain_seconds");
     m.candidates_per_step = registry.histogram(
         "sched.candidates_per_step", obs::MetricsRegistry::default_count_bounds());
@@ -855,6 +1124,7 @@ struct RunMetrics {
     m.party_gate_survivors = registry.counter("sched.party_gate_survivors");
     m.exact_visible_pairs = registry.counter("sched.exact_visible_pairs");
     m.relay_evaluations = registry.counter("sched.relay_evaluations");
+    m.exact_capacity_evaluations = registry.counter("sched.exact_capacity_evaluations");
     m.beam_rejections = registry.counter("sched.beam_rejections");
     m.withheld_rejections = registry.counter("sched.spare_withheld_rejections");
     m.links_granted = registry.counter("sched.links_granted");
@@ -1203,17 +1473,24 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   }
   cull_timer.stop();
 
-  // Range-independent hop pieces, hoisted once per run: each terminal's
-  // uplink (terminal -> transponder receive) rides in its index slot, and
-  // downlink_hops[gi] is transponder transmit -> station gi.
+  // Range-independent hop pieces, hoisted once per run for the exact
+  // evaluator: uplink_hops[ti] is terminal ti -> transponder receive and
+  // downlink_hops[gi] transponder transmit -> station gi. Phase 1's site
+  // table keeps only each uplink's inverse-square constant, in index slot
+  // order.
+  std::vector<HopEvaluator> uplink_hops;
+  uplink_hops.reserve(term_count);
+  for (const Terminal& terminal : terminals_) {
+    uplink_hops.push_back(HopEvaluator::make(terminal.radio, config_.transponder.receive));
+  }
   std::vector<IndexedSite> indexed_sites;
   indexed_sites.reserve(term_count);
   std::vector<std::uint32_t> slot_of(term_count);
   for (const std::uint32_t ti : footprint_index.site_ids()) {
     slot_of[ti] = static_cast<std::uint32_t>(indexed_sites.size());
-    indexed_sites.push_back({terminal_frames_[ti],
-                             HopEvaluator::make(terminals_[ti].radio, config_.transponder.receive),
-                             ti, terminals_[ti].owner_party});
+    indexed_sites.push_back({terminal_frames_[ti].origin_ecef(), terminal_frames_[ti].up(),
+                             uplink_hops[ti].inverse_square_snr_m2(), ti,
+                             terminals_[ti].owner_party});
   }
   std::vector<HopEvaluator> downlink_hops;
   downlink_hops.reserve(station_count);
@@ -1226,29 +1503,33 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   const bool uniform_relay_bandwidth =
       std::adjacent_find(relay_bandwidth_hz.begin(), relay_bandwidth_hz.end(),
                          std::not_equal_to<>()) == relay_bandwidth_hz.end();
+  const ExactEvaluator exact{terminal_frames_,
+                             uplink_hops,
+                             stations_,
+                             station_frames_,
+                             downlink_hops,
+                             relay_bandwidth_hz,
+                             config_.relay_mode == RelayMode::kRegenerative};
 
   std::atomic<std::size_t> step_high_water{0};
   const StreamContext sctx{satellites_,
                            term_count,
-                           stations_,
-                           station_frames_,
                            eph,
                            &footprint_index,
                            indexed_sites,
                            shards,
                            shard_cones,
                            &station_vis,
-                           downlink_hops,
-                           relay_bandwidth_hz,
+                           exact,
                            uniform_relay_bandwidth,
-                           config_.relay_mode == RelayMode::kRegenerative,
+                           config_.transponder.receive.bandwidth_hz,
                            sin_mask_,
                            config_.max_candidates_per_terminal,
                            slot_of,
                            &step_high_water,
                            &pruned_pairs};
-  const ConsumeContext cctx{config_, satellites_, terminals_, spare_order_,
-                            spare_reserved_};
+  const ConsumeContext cctx{config_, satellites_, terminals_, spare_order_, spare_reserved_,
+                            exact};
 
   // Streaming pipeline: producer chunks publish in step order through a
   // bounded ring of slots; the sequential grant phase consumes each chunk
@@ -1290,8 +1571,7 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   ConsumeScratch consume_scratch;
   rm.stream_slots.set(static_cast<double>(slots));
   rm.threads.set(static_cast<double>(context.thread_count()));
-  std::uint64_t beam_rejections = 0;
-  std::uint64_t withheld_rejections = 0;
+  ConsumeCounts consume_counts;
   std::uint64_t links_granted = 0;
 
   const auto produce = [&](std::size_t chunk, std::size_t slot) {
@@ -1299,16 +1579,20 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
     const std::size_t begin = chunk * chunk_steps;
     const std::size_t count = std::min(chunk_steps, step_total - begin);
     buffers[slot].resize(count);
-    const Phase1Counts counts =
+    const Phase1Stats stats =
         fill_stream_chunk(sctx, begin, count, buffers[slot], scratch[slot]);
     std::uint64_t emitted = 0;
     for (const StepCandidates& sc : buffers[slot]) emitted += sc.cands.size();
     rm.candidates.add(emitted);
-    rm.sites_returned.add(counts.sites_returned);
-    rm.cone_survivors.add(counts.cone_survivors);
-    rm.party_gate_survivors.add(counts.party_gate_survivors);
-    rm.exact_visible_pairs.add(counts.exact_visible_pairs);
-    rm.relay_evaluations.add(counts.relay_evaluations);
+    rm.sites_returned.add(stats.sites_returned);
+    rm.cone_survivors.add(stats.cone_survivors);
+    rm.party_gate_survivors.add(stats.party_gate_survivors);
+    rm.exact_visible_pairs.add(stats.exact_visible_pairs);
+    rm.relay_evaluations.add(stats.relay_evaluations);
+    rm.exact_capacity_evaluations.add(stats.exact_capacity_evaluations);
+    rm.phase1_downlinks_seconds.observe(stats.downlinks_seconds);
+    rm.phase1_sites_seconds.observe(stats.sites_seconds);
+    rm.phase1_emit_seconds.observe(stats.emit_seconds);
   };
 
   const auto consume = [&](std::size_t chunk, std::size_t slot) {
@@ -1319,9 +1603,11 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
       rm.candidates_per_step.observe(static_cast<double>(buffers[slot][b].cands.size()));
       const std::span<const std::uint8_t> blocked =
           policy.pre_step(step, dt_step, result);
-      StepSchedule schedule = consume_step(
-          cctx, buffers[slot][b], step, faults, blocked, consume_scratch, beam_rejections,
-          withheld_rejections, policy.sticky_prev(), policy.sticky_margin());
+      const StepLegs legs{eph, {scratch[slot].downlinks.lists.data() + b * sat_count, sat_count},
+                          step};
+      StepSchedule schedule =
+          consume_step(cctx, buffers[slot][b], step, legs, faults, blocked, consume_scratch,
+                       consume_counts, policy.sticky_prev(), policy.sticky_margin());
       policy.post_step(schedule);
       if (rf_active) {
         for (std::size_t si = 0; si < sat_count; ++si) {
@@ -1342,8 +1628,9 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   rm.shed_terminal_steps.add(policy.shed_terminal_steps);
   if (result.slo.has_value()) rm.grant_flaps.add(result.slo->grant_flaps);
   rm.steps.add(step_total);
-  rm.beam_rejections.add(beam_rejections);
-  rm.withheld_rejections.add(withheld_rejections);
+  rm.beam_rejections.add(consume_counts.beam_rejections);
+  rm.withheld_rejections.add(consume_counts.withheld_rejections);
+  rm.exact_capacity_evaluations.add(consume_counts.exact_capacity_evaluations);
   rm.links_granted.add(links_granted);
   rm.failure_forced_detaches.add(result.failure_forced_detaches);
   rm.index_pruned_pairs.add(pruned_pairs.load(std::memory_order_relaxed));

@@ -61,11 +61,23 @@ class TopocentricFrame {
   // Precondition: sin_mask >= 0 (masks below the horizon are not meaningful
   // for ground stations).
   [[nodiscard]] bool visible_above(const Vec3& target_ecef, double sin_mask) const noexcept {
-    const Vec3 rho = target_ecef - origin_;
-    const double along_up = dot(rho, up_);
+    double range_squared = 0.0;
+    return visible_above(origin_, up_, target_ecef, sin_mask, range_squared);
+  }
+
+  // The same test on a bare (origin, up) pair, for tables that keep only
+  // those two vectors of a site. When the target is above the horizon,
+  // `range_squared` receives |target - origin|², which the test computes
+  // anyway and whose sqrt is range_m().
+  [[nodiscard]] static bool visible_above(const Vec3& origin, const Vec3& up,
+                                          const Vec3& target_ecef, double sin_mask,
+                                          double& range_squared) noexcept {
+    const Vec3 rho = target_ecef - origin;
+    const double along_up = dot(rho, up);
     // sin(el) >= sin_mask  <=>  along_up >= sin_mask * |rho| (mask in [0, pi/2)).
     if (along_up < 0.0) return false;
-    return along_up * along_up >= sin_mask * sin_mask * rho.norm_squared();
+    range_squared = rho.norm_squared();
+    return along_up * along_up >= sin_mask * sin_mask * range_squared;
   }
 
  private:

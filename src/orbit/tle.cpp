@@ -122,8 +122,10 @@ std::string format_implied_exponent(const char* field, double value,
     return {};
   }
   if (digits == 0) return " 00000+0";
+  // digits < 10^5 and |exponent| <= 9 here, so both print as int and fit.
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%c%05lld%+d", value < 0.0 ? '-' : ' ', digits, exponent);
+  std::snprintf(buf, sizeof buf, "%c%05d%+d", value < 0.0 ? '-' : ' ',
+                static_cast<int>(digits), exponent);
   return buf;
 }
 

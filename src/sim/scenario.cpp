@@ -209,7 +209,9 @@ std::vector<core::ConfigIssue> Scenario::validate() const {
   const auto add = [&issues](const char* field, std::string message) {
     issues.push_back({"sim.scenario", field, std::move(message)});
   };
-  if (runs == 0) add("runs", "must be >= 1");
+  if (runs == 0 || runs > kMaxRuns) {
+    add("runs", "must be in [1, " + std::to_string(kMaxRuns) + "], got " + std::to_string(runs));
+  }
   if (threads > kMaxThreads) {
     add("threads", "must be <= " + std::to_string(kMaxThreads) + ", got " +
                        std::to_string(threads));

@@ -52,6 +52,8 @@ struct Scenario {
   double duration_s = 7.0 * 86400.0;  // the paper's one-week window
   double step_s = 60.0;
   double elevation_mask_deg = 25.0;
+  // Monte-Carlo runs, at most kMaxRuns (10,000 times the paper's 100).
+  static constexpr std::size_t kMaxRuns = 1'000'000;
   std::size_t runs = 20;     // paper uses 100; see --full
   std::uint64_t seed = 42;
   bool include_gen2_catalog = true;

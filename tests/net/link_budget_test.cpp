@@ -79,6 +79,17 @@ TEST(ComputeLink, LongerPathLowersSnr) {
   EXPECT_GT(near_budget.shannon_capacity_bps, far_budget.shannon_capacity_bps);
 }
 
+TEST(HopEvaluator, InverseSquareConstantMatchesTheDbChain) {
+  // K / d² is the free-space SNR at range d, up to the dB chain's rounding;
+  // quadrupling the range squared divides the SNR by four.
+  const HopEvaluator hop = HopEvaluator::make(RadioConfig{}, RadioConfig{});
+  const double k = hop.inverse_square_snr_m2();
+  for (const double d : {300e3, 1000e3, 3000e3}) {
+    EXPECT_NEAR(k / (d * d) / hop.snr_linear(d), 1.0, 1e-13) << d;
+  }
+  EXPECT_NEAR(hop.snr_linear(2000e3) * 4.0 / hop.snr_linear(1000e3), 1.0, 1e-13);
+}
+
 TEST(HopEvaluator, BitIdenticalToComputeLink) {
   // The pipelined scheduler's bit-identity contract rests on the hoisted hop
   // evaluation reproducing compute_link exactly, not just approximately.

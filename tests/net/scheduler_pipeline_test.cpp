@@ -6,6 +6,7 @@
 // unfaulted, for every thread-pool size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -378,6 +379,210 @@ TEST(SchedulerPipeline, TransparentStationTiesMatchReference) {
   }
 }
 
+// Every satellite of a Walker shell three times: index i + n is an exact
+// twin of i (same owner and elements), so their positions are bit-identical
+// and every key of one twin ties the other's; index i + 2n sits 4 nm higher,
+// so its ranges differ from i's in the last few bits, where the key and the
+// dB chain round differently and key order need not be capacity order.
+// Party 0 also owns two stations at one site and a fifth 4 nm above it, so
+// station keys tie, or nearly tie, too; and the first four terminals
+// transmit 50 dB below the rest, so their end-to-end SNRs straddle the key's
+// floor (-30 dB). One beam per satellite makes the second twin serve
+// whenever the first is taken, and a hysteresis margin of 1e-15 puts every
+// sticky bar between twins inside the key window. `variant` 1 halves the
+// third station's bandwidth, so the stations rank by capacity key; variant
+// 2 runs the regenerative relay, and there terminals 4 and 5 sit at the
+// stations' site with the transponder's transmit chain while the site's
+// stations take its receive chain, so their uplink capacity equals the
+// downlink's bit for bit and only an exact comparison of the two can pick
+// the station.
+RandomFleet make_twin_fleet(int variant) {
+  RandomFleet f = make_tie_fleet(/*half_bandwidth=*/variant == 1);
+  GroundStation raised = f.stations[0];
+  raised.id = static_cast<GroundStationId>(f.stations.size());
+  raised.location.altitude_m += 4e-9;
+  f.stations.push_back(raised);
+  f.config.beams_per_satellite = 1;
+  f.config.degradation.enabled = true;
+  f.config.degradation.spare_hysteresis_margin = 1e-15;
+  if (variant == 2) f.config.relay_mode = RelayMode::kRegenerative;
+  constellation::WalkerShell shell;
+  shell.plane_count = 8;
+  shell.sats_per_plane = 8;
+  f.satellites = shell.build(kEpoch);
+  const std::size_t n = f.satellites.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    f.satellites[i].owner_party = static_cast<std::uint32_t>(i % f.party_count);
+  }
+  for (const double raise_m : {0.0, 4e-9}) {
+    for (std::size_t i = 0; i < n; ++i) {
+      Satellite twin = f.satellites[i];
+      twin.id = static_cast<constellation::SatelliteId>(f.satellites.size());
+      twin.elements.semi_major_axis_m += raise_m;
+      f.satellites.push_back(twin);
+    }
+  }
+  f.terminals.resize(34);
+  for (std::size_t i = 0; i < 4; ++i) f.terminals[i].radio.transmit_power_dbw -= 50.0;
+  if (variant == 2) {
+    for (const std::size_t gi : {0u, 1u, 4u}) {
+      f.stations[gi].radio.receive_gain_dbi = f.config.transponder.receive.receive_gain_dbi;
+      f.stations[gi].radio.system_noise_temp_k = f.config.transponder.receive.system_noise_temp_k;
+    }
+    for (const std::size_t ti : {4u, 5u}) {
+      f.terminals[ti].owner_party = f.stations[0].owner_party;
+      f.terminals[ti].location = f.stations[0].location;
+      f.terminals[ti].radio = f.config.transponder.transmit;
+    }
+  }
+  return f;
+}
+
+// An independent model of a capped run on a fault-free grid: each terminal
+// keeps its top `cap` own and top `cap` spare satellites by compute_relay
+// capacity (the lower satellite index first on ties); grants run owner-first
+// in terminal order, each to the first strict maximum among kept satellites
+// with a beam left, except that a spare grant stays on last step's satellite
+// unless the best beats it by more than the hysteresis margin.
+std::vector<StepSchedule> capped_model(const RandomFleet& f, const orbit::TimeGrid& grid,
+                                       const orbit::EphemerisSet& eph, std::size_t cap) {
+  struct Option {
+    std::size_t satellite = 0;
+    std::size_t station = 0;
+    double capacity = 0.0;
+  };
+  constexpr std::size_t kNone = ~std::size_t{0};
+  const double sin_mask = std::sin(util::deg_to_rad(f.config.elevation_mask_deg));
+  const double margin = f.config.degradation.spare_hysteresis_margin;
+  std::vector<std::size_t> previous(f.terminals.size(), kNone);
+  std::vector<StepSchedule> steps;
+  for (std::size_t step = 0; step < grid.count; ++step) {
+    std::vector<std::vector<Option>> kept(f.terminals.size());
+    for (std::size_t ti = 0; ti < f.terminals.size(); ++ti) {
+      const Terminal& term = f.terminals[ti];
+      const orbit::TopocentricFrame frame(term.location);
+      std::vector<Option> own, spare;
+      for (std::size_t si = 0; si < f.satellites.size(); ++si) {
+        const util::Vec3 pos = eph.table(si).position_ecef(step);
+        if (!frame.visible_above(pos, sin_mask)) continue;
+        const auto [station, capacity] = reference_station(f, term, pos, sin_mask);
+        if (!(capacity > 0.0)) continue;
+        (f.satellites[si].owner_party == term.owner_party ? own : spare)
+            .push_back({si, station, capacity});
+      }
+      for (std::vector<Option>* options : {&own, &spare}) {
+        std::stable_sort(options->begin(), options->end(),
+                         [](const Option& a, const Option& b) { return a.capacity > b.capacity; });
+        if (options->size() > cap) options->resize(cap);
+        kept[ti].insert(kept[ti].end(), options->begin(), options->end());
+      }
+      std::sort(kept[ti].begin(), kept[ti].end(),
+                [](const Option& a, const Option& b) { return a.satellite < b.satellite; });
+    }
+
+    StepSchedule schedule;
+    schedule.step = step;
+    std::vector<int> beams(f.satellites.size(), f.config.beams_per_satellite);
+    std::vector<bool> served(f.terminals.size(), false);
+    for (const bool spare_pass : {false, true}) {
+      for (std::size_t ti = 0; ti < f.terminals.size(); ++ti) {
+        if (served[ti]) continue;
+        const std::uint32_t party = f.terminals[ti].owner_party;
+        const Option* best = nullptr;
+        const Option* held = nullptr;
+        for (const Option& option : kept[ti]) {
+          const bool own = f.satellites[option.satellite].owner_party == party;
+          if (beams[option.satellite] <= 0 || own == spare_pass) continue;
+          if (spare_pass && option.satellite == previous[ti]) held = &option;
+          if (best == nullptr || option.capacity > best->capacity) best = &option;
+        }
+        if (best == nullptr) continue;
+        if (held != nullptr && held != best && !(best->capacity > held->capacity * (1.0 + margin))) {
+          best = held;
+        }
+        --beams[best->satellite];
+        served[ti] = true;
+        schedule.links.push_back({ti, best->satellite, best->station, best->capacity, spare_pass});
+      }
+    }
+    for (std::size_t ti = 0; ti < f.terminals.size(); ++ti) {
+      if (!served[ti]) schedule.unserved_terminals.push_back(ti);
+    }
+    std::fill(previous.begin(), previous.end(), kNone);
+    for (const LinkAssignment& link : schedule.links) {
+      previous[link.terminal_index] = link.satellite_index;
+    }
+    steps.push_back(std::move(schedule));
+  }
+  return steps;
+}
+
+TEST(SchedulerPipeline, TwinSatelliteKeyTiesMatchReference) {
+  // Keys that tie or nearly tie across twin satellites, across stations at
+  // one site, at the sticky bar and below the SNR floor must all resolve
+  // through exact capacities: serial, pooled and faulted against
+  // run_reference, and capped at K = 1 and K = 4 against an independent
+  // model.
+  const orbit::TimeGrid grid = test_grid();
+  util::ThreadPool pool(3);
+  for (const int variant : {0, 1, 2}) {
+    SCOPED_TRACE(variant == 0 ? "uniform bandwidth" : variant == 1 ? "half-bandwidth station"
+                                                                   : "regenerative");
+    const RandomFleet f = make_twin_fleet(variant);
+    const std::size_t n = f.satellites.size() / 3;
+    const orbit::EphemerisSet eph =
+        orbit::EphemerisSet::compute(cov::ephemeris_specs(f.satellites), grid);
+    for (std::size_t si = 0; si < n; ++si) {
+      for (std::size_t step = 0; step < grid.count; step += 7) {
+        const util::Vec3 a = eph.table(si).position_ecef(step);
+        const util::Vec3 b = eph.table(n + si).position_ecef(step);
+        ASSERT_TRUE(a.x == b.x && a.y == b.y && a.z == b.z) << "twin " << si;
+      }
+    }
+
+    const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
+    const ScheduleResult reference =
+        scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
+    sim::RunContext context;
+    EXPECT_TRUE(scheduler.run(grid, f.party_count, context, /*keep_steps=*/true) == reference);
+    // More exact capacities than grants: the near-tie path ran.
+    EXPECT_GT(context.metrics().counter_value("sched.exact_capacity_evaluations"),
+              context.metrics().counter_value("sched.links_granted"));
+    EXPECT_TRUE(run_steps(scheduler, grid, f.party_count, nullptr, &pool) == reference);
+    const fault::FaultTimeline faults = make_faults(grid, f, 23);
+    EXPECT_TRUE(run_steps(scheduler, grid, f.party_count, &faults) ==
+                scheduler.run_reference(grid, f.party_count, &faults, /*keep_steps=*/true));
+
+    // The fleet must exercise the ties: second twins and weak terminals
+    // served, and a sticky decision that only the margin decides.
+    bool second_twin_served = false;
+    bool weak_terminal_served = false;
+    for (const StepSchedule& step : reference.steps) {
+      for (const LinkAssignment& link : step.links) {
+        second_twin_served |= link.satellite_index >= n && link.satellite_index < 2 * n;
+        weak_terminal_served |= link.terminal_index < 4;
+      }
+    }
+    EXPECT_TRUE(second_twin_served);
+    EXPECT_TRUE(weak_terminal_served);
+    SchedulerConfig no_hysteresis = f.config;
+    no_hysteresis.degradation.spare_hysteresis_margin = 0.0;
+    EXPECT_FALSE(BentPipeScheduler(no_hysteresis, f.satellites, f.terminals, f.stations)
+                     .run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true) ==
+                 reference);
+
+    for (const std::size_t cap : {std::size_t{1}, std::size_t{4}}) {
+      SchedulerConfig config = f.config;
+      config.max_candidates_per_terminal = cap;
+      const BentPipeScheduler capped(config, f.satellites, f.terminals, f.stations);
+      const ScheduleResult serial = run_steps(capped, grid, f.party_count);
+      EXPECT_TRUE(serial.steps == capped_model(f, grid, eph, cap)) << "cap=" << cap;
+      EXPECT_TRUE(run_steps(capped, grid, f.party_count, nullptr, &pool) == serial)
+          << "cap=" << cap;
+    }
+  }
+}
+
 TEST(SchedulerPipeline, EmptyFaultTimelineMatchesPlainRun) {
   const RandomFleet f = make_fleet(7);
   const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
@@ -667,12 +872,14 @@ TEST(SchedulerFootprintStreamCounters, StageCountsAreShapeInvariantAndNested) {
   // pure function of fleet and grid, whatever the pool and chunk size, and
   // each stage keeps a subset of the one before. With fewer than 64 parties
   // the party mask is exact, so every visible pair has a same-party station
-  // and its best one is always evaluated.
+  // and its best one is always evaluated. Every grant's capacity is
+  // computed exactly, so exact evaluations are at least the grants.
   const RandomFleet f = make_golden_fleet();
   const orbit::TimeGrid grid = test_grid();
-  const char* const names[] = {"sched.sites_returned", "sched.cone_survivors",
+  const char* const names[] = {"sched.sites_returned",       "sched.cone_survivors",
                                "sched.party_gate_survivors", "sched.exact_visible_pairs",
-                               "sched.relay_evaluations"};
+                               "sched.relay_evaluations",    "sched.exact_capacity_evaluations",
+                               "sched.links_granted"};
   const auto stage_counts = [&](std::size_t chunk_steps, std::size_t threads) {
     SchedulerConfig config = f.config;
     config.stream_chunk_steps = chunk_steps;
@@ -702,6 +909,8 @@ TEST(SchedulerFootprintStreamCounters, StageCountsAreShapeInvariantAndNested) {
   EXPECT_GE(expected[1], expected[2]);
   EXPECT_GE(expected[2], expected[3]);
   EXPECT_GE(expected[4], expected[3]);
+  EXPECT_GT(expected[6], 0u);
+  EXPECT_GE(expected[5], expected[6]);
 }
 
 TEST(SchedulerFootprintStreamConfig, RejectsBadStreamShapes) {

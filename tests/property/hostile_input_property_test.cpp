@@ -69,7 +69,8 @@ std::vector<FlagCase> flag_cases() {
   const auto never = [](const sim::Scenario&) { return false; };
   const auto any = [](const sim::Scenario&) { return true; };
   return {
-      {"--runs=", "runs", [](const sim::Scenario& s) { return s.runs >= 1; }},
+      {"--runs=", "runs",
+       [](const sim::Scenario& s) { return s.runs >= 1 && s.runs <= sim::Scenario::kMaxRuns; }},
       {"--step=", "step_s",
        [](const sim::Scenario& s) { return grid_fits(s.duration_s, s.step_s); }},
       {"--mask=", "elevation_mask_deg",
@@ -316,7 +317,7 @@ std::vector<CountCase> count_cases() {
          s.runs = n;
          return s.validate();
        },
-       [](std::uint64_t n) { return n >= 1; }},
+       [](std::uint64_t n) { return n >= 1 && n <= sim::Scenario::kMaxRuns; }},
       {"ScenarioThreads", "threads",
        [](std::uint64_t n) {
          sim::Scenario s;

@@ -321,6 +321,21 @@ TEST(Scenario, StepCountAboveTheGridMaximumIsOneIssue) {
   EXPECT_EQ((Scenario{.duration_s = max_steps, .step_s = 1.0}).validate().size(), 1u);
 }
 
+TEST(Scenario, RunsAboveTheMaximumAreOneIssue) {
+  // --runs=9007199254740993 used to validate: runs was bounded only below.
+  EXPECT_TRUE((Scenario{.runs = Scenario::kMaxRuns}).validate().empty());
+  const std::vector<core::ConfigIssue> issues =
+      (Scenario{.runs = Scenario::kMaxRuns + 1}).validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].field, "runs");
+  try {
+    (void)parse({"--runs=9007199254740993"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("runs"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Scenario, ParsedValuesAreValidated) {
   // A flag value that parses but is out of range fails Scenario::validate,
   // and the error names the field.
