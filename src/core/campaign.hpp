@@ -101,7 +101,7 @@ class Campaign {
 
   // Runs the next epoch and returns its report. The context's pool
   // parallelises the epoch's proof-of-coverage ephemeris and its scheduling
-  // phase 1 (ephemerides, station masks, candidate lists); the report is
+  // phase 1 (ephemerides, downlink legs, candidate lists); the report is
   // bit-identical for any pool size, including none. Scheduler metrics land in context.metrics() under
   // "sched." plus campaign aggregates under "campaign.", and an epoch
   // summary line is recorded into context.trace().

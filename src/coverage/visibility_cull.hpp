@@ -53,9 +53,10 @@ class VisibilityCuller {
 
   // Word-span fill: the same bits into a caller-owned word array (all-zero
   // on entry; low bit of words[0] = step 0 — the StepMask layout), plus
-  // counter updates. This is the PackedMasks path, where many pair masks
-  // share slab storage instead of owning vectors. Safe to call concurrently
-  // from pool workers — counters accumulate into per-thread shards.
+  // counter updates. The scheduler's downlink leg table fills one
+  // satellite's station masks into reused scratch this way. Safe to call
+  // concurrently from pool workers — counters accumulate into per-thread
+  // shards.
   void fill(const orbit::EphemerisTable& ephemeris, const orbit::TopocentricFrame& frame,
             std::span<std::uint64_t> words, const CullCounters& counters) const;
 

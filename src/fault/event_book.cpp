@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -272,8 +273,13 @@ FaultTimeline EventBook::compile(const orbit::TimeGrid& grid,
 
 EventBook EventBook::preset(EventProfile profile, double window_s, std::uint64_t seed,
                             double intensity) {
-  if (!(window_s > 0.0) || !std::isfinite(window_s)) {
-    throw std::invalid_argument("EventBook::preset: window_s must be finite and > 0");
+  // A subnormal window would round the profiles' fractional spans to 0, which
+  // add_storm and add_blackout reject under their own field names.
+  if (!(window_s >= std::numeric_limits<double>::min()) || !std::isfinite(window_s)) {
+    throw std::invalid_argument(
+        "EventBook::preset: window_s must be finite and at least the smallest normal "
+        "double, got " +
+        std::to_string(window_s));
   }
   core::require_non_negative(intensity, "EventBook::preset intensity");
   EventBook book(seed);

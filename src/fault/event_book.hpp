@@ -118,7 +118,8 @@ class EventBook {
   // The canonical book for a profile, scaled to a grid window: event times
   // and durations are fractions of `window_s`, severities scale with
   // `intensity` (1 = the defaults the chaos bench records). kOff returns an
-  // empty book.
+  // empty book. Throws std::invalid_argument naming the field unless
+  // window_s is finite and at least DBL_MIN and intensity is in [0, 1e300].
   [[nodiscard]] static EventBook preset(EventProfile profile, double window_s,
                                         std::uint64_t seed, double intensity = 1.0);
 

@@ -101,9 +101,9 @@ class FaultTimeline {
                                                const MtbfMttr& station_model,
                                                std::uint64_t seed);
 
-  // Per-step health queries. Indices beyond the construction counts (and any
-  // index on an empty timeline) report full health, so consumers need no
-  // bounds bookkeeping.
+  // Per-step health queries. Indices beyond the construction counts, steps
+  // past the timeline's own grid, and any index on an empty timeline report
+  // full health, so consumers need no bounds bookkeeping.
   [[nodiscard]] bool satellite_available(std::size_t satellite,
                                          std::size_t step) const noexcept;
   [[nodiscard]] bool station_available(std::size_t station,

@@ -6,12 +6,11 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 
 #include "coverage/engine.hpp"
 #include "coverage/footprint_index.hpp"
-#include "coverage/packed_masks.hpp"
-#include "coverage/step_mask.hpp"
 #include "coverage/visibility_cull.hpp"
 #include "fault/timeline.hpp"
 #include "obs/metrics.hpp"
@@ -99,21 +98,12 @@ void atomic_max(std::atomic<std::size_t>& target, std::size_t value) noexcept {
   }
 }
 
-// The 64-step mask word bits covering steps [chunk_begin, chunk_begin +
-// count). stream_chunk_steps is a validated power of two <= 64, so a chunk
-// never straddles a word; sub-word chunks shift and mask.
-std::uint64_t chunk_word(std::span<const std::uint64_t> words,
-                         std::size_t chunk_begin, std::size_t count) noexcept {
-  const std::uint64_t bits = words[chunk_begin >> 6] >> (chunk_begin & 63);
-  return count >= 64 ? bits : bits & ((std::uint64_t{1} << count) - 1);
-}
-
-// A downlink leg toward one station, cached per (satellite, step) so the
-// satellite->station leg is computed once instead of once per terminal. Only
-// what the relay combine reads is kept, plus the station's owner for the
-// same-party match: 1/SNR for the transparent cascade, and the hop's Shannon
-// capacity, which stays zero in transparent mode, where the combine never
-// looks at it. Legs are exact: the dB chain runs once per leg.
+// A downlink leg toward one station, computed once per (satellite, station,
+// step) instead of once per terminal. Only what the relay combine reads is
+// kept, plus the station's owner for the same-party match: 1/SNR for the
+// transparent cascade, and the hop's Shannon capacity, which stays zero in
+// transparent mode, where the combine never looks at it. Legs are exact:
+// the dB chain runs once per leg.
 struct StationBudget {
   std::uint32_t station = 0;
   std::uint32_t party = 0;
@@ -121,27 +111,37 @@ struct StationBudget {
   double shannon_bps = 0.0;
 };
 
-// Per-(step, satellite) downlink legs of one chunk: list b * satellites + si
-// holds satellite si's healthy visible stations at step chunk_begin + b, and
-// party_masks[b * satellites + si] has bit (party & 63) set for each of their
-// owners. Kept per stream slot and reused across the chunks it processes, so
-// the lists keep their capacity instead of reallocating tens of thousands of
-// small vectors per chunk. Phase 2 reads a chunk's legs while it drains the
-// chunk: the slot is not refilled until the drain releases it.
-struct DownlinkLists {
-  std::vector<std::vector<StationBudget>> lists;
-  std::vector<std::uint64_t> party_masks;
+// Every healthy visible downlink leg of a run, built once by the cull and
+// read-only afterwards, like the ephemeris tables: legs(step, si) holds the
+// stations satellite si reaches at that step, healthy there, ascending (the
+// reference tie-break order). Each satellite's legs sit step-major in one
+// exactly sized vector, and offsets[si * (step_count + 1) + step] is where
+// the step's legs begin in it.
+struct DownlinkLegs {
+  std::size_t step_count = 0;
+  std::vector<std::vector<StationBudget>> by_satellite;
+  std::vector<std::uint32_t> offsets;
+
+  DownlinkLegs(std::size_t satellite_count, std::size_t steps)
+      : step_count(steps),
+        by_satellite(satellite_count),
+        offsets(satellite_count * (steps + 1), 0) {}
+
+  [[nodiscard]] std::span<const StationBudget> legs(std::size_t step, std::size_t si) const {
+    const std::uint32_t* begin = offsets.data() + si * (step_count + 1) + step;
+    return {by_satellite[si].data() + begin[0], by_satellite[si].data() + begin[1]};
+  }
 };
 
-// One step of a chunk, by satellite: the downlink legs there (the step's
-// slice of the chunk's DownlinkLists) and the satellite's position.
+// One step of the run, by satellite: the downlink legs there and the
+// satellite's position.
 struct StepLegs {
   const orbit::EphemerisSet& ephemerides;
-  std::span<const std::vector<StationBudget>> lists;
+  const DownlinkLegs& table;
   std::size_t step = 0;
 
-  [[nodiscard]] const std::vector<StationBudget>& legs(std::size_t si) const {
-    return lists[si];
+  [[nodiscard]] std::span<const StationBudget> legs(std::size_t si) const {
+    return table.legs(step, si);
   }
   [[nodiscard]] util::Vec3 position(std::size_t si) const {
     return ephemerides.table(si).position_ecef(step);
@@ -153,8 +153,8 @@ struct StepLegs {
 // compute_relay's arithmetic, so the result is the double run_reference
 // computes. The range-independent hop pieces are hoisted once per run into
 // terminal- and station-indexed arrays that only this evaluator reads. Each
-// downlink leg is evaluated once per chunk (fill_downlinks), and both
-// phases combine an uplink with that cached leg.
+// downlink leg is evaluated once per run (DownlinkLegs), and both phases
+// combine an uplink with that leg.
 struct ExactEvaluator {
   std::span<const orbit::TopocentricFrame> terminal_frames;
   // uplinks[ti]: terminal ti -> transponder receive.
@@ -187,20 +187,19 @@ struct ExactEvaluator {
   }
 
   // Terminal ti through satellite si and station gi at one step, from the
-  // satellite's cached position and legs there (phase 1 picked gi from
-  // that list).
+  // satellite's position and legs there (phase 1 picked gi from those legs).
   [[nodiscard]] double capacity(std::uint32_t ti, const StepLegs& step, std::uint32_t si,
                                 std::uint32_t gi) const {
-    const std::vector<StationBudget>& legs = step.legs(si);
+    const std::span<const StationBudget> legs = step.legs(si);
     const auto leg = std::find_if(legs.begin(), legs.end(),
                                   [gi](const StationBudget& l) { return l.station == gi; });
     return combine(ti, uplink_snr(ti, step.position(si)), *leg);
   }
 };
 
-// A terminal's bit in a DownlinkLists party mask. Parties 64 apart share a
-// bit, so the mask is a conservative gate: a set bit still needs the exact
-// party match.
+// A party's bit in phase 1's per-(step, satellite) party mask, the OR over
+// that satellite's legs. Parties 64 apart share a bit, so the mask is a
+// conservative gate: a set bit still needs the exact party match.
 std::uint64_t party_bit(std::uint32_t party) noexcept {
   return std::uint64_t{1} << (party & 63);
 }
@@ -233,9 +232,7 @@ struct StreamContext {
   // footprint cone per shard from the shard's radius extremes.
   std::span<const constellation::ShellShard> shards;
   std::span<const cov::FootprintCone> shard_cones;
-  // Station visibility in slab-packed word storage, outage-subtracted:
-  // mask si * stations + gi.
-  const cov::PackedMasks* station_vis = nullptr;
+  const DownlinkLegs& downlinks;
   const ExactEvaluator& exact;
   // Transparent mode: all stations share one relay bandwidth, so the end-to-
   // end SNR alone ranks them.
@@ -257,41 +254,12 @@ struct StreamContext {
   std::atomic<std::uint64_t>* pruned_pairs = nullptr;
 };
 
-// Downlink legs of steps [chunk_begin, chunk_begin + count): one budget per
-// (satellite, station, step) with both the pair visible and the station
-// healthy, word-iterated satellite-major, and each list's party mask.
-// Station order inside each list stays ascending — the reference tie-break
-// order.
-void fill_downlinks(const StreamContext& ctx, std::size_t chunk_begin, std::size_t count,
-                    DownlinkLists& downlinks) {
-  const std::size_t sat_count = ctx.satellites.size();
-  const std::size_t station_count = ctx.exact.stations.size();
-  if (downlinks.lists.size() < count * sat_count) downlinks.lists.resize(count * sat_count);
-  for (std::size_t i = 0; i < count * sat_count; ++i) downlinks.lists[i].clear();
-  downlinks.party_masks.assign(count * sat_count, 0);
-  for (std::size_t si = 0; si < sat_count; ++si) {
-    const orbit::EphemerisTable& table = ctx.ephemerides.table(si);
-    for (std::size_t gi = 0; gi < station_count; ++gi) {
-      std::uint64_t bits =
-          chunk_word(ctx.station_vis->words(si * station_count + gi), chunk_begin, count);
-      while (bits != 0) {
-        const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const StationBudget leg =
-            ctx.exact.leg(static_cast<std::uint32_t>(gi), table.position_ecef(chunk_begin + b));
-        downlinks.lists[b * sat_count + si].push_back(leg);
-        downlinks.party_masks[b * sat_count + si] |= party_bit(leg.party);
-      }
-    }
-  }
-}
-
 // Pairs counted at each phase-1 stage, in stage order: sites the footprint
 // queries returned, cone-test survivors, party-mask survivors, pairs that
 // pass the exact elevation test, and station capacities ranked; plus exact
 // capacity evaluations (near-ties and weak pairs), and the seconds spent on
-// downlink legs, on the per-site loop, and on candidate emission (scratch
-// resets, counting sort or top-K merge).
+// the per-site loop and on candidate emission (scratch resets, counting sort
+// or top-K merge).
 struct Phase1Stats {
   std::uint64_t sites_returned = 0;
   std::uint64_t cone_survivors = 0;
@@ -299,7 +267,6 @@ struct Phase1Stats {
   std::uint64_t exact_visible_pairs = 0;
   std::uint64_t relay_evaluations = 0;
   std::uint64_t exact_capacity_evaluations = 0;
-  double downlinks_seconds = 0.0;
   double sites_seconds = 0.0;
   double emit_seconds = 0.0;
 };
@@ -426,10 +393,9 @@ RelayChoice best_station(const StreamContext& ctx, std::span<const StationBudget
   });
 }
 
-// Per-slot scratch of the chunk fill. Apart from the chunk's downlink
-// lists, everything here holds one step and is reused step after step.
+// Per-slot scratch of the chunk fill: everything here holds one step and is
+// reused step after step.
 struct StreamScratch {
-  DownlinkLists downlinks;
   std::vector<cov::FootprintIndex::Range> ranges;
   // Exact mode: the step's emission in (satellite-ascending, site-bucket)
   // order and each entry's terminal, counting-sorted into terminal-major
@@ -470,35 +436,31 @@ double lap(std::chrono::steady_clock::time_point& mark) {
 }
 
 // Builds the candidate lists of steps [chunk_begin, chunk_begin + count) into
-// out[0..count); a pure function of the context — no scheduling state. One
-// satellite-major pass builds the chunk's downlink legs; then, step by step,
-// every satellite's footprint is streamed (shards ascending, satellites
-// ascending inside each shard) into one step of scratch, which is sorted
-// into out[b] before the next step starts — so a slot's scratch is one
-// step's, not the chunk's. The sort restores the reference scan's
-// terminal-major / satellite-ascending candidate order, so with cap == 0
-// phase 2 sees exactly the (satellite, best station) columns of
-// run_reference's joint scan: the index, cone and party mask only prune (a
-// conservative superset of exact visibility with a same-party station),
-// survivors run the same visible_above on the same table positions, and
-// the key decides only what it provably decides the same way. Returns the
-// chunk's per-stage pair counts and stage times.
+// out[0..count); a pure function of the context — no scheduling state. Step
+// by step, the footprint of every satellite with a downlink leg there is
+// streamed (shards ascending, satellites ascending inside each shard) into
+// one step of scratch, which is sorted into out[b] before the next step
+// starts — so a slot's scratch is one step's, not the chunk's. The sort
+// restores the reference scan's terminal-major / satellite-ascending
+// candidate order, so with cap == 0 phase 2 sees exactly the (satellite,
+// best station) columns of run_reference's joint scan: the index, cone and
+// party mask only prune (a conservative superset of exact visibility with a
+// same-party station), survivors run the same visible_above on the same
+// table positions, and the key decides only what it provably decides the
+// same way. Returns the chunk's per-stage pair counts and stage times.
 Phase1Stats fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin,
                               std::size_t count, std::span<StepCandidates> out,
                               StreamScratch& scratch) {
   const std::size_t term_count = ctx.terminal_count;
-  const std::size_t sat_count = ctx.satellites.size();
   const std::size_t cap = ctx.cap;
   Phase1Stats stats;
   std::chrono::steady_clock::time_point mark = std::chrono::steady_clock::now();
 
-  fill_downlinks(ctx, chunk_begin, count, scratch.downlinks);
   if (cap == 0) {
     scratch.cursors.resize(term_count);
   } else {
     scratch.blocks.resize(term_count * 2 * cap);
   }
-  stats.downlinks_seconds = lap(mark);
 
   const std::span<const double> ux = ctx.index->unit_x();
   const std::span<const double> uy = ctx.index->unit_y();
@@ -518,18 +480,17 @@ Phase1Stats fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin,
     }
     stats.emit_seconds += lap(mark);
 
-    const StepLegs step_legs{ctx.ephemerides,
-                             {scratch.downlinks.lists.data() + b * sat_count, sat_count},
-                             chunk_begin + b};
+    const StepLegs step_legs{ctx.ephemerides, ctx.downlinks, chunk_begin + b};
     for (std::size_t shard_i = 0; shard_i < ctx.shards.size(); ++shard_i) {
       const constellation::ShellShard& shard = ctx.shards[shard_i];
       const cov::FootprintCone& cone = ctx.shard_cones[shard_i];
       for (std::size_t si = shard.begin; si < shard.end; ++si) {
         // No reachable station at this step: no candidate can form, skip the
         // terminal scan.
-        const std::vector<StationBudget>& downlinks = step_legs.legs(si);
+        const std::span<const StationBudget> downlinks = step_legs.legs(si);
         if (downlinks.empty()) continue;
-        const std::uint64_t party_mask = scratch.downlinks.party_masks[b * sat_count + si];
+        std::uint64_t party_mask = 0;
+        for (const StationBudget& leg : downlinks) party_mask |= party_bit(leg.party);
         const util::Vec3 pos = step_legs.position(si);
         scratch.ranges.clear();
         ctx.index->query_cap(pos, cone.psi_rad, scratch.ranges);
@@ -666,7 +627,7 @@ bool spare_excluded(const SchedulerConfig& config, std::uint32_t party) noexcept
 // column of the reference's joint scan, so the selected links and their
 // order are bit-identical. Keys rank the candidates; near-ties and the
 // sticky bar resolve exactly (see kRelayWindow), and each grant's capacity
-// is computed exactly over the downlink `legs` phase 1 cached for the step.
+// is computed exactly over the step's downlink `legs`.
 StepSchedule consume_step(const ConsumeContext& ctx, const StepCandidates& sc,
                           std::size_t step, const StepLegs& legs,
                           const fault::FaultTimeline* faults,
@@ -1070,18 +1031,17 @@ void accumulate_step(const StepSchedule& schedule, std::span<const Terminal> ter
 struct RunMetrics {
   obs::Histogram run_seconds;           // whole pipeline, one observation
   obs::Histogram propagate_seconds;     // shared ephemeris kernel
-  obs::Histogram cull_seconds;          // station masks + outages + spatial index
+  obs::Histogram cull_seconds;          // downlink leg table + spatial index
   obs::Histogram chunk_seconds;         // per phase-1 chunk (worker threads)
-  // Per phase-1 chunk, by stage (Phase1Stats): downlink legs, the per-site
-  // loop, candidate emission.
-  obs::Histogram phase1_downlinks_seconds;
+  // Per phase-1 chunk, by stage (Phase1Stats): the per-site loop, candidate
+  // emission.
   obs::Histogram phase1_sites_seconds;
   obs::Histogram phase1_emit_seconds;
   obs::Histogram drain_seconds;         // per phase-2 chunk drain
   obs::Histogram candidates_per_step;   // candidate-list occupancy
   obs::Counter candidates;              // candidates emitted by phase 1
-  obs::Counter cull_masks;              // station masks filled by the culler
-  obs::Counter cull_visible_steps;      // set bits across the station masks
+  obs::Counter cull_masks;              // (satellite, station) masks filled by the culler
+  obs::Counter cull_visible_steps;      // visible steps across them, outages included
   obs::Counter index_pruned_pairs;      // pair visits skipped without a visibility test
   // Phase-1 pairs per stage (Phase1Stats), added once per chunk.
   obs::Counter sites_returned;
@@ -1109,7 +1069,6 @@ struct RunMetrics {
     m.propagate_seconds = registry.histogram("sched.propagate_seconds");
     m.cull_seconds = registry.histogram("sched.cull_seconds");
     m.chunk_seconds = registry.histogram("sched.phase1_chunk_seconds");
-    m.phase1_downlinks_seconds = registry.histogram("sched.phase1_downlinks_seconds");
     m.phase1_sites_seconds = registry.histogram("sched.phase1_sites_seconds");
     m.phase1_emit_seconds = registry.histogram("sched.phase1_emit_seconds");
     m.drain_seconds = registry.histogram("sched.phase2_drain_seconds");
@@ -1386,16 +1345,44 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
         cov::ephemeris_specs(satellites_, config_.propagator_backend), grid, pool);
   }();
 
+  // Range-independent hop pieces, hoisted once per run for the exact
+  // evaluator: uplink_hops[ti] is terminal ti -> transponder receive and
+  // downlink_hops[gi] transponder transmit -> station gi.
+  std::vector<HopEvaluator> uplink_hops;
+  uplink_hops.reserve(term_count);
+  for (const Terminal& terminal : terminals_) {
+    uplink_hops.push_back(HopEvaluator::make(terminal.radio, config_.transponder.receive));
+  }
+  std::vector<HopEvaluator> downlink_hops;
+  downlink_hops.reserve(station_count);
+  std::vector<double> relay_bandwidth_hz;
+  relay_bandwidth_hz.reserve(station_count);
+  for (const GroundStation& station : stations_) {
+    downlink_hops.push_back(HopEvaluator::make(config_.transponder.transmit, station.radio));
+    relay_bandwidth_hz.push_back(transparent_bandwidth_hz(config_.transponder, station.radio));
+  }
+  const bool uniform_relay_bandwidth =
+      std::adjacent_find(relay_bandwidth_hz.begin(), relay_bandwidth_hz.end(),
+                         std::not_equal_to<>()) == relay_bandwidth_hz.end();
+  const ExactEvaluator exact{terminal_frames_,
+                             uplink_hops,
+                             stations_,
+                             station_frames_,
+                             downlink_hops,
+                             relay_bandwidth_hz,
+                             config_.relay_mode == RelayMode::kRegenerative};
+
   obs::ScopedTimer cull_timer(rm.cull_seconds);
 
-  // Station visibility masks through the coverage cull, packed into slab
-  // storage. The cull only skips work — each set bit passed the exact
-  // visible_above test the reference runs — so a mask word is precisely 64
-  // reference visibility answers. A (satellite, station) pair whose latitude
-  // bands cannot intersect provably has an all-zero mask, so its fill is
-  // skipped outright: the per-satellite footprint cone is the culler's own
-  // derivation with the minimum station radius substituted, so it can only
-  // be wider than any per-station cone.
+  // The downlink leg table. A (satellite, station) pair's visible steps come
+  // from the coverage cull, which only skips work — each set bit passed the
+  // exact visible_above test the reference runs. A pair whose latitude bands
+  // cannot intersect provably sees nothing, so its fill is skipped outright:
+  // the per-satellite footprint cone is the culler's own derivation with the
+  // minimum station radius substituted, so it can only be wider than any
+  // per-station cone. A step at which station_available reports the station
+  // down gets no leg, as in the reference, so steps past the timeline's own
+  // grid count as healthy.
   double station_r_min = 0.0;
   std::vector<double> station_sin_lat(station_count, 0.0);
   for (std::size_t gi = 0; gi < station_count; ++gi) {
@@ -1407,46 +1394,80 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   const cov::VisibilityCuller culler(grid, config_.elevation_mask_deg);
   const cov::CullCounters cull_counters{rm.cull_masks, rm.cull_visible_steps};
   std::atomic<std::uint64_t> pruned_pairs{0};
-  cov::PackedMasks station_vis(sat_count * station_count, step_total);
-  const auto fill_station_masks = [&](std::size_t si) {
-    const orbit::EphemerisTable& table = eph.table(si);
-    const double psi = cov::FootprintCone::make(table.min_radius_m(), table.max_radius_m(),
-                                                station_r_min, config_.elevation_mask_deg)
-                           .psi_rad;
-    const double max_sin_lat = cov::max_abs_sin_latitude(table);
-    std::uint64_t local_pruned = 0;
-    for (std::size_t gi = 0; gi < station_count; ++gi) {
-      if (!cov::latitude_reachable(max_sin_lat, psi, station_sin_lat[gi])) {
-        ++local_pruned;
-        continue;
+  const std::size_t mask_words = (step_total + 63) / 64;
+  DownlinkLegs downlinks(sat_count, step_total);
+  // Satellites [begin, end), one at a time through `masks`, one word mask
+  // per station: count each step's healthy legs into the satellite's
+  // offsets, then evaluate them into its exactly sized vector.
+  const auto fill_legs = [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint64_t> masks(station_count * mask_words);
+    for (std::size_t si = begin; si < end; ++si) {
+      const orbit::EphemerisTable& table = eph.table(si);
+      const double psi = cov::FootprintCone::make(table.min_radius_m(), table.max_radius_m(),
+                                                  station_r_min, config_.elevation_mask_deg)
+                             .psi_rad;
+      const double max_sin_lat = cov::max_abs_sin_latitude(table);
+      std::fill(masks.begin(), masks.end(), std::uint64_t{0});
+      std::uint64_t local_pruned = 0;
+      for (std::size_t gi = 0; gi < station_count; ++gi) {
+        if (!cov::latitude_reachable(max_sin_lat, psi, station_sin_lat[gi])) {
+          ++local_pruned;
+          continue;
+        }
+        culler.fill(table, station_frames_[gi], {masks.data() + gi * mask_words, mask_words},
+                    cull_counters);
       }
-      culler.fill(table, station_frames_[gi], station_vis.words(si * station_count + gi),
-                  cull_counters);
+      pruned_pairs.fetch_add(local_pruned, std::memory_order_relaxed);
+
+      // offsets[step + 1] counts the step's legs; a downed station's bit is
+      // cleared. The prefix sum then makes offsets[step] the step's begin.
+      std::uint32_t* const offsets = downlinks.offsets.data() + si * (step_total + 1);
+      for (std::size_t gi = 0; gi < station_count; ++gi) {
+        for (std::size_t w = 0; w < mask_words; ++w) {
+          std::uint64_t& word = masks[gi * mask_words + w];
+          for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
+            const auto bit = static_cast<unsigned>(std::countr_zero(bits));
+            const std::size_t step = w * 64 + bit;
+            if (faulted && !faults->station_available(gi, step)) {
+              word &= ~(std::uint64_t{1} << bit);
+            } else {
+              ++offsets[step + 1];
+            }
+          }
+        }
+      }
+      std::uint64_t total = 0;
+      for (std::size_t step = 1; step <= step_total; ++step) {
+        total += offsets[step];
+        if (total > std::numeric_limits<std::uint32_t>::max()) {
+          throw std::length_error(
+              "BentPipeScheduler::run: one satellite's downlink legs exceed 2^32");
+        }
+        offsets[step] = static_cast<std::uint32_t>(total);
+      }
+
+      // Station gi's leg at `step` lands at offsets[step]++, so stations
+      // ascend within each step, and the pass leaves offsets[step] at the
+      // next step's begin; the shift restores the begins.
+      std::vector<StationBudget>& legs = downlinks.by_satellite[si];
+      legs.resize(total);
+      for (std::size_t gi = 0; gi < station_count; ++gi) {
+        for (std::size_t w = 0; w < mask_words; ++w) {
+          for (std::uint64_t bits = masks[gi * mask_words + w]; bits != 0; bits &= bits - 1) {
+            const std::size_t step = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            legs[offsets[step]++] =
+                exact.leg(static_cast<std::uint32_t>(gi), table.position_ecef(step));
+          }
+        }
+      }
+      std::copy_backward(offsets, offsets + step_total, offsets + step_total + 1);
+      offsets[0] = 0;
     }
-    pruned_pairs.fetch_add(local_pruned, std::memory_order_relaxed);
   };
   if (pool != nullptr) {
-    pool->parallel_for(sat_count, fill_station_masks);
+    pool->parallel_for_chunks(sat_count, fill_legs);
   } else {
-    for (std::size_t si = 0; si < sat_count; ++si) fill_station_masks(si);
-  }
-
-  // Station outages come off the station masks up front, so phase 1 never
-  // offers a downed station. Steps at or beyond the timeline's own grid
-  // report healthy (the station_available contract).
-  if (faulted) {
-    for (std::size_t gi = 0; gi < station_count; ++gi) {
-      const cov::StepMask* outage = faults->station_outage_steps(gi);
-      if (outage == nullptr) continue;
-      cov::StepMask clipped(step_total);
-      const std::size_t limit = std::min(step_total, outage->step_count());
-      for (std::size_t step = 0; step < limit; ++step) {
-        if (outage->test(step)) clipped.set(step);
-      }
-      for (std::size_t si = 0; si < sat_count; ++si) {
-        station_vis.subtract(si * station_count + gi, clipped);
-      }
-    }
+    fill_legs(0, sat_count);
   }
 
   // Footprint-stream inputs: the terminal spatial index, the shell shards
@@ -1473,16 +1494,8 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   }
   cull_timer.stop();
 
-  // Range-independent hop pieces, hoisted once per run for the exact
-  // evaluator: uplink_hops[ti] is terminal ti -> transponder receive and
-  // downlink_hops[gi] transponder transmit -> station gi. Phase 1's site
-  // table keeps only each uplink's inverse-square constant, in index slot
-  // order.
-  std::vector<HopEvaluator> uplink_hops;
-  uplink_hops.reserve(term_count);
-  for (const Terminal& terminal : terminals_) {
-    uplink_hops.push_back(HopEvaluator::make(terminal.radio, config_.transponder.receive));
-  }
+  // Phase 1's site table keeps only each uplink's inverse-square constant,
+  // in index slot order.
   std::vector<IndexedSite> indexed_sites;
   indexed_sites.reserve(term_count);
   std::vector<std::uint32_t> slot_of(term_count);
@@ -1492,24 +1505,6 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
                              uplink_hops[ti].inverse_square_snr_m2(), ti,
                              terminals_[ti].owner_party});
   }
-  std::vector<HopEvaluator> downlink_hops;
-  downlink_hops.reserve(station_count);
-  std::vector<double> relay_bandwidth_hz;
-  relay_bandwidth_hz.reserve(station_count);
-  for (const GroundStation& station : stations_) {
-    downlink_hops.push_back(HopEvaluator::make(config_.transponder.transmit, station.radio));
-    relay_bandwidth_hz.push_back(transparent_bandwidth_hz(config_.transponder, station.radio));
-  }
-  const bool uniform_relay_bandwidth =
-      std::adjacent_find(relay_bandwidth_hz.begin(), relay_bandwidth_hz.end(),
-                         std::not_equal_to<>()) == relay_bandwidth_hz.end();
-  const ExactEvaluator exact{terminal_frames_,
-                             uplink_hops,
-                             stations_,
-                             station_frames_,
-                             downlink_hops,
-                             relay_bandwidth_hz,
-                             config_.relay_mode == RelayMode::kRegenerative};
 
   std::atomic<std::size_t> step_high_water{0};
   const StreamContext sctx{satellites_,
@@ -1519,7 +1514,7 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
                            indexed_sites,
                            shards,
                            shard_cones,
-                           &station_vis,
+                           downlinks,
                            exact,
                            uniform_relay_bandwidth,
                            config_.transponder.receive.bandwidth_hz,
@@ -1590,7 +1585,6 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
     rm.exact_visible_pairs.add(stats.exact_visible_pairs);
     rm.relay_evaluations.add(stats.relay_evaluations);
     rm.exact_capacity_evaluations.add(stats.exact_capacity_evaluations);
-    rm.phase1_downlinks_seconds.observe(stats.downlinks_seconds);
     rm.phase1_sites_seconds.observe(stats.sites_seconds);
     rm.phase1_emit_seconds.observe(stats.emit_seconds);
   };
@@ -1603,8 +1597,7 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
       rm.candidates_per_step.observe(static_cast<double>(buffers[slot][b].cands.size()));
       const std::span<const std::uint8_t> blocked =
           policy.pre_step(step, dt_step, result);
-      const StepLegs legs{eph, {scratch[slot].downlinks.lists.data() + b * sat_count, sat_count},
-                          step};
+      const StepLegs legs{eph, downlinks, step};
       StepSchedule schedule =
           consume_step(cctx, buffers[slot][b], step, legs, faults, blocked, consume_scratch,
                        consume_counts, policy.sticky_prev(), policy.sticky_margin());

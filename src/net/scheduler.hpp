@@ -10,16 +10,17 @@
 //
 // run() executes a two-phase pipeline:
 //   Phase 1 (parallel over step chunks): propagate every satellite once
-//   through the shared ephemeris kernel, cull (satellite, station) pairs
-//   with the coverage engine's conservative zenith-cone prefilter into
-//   StepMask bitmaps, then stream each step's satellite footprints through a
-//   spatial index over the terminals and re-test the survivors exactly.
-//   Every visible (terminal, satellite) pair with a healthy same-party
-//   station in view becomes a candidate carrying that station and the
-//   end-to-end relay capacity. Each downlink leg is computed once per
-//   (satellite, station, step) and each uplink leg once per visible pair,
-//   instead of once per triple, and no per-(satellite, terminal) state is
-//   stored, so phase-1 memory does not grow with satellites x terminals.
+//   through the shared ephemeris kernel, and build one read-only table of
+//   every healthy visible downlink leg of the run, indexed by (step,
+//   satellite), from the coverage engine's conservative zenith-cone cull of
+//   each (satellite, station) pair; then stream each step's satellite
+//   footprints through a spatial index over the terminals and re-test the
+//   survivors exactly. Every visible (terminal, satellite) pair with a
+//   healthy same-party station in view becomes a candidate carrying that
+//   station and the end-to-end relay capacity. Each downlink leg is computed
+//   once per (satellite, station, step) and each uplink leg once per visible
+//   pair, instead of once per triple, and no per-(satellite, terminal) state
+//   is stored, so phase-1 memory does not grow with satellites x terminals.
 //   Phase 2 (sequential, cheap): sweep steps in order consuming the
 //   candidate lists for beam allocation, spare-priority ordering,
 //   failure-forced detach, and re-acquisition backoff bookkeeping.
@@ -95,11 +96,10 @@ struct SchedulerConfig {
   // copies scenario.propagator (sim::parse_scenario's --propagator= flag)
   // here.
   orbit::PropagatorBackend propagator_backend = orbit::PropagatorBackend::kJ2Analytic;
-  // Steps per phase-1 chunk. Must be a power of two in [1, 64] so a chunk
-  // never straddles a mask word. Smaller chunks shrink the streaming
-  // pipeline's in-flight memory (the mega preset runs 2); 64 keeps the
-  // historical one-word-per-chunk behaviour. Chunk size never changes the
-  // result — candidates are a per-step pure function of geometry.
+  // Steps per phase-1 chunk, a power of two in [1, 64]. Smaller chunks
+  // shrink the streaming pipeline's in-flight memory (the mega preset runs
+  // 2). Chunk size never changes the result — candidates are a per-step
+  // pure function of geometry.
   std::size_t stream_chunk_steps = 64;
   // Per-terminal candidate cap, applied per step at phase-1 emission on
   // every run: keep the top-K own-satellite and top-K spare candidates by
@@ -207,17 +207,19 @@ class BentPipeScheduler {
   // per-party usage. `party_count` sizes the aggregate vector;
   // terminals/satellites with owner >= party_count are rejected. Set
   // keep_steps to retain the per-step link lists. The context supplies:
-  //  * the pool: phase 1 (ephemerides, station masks, candidate lists) runs
-  //    parallel over step chunks on it; the result is bit-identical for any
-  //    pool size, including none;
+  //  * the pool: phase 1 runs on it — the ephemerides and the downlink leg
+  //    table parallel over satellites, candidate lists over step chunks; the
+  //    result is bit-identical for any pool size, including none;
   //  * the fault timeline (null or empty = healthy): it gates per-step asset
-  //    health, and a terminal whose serving satellite or station fails is
-  //    detached; it waits out the degradation policy's re-acquisition
-  //    backoff, when enabled, before it may re-attach;
-  //  * the metrics registry: phase timings (propagate / cull / chunk fill /
-  //    chunk drain), phase-1 pair counts per stage, candidate-list
-  //    occupancy, beam-allocation rejections and fault-forced detaches land
-  //    in context.metrics() under "sched.".
+  //    health through its availability queries, so steps past the
+  //    timeline's own grid are healthy, and a terminal whose serving
+  //    satellite or station fails is detached; it waits out the degradation
+  //    policy's re-acquisition backoff, when enabled, before it may
+  //    re-attach;
+  //  * the metrics registry: phase timings (propagate / cull, which builds
+  //    the leg table / chunk fill / chunk drain), phase-1 pair counts per
+  //    stage, candidate-list occupancy, beam-allocation rejections and
+  //    fault-forced detaches land in context.metrics() under "sched.".
   [[nodiscard]] ScheduleResult run(const orbit::TimeGrid& grid, std::size_t party_count,
                                    sim::RunContext& context, bool keep_steps = false) const;
 

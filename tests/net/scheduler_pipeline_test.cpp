@@ -221,6 +221,41 @@ TEST_P(SchedulerPipeline, PoolSizeNeverChangesResult) {
   }
 }
 
+// run() drops a station's downlink legs at the steps where
+// FaultTimeline::station_available reports it down, and that contract counts
+// every step past the timeline's own grid as healthy. So timelines on a
+// shorter and a longer grid than the run's (same start and step), the short
+// one with station 0 out until its last step, and one with station 0 out for
+// the whole run, must each match run_reference, serial and pooled.
+TEST_P(SchedulerPipeline, OffGridTimelinesMatchReference) {
+  const RandomFleet f = make_case_fleet(GetParam());
+  const BentPipeScheduler scheduler(f.config, f.satellites, f.terminals, f.stations);
+  const orbit::TimeGrid grid = test_grid();  // 90 steps
+  const orbit::TimeGrid short_grid = orbit::TimeGrid::over_duration(kEpoch, 2700.0, 60.0);
+  const orbit::TimeGrid long_grid = orbit::TimeGrid::over_duration(kEpoch, 3 * 5400.0, 60.0);
+  ASSERT_LT(short_grid.count, grid.count);
+  ASSERT_GT(long_grid.count, grid.count);
+
+  fault::FaultTimeline short_faults = make_faults(short_grid, f, GetParam().seed);
+  fault::FaultTimeline whole_run = make_faults(grid, f, GetParam().seed);
+  if (!f.stations.empty()) {
+    short_faults.add_station_outage(0, 0.5 * short_grid.duration_seconds(),
+                                    short_grid.duration_seconds());
+    whole_run.add_station_outage(0, 0.0, grid.duration_seconds());
+  }
+  const fault::FaultTimeline long_faults = make_faults(long_grid, f, GetParam().seed);
+
+  util::ThreadPool pool(3);
+  const fault::FaultTimeline* const timelines[] = {&short_faults, &long_faults, &whole_run};
+  for (const fault::FaultTimeline* faults : timelines) {
+    SCOPED_TRACE(faults == &short_faults ? "short" : faults == &long_faults ? "long" : "whole");
+    const ScheduleResult reference =
+        scheduler.run_reference(grid, f.party_count, faults, /*keep_steps=*/true);
+    EXPECT_TRUE(run_steps(scheduler, grid, f.party_count, faults) == reference);
+    EXPECT_TRUE(run_steps(scheduler, grid, f.party_count, faults, &pool) == reference);
+  }
+}
+
 TEST(SchedulerPipeline, RegenerativeRelayMatchesReference) {
   // No preset, bench or example runs the regenerative relay, so its Shannon
   // terms in the downlink fill and the uplink combine run only here: every

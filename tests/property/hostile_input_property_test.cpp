@@ -2,22 +2,30 @@
 // and the TLE parser: NaN, +-inf, a denormal, 0, a negative, 2^53 + 1 and
 // 2^64. Each value must come back as the parser's named error or a
 // ConfigIssue on its own field, or be accepted inside the field's documented
-// domain (saturating clamps included). These tests only parse and validate:
-// nothing here builds a pool, a grid or a buffer from a hostile value, and no
-// --threads value becomes threads.
+// domain (saturating clamps included). The flag, config and TLE tests only
+// parse and validate: nothing there builds a pool, a grid or a buffer from a
+// hostile value, and no --threads value becomes threads. The event and
+// behaviour book tests build books from hostile values: each preset is
+// compiled onto a one-day grid at 600 s over 20 satellites and 3 stations,
+// and sampled books hold up to 2^20 parties.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "adversary/policy.hpp"
+#include "constellation/shell.hpp"
 #include "core/chaos_sweep.hpp"
+#include "fault/event_book.hpp"
 #include "net/degradation.hpp"
+#include "net/ground_station.hpp"
 #include "net/scheduler.hpp"
 #include "orbit/tle.hpp"
 #include "rf/doppler.hpp"
@@ -429,6 +437,142 @@ INSTANTIATE_TEST_SUITE_P(Fields, TleFieldHostile,
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                            return tle_fields()[info.param].name;
                          });
+
+// --- EventBook::preset and BehaviorBook::sample ---------------------------
+
+// What the book builders take: NaN, +-inf, a denormal, 0, -1, 1e300 and
+// DBL_MAX.
+const std::vector<double>& book_hostile_doubles() {
+  static const std::vector<double> values{std::numeric_limits<double>::quiet_NaN(),
+                                          std::numeric_limits<double>::infinity(),
+                                          -std::numeric_limits<double>::infinity(),
+                                          std::numeric_limits<double>::denorm_min(),
+                                          0.0,
+                                          -1.0,
+                                          1e300,
+                                          std::numeric_limits<double>::max()};
+  return values;
+}
+
+bool mentions(const std::exception& e, const std::string& field) {
+  return std::string(e.what()).find(field) != std::string::npos;
+}
+
+class EventPresetHostile : public ::testing::TestWithParam<fault::EventProfile> {};
+
+// window_s and intensity, each hostile and both at once: the preset throws an
+// error that names a hostile one, or its book compiles onto the small fleet.
+TEST_P(EventPresetHostile, NamedErrorOrCompiles) {
+  const orbit::TimePoint epoch = orbit::TimePoint::from_iso8601("2024-11-18T00:00:00Z");
+  const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(epoch, 86400.0, 600.0);
+  constellation::WalkerShell shell;
+  shell.plane_count = 4;
+  shell.sats_per_plane = 5;
+  std::vector<constellation::Satellite> satellites = shell.build(epoch);
+  for (std::size_t i = 0; i < satellites.size(); ++i) {
+    satellites[i].owner_party = static_cast<std::uint32_t>(i % 2);
+  }
+  // The first station sits at the preset blackout's center.
+  std::vector<net::GroundStation> stations(3);
+  const double station_sites[3][2] = {{40.7, -74.0}, {51.5, 0.0}, {-33.9, 151.2}};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    stations[i].id = i;
+    stations[i].owner_party = i % 2;
+    stations[i].location =
+        orbit::Geodetic::from_degrees(station_sites[i][0], station_sites[i][1]);
+  }
+
+  constexpr double kWindow = 86400.0;
+  constexpr double kIntensity = 1.0;
+  std::vector<double> windows = book_hostile_doubles();
+  windows.push_back(kWindow);
+  std::vector<double> intensities = book_hostile_doubles();
+  intensities.push_back(kIntensity);
+  for (const double window : windows) {
+    for (const double intensity : intensities) {
+      SCOPED_TRACE("window_s=" + std::to_string(window) +
+                   " intensity=" + std::to_string(intensity));
+      fault::EventBook book;
+      try {
+        book = fault::EventBook::preset(GetParam(), window, 7, intensity);
+      } catch (const std::invalid_argument& e) {
+        EXPECT_TRUE((window != kWindow && mentions(e, "window_s")) ||
+                    (intensity != kIntensity && mentions(e, "intensity")))
+            << e.what();
+        continue;
+      }
+      fault::FaultTimeline timeline;
+      EXPECT_NO_THROW(timeline = book.compile(grid, satellites, stations));
+      EXPECT_EQ(timeline.grid().count, grid.count);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Profiles, EventPresetHostile,
+                         ::testing::Values(fault::EventProfile::kOff, fault::EventProfile::kStorm,
+                                           fault::EventProfile::kBlackout,
+                                           fault::EventProfile::kWithdrawal,
+                                           fault::EventProfile::kDebris,
+                                           fault::EventProfile::kMixed),
+                         [](const ::testing::TestParamInfo<fault::EventProfile>& param) {
+                           return std::string(fault::to_string(param.param));
+                         });
+
+// One hostile field at a time, over party counts up to 2^20: sample throws an
+// error that names the field, or returns a book whose Byzantine set fits the
+// parties and whose policies stay in their documented domains.
+TEST(BehaviorSampleHostile, NamedErrorOrDocumentedDomain) {
+  const std::vector<adversary::Behavior> mix{
+      adversary::Behavior::kForgeReceipts,    adversary::Behavior::kInflateReceipts,
+      adversary::Behavior::kWithholdCapacity, adversary::Behavior::kMisreportSla,
+      adversary::Behavior::kCollude,          adversary::Behavior::kJamming,
+      adversary::Behavior::kSpectrumSquatting};
+  constexpr double kFraction = 0.5;
+  constexpr double kIntensity = 1.0;
+  constexpr std::size_t kReceipts = 4;
+  struct Case {
+    double fraction;
+    double intensity;
+    std::size_t receipts;
+    const char* field;  // the hostile one
+  };
+  std::vector<Case> cases;
+  for (const double v : book_hostile_doubles()) {
+    cases.push_back({v, kIntensity, kReceipts, "byzantine_fraction"});
+    cases.push_back({kFraction, v, kReceipts, "intensity"});
+  }
+  for (const std::size_t receipts :
+       {std::size_t{0}, std::size_t{1} << 32, std::numeric_limits<std::size_t>::max()}) {
+    cases.push_back({kFraction, kIntensity, receipts, "receipts_per_epoch"});
+  }
+
+  for (const std::size_t parties : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                    std::size_t{1} << 20}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::to_string(parties) + " parties, " + c.field + ": fraction=" +
+                   std::to_string(c.fraction) + " intensity=" + std::to_string(c.intensity) +
+                   " receipts=" + std::to_string(c.receipts));
+      adversary::BehaviorBook book;
+      try {
+        book = adversary::BehaviorBook::sample(parties, c.fraction, mix, c.intensity, c.receipts,
+                                               11);
+      } catch (const std::invalid_argument& e) {
+        EXPECT_TRUE(mentions(e, c.field)) << e.what();
+        continue;
+      }
+      EXPECT_TRUE(book.party_count() == 0 || book.party_count() == parties);
+      EXPECT_LE(book.byzantine_count(), parties);
+      bool in_domain = true;
+      for (std::size_t p = 0; p < book.party_count(); ++p) {
+        const adversary::PartyPolicy& policy = book.policy(static_cast<core::PartyId>(p));
+        in_domain &= std::isfinite(policy.intensity) && policy.intensity >= 0.0 &&
+                     in_closed(policy.withheld_fraction(), 0.0, 1.0) &&
+                     std::isfinite(policy.sla_inflation());
+      }
+      EXPECT_TRUE(in_domain);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace mpleo
