@@ -13,6 +13,17 @@ ReceiptAuditor::ReceiptAuditor(AuditConfig config, std::size_t party_count,
     : config_(config), stats_(party_count), metrics_(metrics) {
   core::require_non_negative(config_.sla_tolerance, "sla_tolerance");
   core::throw_if_invalid("adversary::AuditConfig", config_.doppler.validate());
+  if (config_.doppler.enabled) doppler_offsets_ = config_.doppler.sample_offsets_s();
+}
+
+void ReceiptAuditor::count(obs::Counter& handle, std::string_view name, std::uint64_t delta) {
+  if (!handle) handle = metrics_->counter(name);
+  handle.add(delta);
+}
+
+void ReceiptAuditor::observe(obs::Histogram& handle, std::string_view name, double value) {
+  if (!handle) handle = metrics_->histogram(name);
+  handle.observe(value);
 }
 
 core::ReceiptVerdict ReceiptAuditor::audit_and_credit(const core::ProofOfCoverage& poc,
@@ -56,10 +67,9 @@ core::ReceiptVerdict ReceiptAuditor::audit_and_credit(const core::ProofOfCoverag
   bool doppler_rejected = false;
   if (config_.doppler.enabled &&
       poc.verify(receipt) == core::ReceiptVerdict::kValid) {
-    const std::vector<double> offsets = config_.doppler.sample_offsets_s();
     const std::vector<core::ProofOfCoverage::DopplerPoint> predicted =
         poc.doppler_track(receipt.satellite, receipt.verifier, receipt.time,
-                          config_.doppler.carrier_hz, offsets);
+                          config_.doppler.carrier_hz, doppler_offsets_);
     // A window with fewer measurable samples than min_track_samples cannot
     // pin a curve shape: inconclusive, fall through to the geometric path.
     if (predicted.size() >= config_.doppler.min_track_samples) {
@@ -86,7 +96,7 @@ core::ReceiptVerdict ReceiptAuditor::audit_and_credit(const core::ProofOfCoverag
       } else {
         const rf::TrackFit fit = rf::fit_doppler_track(measured, expected);
         if (metrics_ != nullptr) {
-          metrics_->histogram("audit.doppler_rms_hz").observe(fit.rms_hz);
+          observe(instruments_.doppler_rms_hz, "audit.doppler_rms_hz", fit.rms_hz);
         }
         doppler_rejected = fit.rms_hz > config_.doppler.rms_tolerance_hz;
       }
@@ -114,33 +124,34 @@ core::ReceiptVerdict ReceiptAuditor::audit_and_credit(const core::ProofOfCoverag
   }
 
   if (metrics_ != nullptr) {
-    metrics_->counter("audit.receipts_submitted").add(1);
+    Instruments& m = instruments_;
+    count(m.receipts_submitted, "audit.receipts_submitted");
     switch (verdict) {
       case core::ReceiptVerdict::kValid:
-        metrics_->counter("audit.receipts_credited").add(1);
+        count(m.receipts_credited, "audit.receipts_credited");
         break;
       case core::ReceiptVerdict::kBadDigest:
       case core::ReceiptVerdict::kDuplicate:
-        metrics_->counter("audit.fraud_detected").add(1);
+        count(m.fraud_detected, "audit.fraud_detected");
         break;
       case core::ReceiptVerdict::kRfImplausible:
-        metrics_->counter("audit.rf_doppler_rejections").add(1);
-        metrics_->counter("audit.fraud_detected").add(1);
+        count(m.rf_doppler_rejections, "audit.rf_doppler_rejections");
+        count(m.fraud_detected, "audit.fraud_detected");
         break;
       case core::ReceiptVerdict::kNotOverhead:
-        metrics_
-            ->counter(provenance == ReceiptProvenance::kSubmission
-                          ? "audit.fraud_detected"
-                          : "audit.challenge_geometry_misses")
-            .add(1);
+        if (provenance == ReceiptProvenance::kSubmission) {
+          count(m.fraud_detected, "audit.fraud_detected");
+        } else {
+          count(m.challenge_geometry_misses, "audit.challenge_geometry_misses");
+        }
         break;
       case core::ReceiptVerdict::kUnknownSatellite:
       case core::ReceiptVerdict::kUnknownVerifier:
-        metrics_->counter("audit.receipts_unknown").add(1);
+        count(m.receipts_unknown, "audit.receipts_unknown");
         break;
     }
     if (prescreened && !prescreen_overhead) {
-      metrics_->counter("audit.prescreen_flagged").add(1);
+      count(m.prescreen_flagged, "audit.prescreen_flagged");
     }
   }
   return verdict;
@@ -153,7 +164,7 @@ bool ReceiptAuditor::audit_sla_claim(core::PartyId party, double claimed_seconds
   const bool misreport = claimed_seconds > measured_seconds * (1.0 + config_.sla_tolerance);
   if (misreport) {
     ++stats_.at(party).sla_misreports;
-    if (metrics_ != nullptr) metrics_->counter("audit.sla_misreports").add(1);
+    if (metrics_ != nullptr) count(instruments_.sla_misreports, "audit.sla_misreports");
   }
   return misreport;
 }
@@ -164,8 +175,8 @@ void ReceiptAuditor::record_interference_violations(core::PartyId party,
   if (events == 0) return;
   stats_.at(party).rf_interference_violations += events;
   if (metrics_ != nullptr) {
-    metrics_->counter("audit.rf_interference_violations").add(events);
-    metrics_->histogram("audit.rf_violation_inr").observe(total_inr);
+    count(instruments_.rf_interference_violations, "audit.rf_interference_violations", events);
+    observe(instruments_.rf_violation_inr, "audit.rf_violation_inr", total_inr);
   }
 }
 

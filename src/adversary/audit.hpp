@@ -25,17 +25,15 @@
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/ledger.hpp"
 #include "core/party.hpp"
 #include "core/proof_of_coverage.hpp"
+#include "obs/metrics.hpp"
 #include "orbit/time.hpp"
 #include "rf/doppler.hpp"
-
-namespace mpleo::obs {
-class MetricsRegistry;
-}
 
 namespace mpleo::adversary {
 
@@ -110,7 +108,10 @@ class ReceiptAuditor {
 
   // Re-points instrumentation (e.g. at the RunContext registry of the epoch
   // being run). Null detaches it.
-  void set_metrics(obs::MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
+  void set_metrics(obs::MetricsRegistry* metrics) noexcept {
+    metrics_ = metrics;
+    instruments_ = {};
+  }
 
   // Audits one receipt and, when valid, credits it through
   // poc.verify_and_reward — same verdict, same ledger entry, same duplicate
@@ -152,10 +153,33 @@ class ReceiptAuditor {
   [[nodiscard]] const AuditConfig& config() const noexcept { return config_; }
 
  private:
+  // Handles into metrics_, each registered on its first use (so a snapshot
+  // names exactly the metrics a run touched) and kept until set_metrics.
+  struct Instruments {
+    obs::Counter receipts_submitted;
+    obs::Counter receipts_credited;
+    obs::Counter fraud_detected;
+    obs::Counter rf_doppler_rejections;
+    obs::Counter challenge_geometry_misses;
+    obs::Counter receipts_unknown;
+    obs::Counter prescreen_flagged;
+    obs::Counter sla_misreports;
+    obs::Counter rf_interference_violations;
+    obs::Histogram doppler_rms_hz;
+    obs::Histogram rf_violation_inr;
+  };
+
+  // Adds `delta` to the counter `name` through `handle`, registering it
+  // first if needed. Requires metrics_.
+  void count(obs::Counter& handle, std::string_view name, std::uint64_t delta = 1);
+  void observe(obs::Histogram& handle, std::string_view name, double value);
+
   AuditConfig config_;
+  std::vector<double> doppler_offsets_;  // config_.doppler.sample_offsets_s()
   std::vector<PartyAuditStats> stats_;
   std::optional<orbit::TimeGrid> grid_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  Instruments instruments_;
 };
 
 }  // namespace mpleo::adversary

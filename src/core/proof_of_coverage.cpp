@@ -1,11 +1,17 @@
 #include "core/proof_of_coverage.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <numbers>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "coverage/doppler.hpp"
+#include "coverage/footprint_index.hpp"
 #include "coverage/visibility_cull.hpp"
 #include "orbit/ephemeris.hpp"
 #include "util/units.hpp"
@@ -33,6 +39,69 @@ orbit::EphemerisSpec registration_spec(const orbit::ClassicalElements& elements,
   orbit::EphemerisSpec spec{elements, epoch, orbit::Perturbation::kJ2Secular};
   spec.backend = backend;
   return spec;
+}
+
+// No table position is below it: the threshold of a window that never culls.
+constexpr double kNoCull = -std::numeric_limits<double>::infinity();
+
+// The dot threshold of one satellite's window cone (DESIGN §12): at any time
+// t within half a step h of grid step k, a verifier with geocentric unit
+// direction u and radius at least `site_r_min_m` can see the satellite above
+// the mask only if dot(u, table position at k) >= the threshold.
+//
+// Every bound below holds for any bound orbit (speed v <= sqrt(2 mu / r)),
+// so for the J2 and SGP4 backends alike:
+//  * the radius stays at or above a floor L within h of every step — a
+//    speed bound at L moves it at most v(L) h, and each pass tightens L
+//    from the last valid one;
+//  * it changes by at most `change` there: v(L) h, or, from the sampled
+//    radii, half the largest change between steps plus 3/8 A dt², A = 2 mu
+//    / L² bounding |r''| (mu / r² for a Kepler orbit, doubled for the
+//    perturbations);
+//  * so the satellite at t lies inside the FootprintCone of radii up to
+//    r_max + change around its own direction at t;
+//  * and that direction is within (sqrt(2 mu / L) / L + omega_earth) h of
+//    the table position's, the most an orbit and Earth's rotation turn it
+//    in h.
+// The cone is widened by that motion, plus slack, and turned into a dot
+// threshold over the table's own radius range as FootprintCone::make does.
+// No cull when the step is too long for the floor to exist, or the table
+// holds a non-finite radius.
+double window_threshold(const orbit::EphemerisTable& table, double step_s,
+                        double site_r_min_m, double elevation_mask_deg) {
+  constexpr double kMu = util::kMuEarth;
+  constexpr double kSlackRad = 1e-5;
+  const std::span<const double> radius = table.radius_m();
+  const double r_min = table.min_radius_m();
+  const double r_max = table.max_radius_m();
+  if (radius.empty() || !(r_min > 0.0)) return kNoCull;
+  double step_change = 0.0;
+  for (std::size_t k = 0; k < radius.size(); ++k) {
+    if (!std::isfinite(radius[k])) return kNoCull;
+    if (k > 0) step_change = std::max(step_change, std::abs(radius[k] - radius[k - 1]));
+  }
+
+  const double h = 0.5 * step_s;
+  double floor_r = 0.5 * r_min;
+  if (!(std::sqrt(2.0 * kMu / floor_r) * h < r_min - floor_r)) return kNoCull;
+  double change = 0.0;
+  for (int pass = 0; pass < 3; ++pass) {
+    change = std::sqrt(2.0 * kMu / floor_r) * h;
+    if (radius.size() > 1) {
+      const double accel = 2.0 * kMu / (floor_r * floor_r);
+      change = std::min(change, 0.5 * step_change + 0.375 * accel * step_s * step_s);
+    }
+    floor_r = r_min - change;
+  }
+
+  const cov::FootprintCone cone =
+      cov::FootprintCone::make(floor_r, r_max + change, site_r_min_m, elevation_mask_deg);
+  const double turn =
+      (std::sqrt(2.0 * kMu / floor_r) / floor_r + util::kEarthRotationRateRadPerSec) * h;
+  const double psi = cone.psi_rad + turn * (1.0 + 1e-6) + kSlackRad;
+  if (cone.exhaustive || !(psi < std::numbers::pi)) return kNoCull;
+  const double cos_psi = std::cos(psi);
+  return cos_psi * (cos_psi >= 0.0 ? r_min : r_max) - 1e-6 * r_max;
 }
 
 }  // namespace
@@ -78,7 +147,7 @@ std::uint64_t ProofOfCoverage::register_satellite(const constellation::Satellite
       {key, satellite.elements, satellite.epoch,
        orbit::make_propagator(registration_spec(satellite.elements, satellite.epoch,
                                                 config_.propagator_backend))});
-  epoch_tables_.reset();
+  prepared_.reset();
   return key;
 }
 
@@ -90,7 +159,9 @@ std::optional<std::size_t> ProofOfCoverage::registration_index(
 }
 
 std::uint32_t ProofOfCoverage::register_verifier(const orbit::Geodetic& site) {
-  verifiers_.emplace_back(site);
+  const util::Vec3& origin = verifiers_.emplace_back(site).origin_ecef();
+  const double radius = origin.norm();
+  verifier_directions_.push_back({origin / radius, radius});
   return static_cast<std::uint32_t>(verifiers_.size() - 1);
 }
 
@@ -107,12 +178,6 @@ CoverageReceipt ProofOfCoverage::answer_challenge(constellation::SatelliteId sat
   return receipt;
 }
 
-const ProofOfCoverage::RegisteredSatellite* ProofOfCoverage::find(
-    constellation::SatelliteId id) const {
-  const std::optional<std::size_t> index = registration_index(id);
-  return index.has_value() ? &satellites_[*index] : nullptr;
-}
-
 void ProofOfCoverage::prepare_grid(const orbit::TimeGrid& grid, util::ThreadPool* pool) {
   std::vector<orbit::EphemerisSpec> specs;
   specs.reserve(satellites_.size());
@@ -120,31 +185,58 @@ void ProofOfCoverage::prepare_grid(const orbit::TimeGrid& grid, util::ThreadPool
     specs.push_back(registration_spec(registered.elements, registered.epoch,
                                       config_.propagator_backend));
   }
-  epoch_tables_ = orbit::EphemerisSet::compute(specs, grid, pool);
+  PreparedGrid prepared{orbit::EphemerisSet::compute(specs, grid, pool), {},
+                        std::numeric_limits<double>::infinity()};
+  for (const VerifierDirection& verifier : verifier_directions_) {
+    prepared.min_verifier_radius_m = std::min(prepared.min_verifier_radius_m, verifier.radius_m);
+  }
+  prepared.window_thresholds.reserve(satellites_.size());
+  for (std::size_t i = 0; i < satellites_.size(); ++i) {
+    prepared.window_thresholds.push_back(
+        window_threshold(prepared.tables.table(i), grid.step_seconds,
+                         prepared.min_verifier_radius_m, config_.elevation_mask_deg));
+  }
+  prepared_ = std::move(prepared);
 }
 
 const orbit::EphemerisTable& ProofOfCoverage::table_on(std::size_t index,
                                                        const orbit::TimeGrid& grid,
                                                        orbit::EphemerisTable& scratch) const {
-  if (epoch_tables_.has_value() && epoch_tables_->grid() == grid) {
-    return epoch_tables_->table(index);
+  if (prepared_.has_value() && prepared_->tables.grid() == grid) {
+    return prepared_->tables.table(index);
   }
   scratch = orbit::EphemerisTable::compute(satellites_[index].propagator, grid);
   return scratch;
 }
 
+bool ProofOfCoverage::culled(std::size_t index, std::uint32_t verifier,
+                             const orbit::TimePoint& t) const {
+  if (!prepared_.has_value()) return false;
+  const VerifierDirection& site = verifier_directions_[verifier];
+  if (!(site.radius_m >= prepared_->min_verifier_radius_m)) return false;
+  const orbit::TimeGrid& grid = prepared_->tables.grid();
+  // The nearest step, when t is within half a step of one.
+  const double at = t.seconds_since(grid.start) / grid.step_seconds;
+  if (!(at > -0.5 && at < static_cast<double>(grid.count) - 0.5)) return false;
+  const std::size_t step = std::min(static_cast<std::size_t>(at + 0.5), grid.count - 1);
+  return util::dot(site.unit, prepared_->tables.table(index).position_ecef(step)) <
+         prepared_->window_thresholds[index];
+}
+
 ReceiptVerdict ProofOfCoverage::verify(const CoverageReceipt& receipt) const {
-  const RegisteredSatellite* registered = find(receipt.satellite);
-  if (registered == nullptr) return ReceiptVerdict::kUnknownSatellite;
+  const std::optional<std::size_t> index = registration_index(receipt.satellite);
+  if (!index.has_value()) return ReceiptVerdict::kUnknownSatellite;
   if (receipt.verifier >= verifiers_.size()) return ReceiptVerdict::kUnknownVerifier;
+  const RegisteredSatellite& registered = satellites_[*index];
 
   const std::uint64_t expected =
-      digest(registered->key, receipt.satellite, receipt.verifier,
+      digest(registered.key, receipt.satellite, receipt.verifier,
              receipt.time.julian_date(), receipt.nonce);
   if (expected != receipt.digest) return ReceiptVerdict::kBadDigest;
 
   // Geometry check: was the satellite actually above the verifier's horizon?
-  const orbit::StateVector state = registered->propagator.state_at(receipt.time);
+  if (culled(*index, receipt.verifier, receipt.time)) return ReceiptVerdict::kNotOverhead;
+  const orbit::StateVector state = registered.propagator.state_at(receipt.time);
   const util::Vec3 ecef = orbit::eci_to_ecef(state.position, receipt.time);
   if (!verifiers_[receipt.verifier].visible_above(ecef, sin_mask_)) {
     return ReceiptVerdict::kNotOverhead;
@@ -185,20 +277,22 @@ std::optional<bool> ProofOfCoverage::overhead_at_step(constellation::SatelliteId
 std::vector<ProofOfCoverage::DopplerPoint> ProofOfCoverage::doppler_track(
     constellation::SatelliteId satellite, std::uint32_t verifier,
     orbit::TimePoint time, double carrier_hz, std::span<const double> offsets_s) const {
-  const RegisteredSatellite* registered = find(satellite);
-  if (registered == nullptr) {
+  const std::optional<std::size_t> index = registration_index(satellite);
+  if (!index.has_value()) {
     throw std::invalid_argument("ProofOfCoverage: unknown satellite");
   }
   if (verifier >= verifiers_.size()) {
     throw std::invalid_argument("ProofOfCoverage: unknown verifier");
   }
+  const orbit::AnyPropagator& propagator = satellites_[*index].propagator;
   const orbit::TopocentricFrame& site = verifiers_[verifier];
 
   std::vector<DopplerPoint> track;
   track.reserve(offsets_s.size());
   for (const double offset : offsets_s) {
     const orbit::TimePoint t = time.plus_seconds(offset);
-    const orbit::StateVector state = registered->propagator.state_at(t);
+    if (culled(*index, verifier, t)) continue;
+    const orbit::StateVector state = propagator.state_at(t);
     const double gmst = orbit::gmst_rad(t);
     const util::Vec3 r_ecef = orbit::eci_to_ecef(state.position, gmst);
     if (!site.visible_above(r_ecef, sin_mask_)) continue;

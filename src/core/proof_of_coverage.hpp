@@ -29,6 +29,7 @@
 #include "orbit/geodesy.hpp"
 #include "orbit/propagator.hpp"
 #include "orbit/time.hpp"
+#include "util/vec3.hpp"
 
 namespace mpleo::util {
 class ThreadPool;
@@ -93,7 +94,8 @@ class ProofOfCoverage {
       constellation::SatelliteId satellite, std::uint64_t key, std::uint32_t verifier,
       orbit::TimePoint time, std::uint64_t nonce);
 
-  // Consortium side: full verification (digest + orbital geometry).
+  // Consortium side: full verification (digest + orbital geometry). On a
+  // prepared grid the window cone settles most misses without propagating.
   [[nodiscard]] ReceiptVerdict verify(const CoverageReceipt& receipt) const;
 
   // Builds the epoch ephemeris of every registered satellite over `grid` in
@@ -102,6 +104,13 @@ class ProofOfCoverage {
   // these tables on this grid; on any other grid they propagate the one
   // satellite they need, with bit-identical results. Call once per epoch;
   // registering another satellite drops the tables.
+  //
+  // It also stores each satellite's window cone, the geometry cull of verify
+  // and doppler_track: at a time within half a step of a grid step, a
+  // satellite whose table position at that step lies outside the cone is
+  // provably below the mask of every verifier at least as high as the lowest
+  // one registered now, so those queries skip the propagator. Verdicts and
+  // track points are exactly those of the unprepared path (DESIGN §12).
   void prepare_grid(const orbit::TimeGrid& grid, util::ThreadPool* pool = nullptr);
 
   // Challenge-window planning: the grid steps at which `satellite` clears the
@@ -135,7 +144,9 @@ class ProofOfCoverage {
   // the satellite sits below the verifier's horizon contribute no point (a
   // real measurement cannot exist there), so tracks truncate naturally at
   // pass edges. Range-rate goes through cov::range_rate_ecef — the same
-  // kernel the coverage Doppler profiles use. Throws on unknown indices.
+  // kernel the coverage Doppler profiles use. On a prepared grid, offsets
+  // the window cone places below the mask are dropped without propagating.
+  // Throws on unknown indices.
   [[nodiscard]] std::vector<DopplerPoint> doppler_track(
       constellation::SatelliteId satellite, std::uint32_t verifier,
       orbit::TimePoint time, double carrier_hz,
@@ -167,19 +178,45 @@ class ProofOfCoverage {
     orbit::AnyPropagator propagator;
   };
 
-  [[nodiscard]] const RegisteredSatellite* find(constellation::SatelliteId id) const;
+  // A verifier's geocentric unit direction and radius: what the window cone
+  // is tested against.
+  struct VerifierDirection {
+    util::Vec3 unit;
+    double radius_m = 0.0;
+  };
+
+  // What prepare_grid builds for its grid.
+  struct PreparedGrid {
+    orbit::EphemerisSet tables;  // one per registered satellite
+    // Per registered satellite, the dot threshold of its window cone:
+    // dot(verifier unit, table position at the nearest step) below it
+    // proves the satellite below the mask (-inf never culls).
+    std::vector<double> window_thresholds;
+    // The verifier radius the cones assume: the lowest one registered when
+    // the grid was prepared. A lower verifier takes the exact path.
+    double min_verifier_radius_m = 0.0;
+  };
+
   // Satellite `index`'s ephemeris on `grid`: the prepared epoch table when
   // `grid` is the prepared one, else a fresh fill into `scratch`.
   [[nodiscard]] const orbit::EphemerisTable& table_on(std::size_t index,
                                                       const orbit::TimeGrid& grid,
                                                       orbit::EphemerisTable& scratch) const;
+  // True when the prepared tables prove satellite `index` below verifier
+  // `verifier`'s mask at `t`. False — decide exactly — when no grid is
+  // prepared, when `t` is not within half a step of one of its steps (NaN
+  // and infinities included), and when the verifier is lower than the cones
+  // assume.
+  [[nodiscard]] bool culled(std::size_t index, std::uint32_t verifier,
+                            const orbit::TimePoint& t) const;
 
   Config config_;
   double sin_mask_ = 0.0;  // sin of config_.elevation_mask_deg
   std::vector<RegisteredSatellite> satellites_;
   std::unordered_map<constellation::SatelliteId, std::size_t> index_of_;
   std::vector<orbit::TopocentricFrame> verifiers_;
-  std::optional<orbit::EphemerisSet> epoch_tables_;  // set by prepare_grid
+  std::vector<VerifierDirection> verifier_directions_;  // parallel to verifiers_
+  std::optional<PreparedGrid> prepared_;                // set by prepare_grid
 };
 
 }  // namespace mpleo::core

@@ -1536,9 +1536,17 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   // there is one slot per producer — the pool lanes plus the consuming
   // thread, which produces while it waits — 2 to 4 (2 when serial), and
   // never more slots than chunks.
-  const std::size_t chunk_steps = config_.stream_chunk_steps;
-  const std::size_t chunk_total = (step_total + chunk_steps - 1) / chunk_steps;
+  //
+  // stream_chunk_steps is the largest chunk: a run splits into at least four
+  // chunks per lane, so the consumer does not wait out a large share of
+  // phase 1 behind the first chunk on a short grid (a 181-step epoch on
+  // three lanes streams 23 chunks of 8 steps, not 3 of 64). The result is a
+  // power of two no larger than the configured one.
   const std::size_t lanes = pool != nullptr ? pool->thread_count() : 1;
+  const std::size_t chunk_steps =
+      std::min(config_.stream_chunk_steps,
+               std::bit_floor(std::max<std::size_t>(1, step_total / (4 * lanes))));
+  const std::size_t chunk_total = (step_total + chunk_steps - 1) / chunk_steps;
   const std::size_t slots = std::max<std::size_t>(
       1, std::min(std::clamp<std::size_t>(lanes + 1, 2, 4), chunk_total));
   std::vector<std::vector<StepCandidates>> buffers(slots);

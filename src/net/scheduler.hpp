@@ -96,10 +96,13 @@ struct SchedulerConfig {
   // copies scenario.propagator (sim::parse_scenario's --propagator= flag)
   // here.
   orbit::PropagatorBackend propagator_backend = orbit::PropagatorBackend::kJ2Analytic;
-  // Steps per phase-1 chunk, a power of two in [1, 64]. Smaller chunks
-  // shrink the streaming pipeline's in-flight memory (the mega preset runs
-  // 2). Chunk size never changes the result — candidates are a per-step
-  // pure function of geometry.
+  // Largest steps per phase-1 chunk, a power of two in [1, 64]. A run takes
+  // min(stream_chunk_steps, bit_floor(max(1, steps / (4 x lanes)))) steps
+  // per chunk, so it splits into at least four chunks per pool lane and the
+  // sequential phase 2 starts early. Smaller chunks shrink the streaming
+  // pipeline's in-flight memory (the mega preset runs 2). Chunk size never
+  // changes the result — candidates are a per-step pure function of
+  // geometry.
   std::size_t stream_chunk_steps = 64;
   // Per-terminal candidate cap, applied per step at phase-1 emission on
   // every run: keep the top-K own-satellite and top-K spare candidates by

@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <iterator>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -872,7 +874,8 @@ INSTANTIATE_TEST_SUITE_P(TerminalCounts, SchedulerCandidateCap,
 TEST(SchedulerFootprintStreamConfig, SlotCountFollowsPoolLanesAndChunkCount) {
   // One stream slot per producer — the pool lanes plus the consuming
   // thread — 2 to 4 (a serial run counts as one lane), and never more slots
-  // than chunks. perf_simulator's mega gate reads the count from the
+  // than chunks. A run takes chunks of at most stream_chunk_steps and at
+  // least four per lane. perf_simulator's mega gate reads the count from the
   // sched.stream_slots gauge.
   const RandomFleet f = make_fleet(5);
   const auto slots = [&f](const orbit::TimeGrid& grid, std::size_t chunk_steps,
@@ -896,10 +899,50 @@ TEST(SchedulerFootprintStreamConfig, SlotCountFollowsPoolLanesAndChunkCount) {
   EXPECT_EQ(slots(grid, 8, 3), 4.0);
   EXPECT_EQ(slots(grid, 8, 4), 4.0);
   EXPECT_EQ(slots(grid, 8, 6), 4.0);
-  EXPECT_EQ(slots(grid, 32, 6), 3.0);  // 3 chunks
-  EXPECT_EQ(slots(grid, 64, 1), 2.0);  // 2 chunks
+  EXPECT_EQ(slots(grid, 32, 6), 4.0);  // 45 chunks of 2 steps
+  EXPECT_EQ(slots(grid, 64, 1), 2.0);  // 6 chunks of 16 steps
   const orbit::TimeGrid short_grid = orbit::TimeGrid::over_duration(kEpoch, 1800.0, 60.0);
-  EXPECT_EQ(slots(short_grid, 64, 4), 1.0);  // 1 chunk
+  EXPECT_EQ(slots(short_grid, 64, 4), 4.0);  // 31 chunks of 1 step
+}
+
+// Phase 1 runs chunks of min(stream_chunk_steps, bit_floor(steps / (4 x
+// lanes))) steps, at least one: a three-hour campaign epoch on three lanes
+// streams 8-step chunks, while a day on four lanes keeps the configured 64.
+// The chunk timer observes once per chunk.
+TEST(SchedulerFootprintStreamConfig, ShortRunsSplitIntoFourChunksPerLane) {
+  const auto chunks = [](const sim::RunContext& context) -> std::uint64_t {
+    for (const auto& [name, histogram] : context.metrics().snapshot().histograms) {
+      if (name == "sched.phase1_chunk_seconds") return histogram.count;
+    }
+    ADD_FAILURE() << "no sched.phase1_chunk_seconds histogram";
+    return 0;
+  };
+
+  const RandomFleet golden = make_golden_fleet();
+  ASSERT_EQ(golden.config.stream_chunk_steps, SchedulerConfig{}.stream_chunk_steps);
+  const orbit::TimeGrid epoch = orbit::TimeGrid::over_duration(kEpoch, 3 * 3600.0, 60.0);
+  ASSERT_EQ(epoch.count, 181u);
+  const BentPipeScheduler scheduler(golden.config, golden.satellites, golden.terminals,
+                                    golden.stations);
+  util::ThreadPool three(3);
+  sim::RunContext context;
+  context.use_pool(&three);
+  const ScheduleResult pooled =
+      scheduler.run(epoch, golden.party_count, context, /*keep_steps=*/true);
+  EXPECT_EQ(chunks(context), 23u);  // 181 / 12 = 15 -> 8-step chunks
+  EXPECT_TRUE(pooled == scheduler.run_reference(epoch, golden.party_count, nullptr,
+                                                /*keep_steps=*/true));
+
+  // perf_simulator --compare-scheduler's shape: a day at 60 s on four lanes.
+  const RandomFleet f = make_fleet(5);
+  const BentPipeScheduler day_scheduler(f.config, f.satellites, f.terminals, f.stations);
+  const orbit::TimeGrid day = orbit::TimeGrid::over_duration(kEpoch, 86400.0, 60.0);
+  ASSERT_EQ(day.count, 1441u);
+  util::ThreadPool four(4);
+  sim::RunContext day_context;
+  day_context.use_pool(&four);
+  (void)day_scheduler.run(day, f.party_count, day_context, /*keep_steps=*/false);
+  EXPECT_EQ(chunks(day_context), 23u);  // 1441 / 16 = 90 -> 64-step chunks
 }
 
 TEST(SchedulerFootprintStreamCounters, StageCountsAreShapeInvariantAndNested) {
@@ -946,6 +989,90 @@ TEST(SchedulerFootprintStreamCounters, StageCountsAreShapeInvariantAndNested) {
   EXPECT_GE(expected[4], expected[3]);
   EXPECT_GT(expected[6], 0u);
   EXPECT_GE(expected[5], expected[6]);
+}
+
+// The named counters of one run() of `scheduler` over `grid`, serial when
+// `threads` is 0.
+std::vector<std::uint64_t> run_counters(const BentPipeScheduler& scheduler,
+                                        const orbit::TimeGrid& grid, std::size_t party_count,
+                                        std::size_t threads,
+                                        std::initializer_list<const char*> names) {
+  std::optional<util::ThreadPool> pool;
+  if (threads > 0) pool.emplace(threads);
+  sim::RunContext context;
+  context.use_pool(pool.has_value() ? &*pool : nullptr);
+  (void)scheduler.run(grid, party_count, context, /*keep_steps=*/false);
+  std::vector<std::uint64_t> values;
+  for (const char* name : names) values.push_back(context.metrics().counter_value(name));
+  return values;
+}
+
+// Phase 2 books a candidate skipped for its satellite's beams as a beam
+// rejection when no beam is left, and as a withheld rejection when the only
+// beams left are reserved from the spare pass. The golden fleet's one-beam
+// satellites are contended, so without withholding every skip is a beam
+// rejection; reserving every satellite's beam from the spare pass adds
+// withheld ones. Both tallies are pool-invariant.
+TEST(SchedulerFootprintStreamCounters, BeamAndWithheldRejectionsAreBookedApart) {
+  const RandomFleet f = make_golden_fleet();
+  const orbit::TimeGrid grid = test_grid();
+  const auto rejections = [&](const SchedulerConfig& config, std::size_t threads) {
+    const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
+    const std::vector<std::uint64_t> counts =
+        run_counters(scheduler, grid, f.party_count, threads,
+                     {"sched.beam_rejections", "sched.spare_withheld_rejections"});
+    return std::pair{counts[0], counts[1]};
+  };
+
+  SchedulerConfig withholding = f.config;
+  withholding.spare_withheld_fraction.assign(f.party_count, 1.0);
+  const auto open = rejections(f.config, 0);
+  const auto withheld = rejections(withholding, 0);
+  EXPECT_GT(open.first, 0u);
+  EXPECT_EQ(open.second, 0u);
+  EXPECT_GT(withheld.first, 0u);
+  EXPECT_GT(withheld.second, 0u);
+  for (const std::size_t threads : {2u, 3u}) {
+    EXPECT_EQ(rejections(f.config, threads), open) << "threads=" << threads;
+    EXPECT_EQ(rejections(withholding, threads), withheld) << "threads=" << threads;
+  }
+}
+
+// A terminal whose uplink SNR is below 2^-53, so that 1 + SNR rounds to 1,
+// has no positive capacity through any station: the reference serves it
+// nothing, and phase 1 must emit no candidate for it (a key of 0 would be
+// one) while sending each of its visible pairs down the exact path.
+TEST(SchedulerFootprintStreamCounters, UnderflowingUplinkEmitsNoCandidate) {
+  const RandomFleet f = make_golden_fleet();
+  const orbit::TimeGrid grid = test_grid();
+  RandomFleet weak = f;
+  Terminal whisper = f.terminals.front();
+  whisper.id = static_cast<TerminalId>(f.terminals.size());
+  whisper.radio.transmit_power_dbw = -200.0;
+  weak.terminals.push_back(whisper);
+
+  const BentPipeScheduler base(f.config, f.satellites, f.terminals, f.stations);
+  const BentPipeScheduler scheduler(weak.config, weak.satellites, weak.terminals,
+                                    weak.stations);
+  const std::initializer_list<const char*> names = {"sched.candidates",
+                                                    "sched.exact_capacity_evaluations",
+                                                    "sched.exact_visible_pairs"};
+  const std::vector<std::uint64_t> without = run_counters(base, grid, f.party_count, 0, names);
+  const std::vector<std::uint64_t> with = run_counters(scheduler, grid, f.party_count, 0, names);
+  EXPECT_EQ(with[0], without[0]);
+  EXPECT_GT(with[1], without[1]);
+  EXPECT_GT(with[2], without[2]);  // the whisperer does see satellites
+
+  const ScheduleResult reference =
+      scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
+  EXPECT_TRUE(run_steps(scheduler, grid, f.party_count) == reference);
+  util::ThreadPool pool(3);
+  EXPECT_TRUE(run_steps(scheduler, grid, f.party_count, nullptr, &pool) == reference);
+  for (const StepSchedule& step : reference.steps) {
+    for (const LinkAssignment& link : step.links) {
+      EXPECT_NE(link.terminal_index, f.terminals.size());
+    }
+  }
 }
 
 TEST(SchedulerFootprintStreamConfig, RejectsBadStreamShapes) {
