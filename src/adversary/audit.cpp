@@ -59,14 +59,14 @@ core::ReceiptVerdict ReceiptAuditor::audit_and_credit(const core::ProofOfCoverag
     }
   }
 
-  // RF grounding: a claim that passes digest and exact geometry must also
-  // carry a Doppler track whose SHAPE matches what the shared ephemeris
-  // kernel predicts for the claimed pass (constant oscillator offset
-  // removed; see rf::fit_doppler_track). Decided before crediting, so an
-  // implausible receipt never touches the ledger.
+  // One verify per receipt. RF grounding: a claim that passes digest and
+  // exact geometry must also carry a Doppler track whose SHAPE matches what
+  // the shared ephemeris kernel predicts for the claimed pass (constant
+  // oscillator offset removed; see rf::fit_doppler_track). Decided before
+  // crediting, so an implausible receipt never touches the ledger.
+  core::ReceiptVerdict verdict = poc.verify(receipt);
   bool doppler_rejected = false;
-  if (config_.doppler.enabled &&
-      poc.verify(receipt) == core::ReceiptVerdict::kValid) {
+  if (config_.doppler.enabled && verdict == core::ReceiptVerdict::kValid) {
     const std::vector<core::ProofOfCoverage::DopplerPoint> predicted =
         poc.doppler_track(receipt.satellite, receipt.verifier, receipt.time,
                           config_.doppler.carrier_hz, doppler_offsets_);
@@ -103,9 +103,8 @@ core::ReceiptVerdict ReceiptAuditor::audit_and_credit(const core::ProofOfCoverag
     }
   }
 
-  const core::ReceiptVerdict verdict =
-      doppler_rejected ? core::ReceiptVerdict::kRfImplausible
-                       : poc.verify_and_reward(receipt, ledger, owner_account);
+  if (doppler_rejected) verdict = core::ReceiptVerdict::kRfImplausible;
+  if (verdict == core::ReceiptVerdict::kValid) verdict = poc.credit(receipt, ledger, owner_account);
   switch (verdict) {
     case core::ReceiptVerdict::kValid: ++stats.credited; break;
     case core::ReceiptVerdict::kBadDigest: ++stats.rejected_digest; break;

@@ -2,10 +2,11 @@
 // touches the ledger, and attributes rejections to the submitting party.
 //
 // Two lines of defence, layered:
-//   * The authoritative check is core::ProofOfCoverage::verify_and_reward —
-//     keyed digest, exact orbital geometry, and the ledger's content-hash
-//     duplicate guard. The auditor routes every credit through that exact
-//     path, so honest traffic is bit-identical to the unaudited campaign.
+//   * The authoritative check is core::ProofOfCoverage::verify — keyed
+//     digest and exact orbital geometry — and the credit goes through
+//     ProofOfCoverage::credit and the ledger's content-hash duplicate guard:
+//     the two steps of verify_and_reward, so honest traffic is bit-identical
+//     to the unaudited campaign.
 //   * Whenever an audit grid is set, a prescreen re-derives the claimed
 //     contact from the shared ephemeris kernel: one visibility bit at the
 //     claimed audit-grid step (ProofOfCoverage::overhead_at_step, read off
@@ -113,9 +114,10 @@ class ReceiptAuditor {
     instruments_ = {};
   }
 
-  // Audits one receipt and, when valid, credits it through
-  // poc.verify_and_reward — same verdict, same ledger entry, same duplicate
-  // guard as the unaudited path. The verdict is attributed to
+  // Audits one receipt and, when valid, credits it through poc.verify and
+  // poc.credit — same verdict, same ledger entry, same duplicate guard as
+  // the unaudited verify_and_reward path; one verify serves the Doppler
+  // stage and the credit. The verdict is attributed to
   // `owner_party`'s cumulative stats under the given provenance (see
   // ReceiptProvenance for what counts as fraud).
   //

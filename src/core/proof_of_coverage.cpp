@@ -4,13 +4,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numbers>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "coverage/doppler.hpp"
+#include "coverage/engine.hpp"
 #include "coverage/footprint_index.hpp"
 #include "coverage/visibility_cull.hpp"
 #include "orbit/ephemeris.hpp"
@@ -30,17 +30,6 @@ std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) noex
   return hash;
 }
 
-// What a satellite registers with: its elements under the configured
-// backend. The per-receipt propagator and the batched epoch fill both start
-// from it.
-orbit::EphemerisSpec registration_spec(const orbit::ClassicalElements& elements,
-                                       orbit::TimePoint epoch,
-                                       orbit::PropagatorBackend backend) {
-  orbit::EphemerisSpec spec{elements, epoch, orbit::Perturbation::kJ2Secular};
-  spec.backend = backend;
-  return spec;
-}
-
 // No table position is below it: the threshold of a window that never culls.
 constexpr double kNoCull = -std::numeric_limits<double>::infinity();
 
@@ -58,13 +47,13 @@ constexpr double kNoCull = -std::numeric_limits<double>::infinity();
 //    radii, half the largest change between steps plus 3/8 A dt², A = 2 mu
 //    / L² bounding |r''| (mu / r² for a Kepler orbit, doubled for the
 //    perturbations);
-//  * so the satellite at t lies inside the FootprintCone of radii up to
-//    r_max + change around its own direction at t;
+//  * so the satellite at t lies inside the FootprintCone of radii in
+//    [L, r_max + change] around its own direction at t;
 //  * and that direction is within (sqrt(2 mu / L) / L + omega_earth) h of
 //    the table position's, the most an orbit and Earth's rotation turn it
 //    in h.
-// The cone is widened by that motion, plus slack, and turned into a dot
-// threshold over the table's own radius range as FootprintCone::make does.
+// The cone is widened by that motion, plus slack, and its dot threshold
+// taken over the table's own radius range.
 // No cull when the step is too long for the floor to exist, or the table
 // holds a non-finite radius.
 double window_threshold(const orbit::EphemerisTable& table, double step_s,
@@ -94,14 +83,12 @@ double window_threshold(const orbit::EphemerisTable& table, double step_s,
     floor_r = r_min - change;
   }
 
-  const cov::FootprintCone cone =
-      cov::FootprintCone::make(floor_r, r_max + change, site_r_min_m, elevation_mask_deg);
+  const cov::FootprintCone cone(cov::FootprintCone::Mask(elevation_mask_deg), floor_r,
+                                r_max + change, site_r_min_m);
   const double turn =
       (std::sqrt(2.0 * kMu / floor_r) / floor_r + util::kEarthRotationRateRadPerSec) * h;
-  const double psi = cone.psi_rad + turn * (1.0 + 1e-6) + kSlackRad;
-  if (cone.exhaustive || !(psi < std::numbers::pi)) return kNoCull;
-  const double cos_psi = std::cos(psi);
-  return cos_psi * (cos_psi >= 0.0 ? r_min : r_max) - 1e-6 * r_max;
+  return cone.widened(cov::FootprintCone::Widening(turn * (1.0 + 1e-6) + kSlackRad))
+      .dot_threshold(r_min, r_max);
 }
 
 }  // namespace
@@ -143,10 +130,8 @@ std::uint64_t ProofOfCoverage::register_satellite(const constellation::Satellite
   }
   const std::uint64_t key =
       fnv1a(&satellite.id, sizeof satellite.id, consortium_seed ^ 0x6d706c656fULL);
-  satellites_.push_back(
-      {key, satellite.elements, satellite.epoch,
-       orbit::make_propagator(registration_spec(satellite.elements, satellite.epoch,
-                                                config_.propagator_backend))});
+  const orbit::EphemerisSpec spec = cov::ephemeris_spec(satellite, config_.propagator_backend);
+  satellites_.push_back({key, spec, orbit::make_propagator(spec)});
   prepared_.reset();
   return key;
 }
@@ -181,10 +166,7 @@ CoverageReceipt ProofOfCoverage::answer_challenge(constellation::SatelliteId sat
 void ProofOfCoverage::prepare_grid(const orbit::TimeGrid& grid, util::ThreadPool* pool) {
   std::vector<orbit::EphemerisSpec> specs;
   specs.reserve(satellites_.size());
-  for (const RegisteredSatellite& registered : satellites_) {
-    specs.push_back(registration_spec(registered.elements, registered.epoch,
-                                      config_.propagator_backend));
-  }
+  for (const RegisteredSatellite& registered : satellites_) specs.push_back(registered.spec);
   PreparedGrid prepared{orbit::EphemerisSet::compute(specs, grid, pool), {},
                         std::numeric_limits<double>::infinity()};
   for (const VerifierDirection& verifier : verifier_directions_) {
@@ -304,20 +286,23 @@ std::vector<ProofOfCoverage::DopplerPoint> ProofOfCoverage::doppler_track(
   return track;
 }
 
+ReceiptVerdict ProofOfCoverage::credit(const CoverageReceipt& receipt, Ledger& ledger,
+                                       AccountId owner_account) const {
+  // A failed reward (empty treasury) does not invalidate the receipt, but an
+  // already-credited content hash does: paying twice for one receipt is the
+  // inflation attack the audit layer exists to stop.
+  if (!ledger.credit_receipt(owner_account, config_.reward_per_receipt,
+                             receipt.content_hash(), "proof-of-coverage")) {
+    return ReceiptVerdict::kDuplicate;
+  }
+  return ReceiptVerdict::kValid;
+}
+
 ReceiptVerdict ProofOfCoverage::verify_and_reward(const CoverageReceipt& receipt,
                                                   Ledger& ledger,
                                                   AccountId owner_account) const {
   const ReceiptVerdict verdict = verify(receipt);
-  if (verdict == ReceiptVerdict::kValid) {
-    // A failed reward (empty treasury) does not invalidate the receipt, but
-    // an already-credited content hash does: paying twice for one receipt is
-    // the inflation attack the audit layer exists to stop.
-    if (!ledger.credit_receipt(owner_account, config_.reward_per_receipt,
-                               receipt.content_hash(), "proof-of-coverage")) {
-      return ReceiptVerdict::kDuplicate;
-    }
-  }
-  return verdict;
+  return verdict == ReceiptVerdict::kValid ? credit(receipt, ledger, owner_account) : verdict;
 }
 
 }  // namespace mpleo::core

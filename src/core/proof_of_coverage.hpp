@@ -152,10 +152,13 @@ class ProofOfCoverage {
       orbit::TimePoint time, double carrier_hz,
       std::span<const double> offsets_s) const;
 
-  // Verifies and, if valid, pays the owner account from the treasury through
-  // Ledger::credit_receipt, keyed on the receipt's content hash — an
-  // identical receipt submitted twice earns once and then verdicts
-  // kDuplicate. Returns the verdict; the payment only happens on kValid.
+  // Pays the owner account for a receipt verify accepted, from the treasury
+  // through Ledger::credit_receipt keyed on the receipt's content hash:
+  // kValid, or kDuplicate once that hash has been credited.
+  ReceiptVerdict credit(const CoverageReceipt& receipt, Ledger& ledger,
+                        AccountId owner_account) const;
+
+  // verify, then credit a kValid receipt. Returns the verdict.
   ReceiptVerdict verify_and_reward(const CoverageReceipt& receipt, Ledger& ledger,
                                    AccountId owner_account) const;
 
@@ -170,11 +173,11 @@ class ProofOfCoverage {
  private:
   struct RegisteredSatellite {
     std::uint64_t key = 0;
-    // The registered orbit, from which prepare_grid rebuilds the spec.
-    orbit::ClassicalElements elements;
-    orbit::TimePoint epoch;
-    // Built once at registration with the configured backend; per-receipt
-    // state queries and fills on unprepared grids reuse it.
+    // The orbit and backend the satellite registered with; prepare_grid
+    // fills the epoch tables from it.
+    orbit::EphemerisSpec spec;
+    // Built once from `spec`; per-receipt state queries and fills on
+    // unprepared grids reuse it.
     orbit::AnyPropagator propagator;
   };
 

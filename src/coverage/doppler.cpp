@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 
+#include "coverage/engine.hpp"
 #include "coverage/step_mask.hpp"
 #include "coverage/visibility_cull.hpp"
 #include "orbit/propagator.hpp"
@@ -37,10 +38,7 @@ std::vector<DopplerSample> doppler_profile(const constellation::Satellite& satel
                                            const orbit::TimeGrid& grid,
                                            double elevation_mask_deg, double carrier_hz,
                                            orbit::PropagatorBackend backend) {
-  orbit::EphemerisSpec spec{satellite.elements, satellite.epoch,
-                            orbit::Perturbation::kJ2Secular};
-  spec.backend = backend;
-  const orbit::AnyPropagator prop = orbit::make_propagator(spec);
+  const orbit::AnyPropagator prop = orbit::make_propagator(ephemeris_spec(satellite, backend));
   const double mask_rad = util::deg_to_rad(elevation_mask_deg);
 
   // Candidate steps from the shared cull; the full state vector (position +
@@ -84,11 +82,8 @@ std::vector<DopplerSample> doppler_profile(const constellation::Satellite& satel
                                            const orbit::TimeGrid& grid,
                                            double elevation_mask_deg, double carrier_hz,
                                            orbit::PropagatorBackend backend) {
-  orbit::EphemerisSpec spec{satellite.elements, satellite.epoch,
-                            orbit::Perturbation::kJ2Secular};
-  spec.backend = backend;
-  const orbit::EphemerisTable table =
-      orbit::EphemerisTable::compute(orbit::make_propagator(spec), grid);
+  const orbit::EphemerisTable table = orbit::EphemerisTable::compute(
+      orbit::make_propagator(ephemeris_spec(satellite, backend)), grid);
   return doppler_profile(satellite, table, site, grid, elevation_mask_deg, carrier_hz,
                          backend);
 }

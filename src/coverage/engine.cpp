@@ -55,7 +55,6 @@ CoverageEngine::CoverageEngine(const orbit::TimeGrid& grid, double elevation_mas
     : grid_(grid),
       mask_deg_(elevation_mask_deg),
       default_backend_(backend),
-      mask_rad_(util::deg_to_rad(elevation_mask_deg)),
       sin_mask_(std::sin(util::deg_to_rad(elevation_mask_deg))),
       culler_(grid, elevation_mask_deg),
       gmst_(orbit::GmstTable::for_grid(grid)) {
@@ -108,27 +107,14 @@ std::vector<StepMask> CoverageEngine::visibility_masks(
   }
   std::vector<StepMask> masks(sites.size(), StepMask(grid_.count));
 
-  // Latitude-band prune: one conservative footprint cone for the whole site
-  // family (built on the family's minimum site radius, so it is at least as
-  // wide as any per-site cone) plus the table's latitude reach. A site whose
-  // latitude the satellite provably cannot reach keeps its all-zero mask
-  // without running the cull at all — the fill only ever sets bits the exact
-  // elevation test confirms, and an unreachable site has none to set.
-  double site_r_min = 0.0;
+  // Site-latitude prune: a site whose latitude the satellite provably cannot
+  // reach keeps its all-zero mask without running the cull at all — the
+  // fill only ever sets bits the exact elevation test confirms, and an
+  // unreachable site has none to set.
+  const SiteLatitudePrune prune(sites, mask_deg_);
+  const double reach = prune.reach_rad(ephemeris);
   for (std::size_t j = 0; j < sites.size(); ++j) {
-    const double r = sites[j].frame.origin_ecef().norm();
-    site_r_min = j == 0 ? r : std::min(site_r_min, r);
-  }
-  const FootprintCone cone = FootprintCone::make(
-      ephemeris.min_radius_m(), ephemeris.max_radius_m(), site_r_min, mask_deg_);
-  const double max_sin_lat = max_abs_sin_latitude(ephemeris);
-
-  for (std::size_t j = 0; j < sites.size(); ++j) {
-    const util::Vec3& origin = sites[j].frame.origin_ecef();
-    const double r = origin.norm();
-    const double site_sin_lat = r > 0.0 ? origin.z / r : 0.0;
-    if (!latitude_reachable(max_sin_lat, cone.psi_rad, site_sin_lat)) continue;
-    fill_visibility(ephemeris, sites[j], masks[j]);
+    if (prune.reachable(reach, j)) fill_visibility(ephemeris, sites[j], masks[j]);
   }
   return masks;
 }

@@ -150,7 +150,6 @@ class CoverageEngine {
   orbit::TimeGrid grid_;
   double mask_deg_;
   orbit::PropagatorBackend default_backend_;
-  double mask_rad_;
   double sin_mask_;
   VisibilityCuller culler_;
   orbit::GmstTable gmst_;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numbers>
 
+#include "coverage/engine.hpp"
 #include "util/units.hpp"
 
 namespace mpleo::cov {
@@ -14,12 +15,11 @@ constexpr double kPi = std::numbers::pi;
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 constexpr double kHalfPi = 0.5 * std::numbers::pi;
 
-// Same bounds the VisibilityCuller bakes into its cone (visibility_cull.cpp):
-// geodetic-vertical vs geocentric-radial deflection, plus the angular slack
-// absorbing table round-off. Keeping the constants identical means a
-// FootprintCone is exactly the culler's cone with the family-wide extreme
-// radii substituted in — never tighter.
+// Bound on the angle between the geodetic vertical and the geocentric
+// radial; on WGS-84 it peaks at ~0.00336 rad near 45 deg latitude.
 constexpr double kVerticalDeflection = 0.0035;
+// Angular margin absorbing the numeric approximations downstream of the
+// cone: ~1.4 km at LEO radii, orders of magnitude above the actual error.
 constexpr double kAngularSlack = 2e-4;
 // Pure floating-point pad on the asin/acos/atan2 chain in cap queries; the
 // geometric margins above dwarf it.
@@ -38,38 +38,63 @@ constexpr double kBandHeightDeg = 4.0;
 
 }  // namespace
 
-FootprintCone FootprintCone::make(double r_min_m, double r_max_m,
-                                  double site_r_min_m,
-                                  double elevation_mask_deg) {
-  FootprintCone cone;
-  // Degenerate geometry mirrors the culler's exhaustive fallback: outside the
-  // cone derivation's domain the cap is the whole sphere and the dot test
-  // passes everything (threshold below -|p| for any table position).
-  const bool bad_mask = elevation_mask_deg < 0.0 || elevation_mask_deg >= 90.0;
-  if (bad_mask || !(site_r_min_m > 0.0) || !(r_min_m > 0.0) ||
-      !(r_max_m >= r_min_m) || !(r_max_m > site_r_min_m * 1.001)) {
-    cone.psi_rad = kPi;
-    cone.dot_threshold = -4.0 * std::max(r_max_m, 1.0);
-    cone.exhaustive = true;
-    return cone;
-  }
-
-  // psi = acos(c) - theta_t with c = (R/r_max) * cos(m_eff). Substituting the
-  // family minimum R and maximum r_max minimises c, hence maximises psi: the
-  // family cone contains every member/site cone, and a site outside it is
-  // outside all of them.
+FootprintCone::Mask::Mask(double elevation_mask_deg)
+    : exhaustive(!(elevation_mask_deg >= 0.0 && elevation_mask_deg < 90.0)) {
+  if (exhaustive) return;
   const double m_eff = util::deg_to_rad(elevation_mask_deg) - kVerticalDeflection;
-  const double theta_t = m_eff - kAngularSlack;
-  const double c = (site_r_min_m / r_max_m) * std::cos(m_eff);  // in (0, 1)
+  const double theta = m_eff - kAngularSlack;
+  cos_m_eff = std::cos(m_eff);
+  cos_theta = std::cos(theta);
+  sin_theta = std::sin(theta);
+}
+
+FootprintCone::Widening::Widening(double rad)
+    : angle_rad(rad), cos_a(std::cos(rad)), sin_a(std::sin(rad)) {}
+
+FootprintCone::FootprintCone(const Mask& mask, double r_min_m, double r_max_m,
+                             double site_r_min_m) {
+  if (mask.exhaustive || !(site_r_min_m > 0.0) || !(r_min_m > 0.0) ||
+      !(r_max_m >= r_min_m) || !(r_max_m > site_r_min_m * 1.001)) {
+    return;
+  }
+  // psi = acos(c) - theta with c = (R / r_max) cos(m_eff) in (0, 1): the
+  // smallest R and largest r_max minimise c, hence maximise psi. cos and sin
+  // of psi expand through the angle-difference identities.
+  const double c = (site_r_min_m / r_max_m) * mask.cos_m_eff;
   const double s_c = std::sqrt(std::max(0.0, 1.0 - c * c));
-  const double cos_psi = c * std::cos(theta_t) + s_c * std::sin(theta_t);
-  cone.psi_rad = std::acos(clamp_unit(cos_psi));
-  // Dot form, bounded below over r in [r_min, r_max] exactly as the culler
-  // does: visible at radius r implies dot(u, p) = r * cos(angle) >=
-  // r * cos_psi >= r_ref * cos_psi > threshold.
-  const double r_ref = cos_psi >= 0.0 ? r_min_m : r_max_m;
-  cone.dot_threshold = cos_psi * r_ref - 1e-6 * r_max_m;
+  cos_psi = c * mask.cos_theta + s_c * mask.sin_theta;
+  sin_psi = std::max(0.0, s_c * mask.cos_theta - c * mask.sin_theta);
+  exhaustive = false;
+}
+
+FootprintCone FootprintCone::make(double r_min_m, double r_max_m, double site_r_min_m,
+                                  double elevation_mask_deg) {
+  FootprintCone cone(Mask(elevation_mask_deg), r_min_m, r_max_m, site_r_min_m);
+  if (!cone.exhaustive) cone.psi_rad = std::acos(clamp_unit(cone.cos_psi));
   return cone;
+}
+
+double FootprintCone::dot_threshold(double r_min_m, double r_max_m) const {
+  if (exhaustive) return -std::numeric_limits<double>::infinity();
+  // Visible at radius r implies dot(u, p) = r cos(angle) >= r cos(psi) >=
+  // r_ref cos(psi); the slack sends borderline positions to the exact test.
+  const double r_ref = cos_psi >= 0.0 ? r_min_m : r_max_m;
+  return cos_psi * r_ref - 1e-6 * r_max_m;
+}
+
+FootprintCone FootprintCone::widened(const Widening& angle) const {
+  // For psi and a in [0, pi], psi + a < pi iff cos(psi) > cos(pi - a) =
+  // -cos(a); the margin keeps a sum within round-off of pi exhaustive.
+  if (exhaustive || !(angle.angle_rad >= 0.0 && angle.angle_rad < kPi) ||
+      !(cos_psi > -angle.cos_a + 1e-12)) {
+    return {};
+  }
+  FootprintCone out;
+  out.cos_psi = cos_psi * angle.cos_a - sin_psi * angle.sin_a;
+  out.sin_psi = sin_psi * angle.cos_a + cos_psi * angle.sin_a;
+  out.psi_rad = psi_rad + angle.angle_rad;
+  out.exhaustive = false;
+  return out;
 }
 
 double max_abs_sin_latitude(const orbit::EphemerisTable& table) {
@@ -82,13 +107,34 @@ double max_abs_sin_latitude(const orbit::EphemerisTable& table) {
   return std::min(table.max_abs_z_m() / r_min, 1.0);
 }
 
-bool latitude_reachable(double max_abs_sin_lat, double psi_rad,
-                        double site_sin_lat) {
-  if (psi_rad >= kHalfPi) return true;
-  const double sat_lat = std::asin(clamp_unit(max_abs_sin_lat));
-  const double site_lat = std::abs(std::asin(clamp_unit(site_sin_lat)));
+SiteLatitudePrune::SiteLatitudePrune(std::span<const orbit::TopocentricFrame> sites,
+                                     double elevation_mask_deg)
+    : SiteLatitudePrune(elevation_mask_deg) {
+  abs_latitude_rad_.reserve(sites.size());
+  for (const orbit::TopocentricFrame& site : sites) add_site(site.origin_ecef());
+}
+
+SiteLatitudePrune::SiteLatitudePrune(std::span<const GroundSite> sites,
+                                     double elevation_mask_deg)
+    : SiteLatitudePrune(elevation_mask_deg) {
+  abs_latitude_rad_.reserve(sites.size());
+  for (const GroundSite& site : sites) add_site(site.frame.origin_ecef());
+}
+
+void SiteLatitudePrune::add_site(const util::Vec3& origin) {
+  const double r = origin.norm();
+  site_r_min_m_ = abs_latitude_rad_.empty() ? r : std::min(site_r_min_m_, r);
+  const double sin_lat = r > 0.0 ? origin.z / r : 0.0;
+  abs_latitude_rad_.push_back(std::abs(std::asin(clamp_unit(sin_lat))));
+}
+
+double SiteLatitudePrune::reach_rad(const orbit::EphemerisTable& table) const {
+  const double psi =
+      FootprintCone::make(table.min_radius_m(), table.max_radius_m(), site_r_min_m_, mask_deg_)
+          .psi_rad;
+  if (psi >= kHalfPi) return std::numeric_limits<double>::infinity();
   // Visible => central angle <= psi => |lat_site - lat_sat| <= psi.
-  return site_lat <= sat_lat + psi_rad + kQuerySlack;
+  return std::asin(clamp_unit(max_abs_sin_latitude(table))) + psi + kQuerySlack;
 }
 
 FootprintIndex::FootprintIndex(std::span<const orbit::TopocentricFrame> frames) {

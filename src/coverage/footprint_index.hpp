@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <numbers>
 #include <span>
 #include <vector>
 
@@ -23,28 +24,70 @@
 
 namespace mpleo::cov {
 
-// Conservative footprint-cone constants for a family of satellites whose
-// geocentric radius stays within [r_min_m, r_max_m], over sites at radius
-// >= site_r_min_m, under an elevation mask. Mirrors the VisibilityCuller's
-// zenith-cone derivation (same vertical-deflection and angular slacks), with
-// the family bounds substituted for the per-satellite/per-site values — every
-// substitution widens the cone, so the cap is a superset of each member's
-// exact cap and pruning with it can only skip work, never flip bits.
-struct FootprintCone {
-  // Cap half-angle: a site more than psi_rad of central angle away from the
-  // satellite's geocentric direction cannot clear the elevation mask.
-  double psi_rad = 0.0;
-  // Dot-product form of the same test: a site with unit direction u can see
-  // a satellite at ECEF position p only if dot(u, p) >= dot_threshold.
-  double dot_threshold = 0.0;
-  // Degenerate geometry (mask outside [0, 90), non-positive radii, satellite
-  // family not safely above the sites): psi_rad is pi and dot_threshold
-  // passes everything, i.e. no pruning.
-  bool exhaustive = false;
+struct GroundSite;
 
+// The conservative footprint cone, the one derivation of the zenith cone
+// behind every visibility prune. A satellite at radius r and central angle
+// psi from a site at radius R sits at geocentric elevation el with psi =
+// acos((R/r) cos el) - el, so geodetic elevation >= mask implies
+//   psi <= acos((R/r_max) cos m_eff) - theta,
+//   m_eff = mask - kVerticalDeflection,  theta = m_eff - kAngularSlack:
+// the deflection bounds the angle between the geodetic vertical and the
+// geocentric radial, and the slack absorbs the numeric approximations
+// downstream. Over satellites within [r_min, r_max] and sites at radius >=
+// site_r_min the family extremes only widen the cone, so it contains every
+// member's exact cone, and pruning with it or any widening of it only skips
+// work, never flips bits.
+struct FootprintCone {
+  // The mask half of the derivation, computed once per elevation mask: every
+  // cone under the mask then builds without a libm call.
+  struct Mask {
+    explicit Mask(double elevation_mask_deg);
+    double cos_m_eff = 1.0;  // cos(m_eff)
+    double cos_theta = 1.0;  // cos(theta), theta = m_eff - kAngularSlack
+    double sin_theta = 0.0;
+    bool exhaustive = true;  // mask outside [0, 90): no cone
+  };
+
+  // An angle to widen a cone by, with its cosine and sine computed once.
+  struct Widening {
+    explicit Widening(double rad);
+    double angle_rad;
+    double cos_a;
+    double sin_a;
+  };
+
+  // The half-angle psi: a site more than psi of central angle away from the
+  // satellite's geocentric direction cannot see it above the mask.
+  double cos_psi = -1.0;
+  double sin_psi = 0.0;
+  // psi in radians, for cap and latitude queries. Only make pays the acos
+  // that sets it; a cone built from a Mask keeps pi, which prunes nothing.
+  double psi_rad = std::numbers::pi;
+  // Degenerate geometry (mask outside [0, 90), non-positive radii, satellite
+  // family not safely above the sites) or a widening past pi: the cone is
+  // the whole sphere, psi_rad is at least pi and dot_threshold passes
+  // everything.
+  bool exhaustive = true;
+
+  FootprintCone() = default;  // exhaustive
+  // The cone over satellites within [r_min_m, r_max_m] and sites at radius
+  // >= site_r_min_m, in cos/sin form only: no libm call, so a per-pair test
+  // can build one per (table, site).
+  FootprintCone(const Mask& mask, double r_min_m, double r_max_m, double site_r_min_m);
+  // The same cone with psi_rad set.
   [[nodiscard]] static FootprintCone make(double r_min_m, double r_max_m,
                                           double site_r_min_m,
                                           double elevation_mask_deg);
+
+  // Dot-product form of the cone over satellite radii in [r_min_m, r_max_m]:
+  // a site with unit direction u can see a satellite at ECEF position p only
+  // if dot(u, p) >= the threshold. -infinity when exhaustive.
+  [[nodiscard]] double dot_threshold(double r_min_m, double r_max_m) const;
+
+  // The cone of half-angle psi + angle. Exhaustive once that reaches pi (or
+  // the angle is not in [0, pi)), where the cos comparison would flip.
+  [[nodiscard]] FootprintCone widened(const Widening& angle) const;
 };
 
 // Upper bound on |sin(geocentric latitude)| over the table's sampled steps
@@ -57,13 +100,32 @@ struct FootprintCone {
 // test accepts, may be left out of the bound.
 [[nodiscard]] double max_abs_sin_latitude(const orbit::EphemerisTable& table);
 
-// Latitude-band reachability: can a satellite whose |sin(latitude)| never
-// exceeds `max_abs_sin_lat` place a site whose geocentric sin(latitude) is
-// `site_sin_lat` inside a cap of half-angle psi_rad? False means the site's
-// visibility mask over that satellite is provably empty. Conservative (small
-// angular pad), so callers may skip the fill entirely on false.
-[[nodiscard]] bool latitude_reachable(double max_abs_sin_lat, double psi_rad,
-                                      double site_sin_lat);
+// The site-latitude prune, built once per site list from each site's
+// geocentric |latitude| and the list's smallest radius. A satellite whose
+// |latitude| never exceeds lat_sat sees no site beyond lat_sat plus its
+// footprint cone's half-angle, so such a site's mask is provably empty.
+class SiteLatitudePrune {
+ public:
+  SiteLatitudePrune(std::span<const orbit::TopocentricFrame> sites, double elevation_mask_deg);
+  SiteLatitudePrune(std::span<const GroundSite> sites, double elevation_mask_deg);
+
+  // The highest site |latitude| (radians) the table's satellite can reach;
+  // +infinity once the cone's half-angle reaches a quarter turn.
+  [[nodiscard]] double reach_rad(const orbit::EphemerisTable& table) const;
+
+  // False when `site` provably sees nothing of a table with this reach.
+  [[nodiscard]] bool reachable(double reach_rad, std::size_t site) const {
+    return abs_latitude_rad_[site] <= reach_rad;
+  }
+
+ private:
+  explicit SiteLatitudePrune(double elevation_mask_deg) : mask_deg_(elevation_mask_deg) {}
+  void add_site(const util::Vec3& origin);
+
+  double mask_deg_ = 0.0;
+  double site_r_min_m_ = 0.0;
+  std::vector<double> abs_latitude_rad_;
+};
 
 class FootprintIndex {
  public:

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "coverage/engine.hpp"
 #include "coverage/step_mask.hpp"
 #include "coverage/visibility_cull.hpp"
 #include "orbit/propagator.hpp"
@@ -56,12 +57,10 @@ LatencyStats propagation_latency_stats(const constellation::Satellite& satellite
                                        const orbit::TimeGrid& grid,
                                        double elevation_mask_deg,
                                        orbit::PropagatorBackend backend) {
-  orbit::EphemerisSpec spec{satellite.elements, satellite.epoch,
-                            orbit::Perturbation::kJ2Secular};
-  spec.backend = backend;
   return propagation_latency_stats(
-      orbit::EphemerisTable::compute(orbit::make_propagator(spec), grid), site, grid,
-      elevation_mask_deg);
+      orbit::EphemerisTable::compute(orbit::make_propagator(ephemeris_spec(satellite, backend)),
+                                     grid),
+      site, grid, elevation_mask_deg);
 }
 
 }  // namespace mpleo::cov

@@ -14,13 +14,6 @@ namespace {
 constexpr double kPi = std::numbers::pi;
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
-// Bound on the angle between the geodetic vertical and the geocentric
-// radial; on WGS-84 it peaks at ~0.00336 rad near 45 deg latitude.
-constexpr double kVerticalDeflection = 0.0035;
-// Extra angular margin absorbing every numeric approximation in the cull
-// chain (table round-off, incremental-rotation drift): ~1.4 km at LEO
-// radii, many orders of magnitude above the actual error.
-constexpr double kAngularSlack = 2e-4;
 // Additional margin on the latitude band (~700 m) before converting it to
 // argument-of-latitude arcs.
 constexpr double kLatitudeSlack = 1e-4;
@@ -30,21 +23,8 @@ constexpr double kLatitudeSlack = 1e-4;
 VisibilityCuller::VisibilityCuller(const orbit::TimeGrid& grid, double elevation_mask_deg)
     : step_seconds_(grid.step_seconds),
       sin_mask_(std::sin(util::deg_to_rad(elevation_mask_deg))),
-      exhaustive_(elevation_mask_deg < 0.0 || elevation_mask_deg >= 90.0) {
-  if (exhaustive_) return;
-  // With c = (R/r_max) * cos(m_eff) the cone half-angle is psi = acos(c) -
-  // theta, and cos/sin(psi) expand through the angle-difference identities
-  // using these precomputed cos/sin(theta) — no inverse trig per
-  // (table, site).
-  const double m_eff = util::deg_to_rad(elevation_mask_deg) - kVerticalDeflection;
-  cull_cos_meff_ = std::cos(m_eff);
-  const double theta_t = m_eff - kAngularSlack;  // threshold cone
-  cull_cos_t_ = std::cos(theta_t);
-  cull_sin_t_ = std::sin(theta_t);
-  const double theta_b = theta_t - kLatitudeSlack;  // latitude band
-  cull_cos_b_ = std::cos(theta_b);
-  cull_sin_b_ = std::sin(theta_b);
-}
+      cone_mask_(elevation_mask_deg),
+      band_widening_(kLatitudeSlack) {}
 
 template <class Sink>
 void VisibilityCuller::fill_impl(const orbit::EphemerisTable& ephemeris,
@@ -57,31 +37,26 @@ void VisibilityCuller::fill_impl(const orbit::EphemerisTable& ephemeris,
 
   const util::Vec3& origin = frame.origin_ecef();
   const double site_r = origin.norm();
+  const double r_min = ephemeris.min_radius_m();
   const double r_max = ephemeris.max_radius_m();
   // Degenerate geometry (mask outside the cone derivation's domain, site at
-  // the geocentre, or the satellite not safely above the site's radius):
-  // fall back to testing every step exactly.
-  if (exhaustive_ || !(site_r > 0.0) || !(r_max > site_r * 1.001)) {
+  // the geocentre, or the satellite not safely above the site's radius)
+  // leaves the cone exhaustive: test every step exactly.
+  const FootprintCone cone(cone_mask_, r_min, r_max, site_r);
+  if (cone.exhaustive) {
     for (std::size_t k = 0; k < n; ++k) {
       if (frame.visible_above({xs[k], ys[k], zs[k]}, sin_mask_)) set_bit(k);
     }
     return;
   }
 
-  // Cone cull: a visible satellite has central angle psi <= acos(c) - theta_t
-  // from the site's radial direction, with c = (R/r_max) * cos(m_eff). In
-  // dot-product form dot(u_site, p) >= r * cos(psi_max); bound the right side
-  // below over r in [r_min, r_max] and leave an absolute slack so borderline
-  // steps are always tested exactly — the cull skips work, never flips bits.
+  // Cone cull: a step below the cone's dot threshold cannot clear the mask;
+  // the threshold's slack sends borderline steps on to the exact test.
   const double inv_r = 1.0 / site_r;
   const double ux = origin.x * inv_r;
   const double uy = origin.y * inv_r;
   const double uz = origin.z * inv_r;
-  const double c = (site_r / r_max) * cull_cos_meff_;  // in (0, 1)
-  const double s_c = std::sqrt(std::max(0.0, 1.0 - c * c));
-  const double cos_psi = c * cull_cos_t_ + s_c * cull_sin_t_;
-  const double r_ref = cos_psi >= 0.0 ? ephemeris.min_radius_m() : r_max;
-  const double threshold = cos_psi * r_ref - 1e-6 * r_max;
+  const double threshold = cone.dot_threshold(r_min, r_max);
 
   const auto exact = [&](std::size_t k) {
     const util::Vec3 p{xs[k], ys[k], zs[k]};
@@ -99,15 +74,16 @@ void VisibilityCuller::fill_impl(const orbit::EphemerisTable& ephemeris,
     return;
   }
 
-  // Circular orbit: z(k) = r * sin_i * sin(u0 + du*k) exactly, so the cone's
+  // Circular orbit: z(k) = r * sin_i * sin(u0 + du*k) exactly, so the
   // latitude band |lat_sat - phi| <= psi_band translates into closed arcs of
   // the argument of latitude u. Only the grid steps whose u lands in an arc
-  // can pass the cone; enumerate them directly instead of scanning. All band
-  // trigonometry expands through angle-sum identities from the precomputed
-  // constants: cos/sin(psi_band) from (c, s_c), then
-  //   sin(phi +- psi_band) = sin_phi * cos_d -+ cos_phi * sin_d.
-  const double cos_d = c * cull_cos_b_ + s_c * cull_sin_b_;
-  const double sin_d = s_c * cull_cos_b_ - c * cull_sin_b_;
+  // can pass the cone; enumerate them directly instead of scanning. The band
+  // is the cone widened by kLatitudeSlack (an exhaustive band, cos = -1,
+  // leaves both sides open), and its edges expand as
+  //   sin(phi +- psi_band) = sin_phi * cos_d +- cos_phi * sin_d.
+  const FootprintCone band = cone.widened(band_widening_);
+  const double cos_d = band.cos_psi;
+  const double sin_d = band.sin_psi;
   const double sin_phi = origin.z * inv_r;  // geocentric site latitude
   const double cos_phi = std::sqrt(std::max(0.0, 1.0 - sin_phi * sin_phi));
   const double axial = sin_phi * cos_d;
@@ -152,23 +128,17 @@ void VisibilityCuller::fill_impl(const orbit::EphemerisTable& ephemeris,
 
   // Crossing prefilter: the satellite's ECEF direction drifts at most v_ang
   // radians per step (orbital rate plus Earth rotation), so if the middle
-  // step of a band crossing sits further than psi_max + alpha from the
-  // site's radial — alpha covering half the crossing width plus margin — no
-  // step of that crossing can be inside the cone and the whole run is
-  // skipped with a single dot product. Disabled (never skips) whenever the
-  // relaxed angle reaches pi, where the cos comparison would flip.
+  // step of a band crossing lies outside the cone widened by alpha — half
+  // the crossing width plus margin, in drift — no step of that crossing can
+  // be inside the cone and the whole run is skipped with a single dot
+  // product. A widening past pi is exhaustive and skips nothing.
   const double inv_du = 1.0 / arg.du;
-  const double sin_psi = std::max(0.0, s_c * cull_cos_t_ - c * cull_sin_t_);
   const double widest = std::max(arcs[0][1] - arcs[0][0],
                                  arc_count == 2 ? arcs[1][1] - arcs[1][0] : 0.0);
   const double v_ang = arg.du + 7.2921159e-5 * step_seconds_;
   const double alpha = (0.5 * widest * inv_du + 2.0) * v_ang;
-  double relaxed_threshold = -4.0 * r_max;  // passes every crossing
-  if (alpha < kPi && cos_psi > -std::cos(alpha) + 1e-12) {
-    const double cos_rel = cos_psi * std::cos(alpha) - sin_psi * std::sin(alpha);
-    const double r_ref_rel = cos_rel >= 0.0 ? ephemeris.min_radius_m() : r_max;
-    relaxed_threshold = cos_rel * r_ref_rel - 1e-6 * r_max;
-  }
+  const double relaxed_threshold =
+      cone.widened(FootprintCone::Widening(alpha)).dot_threshold(r_min, r_max);
 
   // Each arc recurs once per orbit; walk its 2*pi translates across the grid
   // with an incremental step counter (no divisions in the loop). Each

@@ -3,21 +3,18 @@
 // pipelined bent-pipe scheduler, latency/Doppler sampling) can pack
 // (satellite, site) visibility into StepMasks without owning an engine.
 //
-// The cull rests on spherical coverage geometry: a satellite at geocentric
-// radius r with central angle psi from a site at radius R sits at geocentric
-// elevation el with psi = acos((R/r) * cos(el)) - el, monotone in r.
-// Geodetic elevation >= mask therefore implies
-//   psi <= psi_max = acos((R/r_max) * cos(mask - deflection)) - (mask - ...)
-// where `deflection` bounds the angle between the geodetic vertical (which
-// elevation masks are measured against) and the geocentric radial. The cull
-// only skips work — every surviving step still runs the exact
-// visible_above test — so the filled mask is bit-identical to the
-// exhaustive per-step scan over the same ephemeris table.
+// The cull tests each step against the table's FootprintCone over the site
+// (footprint_index.hpp), the one derivation of the conservative zenith cone,
+// and walks circular orbits only through the argument-of-latitude arcs of
+// that cone's latitude band. It only skips work: every surviving step still
+// runs the exact visible_above test, so the filled mask is bit-identical to
+// the exhaustive per-step scan over the same ephemeris table.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
+#include "coverage/footprint_index.hpp"
 #include "coverage/step_mask.hpp"
 #include "obs/metrics.hpp"
 #include "orbit/ephemeris.hpp"
@@ -35,8 +32,6 @@ struct CullCounters {
 
 class VisibilityCuller {
  public:
-  VisibilityCuller() = default;
-
   // `grid` supplies the step cadence for the crossing prefilter. Masks
   // outside [0, 90) degrees disable the cone geometry (every step is tested
   // exactly), preserving whatever semantics the caller's sin(mask) has.
@@ -69,11 +64,10 @@ class VisibilityCuller {
 
   double step_seconds_ = 0.0;
   double sin_mask_ = 0.0;
-  bool exhaustive_ = false;  // mask outside [0, 90): no cone, test every step
-  // Fixed trigonometry of the cull chain (see fill for the derivation).
-  double cull_cos_meff_ = 1.0;
-  double cull_cos_t_ = 1.0, cull_sin_t_ = 0.0;
-  double cull_cos_b_ = 1.0, cull_sin_b_ = 0.0;
+  // The per-mask trigonometry, computed once: the cone's mask half and the
+  // latitude band's widening.
+  FootprintCone::Mask cone_mask_;
+  FootprintCone::Widening band_widening_;
 };
 
 }  // namespace mpleo::cov

@@ -218,6 +218,13 @@ struct alignas(64) IndexedSite {
 };
 static_assert(sizeof(IndexedSite) == 64);
 
+// A shard's footprint cone as phase 1 tests it: the cap half-angle the index
+// query takes, and the dot threshold over the shard's radius range.
+struct ShardCone {
+  double psi_rad = 0.0;
+  double dot_threshold = 0.0;
+};
+
 // Read-only phase-1 inputs, shared across chunk workers. No per-(satellite,
 // terminal) state exists: visibility is discovered per (satellite, step)
 // through the spatial index and re-tested exactly.
@@ -231,7 +238,7 @@ struct StreamContext {
   // Orbital-shell shards (contiguous, ascending) and one conservative
   // footprint cone per shard from the shard's radius extremes.
   std::span<const constellation::ShellShard> shards;
-  std::span<const cov::FootprintCone> shard_cones;
+  std::span<const ShardCone> shard_cones;
   const DownlinkLegs& downlinks;
   const ExactEvaluator& exact;
   // Transparent mode: all stations share one relay bandwidth, so the end-to-
@@ -483,7 +490,9 @@ Phase1Stats fill_stream_chunk(const StreamContext& ctx, std::size_t chunk_begin,
     const StepLegs step_legs{ctx.ephemerides, ctx.downlinks, chunk_begin + b};
     for (std::size_t shard_i = 0; shard_i < ctx.shards.size(); ++shard_i) {
       const constellation::ShellShard& shard = ctx.shards[shard_i];
-      const cov::FootprintCone& cone = ctx.shard_cones[shard_i];
+      // A copy, not a reference: the site loop's stores cannot alias it, so
+      // its threshold stays out of memory in the hot loop.
+      const ShardCone cone = ctx.shard_cones[shard_i];
       for (std::size_t si = shard.begin; si < shard.end; ++si) {
         // No reachable station at this step: no candidate can form, skip the
         // terminal scan.
@@ -1112,11 +1121,7 @@ std::vector<core::ConfigIssue> SchedulerConfig::validate() const {
     add("beams_per_satellite",
         "must be > 0, got " + std::to_string(beams_per_satellite));
   }
-  if (stream_chunk_steps == 0 || stream_chunk_steps > 64 ||
-      (stream_chunk_steps & (stream_chunk_steps - 1)) != 0) {
-    add("stream_chunk_steps", "must be a power of two in [1, 64], got " +
-                                  std::to_string(stream_chunk_steps));
-  }
+  if (stream_chunk_steps == 0) add("stream_chunk_steps", "must be >= 1, got 0");
   if (max_candidates_per_terminal > 64) {
     add("max_candidates_per_terminal",
         "must be <= 64, got " + std::to_string(max_candidates_per_terminal));
@@ -1376,21 +1381,12 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
 
   // The downlink leg table. A (satellite, station) pair's visible steps come
   // from the coverage cull, which only skips work — each set bit passed the
-  // exact visible_above test the reference runs. A pair whose latitude bands
-  // cannot intersect provably sees nothing, so its fill is skipped outright:
-  // the per-satellite footprint cone is the culler's own derivation with the
-  // minimum station radius substituted, so it can only be wider than any
-  // per-station cone. A step at which station_available reports the station
+  // exact visible_above test the reference runs. A station the site-latitude
+  // prune rules out provably sees nothing of the satellite, so its fill is
+  // skipped outright. A step at which station_available reports the station
   // down gets no leg, as in the reference, so steps past the timeline's own
   // grid count as healthy.
-  double station_r_min = 0.0;
-  std::vector<double> station_sin_lat(station_count, 0.0);
-  for (std::size_t gi = 0; gi < station_count; ++gi) {
-    const util::Vec3& o = station_frames_[gi].origin_ecef();
-    const double r = o.norm();
-    station_r_min = gi == 0 ? r : std::min(station_r_min, r);
-    station_sin_lat[gi] = r > 0.0 ? o.z / r : 0.0;
-  }
+  const cov::SiteLatitudePrune station_prune(station_frames_, config_.elevation_mask_deg);
   const cov::VisibilityCuller culler(grid, config_.elevation_mask_deg);
   const cov::CullCounters cull_counters{rm.cull_masks, rm.cull_visible_steps};
   std::atomic<std::uint64_t> pruned_pairs{0};
@@ -1403,14 +1399,11 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
     std::vector<std::uint64_t> masks(station_count * mask_words);
     for (std::size_t si = begin; si < end; ++si) {
       const orbit::EphemerisTable& table = eph.table(si);
-      const double psi = cov::FootprintCone::make(table.min_radius_m(), table.max_radius_m(),
-                                                  station_r_min, config_.elevation_mask_deg)
-                             .psi_rad;
-      const double max_sin_lat = cov::max_abs_sin_latitude(table);
+      const double reach = station_prune.reach_rad(table);
       std::fill(masks.begin(), masks.end(), std::uint64_t{0});
       std::uint64_t local_pruned = 0;
       for (std::size_t gi = 0; gi < station_count; ++gi) {
-        if (!cov::latitude_reachable(max_sin_lat, psi, station_sin_lat[gi])) {
+        if (!station_prune.reachable(reach, gi)) {
           ++local_pruned;
           continue;
         }
@@ -1475,7 +1468,7 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   const cov::FootprintIndex footprint_index(terminal_frames_);
   const std::vector<constellation::ShellShard> shards =
       constellation::shell_partition(satellites_);
-  std::vector<cov::FootprintCone> shard_cones;
+  std::vector<ShardCone> shard_cones;
   shard_cones.reserve(shards.size());
   for (const constellation::ShellShard& shard : shards) {
     double r_min = 0.0, r_max = 0.0;
@@ -1489,8 +1482,9 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
         r_max = std::max(r_max, table.max_radius_m());
       }
     }
-    shard_cones.push_back(cov::FootprintCone::make(
-        r_min, r_max, footprint_index.min_site_radius_m(), config_.elevation_mask_deg));
+    const cov::FootprintCone cone = cov::FootprintCone::make(
+        r_min, r_max, footprint_index.min_site_radius_m(), config_.elevation_mask_deg);
+    shard_cones.push_back({cone.psi_rad, cone.dot_threshold(r_min, r_max)});
   }
   cull_timer.stop();
 
@@ -1540,8 +1534,8 @@ ScheduleResult BentPipeScheduler::run(const orbit::TimeGrid& grid, std::size_t p
   // stream_chunk_steps is the largest chunk: a run splits into at least four
   // chunks per lane, so the consumer does not wait out a large share of
   // phase 1 behind the first chunk on a short grid (a 181-step epoch on
-  // three lanes streams 23 chunks of 8 steps, not 3 of 64). The result is a
-  // power of two no larger than the configured one.
+  // three lanes streams 23 chunks of 8 steps, not 3 of 64). The result is
+  // never larger than the configured one.
   const std::size_t lanes = pool != nullptr ? pool->thread_count() : 1;
   const std::size_t chunk_steps =
       std::min(config_.stream_chunk_steps,

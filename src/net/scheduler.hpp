@@ -96,7 +96,7 @@ struct SchedulerConfig {
   // copies scenario.propagator (sim::parse_scenario's --propagator= flag)
   // here.
   orbit::PropagatorBackend propagator_backend = orbit::PropagatorBackend::kJ2Analytic;
-  // Largest steps per phase-1 chunk, a power of two in [1, 64]. A run takes
+  // Largest steps per phase-1 chunk, at least 1. A run takes
   // min(stream_chunk_steps, bit_floor(max(1, steps / (4 x lanes)))) steps
   // per chunk, so it splits into at least four chunks per pool lane and the
   // sequential phase 2 starts early. Smaller chunks shrink the streaming

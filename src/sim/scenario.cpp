@@ -98,14 +98,6 @@ ScalePreset parse_scale(std::string_view value) {
                               flag_help());
 }
 
-bool parse_on_off(std::string_view value, const char* flag) {
-  if (value == "on") return true;
-  if (value == "off") return false;
-  throw std::invalid_argument("invalid value for " + std::string(flag) + "=: '" +
-                              std::string(value) + "' (valid: on, off)\nvalid flags:\n" +
-                              flag_help());
-}
-
 // The single source of truth for the flag set: the parser dispatches on it
 // and unknown-flag errors / flag_help() render it, so the two can never
 // drift apart.
@@ -157,17 +149,9 @@ constexpr FlagSpec kFlags[] = {
      "Byzantine behavior mode: off|forge|inflate|withhold|misreport|collude|mixed|"
      "jamming|spectrum_squat (default off)",
      [](Scenario& s, std::string_view v) { s.adversary_mode = parse_adversary_mode(v); }},
-    {"--adversary-fraction=", "fraction of parties turned Byzantine, in [0,1] (default 0.25)",
-     [](Scenario& s, std::string_view v) {
-       s.adversary_fraction = to_double(v, "--adversary-fraction");
-     }},
     {"--adversary-intensity=", "Byzantine behavior strength, >= 0 (default 1)",
      [](Scenario& s, std::string_view v) {
        s.adversary_intensity = to_double(v, "--adversary-intensity");
-     }},
-    {"--adversary-seed=", "seed for the Byzantine behavior book (default 1042)",
-     [](Scenario& s, std::string_view v) {
-       s.adversary_seed = to_integer<std::uint64_t>(v, "--adversary-seed");
      }},
     {"--scale=",
      "workload scale preset: reference|mega|mega-smoke (default reference; mega pins "
@@ -184,12 +168,6 @@ constexpr FlagSpec kFlags[] = {
     {"--event-intensity=", "correlated-failure event strength, >= 0 (default 1)",
      [](Scenario& s, std::string_view v) {
        s.event_intensity = to_double(v, "--event-intensity");
-     }},
-    {"--rf=", "spectrum plan + co-channel interference model: on|off (default off)",
-     [](Scenario& s, std::string_view v) { s.rf = parse_on_off(v, "--rf"); }},
-    {"--audit-doppler=", "Doppler-track fit stage of the receipt audit: on|off (default off)",
-     [](Scenario& s, std::string_view v) {
-       s.audit_doppler = parse_on_off(v, "--audit-doppler");
      }},
 };
 
@@ -233,10 +211,6 @@ std::vector<core::ConfigIssue> Scenario::validate() const {
   if (!(elevation_mask_deg >= 0.0) || !(elevation_mask_deg < 90.0)) {
     add("elevation_mask_deg",
         "must be in [0, 90), got " + std::to_string(elevation_mask_deg));
-  }
-  if (!(adversary_fraction >= 0.0) || !(adversary_fraction <= 1.0)) {
-    add("adversary_fraction",
-        "must be a fraction in [0, 1], got " + std::to_string(adversary_fraction));
   }
   if (!(adversary_intensity >= 0.0) || adversary_intensity > 1e300) {
     add("adversary_intensity",
@@ -321,11 +295,8 @@ std::string describe(const Scenario& scenario) {
   }
   if (scenario.adversary_mode != AdversaryMode::kOff) {
     os << " adversary=" << to_string(scenario.adversary_mode)
-       << " fraction=" << scenario.adversary_fraction
        << " intensity=" << scenario.adversary_intensity;
   }
-  if (scenario.rf) os << " rf=on";
-  if (scenario.audit_doppler) os << " audit-doppler=on";
   if (scenario.events != fault::EventProfile::kOff) {
     os << " events=" << fault::to_string(scenario.events)
        << " event-seed=" << scenario.event_seed

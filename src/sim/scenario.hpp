@@ -63,19 +63,10 @@ struct Scenario {
   static constexpr std::size_t kMaxThreads = 1024;
   std::size_t threads = 1;
   // Byzantine-party knobs (adversary-aware benches only; kOff leaves every
-  // consumer bit-identical to the adversary-free path). The fraction is the
-  // share of parties turned Byzantine, validated to [0, 1]; intensity scales
+  // consumer bit-identical to the adversary-free path). Intensity scales
   // behavior strength and must be >= 0.
   AdversaryMode adversary_mode = AdversaryMode::kOff;
-  double adversary_fraction = 0.25;
   double adversary_intensity = 1.0;
-  std::uint64_t adversary_seed = 1042;
-  // RF layer knobs (both default off — an RF-disabled run is bit-identical
-  // to the pre-RF code path). `rf` arms the spectrum plan and co-channel
-  // interference model in adversary-aware benches; `audit_doppler` arms the
-  // Doppler-track fit stage of the receipt audit.
-  bool rf = false;
-  bool audit_doppler = false;
   // Orbit propagation backend for every ephemeris consumer reached through
   // RunContext (coverage, scheduler, proof-of-coverage). The default is the
   // fast analytic model; sgp4 trades throughput for TLE-grade fidelity.

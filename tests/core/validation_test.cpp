@@ -67,7 +67,7 @@ TEST(SchedulerConfigValidate, ReportsEveryBadField) {
   EXPECT_TRUE(config.validate().empty());
 
   config.beams_per_satellite = 0;
-  config.stream_chunk_steps = 3;  // not a power of two
+  config.stream_chunk_steps = 0;
   config.spare_withheld_fraction = {1.5};
   const std::vector<core::ConfigIssue> issues = config.validate();
   EXPECT_EQ(issues.size(), 3u);
@@ -98,7 +98,7 @@ TEST(ScenarioValidate, CollectsEveryBadField) {
   scenario.runs = 0;
   scenario.step_s = 0.0;
   scenario.elevation_mask_deg = 95.0;
-  scenario.adversary_fraction = -0.5;
+  scenario.adversary_intensity = -0.5;
   const std::vector<core::ConfigIssue> issues = scenario.validate();
   EXPECT_EQ(issues.size(), 4u);
   EXPECT_TRUE(core::has_errors(issues));

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -111,6 +112,7 @@ TEST_P(FootprintIndexProperty, PrunedMasksBitIdenticalToExhaustive) {
   const std::vector<orbit::EphemerisTable> tables = make_tables(seed, grid);
   const FootprintIndex index(frames);
   const double sin_mask = std::sin(util::deg_to_rad(kMaskDeg));
+  const SiteLatitudePrune prune(frames, kMaskDeg);
 
   std::vector<FootprintIndex::Range> ranges;
   for (const orbit::EphemerisTable& table : tables) {
@@ -118,6 +120,7 @@ TEST_P(FootprintIndexProperty, PrunedMasksBitIdenticalToExhaustive) {
         FootprintCone::make(table.min_radius_m(), table.max_radius_m(),
                             index.min_site_radius_m(), kMaskDeg);
     ASSERT_FALSE(cone.exhaustive);
+    const double threshold = cone.dot_threshold(table.min_radius_m(), table.max_radius_m());
 
     // The pruned chain, exactly as the scheduler's footprint-stream path
     // walks it: cap query -> cone dot test -> exact visible_above.
@@ -131,26 +134,24 @@ TEST_P(FootprintIndexProperty, PrunedMasksBitIdenticalToExhaustive) {
           const double dot = index.unit_x()[j] * pos.x +
                              index.unit_y()[j] * pos.y +
                              index.unit_z()[j] * pos.z;
-          if (dot < cone.dot_threshold) continue;
+          if (dot < threshold) continue;
           const std::uint32_t site = index.site_ids()[j];
           if (frames[site].visible_above(pos, sin_mask)) pruned[site].set(s);
         }
       }
     }
 
-    const double max_sin_lat = max_abs_sin_latitude(table);
+    const double reach = prune.reach_rad(table);
     std::size_t total_visible = 0;
     for (std::size_t i = 0; i < frames.size(); ++i) {
       const StepMask expected = exhaustive_mask(table, frames[i], sin_mask);
       EXPECT_EQ(pruned[i], expected) << "seed " << seed << " site " << i;
       total_visible += expected.count();
 
-      // Latitude reachability is the coarser prune layer the coverage
-      // engine uses: false must imply a provably empty mask.
-      const util::Vec3& origin = frames[i].origin_ecef();
-      const double r = origin.norm();
-      const double site_sin_lat = r > 0.0 ? origin.z / r : 0.0;
-      if (!latitude_reachable(max_sin_lat, cone.psi_rad, site_sin_lat)) {
+      // The site-latitude prune is the coarser layer the coverage engine
+      // and the scheduler's leg table use: false must imply a provably
+      // empty mask.
+      if (!prune.reachable(reach, i)) {
         EXPECT_EQ(expected.count(), 0u) << "seed " << seed << " site " << i;
       }
     }
@@ -213,14 +214,26 @@ TEST_P(FootprintIndexProperty, QueryCapIsSupersetOfCapMembership) {
 TEST_P(FootprintIndexProperty, CulledFillsBitIdenticalToExhaustive) {
   // The zenith-cone cull behind both VisibilityCuller fills — the StepMask
   // one and the counted word-span one the scheduler packs its station masks
-  // with — only skips steps, so both masks equal the exhaustive scan. The
-  // negative mask takes the culler's exhaustive branch.
+  // with — only skips steps, so both masks equal the exhaustive scan, from
+  // the horizon through the proof-of-coverage mask (10 deg) to near zenith.
+  // The negative mask takes the culler's exhaustive branch.
   const std::uint64_t seed = GetParam();
   const orbit::TimeGrid grid = test_grid();
-  const std::vector<orbit::TopocentricFrame> frames = make_sites(seed, 60);
+  std::vector<orbit::TopocentricFrame> frames = make_sites(seed, 60);
   const std::vector<orbit::EphemerisTable> tables = make_tables(seed, grid);
+  // One site at the geodetic foot of each satellite at some step: its
+  // ellipsoid normal passes through the satellite, which clears every mask
+  // below 90 deg there, so no mask's comparison is vacuous.
+  util::Xoshiro256PlusPlus rng(seed ^ 0x5a5a5a5aULL);
+  for (const orbit::EphemerisTable& table : tables) {
+    orbit::Geodetic foot = orbit::ecef_to_geodetic(
+        table.position_ecef(static_cast<std::size_t>(rng.uniform(0.0, 0.99) *
+                                                     static_cast<double>(table.size()))));
+    foot.altitude_m = 0.0;
+    frames.emplace_back(foot);
+  }
 
-  for (const double mask_deg : {kMaskDeg, -5.0}) {
+  for (const double mask_deg : {0.0, 10.0, kMaskDeg, 60.0, 89.5, -5.0}) {
     const VisibilityCuller culler(grid, mask_deg);
     obs::MetricsRegistry metrics;
     const CullCounters counters{metrics.counter("masks"), metrics.counter("visible")};
@@ -268,6 +281,118 @@ TEST(FootprintCone, FamilyConeContainsMemberCones) {
   const FootprintCone wide = FootprintCone::make(6.80e6, 7.40e6, 6.35e6, 25.0);
   EXPECT_GE(wide.psi_rad, tight.psi_rad);
 }
+
+TEST(FootprintCone, WideningPastPiIsExhaustive) {
+  const double r_min = 6.92e6;
+  const double r_max = 6.93e6;
+  const FootprintCone cone = FootprintCone::make(r_min, r_max, 6.37e6, 25.0);
+  const FootprintCone near =
+      cone.widened(FootprintCone::Widening(util::kPi - cone.psi_rad - 1e-3));
+  EXPECT_FALSE(near.exhaustive);
+  EXPECT_NEAR(near.psi_rad, util::kPi - 1e-3, 1e-12);
+  EXPECT_TRUE(std::isfinite(near.dot_threshold(r_min, r_max)));
+  // At or past pi, or for an angle outside [0, pi), the widening passes
+  // every position; so does any widening of an exhaustive cone.
+  for (const double angle : {util::kPi - cone.psi_rad + 1e-3, util::kPi, -0.1}) {
+    const FootprintCone wide = cone.widened(FootprintCone::Widening(angle));
+    EXPECT_TRUE(wide.exhaustive) << angle;
+    EXPECT_EQ(wide.dot_threshold(r_min, r_max), -std::numeric_limits<double>::infinity())
+        << angle;
+  }
+  EXPECT_TRUE(FootprintCone::make(r_min, r_max, 6.37e6, 90.0)
+                  .widened(FootprintCone::Widening(0.0))
+                  .exhaustive);
+}
+
+TEST(SiteLatitudePrune, ReachBoundsTheSitesATableCanSee) {
+  const orbit::TimeGrid grid = test_grid();
+  const orbit::KeplerianPropagator low_inclination(
+      orbit::ClassicalElements::circular(550e3, 10.0, 40.0, 0.0), grid.start);
+  const orbit::EphemerisTable table = orbit::EphemerisTable::compute(
+      low_inclination, grid, orbit::GmstTable::for_grid(grid));
+  const std::vector<orbit::TopocentricFrame> sites{
+      orbit::TopocentricFrame(orbit::Geodetic::from_degrees(5.0, 20.0)),
+      orbit::TopocentricFrame(orbit::Geodetic::from_degrees(-60.0, 20.0)),
+      orbit::TopocentricFrame(orbit::Geodetic::from_degrees(89.5, 0.0))};
+  // A 10 deg orbit with a cone of a few degrees reaches the tropics only.
+  const SiteLatitudePrune prune(sites, kMaskDeg);
+  const double reach = prune.reach_rad(table);
+  EXPECT_GT(reach, util::deg_to_rad(10.0));
+  EXPECT_LT(reach, util::deg_to_rad(30.0));
+  EXPECT_TRUE(prune.reachable(reach, 0));
+  EXPECT_FALSE(prune.reachable(reach, 1));
+  EXPECT_FALSE(prune.reachable(reach, 2));
+  // Without a cone (a mask outside [0, 90)) every site stays reachable.
+  for (const double mask_deg : {-1.0, 90.0}) {
+    const SiteLatitudePrune open(sites, mask_deg);
+    EXPECT_EQ(open.reach_rad(table), std::numeric_limits<double>::infinity()) << mask_deg;
+  }
+}
+
+// Random cones at the edges of their inputs: radius ranges at 350-2,000 km
+// altitude (circular and eccentric spreads), sites on and below the
+// ellipsoid over site radius floors at or below them, and masks across [0,
+// 89.9] deg. Satellites are placed within a hair of a site's mask at any
+// azimuth, often at an end of the radius range, where only the cone's
+// margins keep a visible pair inside it.
+class FootprintConeProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FootprintConeProperty, ContainsEveryVisiblePairUnderEveryWidening) {
+  util::Xoshiro256PlusPlus rng(GetParam());
+  std::size_t visible = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const double mask_deg = trial % 8 == 0 ? 0.0 : rng.uniform(0.0, 89.9);
+    const double r_min = util::kEarthEquatorialRadiusM + rng.uniform(350e3, 2000e3);
+    const double r_max = trial % 3 == 0 ? r_min : r_min + rng.uniform(0.0, 400e3);
+    const orbit::TopocentricFrame site(orbit::Geodetic::from_degrees(
+        rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0),
+        trial % 2 == 0 ? 0.0 : rng.uniform(-500.0, 0.0)));
+    const util::Vec3& origin = site.origin_ecef();
+    const double site_r = origin.norm();
+    const double site_r_min = trial % 4 == 0 ? site_r : site_r - rng.uniform(0.0, 20e3);
+    const FootprintCone cone = FootprintCone::make(r_min, r_max, site_r_min, mask_deg);
+    ASSERT_FALSE(cone.exhaustive) << "trial " << trial;
+    const double threshold = cone.dot_threshold(r_min, r_max);
+    EXPECT_EQ(cone.widened(FootprintCone::Widening(0.0)).dot_threshold(r_min, r_max),
+              threshold)
+        << "trial " << trial;
+
+    std::vector<double> thresholds{threshold};
+    for (const double angle : {rng.uniform(0.0, 1e-3), rng.uniform(0.0, 0.5)}) {
+      const FootprintCone wide = cone.widened(FootprintCone::Widening(angle));
+      if (!wide.exhaustive) {
+        EXPECT_GE(wide.psi_rad, cone.psi_rad) << "trial " << trial;
+        EXPECT_LE(wide.cos_psi, cone.cos_psi) << "trial " << trial;
+      }
+      thresholds.push_back(wide.dot_threshold(r_min, r_max));
+    }
+
+    const double mask_rad = util::deg_to_rad(mask_deg);
+    const double sin_mask = std::sin(mask_rad);
+    const util::Vec3 unit = origin / site_r;
+    for (int k = 0; k < 8; ++k) {
+      const double r = k % 3 == 0 ? r_min : k % 3 == 1 ? r_max : rng.uniform(r_min, r_max);
+      const double el = mask_rad + rng.uniform(-1e-3, 4e-3);
+      const double az = rng.uniform(0.0, 2.0 * util::kPi);
+      const util::Vec3 dir = std::cos(el) * (std::cos(az) * site.north() +
+                                             std::sin(az) * site.east()) +
+                             std::sin(el) * site.up();
+      // |origin + rho * dir| = r, on the far side of the site.
+      const double along = util::dot(origin, dir);
+      const double rho = -along + std::sqrt(along * along - site_r * site_r + r * r);
+      const util::Vec3 p = origin + rho * dir;
+      if (!site.visible_above(p, sin_mask)) continue;
+      ++visible;
+      const double dot = util::dot(unit, p);
+      for (const double t : thresholds) {
+        EXPECT_GE(dot, t) << "trial " << trial << " mask " << mask_deg << " r " << r;
+      }
+    }
+  }
+  EXPECT_GT(visible, 5000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FootprintConeProperty, ::testing::Values(7u, 42u, 1234u));
 
 // The exact per-step maximum of |z| / r, or 1 at a non-positive radius: the
 // oracle the O(1) max_abs_sin_latitude is checked against.

@@ -1077,13 +1077,23 @@ TEST(SchedulerFootprintStreamCounters, UnderflowingUplinkEmitsNoCandidate) {
 
 TEST(SchedulerFootprintStreamConfig, RejectsBadStreamShapes) {
   const RandomFleet f = make_fleet(3);
-  SchedulerConfig bad_chunk = f.config;
-  bad_chunk.stream_chunk_steps = 12;  // not a power of two
-  EXPECT_THROW(BentPipeScheduler(bad_chunk, f.satellites, f.terminals, f.stations),
-               std::invalid_argument);
-  SchedulerConfig huge_chunk = f.config;
-  huge_chunk.stream_chunk_steps = 128;  // chunks must fit one mask word
-  EXPECT_THROW(BentPipeScheduler(huge_chunk, f.satellites, f.terminals, f.stations),
+  // Any positive chunk bound runs, and runs the reference schedule: 12
+  // gives the serial run chunks of 12 steps, 128 is capped by the grid.
+  const orbit::TimeGrid grid = test_grid();
+  util::ThreadPool pool(3);
+  for (const std::size_t chunk_steps : {std::size_t{12}, std::size_t{128}}) {
+    SchedulerConfig config = f.config;
+    config.stream_chunk_steps = chunk_steps;
+    const BentPipeScheduler scheduler(config, f.satellites, f.terminals, f.stations);
+    const ScheduleResult reference =
+        scheduler.run_reference(grid, f.party_count, nullptr, /*keep_steps=*/true);
+    EXPECT_TRUE(run_steps(scheduler, grid, f.party_count) == reference) << chunk_steps;
+    EXPECT_TRUE(run_steps(scheduler, grid, f.party_count, nullptr, &pool) == reference)
+        << chunk_steps;
+  }
+  SchedulerConfig no_chunk = f.config;
+  no_chunk.stream_chunk_steps = 0;
+  EXPECT_THROW(BentPipeScheduler(no_chunk, f.satellites, f.terminals, f.stations),
                std::invalid_argument);
   SchedulerConfig big_cap = f.config;
   big_cap.max_candidates_per_terminal = 65;

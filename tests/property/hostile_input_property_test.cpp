@@ -93,18 +93,13 @@ std::vector<FlagCase> flag_cases() {
        [](const sim::Scenario& s) { return s.threads <= sim::Scenario::kMaxThreads; }},
       {"--propagator=", "propagator", never},
       {"--adversary=", "adversary", never},
-      {"--adversary-fraction=", "adversary_fraction",
-       [](const sim::Scenario& s) { return in_closed(s.adversary_fraction, 0.0, 1.0); }},
       {"--adversary-intensity=", "adversary_intensity",
        [](const sim::Scenario& s) { return finite_at_least(s.adversary_intensity, 0.0); }},
-      {"--adversary-seed=", "adversary_seed", any},
       {"--scale=", "scale", never},
       {"--events=", "events", never},
       {"--event-seed=", "event_seed", any},
       {"--event-intensity=", "event_intensity",
        [](const sim::Scenario& s) { return finite_at_least(s.event_intensity, 0.0); }},
-      {"--rf=", "rf", never},
-      {"--audit-doppler=", "audit_doppler", never},
   };
 }
 
@@ -183,8 +178,6 @@ std::vector<FieldCase> field_cases() {
        [=](double v) { return grid_fits(v, scenario_step); }},
       {"ScenarioMask", "elevation_mask_deg",
        with<Scenario>([](Scenario& s, double v) { s.elevation_mask_deg = v; }), mask},
-      {"ScenarioAdversaryFraction", "adversary_fraction",
-       with<Scenario>([](Scenario& s, double v) { s.adversary_fraction = v; }), fraction},
       {"ScenarioAdversaryIntensity", "adversary_intensity",
        with<Scenario>([](Scenario& s, double v) { s.adversary_intensity = v; }), intensity},
       {"ScenarioEventIntensity", "event_intensity",
@@ -293,9 +286,6 @@ struct CountCase {
 std::vector<CountCase> count_cases() {
   using net::SchedulerConfig;
   using rf::DopplerAuditConfig;
-  const auto power_of_two_to_64 = [](std::uint64_t n) {
-    return n >= 1 && n <= 64 && (n & (n - 1)) == 0;
-  };
   return {
       {"SchedulerStreamChunkSteps", "stream_chunk_steps",
        [](std::uint64_t n) {
@@ -303,7 +293,7 @@ std::vector<CountCase> count_cases() {
          c.stream_chunk_steps = n;
          return c.validate();
        },
-       power_of_two_to_64},
+       [](std::uint64_t n) { return n >= 1; }},
       {"SchedulerCandidateCap", "max_candidates_per_terminal",
        [](std::uint64_t n) {
          SchedulerConfig c;

@@ -76,7 +76,7 @@ TEST(Scenario, IntegerFlagsRejectNonIntegers) {
   // fraction, NaN, an exponent or a value past the type's range is an error
   // naming the flag, never a cast that wraps or truncates.
   for (const std::string flag :
-       {"--runs", "--seed", "--threads", "--adversary-seed", "--event-seed"}) {
+       {"--runs", "--seed", "--threads", "--event-seed"}) {
     for (const std::string value :
          {"-1", "-3", "0.5", "2.5", "nan", "1e3", "+4", "", "18446744073709551616"}) {
       const std::string arg = flag + "=" + value;
@@ -100,19 +100,15 @@ TEST(Scenario, IntegerFlagsParseTheirFullRangeExactly) {
   EXPECT_EQ(parse({"--seed=9007199254740993"}).seed, 9007199254740993u);
   EXPECT_EQ(parse({"--event-seed=9007199254740993"}).event_seed, 9007199254740993u);
   EXPECT_EQ(parse({"--event-seed=0"}).event_seed, 0u);
-  EXPECT_EQ(parse({"--adversary-seed=12"}).adversary_seed, 12u);
   EXPECT_EQ(parse({"--runs=007"}).runs, 7u);
   EXPECT_EQ(parse({"--threads=3"}).threads, 3u);
 }
 
 TEST(Scenario, AdversaryFlags) {
   EXPECT_EQ(Scenario{}.adversary_mode, AdversaryMode::kOff);  // default: bit-identical
-  const Scenario s = parse({"--adversary=mixed", "--adversary-fraction=0.5",
-                            "--adversary-intensity=2", "--adversary-seed=77"});
+  const Scenario s = parse({"--adversary=mixed", "--adversary-intensity=2"});
   EXPECT_EQ(s.adversary_mode, AdversaryMode::kMixed);
-  EXPECT_DOUBLE_EQ(s.adversary_fraction, 0.5);
   EXPECT_DOUBLE_EQ(s.adversary_intensity, 2.0);
-  EXPECT_EQ(s.adversary_seed, 77u);
 
   EXPECT_EQ(parse({"--adversary=off"}).adversary_mode, AdversaryMode::kOff);
   EXPECT_EQ(parse({"--adversary=forge"}).adversary_mode, AdversaryMode::kForge);
@@ -125,49 +121,28 @@ TEST(Scenario, AdversaryFlags) {
             AdversaryMode::kSpectrumSquat);
 }
 
-TEST(Scenario, RfFlags) {
-  // Both default off: an RF-disabled run is bit-identical to the pre-RF path.
-  EXPECT_FALSE(Scenario{}.rf);
-  EXPECT_FALSE(Scenario{}.audit_doppler);
-  const Scenario s = parse({"--rf=on", "--audit-doppler=on"});
-  EXPECT_TRUE(s.rf);
-  EXPECT_TRUE(s.audit_doppler);
-  EXPECT_FALSE(parse({"--rf=off"}).rf);
-  EXPECT_FALSE(parse({"--audit-doppler=off"}).audit_doppler);
-}
-
-TEST(Scenario, RfFlagsRejectUnknownValues) {
-  EXPECT_THROW(parse({"--rf=maybe"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--audit-doppler=1"}), std::invalid_argument);
-  try {
-    parse({"--rf=maybe"});
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("'maybe'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("--rf"), std::string::npos) << msg;
+TEST(Scenario, FlagsNoProgramReadsAreUnknown) {
+  // No program reads an adversary fraction or seed, an RF switch or a
+  // Doppler-audit switch from the scenario, so those flags are not accepted.
+  for (const char* arg :
+       {"--adversary-fraction=0.5", "--adversary-seed=7", "--rf=on", "--audit-doppler=on"}) {
+    try {
+      parse({arg});
+      ADD_FAILURE() << arg << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind(std::string("unknown flag: ") + arg, 0), 0u) << msg;
+    }
   }
-}
-
-TEST(Scenario, FlagHelpListsRfFlags) {
   const std::string help = flag_help();
-  EXPECT_NE(help.find("--rf="), std::string::npos);
-  EXPECT_NE(help.find("--audit-doppler="), std::string::npos);
-}
-
-TEST(Scenario, DescribeMentionsRfOnlyWhenArmed) {
-  EXPECT_EQ(describe(Scenario{}).find("rf="), std::string::npos);
-  EXPECT_EQ(describe(Scenario{}).find("audit-doppler="), std::string::npos);
-  const std::string armed = describe(parse({"--rf=on", "--audit-doppler=on"}));
-  EXPECT_NE(armed.find("rf=on"), std::string::npos) << armed;
-  EXPECT_NE(armed.find("audit-doppler=on"), std::string::npos) << armed;
+  for (const char* flag : {"--adversary-fraction=", "--adversary-seed=", "--rf=",
+                           "--audit-doppler="}) {
+    EXPECT_EQ(help.find(flag), std::string::npos) << flag;
+  }
 }
 
 TEST(Scenario, AdversaryFlagsValidated) {
   EXPECT_THROW(parse({"--adversary=sabotage"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--adversary-fraction=1.5"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--adversary-fraction=-0.1"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--adversary-fraction=nan"}), std::invalid_argument);
   EXPECT_THROW(parse({"--adversary-intensity=-1"}), std::invalid_argument);
 
   // An unknown mode's error names the valid values and the full flag table.
