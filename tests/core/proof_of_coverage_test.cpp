@@ -187,6 +187,59 @@ TEST(ProofOfCoverage, ResubmittedReceiptVerdictsDuplicate) {
   EXPECT_DOUBLE_EQ(ledger.balance(owner), 2.0 * fx.poc.config().reward_per_receipt);
 }
 
+TEST(ProofOfCoverage, CreditPaysOnceAndGuardsTheContentHash) {
+  // credit is the reward step alone, for a caller that has already verified
+  // the receipt: it pays once per content hash, whichever step pays first.
+  PocFixture fx;
+  Ledger ledger;
+  ledger.mint(10.0);
+  const AccountId owner = ledger.open_account("owner");
+
+  const CoverageReceipt receipt = ProofOfCoverage::answer_challenge(
+      fx.satellite.id, fx.key, fx.overhead_verifier, fx.epoch, 8);
+  ASSERT_EQ(fx.poc.verify(receipt), ReceiptVerdict::kValid);
+  EXPECT_EQ(fx.poc.credit(receipt, ledger, owner), ReceiptVerdict::kValid);
+  EXPECT_EQ(fx.poc.credit(receipt, ledger, owner), ReceiptVerdict::kDuplicate);
+  EXPECT_EQ(fx.poc.verify_and_reward(receipt, ledger, owner), ReceiptVerdict::kDuplicate);
+  EXPECT_DOUBLE_EQ(ledger.balance(owner), fx.poc.config().reward_per_receipt);
+
+  // An empty treasury pays nothing, but the receipt is still consumed.
+  Ledger unfunded;
+  const AccountId unpaid = unfunded.open_account("owner");
+  EXPECT_EQ(fx.poc.credit(receipt, unfunded, unpaid), ReceiptVerdict::kValid);
+  EXPECT_DOUBLE_EQ(unfunded.balance(unpaid), 0.0);
+  EXPECT_EQ(fx.poc.credit(receipt, unfunded, unpaid), ReceiptVerdict::kDuplicate);
+}
+
+TEST(ProofOfCoverage, VerifyThenCreditMatchesVerifyAndReward) {
+  // The receipt auditor verifies once and credits only what verify
+  // accepted; that split must verdict and pay exactly as verify_and_reward.
+  PocFixture fx;
+  const CoverageReceipt good = ProofOfCoverage::answer_challenge(
+      fx.satellite.id, fx.key, fx.overhead_verifier, fx.epoch, 1);
+  CoverageReceipt forged = good;
+  forged.digest ^= 1;
+  const CoverageReceipt not_overhead = ProofOfCoverage::answer_challenge(
+      fx.satellite.id, fx.key, fx.far_verifier, fx.epoch, 2);
+  const CoverageReceipt fresh = ProofOfCoverage::answer_challenge(
+      fx.satellite.id, fx.key, fx.overhead_verifier, fx.epoch, 3);
+
+  Ledger joint;
+  Ledger split;
+  joint.mint(10.0);
+  split.mint(10.0);
+  const AccountId joint_owner = joint.open_account("owner");
+  const AccountId split_owner = split.open_account("owner");
+  for (const CoverageReceipt& receipt : {good, forged, not_overhead, good, fresh}) {
+    const ReceiptVerdict expected = fx.poc.verify_and_reward(receipt, joint, joint_owner);
+    ReceiptVerdict verdict = fx.poc.verify(receipt);
+    if (verdict == ReceiptVerdict::kValid) verdict = fx.poc.credit(receipt, split, split_owner);
+    EXPECT_EQ(verdict, expected) << "nonce " << receipt.nonce;
+    EXPECT_EQ(split.balance(split_owner), joint.balance(joint_owner)) << "nonce " << receipt.nonce;
+  }
+  EXPECT_DOUBLE_EQ(joint.balance(joint_owner), 2.0 * fx.poc.config().reward_per_receipt);
+}
+
 TEST(ProofOfCoverage, OverheadStepsPlanValidChallenges) {
   PocFixture fx;
   const orbit::TimeGrid grid = orbit::TimeGrid::over_duration(fx.epoch, 86400.0, 60.0);

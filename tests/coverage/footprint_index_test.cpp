@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "coverage/engine.hpp"
 #include "coverage/step_mask.hpp"
 #include "coverage/visibility_cull.hpp"
 #include "obs/metrics.hpp"
@@ -282,6 +283,44 @@ TEST(FootprintCone, FamilyConeContainsMemberCones) {
   EXPECT_GE(wide.psi_rad, tight.psi_rad);
 }
 
+TEST(FootprintCone, MaskConeIsMakeWithoutTheAcos) {
+  // The culler and the proof-of-coverage window build cones from a Mask,
+  // with no libm call; the scheduler and the latitude prune call make. Both
+  // are one cone, and make's psi_rad is the angle of its cos/sin form.
+  util::Xoshiro256PlusPlus rng(29);
+  for (int trial = 0; trial < 500; ++trial) {
+    const double mask_deg = trial % 10 == 0 ? 0.0 : rng.uniform(0.0, 89.9);
+    const double r_min = util::kEarthEquatorialRadiusM + rng.uniform(350e3, 2000e3);
+    const double r_max = trial % 3 == 0 ? r_min : r_min + rng.uniform(0.0, 400e3);
+    const double site_r_min = util::kEarthEquatorialRadiusM - rng.uniform(0.0, 30e3);
+    const FootprintCone made = FootprintCone::make(r_min, r_max, site_r_min, mask_deg);
+    const FootprintCone built(FootprintCone::Mask(mask_deg), r_min, r_max, site_r_min);
+    ASSERT_FALSE(made.exhaustive) << "trial " << trial;
+    ASSERT_FALSE(built.exhaustive) << "trial " << trial;
+    EXPECT_EQ(built.cos_psi, made.cos_psi) << "trial " << trial;
+    EXPECT_EQ(built.sin_psi, made.sin_psi) << "trial " << trial;
+    EXPECT_EQ(built.dot_threshold(r_min, r_max), made.dot_threshold(r_min, r_max))
+        << "trial " << trial;
+    EXPECT_EQ(built.psi_rad, util::kPi) << "trial " << trial;
+    EXPECT_GT(made.psi_rad, 0.0) << "trial " << trial;
+    EXPECT_LT(made.psi_rad, util::kPi / 2.0) << "trial " << trial;
+    EXPECT_NEAR(std::cos(made.psi_rad), made.cos_psi, 1e-12) << "trial " << trial;
+    EXPECT_NEAR(std::sin(made.psi_rad), made.sin_psi, 1e-12) << "trial " << trial;
+  }
+  // Degenerate inputs leave both paths exhaustive.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double mask_deg : {-1.0, 90.0, nan}) {
+    EXPECT_TRUE(FootprintCone(FootprintCone::Mask(mask_deg), 6.92e6, 6.93e6, 6.37e6).exhaustive)
+        << mask_deg;
+  }
+  const FootprintCone::Mask mask(kMaskDeg);
+  EXPECT_TRUE(FootprintCone(mask, 6.3e6, 6.37e6, 6.37e6).exhaustive);
+  EXPECT_TRUE(FootprintCone(mask, 6.93e6, 6.92e6, 6.37e6).exhaustive);
+  EXPECT_TRUE(FootprintCone(mask, 6.92e6, nan, 6.37e6).exhaustive);
+  EXPECT_EQ(FootprintCone(mask, 0.0, 6.93e6, 6.37e6).dot_threshold(0.0, 6.93e6),
+            -std::numeric_limits<double>::infinity());
+}
+
 TEST(FootprintCone, WideningPastPiIsExhaustive) {
   const double r_min = 6.92e6;
   const double r_max = 6.93e6;
@@ -326,6 +365,32 @@ TEST(SiteLatitudePrune, ReachBoundsTheSitesATableCanSee) {
   for (const double mask_deg : {-1.0, 90.0}) {
     const SiteLatitudePrune open(sites, mask_deg);
     EXPECT_EQ(open.reach_rad(table), std::numeric_limits<double>::infinity()) << mask_deg;
+  }
+}
+
+TEST(SiteLatitudePrune, GroundSitesAndFramesPruneAlike) {
+  // The coverage engine builds the prune from its GroundSites and the
+  // scheduler's leg table from bare frames: the same sites prune alike.
+  const orbit::TimeGrid grid = test_grid();
+  const std::vector<orbit::TopocentricFrame> frames = make_sites(3, 40);
+  std::vector<GroundSite> sites;
+  sites.reserve(frames.size());
+  for (const orbit::TopocentricFrame& frame : frames) sites.push_back({"site", frame});
+  const std::vector<orbit::EphemerisTable> tables = make_tables(3, grid);
+  for (const double mask_deg : {0.0, 10.0, kMaskDeg}) {
+    const SiteLatitudePrune from_frames(frames, mask_deg);
+    const SiteLatitudePrune from_sites(sites, mask_deg);
+    std::size_t pruned = 0;
+    for (const orbit::EphemerisTable& table : tables) {
+      const double reach = from_frames.reach_rad(table);
+      EXPECT_EQ(from_sites.reach_rad(table), reach) << mask_deg;
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        EXPECT_EQ(from_sites.reachable(reach, i), from_frames.reachable(reach, i))
+            << mask_deg << " site " << i;
+        if (!from_frames.reachable(reach, i)) ++pruned;
+      }
+    }
+    EXPECT_GT(pruned, 0u) << mask_deg;  // some site is out of some table's reach
   }
 }
 
